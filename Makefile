@@ -2,9 +2,13 @@
 #
 #   make check   — the full gate: build, vet, the project lint suite,
 #                  unit tests, the -race pass over the concurrent
-#                  packages, a short native-fuzz smoke, and a
-#                  1-iteration benchmark smoke so the bench harness
-#                  cannot rot.
+#                  packages, a short native-fuzz smoke, a 1-iteration
+#                  benchmark smoke so the bench harness cannot rot, and
+#                  vet + tests of the perfbench module.
+#   make perfbenchcheck — vet and test the repository benchmark
+#                  (perfbench/, a module of its own that `go build ./...`
+#                  never builds), so an API change it depends on fails
+#                  here instead of in the benchmark run.
 #   make test    — tier-1 only (what CI has always run).
 #   make lint    — scdn-lint, the project-specific static-analysis
 #                  suite (bodydrain, lockio, metricname, atomiccopy,
@@ -14,7 +18,8 @@
 #                  checked-in seed corpus.
 #   make bench   — the benchmark harness: delivery-plane micro-benchmarks
 #                  (catalog resolve, payload block cache, range writes,
-#                  disk vs generated serving) at GOMAXPROCS=4, the
+#                  disk vs generated serving, ingest hasher vs verifier
+#                  MB/s) at GOMAXPROCS=4, the
 #                  reproduction benchmarks, and short striped loadgen
 #                  passes in both payload store modes — the dir-mode run
 #                  writes BENCH_delivery.json, the generated-mode run
@@ -54,9 +59,10 @@
 GO ?= go
 
 .PHONY: check test lint race vet bench benchsmoke fuzzsmoke loadgen \
-	ci fmtcheck modverify churnsmoke ingestsmoke perfgate largesmoke largebench
+	ci fmtcheck modverify churnsmoke ingestsmoke perfgate largesmoke largebench \
+	perfbenchcheck
 
-check: vet lint test race fuzzsmoke benchsmoke largesmoke
+check: vet lint test race fuzzsmoke benchsmoke largesmoke perfbenchcheck
 
 ci: fmtcheck modverify check
 
@@ -81,14 +87,18 @@ lint:
 vet:
 	$(GO) vet ./...
 
+perfbenchcheck:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # Every package that spawns goroutines or holds sync/atomic state runs
 # under the race detector: cdnclient fans upload/download stripes out
 # across goroutines and ingest's manifest store is shared by every
 # node. Audited exclusions (no goroutines, no sync, no atomics as of
 # this writing): internal/replication, internal/sim, internal/transfer
 # (single-threaded simulation code), internal/lint (sequential analyzer
-# driver), and the remaining pure graph/model packages; cmd/ has no
-# tests.
+# driver), the remaining pure graph/model packages, and cmd/ (only
+# scdn-digest has a test, a sequential one against a local cluster).
 race:
 	$(GO) test -race ./internal/allocation ./internal/cdnclient ./internal/ingest \
 		./internal/loadharness ./internal/metrics ./internal/middleware \

@@ -1,0 +1,71 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"scdn/internal/cdnclient"
+	"scdn/internal/server"
+	"scdn/internal/storage"
+)
+
+// TestDigestMatchesUpload: the line scdn-digest prints for a file
+// carries exactly the digest cdnclient.Upload gets back from an edge
+// for the same bytes, so a raw-protocol upload can declare it.
+func TestDigestMatchesUpload(t *testing.T) {
+	lc, err := server.StartLocalCluster(server.ClusterConfig{
+		Nodes: 1, Users: 1, StoreMode: server.StoreModeDir, NoSeedDatasets: true,
+		Sweep: server.SweeperConfig{Disabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = lc.Shutdown(ctx)
+	})
+	tok, err := lc.Login(lc.UserIDs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	// One byte, exactly one block, and a ragged multi-block tail.
+	for i, n := range []int{1, 64 << 10, 3<<16 + 17} {
+		data := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(data)
+		path := filepath.Join(dir, fmt.Sprintf("data-%d.bin", i))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		man, err := cdnclient.Upload(context.Background(), cdnclient.TransferOptions{
+			Endpoints: []string{lc.Nodes[0].BaseURL()}, Token: string(tok), Stripes: 2,
+		}, storage.DatasetID(fmt.Sprintf("dig-%d", i)), lc.Config.Group, bytes.NewReader(data), int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var out bytes.Buffer
+		if err := run([]string{path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if want := man.DigestHex() + "  " + path + "\n"; out.String() != want {
+			t.Fatalf("%d bytes: printed %q, want %q", n, out.String(), want)
+		}
+	}
+}
+
+func TestDigestMissingFile(t *testing.T) {
+	err := run([]string{filepath.Join(t.TempDir(), "absent")}, new(bytes.Buffer))
+	if err == nil || !strings.Contains(err.Error(), "absent") {
+		t.Fatalf("missing file: err = %v", err)
+	}
+}

@@ -61,8 +61,8 @@ const uploadDrainLimit = 1 << 20
 
 // Upload publishes size bytes from src as dataset id, scoped to the
 // collaboration group. It streams src once to compute the content
-// manifest (whole + per-block SHA-256), then PUTs the bytes — as one
-// body, or as Stripes parallel Content-Range sections for large
+// manifest (per-block SHA-256 and their roll-up), then PUTs the bytes —
+// as one body, or as Stripes parallel Content-Range sections for large
 // datasets — declaring the digest up front so the receiving edge can
 // reject any corruption with no partial state. The returned manifest is
 // the server's accepted copy; Upload fails if it disagrees with the

@@ -8,14 +8,15 @@ import (
 )
 
 // Hasher computes a dataset's manifest in one streaming pass: it is an
-// io.Writer that feeds every byte to both the whole-stream SHA-256 and
-// the current block's SHA-256, closing out a block digest at each block
-// boundary. Memory stays flat no matter how large the dataset is, so
-// the upload path can hash exactly the bytes it spills to disk without
-// buffering anything.
+// io.Writer that feeds every byte to the current block's SHA-256 —
+// exactly one hash state, so each byte is hashed once — closing out a
+// block digest at each block boundary. The dataset digest is the
+// roll-up of those block digests, computed when the manifest is
+// finalized from 32 bytes per block, never from payload. Memory stays
+// flat no matter how large the dataset is, so the upload path can hash
+// exactly the bytes it spills to disk without buffering anything.
 type Hasher struct {
 	blockSize int64
-	whole     hash.Hash
 	block     hash.Hash
 	inBlock   int64
 	blocks    [][sha256.Size]byte
@@ -30,7 +31,6 @@ func NewHasher(blockSize int64) *Hasher {
 	}
 	return &Hasher{
 		blockSize: blockSize,
-		whole:     sha256.New(),
 		block:     sha256.New(),
 	}
 }
@@ -38,7 +38,6 @@ func NewHasher(blockSize int64) *Hasher {
 // Write consumes the next chunk of the stream. It never fails.
 func (h *Hasher) Write(p []byte) (int, error) {
 	total := len(p)
-	_, _ = h.whole.Write(p)
 	h.n += int64(total)
 	for len(p) > 0 {
 		room := h.blockSize - h.inBlock
@@ -68,15 +67,9 @@ func (h *Hasher) closeBlock() {
 // Bytes returns how many bytes have streamed through.
 func (h *Hasher) Bytes() int64 { return h.n }
 
-// Sum256 returns the whole-stream SHA-256 of the bytes so far.
-func (h *Hasher) Sum256() (d [sha256.Size]byte) {
-	h.whole.Sum(d[:0])
-	return d
-}
-
 // Manifest finalizes the stream (closing a trailing short block) and
-// returns the dataset's manifest. The hasher must not be written to
-// afterwards.
+// returns the dataset's manifest, whose Digest is the roll-up of its
+// block digests. The hasher must not be written to afterwards.
 func (h *Hasher) Manifest(id storage.DatasetID, opaque bool) *Manifest {
 	if h.inBlock > 0 {
 		h.closeBlock()
@@ -86,7 +79,7 @@ func (h *Hasher) Manifest(id storage.DatasetID, opaque bool) *Manifest {
 		Size:      h.n,
 		BlockSize: h.blockSize,
 		Opaque:    opaque,
-		Digest:    h.Sum256(),
+		Digest:    rollUp(h.blocks),
 		Blocks:    h.blocks,
 	}
 }

@@ -3,6 +3,8 @@ package ingest
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -34,27 +36,39 @@ func manifestOf(t *testing.T, id string, data []byte, blockSize int64) *Manifest
 	return h.Manifest("ds", true)
 }
 
+// referenceDigests computes a manifest's block digests and dataset
+// digest with one-shot stdlib calls, independent of the package's
+// streaming hasher and roll-up helper.
+func referenceDigests(data []byte, blockSize int) (blocks [][sha256.Size]byte, digest [sha256.Size]byte) {
+	var concat []byte
+	for lo := 0; lo < len(data); lo += blockSize {
+		b := sha256.Sum256(data[lo:min(lo+blockSize, len(data))])
+		blocks = append(blocks, b)
+		concat = append(concat, b[:]...)
+	}
+	return blocks, sha256.Sum256(concat)
+}
+
 func TestHasherMatchesReference(t *testing.T) {
 	data := testPayload(1, 3*1024+17)
 	m := manifestOf(t, "ds", data, 1024)
 	if m.Size != int64(len(data)) {
 		t.Fatalf("size = %d, want %d", m.Size, len(data))
 	}
-	if m.Digest != sha256.Sum256(data) {
-		t.Fatal("whole digest diverges from one-shot sha256")
-	}
-	if want := BlockCount(m.Size, 1024); int64(len(m.Blocks)) != want {
-		t.Fatalf("blocks = %d, want %d", len(m.Blocks), want)
+	blocks, digest := referenceDigests(data, 1024)
+	if want := BlockCount(m.Size, 1024); int64(len(m.Blocks)) != want || len(blocks) != int(want) {
+		t.Fatalf("blocks = %d (reference %d), want %d", len(m.Blocks), len(blocks), want)
 	}
 	for i := range m.Blocks {
-		lo := i * 1024
-		hi := lo + 1024
-		if hi > len(data) {
-			hi = len(data)
-		}
-		if m.Blocks[i] != sha256.Sum256(data[lo:hi]) {
+		if m.Blocks[i] != blocks[i] {
 			t.Fatalf("block %d digest diverges", i)
 		}
+	}
+	if m.Digest != digest {
+		t.Fatal("dataset digest is not SHA-256 of the concatenated block digests")
+	}
+	if m.Digest == sha256.Sum256(data) {
+		t.Fatal("dataset digest is the plain SHA-256 of the bytes")
 	}
 }
 
@@ -112,6 +126,9 @@ func TestDecodeManifestRejectsHostileInputs(t *testing.T) {
 		{"short digest", func(b []byte) []byte {
 			return bytes.Replace(b, []byte(m.DigestHex()), []byte(m.DigestHex()[:10]), 1)
 		}},
+		{"digest not the roll-up", func(b []byte) []byte {
+			return bytes.Replace(b, []byte(m.DigestHex()), []byte(plainDigestHex(data)), 1)
+		}},
 	}
 	for _, tc := range cases {
 		mutated := tc.mutate(append([]byte(nil), good...))
@@ -122,6 +139,21 @@ func TestDecodeManifestRejectsHostileInputs(t *testing.T) {
 			t.Fatalf("%s: hostile manifest accepted", tc.name)
 		}
 	}
+}
+
+// plainDigestHex is the plain SHA-256 of the bytes in lowercase hex: a
+// well-formed digest that is not the roll-up of any manifest's blocks.
+func plainDigestHex(data []byte) string {
+	d := sha256.Sum256(data)
+	return hex.EncodeToString(d[:])
+}
+
+// withPlainDigest returns a copy of m whose Digest is the plain SHA-256
+// of the bytes instead of the roll-up of its block digests.
+func withPlainDigest(m *Manifest, data []byte) *Manifest {
+	c := *m
+	c.Digest = sha256.Sum256(data)
+	return &c
 }
 
 func TestWholeVerifier(t *testing.T) {
@@ -139,13 +171,21 @@ func TestWholeVerifier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One flipped byte must fail the block that contains it.
-	bad := append([]byte(nil), data...)
-	bad[2000] ^= 0xff
-	v2, _ := m.NewVerifier()
-	_, werr := v2.Write(bad)
-	if werr == nil {
-		t.Fatal("corrupt stream verified")
+	// One flipped byte must fail the block that contains it, the short
+	// last block included.
+	for _, at := range []int{2000, len(data) - 1} {
+		bad := append([]byte(nil), data...)
+		bad[at] ^= 0xff
+		v2, _ := m.NewVerifier()
+		if _, werr := v2.Write(bad); !errors.Is(werr, ErrDigestMismatch) {
+			t.Fatalf("byte %d flipped: Write = %v, want ErrDigestMismatch", at, werr)
+		}
+	}
+
+	// A manifest whose digest is not the roll-up of its blocks never
+	// yields a whole-stream verifier.
+	if _, err := withPlainDigest(m, data).NewVerifier(); !errors.Is(err, ErrDigestMismatch) {
+		t.Fatalf("plain-digest manifest: NewVerifier = %v, want ErrDigestMismatch", err)
 	}
 
 	// Truncation must fail Close.
@@ -205,7 +245,8 @@ func TestRangeVerifierAlignment(t *testing.T) {
 }
 
 func TestStoreSemantics(t *testing.T) {
-	a := manifestOf(t, "ds", testPayload(6, 2048), 1024)
+	aData := testPayload(6, 2048)
+	a := manifestOf(t, "ds", aData, 1024)
 	b := manifestOf(t, "ds", testPayload(7, 2048), 1024)
 	s := NewStore()
 	if err := s.Put(a); err != nil {
@@ -216,6 +257,9 @@ func TestStoreSemantics(t *testing.T) {
 	}
 	if err := s.Put(b); err == nil {
 		t.Fatal("conflicting manifest accepted")
+	}
+	if err := s.Put(withPlainDigest(a, aData)); !errors.Is(err, ErrDigestMismatch) {
+		t.Fatalf("plain-digest manifest: Put = %v, want ErrDigestMismatch", err)
 	}
 	got, ok := s.Get("ds")
 	if !ok || got.Digest != a.Digest {

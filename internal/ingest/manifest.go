@@ -8,11 +8,14 @@
 // carry a verifiable description of its content instead: the manifest.
 //
 // A manifest content-addresses one dataset: its total size, the SHA-256
-// of the whole byte stream, and the SHA-256 of each fixed-size block.
-// The whole digest makes an upload or full-body transfer verifiable end
-// to end; the block digests make *ranges* verifiable, which is what lets
-// repair re-replication fetch stripes from several surviving holders in
-// parallel (GridFTP-style) and still reject a corrupt peer per stripe.
+// of each fixed-size block, and the dataset digest — the SHA-256 of the
+// concatenated block digests, the same roll-up a segment digest is at
+// segment granularity. The block digests make *ranges* verifiable,
+// which is what lets repair re-replication fetch stripes from several
+// surviving holders in parallel (GridFTP-style) and still reject a
+// corrupt peer per stripe; the roll-up makes an upload or full-body
+// transfer verifiable end to end while every payload byte is hashed
+// exactly once.
 package ingest
 
 import (
@@ -32,8 +35,9 @@ const DefaultBlockSize = 64 << 10
 
 // HTTP headers of the upload wire protocol (PUT /v1/datasets/{id}).
 const (
-	// DigestHeader declares the whole-stream SHA-256 (lowercase hex) the
-	// uploaded bytes must hash to; the edge rejects the upload otherwise.
+	// DigestHeader declares the dataset digest (lowercase hex: SHA-256
+	// of the concatenated DefaultBlockSize block digests) the uploaded
+	// bytes must hash to; the edge rejects the upload otherwise.
 	DigestHeader = "X-SCDN-Digest"
 	// GroupHeader names the collaboration group a new dataset is scoped
 	// to; required on the first stripe of a new dataset.
@@ -61,7 +65,9 @@ type Manifest struct {
 	// it cannot be regenerated, so losing every copy loses the data and
 	// repair must move real bytes.
 	Opaque bool
-	// Digest is the SHA-256 of the whole byte stream.
+	// Digest is the dataset digest: the SHA-256 of the concatenated
+	// Blocks (see rollUp). A manifest whose Digest is anything else is
+	// rejected wherever one enters (DecodeManifest, Store.Put).
 	Digest [sha256.Size]byte
 	// Blocks holds the SHA-256 of each BlockSize-sized block; the last
 	// block may be short. len(Blocks) == ceil(Size/BlockSize).
@@ -80,8 +86,32 @@ func BlockCount(size, blockSize int64) int64 {
 	return n
 }
 
-// DigestHex returns the whole-stream digest as lowercase hex.
+// DigestHex returns the dataset digest as lowercase hex.
 func (m *Manifest) DigestHex() string { return hex.EncodeToString(m.Digest[:]) }
+
+// rollUp is the one content-address roll-up: the SHA-256 of the
+// concatenated block digests. Over all of a manifest's blocks it is the
+// dataset digest; over one segment's blocks, the segment digest — so a
+// one-segment dataset's digest equals its segment digest. It hashes 32
+// bytes per block, never payload bytes.
+func rollUp(blocks [][sha256.Size]byte) (d [sha256.Size]byte) {
+	h := sha256.New()
+	for i := range blocks {
+		_, _ = h.Write(blocks[i][:])
+	}
+	h.Sum(d[:0])
+	return d
+}
+
+// checkDigest fails with ErrDigestMismatch unless Digest is the roll-up
+// of Blocks.
+func (m *Manifest) checkDigest() error {
+	if rollUp(m.Blocks) != m.Digest {
+		return fmt.Errorf("ingest: %q digest is not the roll-up of its block digests: %w",
+			m.Dataset, ErrDigestMismatch)
+	}
+	return nil
+}
 
 // blockExtent returns the byte length of block i (the last block may be
 // short).
@@ -163,6 +193,7 @@ func ParseDigest(s string) (d [sha256.Size]byte, err error) {
 
 // DecodeManifest parses and validates a wire-form manifest. Hostile
 // inputs — oversized fields, inconsistent size/block counts, malformed
+// digests, a dataset digest that is not the roll-up of the block
 // digests, trailing garbage — are rejected; a decoded manifest always
 // re-encodes to an identical byte string.
 func DecodeManifest(data []byte) (*Manifest, error) {
@@ -198,6 +229,9 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		}
 	}
 	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if err := m.checkDigest(); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -8,7 +8,8 @@ import (
 
 // Segment digests: the manifest's per-block digests rolled up to the
 // serving plane's segment granularity. A segment digest is the SHA-256
-// of the concatenated block digests the segment covers — cheap to
+// of the concatenated block digests the segment covers (rollUp, the
+// same roll-up the dataset digest is over all blocks) — cheap to
 // compute (hashes 32 bytes per block, never payload bytes), stable
 // under any segment size that is a whole number of blocks, and enough
 // for a peer to advertise or spot-check a segment without shipping the
@@ -44,12 +45,7 @@ func (m *Manifest) SegmentDigest(segSize, i int64) ([sha256.Size]byte, error) {
 	if n := int64(len(m.Blocks)); hi > n {
 		hi = n
 	}
-	h := sha256.New()
-	for _, b := range m.Blocks[lo:hi] {
-		_, _ = h.Write(b[:])
-	}
-	h.Sum(d[:0])
-	return d, nil
+	return rollUp(m.Blocks[lo:hi]), nil
 }
 
 // SegmentDigestHex is SegmentDigest in lowercase hex (the wire form

@@ -59,6 +59,11 @@ func TestSegmentDigestRollup(t *testing.T) {
 			t.Errorf("SegmentDigestHex(%d) = %q err=%v", i, hexGot, err)
 		}
 	}
+	// One roll-up at two granularities: a segment covering the whole
+	// dataset has the dataset's digest.
+	if whole, err := m.SegmentDigest(16*blockSize, 0); err != nil || whole != m.Digest {
+		t.Errorf("one-segment digest = %x err=%v, want dataset digest %x", whole, err, m.Digest)
+	}
 	// Two manifests over different content disagree per segment.
 	other := segTestManifest(t, total, blockSize)
 	other.Blocks[0][0] ^= 0xFF

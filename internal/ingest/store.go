@@ -25,10 +25,14 @@ func NewStore() *Store {
 }
 
 // Put records a dataset's manifest. Re-putting an identical manifest is
-// a no-op; a manifest that disagrees with the recorded one is an error —
-// a dataset's content address never silently changes.
+// a no-op; a manifest that disagrees with the recorded one, or whose
+// digest is not the roll-up of its block digests, is an error — a
+// dataset's content address never silently changes.
 func (s *Store) Put(m *Manifest) error {
 	if err := m.Validate(); err != nil {
+		return err
+	}
+	if err := m.checkDigest(); err != nil {
 		return err
 	}
 	s.mu.Lock()

@@ -8,9 +8,10 @@ import (
 )
 
 // ErrDigestMismatch marks verification failures caused by the bytes
-// themselves — a block or whole-stream digest disagreeing with the
-// manifest — as opposed to I/O or framing problems. Callers classify
-// with errors.Is to count corruption separately from plumbing errors.
+// themselves — a block digest disagreeing with the manifest, or a
+// manifest digest that is not the roll-up of its block digests — as
+// opposed to I/O or framing problems. Callers classify with errors.Is
+// to count corruption separately from plumbing errors.
 var ErrDigestMismatch = errors.New("digest mismatch")
 
 // RangeVerifier incrementally checks a byte stream against a manifest's
@@ -28,7 +29,6 @@ type RangeVerifier struct {
 	remaining int64 // bytes still expected
 	off       int64 // absolute offset of the next expected byte
 	block     hash.Hash
-	whole     hash.Hash // non-nil only for whole-stream verifiers
 }
 
 // NewRangeVerifier builds a verifier for the manifest's bytes
@@ -57,14 +57,19 @@ func (m *Manifest) NewRangeVerifier(off, length int64) (*RangeVerifier, error) {
 	}, nil
 }
 
-// NewVerifier builds a whole-stream verifier: every block digest plus
-// the whole-stream digest must match.
+// NewVerifier builds a whole-stream verifier. The manifest's Digest
+// must be the roll-up of its block digests (checked here, once, from
+// 32 bytes per block); after that every block digest matching plus
+// Close's length check is exactly "the stream hashes to Digest", so no
+// second hash state runs over the payload.
 func (m *Manifest) NewVerifier() (*RangeVerifier, error) {
 	v, err := m.NewRangeVerifier(0, m.Size)
 	if err != nil {
 		return nil, err
 	}
-	v.whole = sha256.New()
+	if err := m.checkDigest(); err != nil {
+		return nil, err
+	}
 	return v, nil
 }
 
@@ -74,9 +79,6 @@ func (v *RangeVerifier) Write(p []byte) (int, error) {
 	if int64(len(p)) > v.remaining {
 		return 0, fmt.Errorf("ingest: stream for %q longer than expected: %d surplus bytes at offset %d",
 			v.m.Dataset, int64(len(p))-v.remaining, v.off)
-	}
-	if v.whole != nil {
-		_, _ = v.whole.Write(p)
 	}
 	consumed := 0
 	for len(p) > 0 {
@@ -113,19 +115,12 @@ func (v *RangeVerifier) checkBlock() error {
 	return nil
 }
 
-// Close checks stream completeness — every expected byte arrived — and,
-// for whole-stream verifiers, the whole-stream digest.
+// Close checks stream completeness: every expected byte arrived (the
+// last block, short or not, was checked by the Write that completed it).
 func (v *RangeVerifier) Close() error {
 	if v.remaining != 0 {
 		return fmt.Errorf("ingest: stream for %q truncated: %d bytes missing at offset %d",
 			v.m.Dataset, v.remaining, v.off)
-	}
-	if v.whole != nil {
-		var d [sha256.Size]byte
-		v.whole.Sum(d[:0])
-		if d != v.m.Digest {
-			return fmt.Errorf("ingest: %q whole-stream: %w", v.m.Dataset, ErrDigestMismatch)
-		}
 	}
 	return nil
 }

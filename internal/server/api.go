@@ -19,7 +19,8 @@ package server
 // with 416, never with a silent full body.
 //
 // Upload (upload.go) publishes a new dataset: the body is raw bytes,
-// X-SCDN-Digest declares their whole-stream SHA-256 up front, and
+// X-SCDN-Digest declares their dataset digest (ingest.Manifest.Digest:
+// the SHA-256 of the concatenated 64 KiB block digests) up front, and
 // X-SCDN-Group scopes the dataset to a collaboration group. Large
 // uploads may arrive as parallel stripes, each carrying
 // "Content-Range: bytes a-b/total"; the stripe completing the byte

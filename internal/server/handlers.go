@@ -669,11 +669,11 @@ func (n *Node) tryPeer(w http.ResponseWriter, r *http.Request, id storage.Datase
 		}
 	}
 	// Peer bytes are never trusted on faith: when the dataset has a
-	// manifest, the spilled stream runs through a whole-stream digest
-	// verifier and a mismatch discards the copy (and, for opaque
-	// datasets, the would-be replica record). The client's own stream is
-	// already on the wire by then — end-to-end client verification
-	// catches that side.
+	// manifest, the spilled stream runs through a whole-stream verifier
+	// (every block digest plus the exact length) and a mismatch discards
+	// the copy (and, for opaque datasets, the would-be replica record).
+	// The client's own stream is already on the wire by then —
+	// end-to-end client verification catches that side.
 	var verifier *ingest.RangeVerifier
 	if spill != nil && hasMan {
 		if vv, verr := man.NewVerifier(); verr == nil {

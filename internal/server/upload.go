@@ -212,16 +212,17 @@ func (n *Node) finalizeUpload(w http.ResponseWriter, id storage.DatasetID, sess 
 	n.upMu.Unlock()
 
 	// Re-read the temp file through a manifest hasher before the rename:
-	// the digest check covers exactly the bytes that hit the disk, and
-	// the same pass yields the block digests the manifest needs. The
-	// committed origin copy is pinned — an opaque dataset's last byte
-	// must never fall to LRU pressure.
+	// one hash pass over exactly the bytes that hit the disk yields the
+	// block digests, and their roll-up must equal the declared digest.
+	// The committed origin copy is pinned — an opaque dataset's last
+	// byte must never fall to LRU pressure.
 	hasher := ingest.NewHasher(ingest.DefaultBlockSize)
+	var man *ingest.Manifest
 	err := sess.spill.CommitVerified(sess.total, func(r io.Reader) error {
 		if _, err := io.Copy(hasher, r); err != nil {
 			return err
 		}
-		if hasher.Sum256() != sess.digest {
+		if man = hasher.Manifest(id, true); man.Digest != sess.digest {
 			return fmt.Errorf("server: upload %q: content does not hash to declared digest", id)
 		}
 		return nil
@@ -231,7 +232,6 @@ func (n *Node) finalizeUpload(w http.ResponseWriter, id storage.DatasetID, sess 
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	man := hasher.Manifest(id, true)
 
 	// Publish: manifest first (fetch verification needs it the moment a
 	// catalog entry exists), then group scope, then the catalog origin
@@ -275,7 +275,7 @@ func (n *Node) finalizeUpload(w http.ResponseWriter, id storage.DatasetID, sess 
 	_, _ = w.Write(body)
 }
 
-// parseDigestHeader decodes the declared whole-stream digest.
+// parseDigestHeader decodes the declared dataset digest.
 func parseDigestHeader(h string) ([sha256.Size]byte, error) {
 	if h == "" {
 		var d [sha256.Size]byte

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math/rand"
@@ -60,10 +61,12 @@ func rawPut(t *testing.T, client *http.Client, base string, id string, tok strin
 	return resp
 }
 
+// digestOf is the X-SCDN-Digest value for data: the dataset digest
+// (roll-up of the 64 KiB block digests) in lowercase hex.
 func digestOf(data []byte) string {
-	d := sha256.Sum256(data)
-	m := ingest.Manifest{Digest: d}
-	return m.DigestHex()
+	h := ingest.NewHasher(ingest.DefaultBlockSize)
+	_, _ = h.Write(data)
+	return h.Manifest("digest-of", true).DigestHex()
 }
 
 func TestUploadRoundTrip(t *testing.T) {
@@ -134,41 +137,49 @@ func TestUploadDigestMismatchLeavesNoState(t *testing.T) {
 	lc := ingestCluster(t, ClusterConfig{Nodes: 1, Users: 1, Sweep: SweeperConfig{Disabled: true}})
 	tok := login(t, lc)
 	node := lc.Nodes[0]
-	data := opaqueBytes(7, 64<<10)
-	id := "up-bad"
-
-	resp := rawPut(t, http.DefaultClient, node.BaseURL(), id, string(tok),
-		bytes.NewReader(data), int64(len(data)), map[string]string{
-			ingest.DigestHeader: digestOf([]byte("not those bytes")),
-			ingest.GroupHeader:  lc.Config.Group,
-		})
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422", resp.StatusCode)
+	data := opaqueBytes(7, 3*ingest.DefaultBlockSize+100)
+	plain := sha256.Sum256(data)
+	declared := []struct{ name, digest string }{
+		{"digest of other bytes", digestOf([]byte("not those bytes"))},
+		// One digest format: the plain SHA-256 of the right bytes is
+		// not the roll-up of their block digests.
+		{"plain sha256 of these bytes", hex.EncodeToString(plain[:])},
 	}
-	if node.Metrics.IngestDigestRejects.Value() != 1 {
-		t.Fatal("digest reject not counted")
-	}
-	// No partial state anywhere: no catalog entry, no manifest, no
-	// volume file, no temp file, no lingering session.
-	if _, err := lc.Catalog.DatasetBytes(storage.DatasetID(id)); err == nil {
-		t.Fatal("rejected upload reached the catalog")
-	}
-	if _, ok := lc.Manifests.Get(storage.DatasetID(id)); ok {
-		t.Fatal("rejected upload left a manifest")
-	}
-	if node.Volume().Has(storage.DatasetID(id)) {
-		t.Fatal("rejected upload left a committed replica")
-	}
-	if tmp := node.Volume().TempFiles(); len(tmp) != 0 {
-		t.Fatalf("rejected upload left temp files: %v", tmp)
-	}
-	node.upMu.Lock()
-	sessions := len(node.uploads)
-	node.upMu.Unlock()
-	if sessions != 0 {
-		t.Fatalf("%d upload sessions linger", sessions)
+	for i, tc := range declared {
+		id := storage.DatasetID(fmt.Sprintf("up-bad-%d", i))
+		resp := rawPut(t, http.DefaultClient, node.BaseURL(), string(id), string(tok),
+			bytes.NewReader(data), int64(len(data)), map[string]string{
+				ingest.DigestHeader: tc.digest,
+				ingest.GroupHeader:  lc.Config.Group,
+			})
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status = %d, want 422", tc.name, resp.StatusCode)
+		}
+		if got := node.Metrics.IngestDigestRejects.Value(); got != uint64(i+1) {
+			t.Fatalf("%s: digest rejects = %d, want %d", tc.name, got, i+1)
+		}
+		// No partial state anywhere: no catalog entry, no manifest, no
+		// volume file, no temp file, no lingering session.
+		if _, err := lc.Catalog.DatasetBytes(id); err == nil {
+			t.Fatalf("%s: rejected upload reached the catalog", tc.name)
+		}
+		if _, ok := lc.Manifests.Get(id); ok {
+			t.Fatalf("%s: rejected upload left a manifest", tc.name)
+		}
+		if node.Volume().Has(id) {
+			t.Fatalf("%s: rejected upload left a committed replica", tc.name)
+		}
+		if tmp := node.Volume().TempFiles(); len(tmp) != 0 {
+			t.Fatalf("%s: rejected upload left temp files: %v", tc.name, tmp)
+		}
+		node.upMu.Lock()
+		sessions := len(node.uploads)
+		node.upMu.Unlock()
+		if sessions != 0 {
+			t.Fatalf("%s: %d upload sessions linger", tc.name, sessions)
+		}
 	}
 }
 
