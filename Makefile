@@ -14,6 +14,10 @@
 #                  suite (bodydrain, lockio, metricname, atomiccopy,
 #                  ctxhttp); non-zero exit on any finding.
 #   make race    — just the -race pass.
+#   make flake   — the flake gate: the delivery-plane, storage and
+#                  transfer-client suites ten times over at GOMAXPROCS
+#                  1, 2 and 4, so a test that only passes under lucky
+#                  scheduling fails here instead of intermittently.
 #   make fuzzsmoke — run each native fuzz target briefly against its
 #                  checked-in seed corpus.
 #   make bench   — the benchmark harness: delivery-plane micro-benchmarks
@@ -60,7 +64,7 @@ GO ?= go
 
 .PHONY: check test lint race vet bench benchsmoke fuzzsmoke loadgen \
 	ci fmtcheck modverify churnsmoke ingestsmoke perfgate largesmoke largebench \
-	perfbenchcheck
+	perfbenchcheck flake
 
 check: vet lint test race fuzzsmoke benchsmoke largesmoke perfbenchcheck
 
@@ -104,6 +108,9 @@ race:
 		./internal/loadharness ./internal/metrics ./internal/middleware \
 		./internal/placement ./internal/server ./internal/socialnet \
 		./internal/storage ./internal/stripe
+
+flake:
+	$(GO) test -count=10 -cpu 1,2,4 ./internal/server ./internal/storage ./internal/cdnclient
 
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 5s ./internal/server

@@ -16,6 +16,7 @@ import (
 	"scdn/internal/loadharness"
 	"scdn/internal/server"
 	"scdn/internal/storage"
+	"scdn/internal/transport"
 )
 
 // ingestParams parameterizes an ingest-mode run (scdn-loadgen -ingest):
@@ -66,7 +67,7 @@ func runIngest(p ingestParams) {
 	// affinity: the receiving edge becomes the first holder).
 	payloads := make([][]byte, p.datasets)
 	ids := make([]storage.DatasetID, p.datasets)
-	client := server.NewHTTPClient(30 * time.Second)
+	client := transport.NewClient(30 * time.Second)
 	tokens := make([]string, len(lc.Nodes))
 	for i, nd := range lc.Nodes {
 		tok, err := loginHTTP(ctx, client, nd.BaseURL(), int64(lc.UserIDs[0]))

@@ -14,6 +14,7 @@ import (
 	"scdn/internal/loadharness"
 	"scdn/internal/server"
 	"scdn/internal/storage"
+	"scdn/internal/transport"
 )
 
 // largeParams parameterizes a large-object run (scdn-loadgen -large):
@@ -116,7 +117,7 @@ func runLarge(p largeParams) {
 		p.nodes, p.datasets, p.bytesPer>>20, segsPer, p.segSize>>20)
 
 	ctx := context.Background()
-	client := server.NewHTTPClient(60 * time.Second)
+	client := transport.NewClient(60 * time.Second)
 	tokens := make([]string, len(urls))
 	for i, base := range urls {
 		tok, err := loginHTTP(ctx, client, base, int64(lc.UserIDs[i%len(lc.UserIDs)]))

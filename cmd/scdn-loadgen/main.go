@@ -48,6 +48,7 @@ import (
 	"scdn/internal/server"
 	"scdn/internal/storage"
 	"scdn/internal/stripe"
+	"scdn/internal/transport"
 )
 
 func main() {
@@ -294,7 +295,7 @@ func main() {
 			// raised idle pool, keep-alives), matching what the edges use
 			// for their peer hops — striped fetches keep connections warm
 			// without every worker growing a private pool.
-			client := server.NewHTTPClient(30 * time.Second)
+			client := transport.NewClient(30 * time.Second)
 			user := userIDs[w%len(userIDs)]
 			tok, err := loginHTTP(ctx, client, urls[w%len(urls)], user)
 			if err != nil {

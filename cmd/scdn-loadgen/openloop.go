@@ -12,6 +12,7 @@ import (
 	"scdn/internal/loadharness"
 	"scdn/internal/server"
 	"scdn/internal/storage"
+	"scdn/internal/transport"
 )
 
 // openLoopParams parameterizes an open-loop sweep (scdn-loadgen
@@ -96,7 +97,7 @@ func runOpenLoop(p openLoopParams) {
 	}
 
 	ctx := context.Background()
-	client := server.NewHTTPClient(30 * time.Second)
+	client := transport.NewClient(30 * time.Second)
 	tokens := make([]string, len(urls))
 	for i, base := range urls {
 		tok, err := loginHTTP(ctx, client, base, userIDs[i%len(userIDs)])

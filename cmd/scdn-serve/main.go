@@ -50,7 +50,6 @@ func main() {
 		pullThrough = flag.Bool("pull-through", false, "cache proxied datasets as local replicas")
 		group       = flag.String("group", "live-collab", "collaboration group scoping all datasets")
 		shards      = flag.Int("catalog-shards", 0, "catalog lock shards, rounded to a power of two (0: default)")
-		blockCache  = flag.Int("block-cache", 0, "payload-block cache capacity per edge, in blocks (0: default)")
 		store       = flag.String("store", "generated", "payload store: generated (in-memory synthesis) or dir (disk-backed replica volumes, sendfile delivery)")
 		storeDir    = flag.String("store-dir", "", "root directory for dir-mode replica volumes (empty: temp dir, removed on shutdown)")
 		storeQuota  = flag.Int64("store-quota", 0, "per-node replica volume byte quota in dir mode (0: replica reserve)")
@@ -86,7 +85,7 @@ func main() {
 		Nodes: *nodes, Sites: *sites, CatalogServers: *catalog,
 		Users: *users, Datasets: *datasets, DatasetBytes: *bytes,
 		Seed: *seed, PullThrough: *pullThrough, Group: *group,
-		ListenHost: *host, CatalogShards: *shards, BlockCacheBlocks: *blockCache,
+		ListenHost: *host, CatalogShards: *shards,
 		StoreMode: *store, StoreDir: *storeDir, StoreQuota: *storeQuota,
 		NoSeedDatasets:   *noSeed,
 		SegmentSize:      *segSize,

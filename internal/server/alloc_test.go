@@ -26,6 +26,12 @@ const (
 	// path (ISSUE 8 acceptance).
 	allocBudgetSegFull  = 0
 	allocBudgetSegRange = 0
+	// GET /v1/fetch/{id}/segments/{n} answers through the same source
+	// and range writer as the fetch path, from a per-segment file, a
+	// window of a whole-file replica, or the generator.
+	allocBudgetSegEndpointSegment = 0
+	allocBudgetSegEndpointFile    = 0
+	allocBudgetSegEndpointGen     = 0
 	// Resolve walks the sharded catalog and copies one replica record
 	// out under the shard lock; the copy and the per-call rand draw
 	// dominate.
@@ -63,6 +69,34 @@ func serveAllocs(t *testing.T, n *Node, total int64, rangeHdr string) float64 {
 			t.Fatalf("served %d bytes, want %d", w.n, want)
 		}
 	})
+}
+
+// segmentEndpointAllocs measures steady-state allocs/op of the segment
+// endpoint handler answering segment 1 of the cluster's one dataset
+// locally, auth and catalog lookups included.
+func segmentEndpointAllocs(t *testing.T, lc *LocalCluster) float64 {
+	t.Helper()
+	n, id := lc.Nodes[0], lc.DatasetIDs[0]
+	req := httptest.NewRequest(http.MethodGet, "/v1/fetch/"+string(id)+"/segments/1", nil)
+	req.SetPathValue("dataset", string(id))
+	req.SetPathValue("n", "1")
+	req.Header.Set("Authorization", "Bearer "+string(login(t, lc)))
+	want := storage.SegmentExtent(lc.Config.DatasetBytes, lc.Config.SegmentSize, 1)
+	w := &benchRW{h: make(http.Header)}
+	serve := func() {
+		w.n = 0
+		n.handleFetchSegment(w, req)
+		if w.n != want {
+			t.Fatalf("served %d bytes, want %d", w.n, want)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm: materialize, prime block + scratch pools
+		serve()
+	}
+	if n.Metrics.LocalHits.Value() != 3 {
+		t.Fatal("segment endpoint did not serve locally")
+	}
+	return testing.AllocsPerRun(200, serve)
 }
 
 // TestServeAllocBudgets pins the warm-path allocation budgets. Skipped
@@ -106,6 +140,43 @@ func TestServeAllocBudgets(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := serveAllocs(t, tc.node(t), total, tc.rangeHdr)
+			if got > tc.budget {
+				t.Errorf("warm %s = %.1f allocs/op, budget %.0f — the hot path re-inflated", tc.name, got, tc.budget)
+			}
+		})
+	}
+
+	// The segment endpoint runs on a one-node cluster (the handler needs
+	// auth and the catalog) with the sweeper off, so no background
+	// goroutine allocates while the budget is measured.
+	segCluster := func(t *testing.T, mode string) *LocalCluster {
+		return startCluster(t, ClusterConfig{
+			Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: total, StoreMode: mode,
+			SegmentSize: 64 << 10, SegmentThreshold: 64 << 10, Sweep: SweeperConfig{Disabled: true},
+		})
+	}
+	segCases := []struct {
+		name   string
+		lc     func(*testing.T) *LocalCluster
+		budget float64
+	}{
+		{"segment-endpoint/segment-file", func(t *testing.T) *LocalCluster {
+			return segCluster(t, StoreModeDir)
+		}, allocBudgetSegEndpointSegment},
+		{"segment-endpoint/whole-file", func(t *testing.T) *LocalCluster {
+			lc := segCluster(t, StoreModeDir)
+			if !lc.Nodes[0].materialize(lc.DatasetIDs[0], total) {
+				t.Fatal("materialize failed")
+			}
+			return lc
+		}, allocBudgetSegEndpointFile},
+		{"segment-endpoint/generated", func(t *testing.T) *LocalCluster {
+			return segCluster(t, StoreModeGenerated)
+		}, allocBudgetSegEndpointGen},
+	}
+	for _, tc := range segCases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := segmentEndpointAllocs(t, tc.lc(t))
 			if got > tc.budget {
 				t.Errorf("warm %s = %.1f allocs/op, budget %.0f — the hot path re-inflated", tc.name, got, tc.budget)
 			}

@@ -31,7 +31,9 @@ package server
 // peerHeader marks a fetch as an edge-to-edge hop: the receiving node
 // serves only from its local repository and never fans out again, which
 // bounds a fallback chain at one hop and makes proxy loops impossible.
-const peerHeader = "X-SCDN-Peer"
+// Written in canonical form, so the lookup every fetch makes does not
+// allocate a canonicalized copy of the key.
+const peerHeader = "X-Scdn-Peer"
 
 // LoginRequest authenticates a platform user and opens a session. In the
 // paper the credentials come from the social network platform; here the

@@ -28,9 +28,6 @@ type ClusterConfig struct {
 	// CatalogShards is the catalog's lock-shard count, rounded up to a
 	// power of two (default DefaultCatalogShards).
 	CatalogShards int
-	// BlockCacheBlocks caps each edge's payload-block cache (default
-	// DefaultBlockCacheBlocks).
-	BlockCacheBlocks int
 	// Users is the number of client-only participants (default 8).
 	Users int
 	// Datasets is the number of published datasets (default 12) of
@@ -227,7 +224,6 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 			ListenAddr:       cfg.ListenHost + ":0",
 			PullThrough:      cfg.PullThrough,
 			FetchAttempts:    cfg.FetchAttempts,
-			BlockCacheBlocks: cfg.BlockCacheBlocks,
 			Volume:           vol,
 			Sweep:            cfg.Sweep,
 			Manifests:        manifests,
@@ -353,6 +349,17 @@ func (lc *LocalCluster) LiveNodes() int {
 // POST /v1/login).
 func (lc *LocalCluster) Login(user socialnet.UserID) (socialnet.Token, error) {
 	return lc.Middleware.Login(user)
+}
+
+// Quiesce waits until no node has a request in flight (see
+// Node.Quiesce), returning the first error.
+func (lc *LocalCluster) Quiesce(ctx context.Context) error {
+	for _, n := range lc.Nodes {
+		if err := n.Quiesce(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Shutdown gracefully stops every node, returning the first error. A

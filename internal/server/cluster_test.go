@@ -100,6 +100,7 @@ func TestClusterConcurrentEndToEnd(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	quiesce(t, lc)
 
 	if failed.Load() != 0 {
 		t.Fatalf("%d of %d requests failed", failed.Load(), issued.Load())

@@ -30,6 +30,7 @@ func TestDiskModeFullFetch(t *testing.T) {
 
 	// First fetch materializes the replica file, then serves it.
 	resp := fetchDataset(t, client, node.BaseURL(), tok, "ds-001", lc.Config.DatasetBytes)
+	quiesce(t, lc)
 	if src := resp.Header.Get("X-SCDN-Source"); src != "1" {
 		t.Fatalf("source = %q, want 1", src)
 	}
@@ -57,6 +58,7 @@ func TestDiskModeFullFetch(t *testing.T) {
 
 	// Warm fetch: served from the same file, no re-materialization.
 	fetchDataset(t, client, node.BaseURL(), tok, "ds-001", lc.Config.DatasetBytes)
+	quiesce(t, lc)
 	if got := node.Metrics.StoreMaterializations.Value(); got != 1 {
 		t.Fatalf("warm fetch re-materialized: %d", got)
 	}
@@ -99,6 +101,7 @@ func TestDiskModeRangeFetch(t *testing.T) {
 	if read, err := VerifyPayloadRange(resp.Body, "ds-001", off, n); err != nil || read != n {
 		t.Fatalf("range payload: read %d, err %v", read, err)
 	}
+	quiesce(t, lc)
 	if got := node.Metrics.RangeRequests.Value(); got != 1 {
 		t.Fatalf("range requests = %d, want 1", got)
 	}
@@ -121,6 +124,7 @@ func TestDiskModePullThroughSpills(t *testing.T) {
 	// ds-001's origin is node 1; fetching through node 2 proxies the
 	// stream and spills it into node 2's replica volume on the way.
 	fetchDataset(t, client, node2.BaseURL(), tok, "ds-001", lc.Config.DatasetBytes)
+	quiesce(t, lc)
 	if got := node2.Metrics.StoreSpills.Value(); got != 1 {
 		t.Fatalf("spills on node2 = %d, want 1", got)
 	}
@@ -148,6 +152,7 @@ func TestDiskModePullThroughSpills(t *testing.T) {
 	// Second fetch is a local disk hit on node 2 — the spill, not the
 	// generator, produced the bytes (no materialization happened).
 	fetchDataset(t, client, node2.BaseURL(), tok, "ds-001", lc.Config.DatasetBytes)
+	quiesce(t, lc)
 	if got := node2.Metrics.StoreDiskHits.Value(); got != 1 {
 		t.Fatalf("disk hits on node2 = %d, want 1", got)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"scdn/internal/allocation"
 	"scdn/internal/ingest"
+	"scdn/internal/metrics"
 	"scdn/internal/socialnet"
 	"scdn/internal/storage"
 )
@@ -264,47 +266,154 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusNotFound, fmt.Errorf("server: node %d does not hold %q", n.cfg.Node, id))
 		return
 	}
-	n.proxyFetch(w, r, id, rngs, isRange, bytes, fail)
+	// Range requests are forwarded to the peer as ranges, so a proxied
+	// stripe moves only its own bytes; a multipart set is relayed as the
+	// peer framed it, so its length is the peer's.
+	pull := peerPull{path: "/v1/fetch/" + url.PathEscape(string(id)),
+		status: http.StatusOK, length: bytes, failures: &n.Metrics.FetchFailures}
+	if isRange {
+		pull.rangeHdr, pull.status, pull.length = rangesHeader(rngs), http.StatusPartialContent, rngs[0].n
+		if len(rngs) > 1 {
+			pull.length = -1
+		}
+	}
+	// Pull-through only on full-body fetches: a stripe proves nothing
+	// about the rest of the dataset, so partial transfers never adopt
+	// bytes or mint a replica record.
+	adopt := n.cfg.PullThrough && !isRange
+	if adopt {
+		pull.sink = n.pullSink(id, bytes, 0, bytes)
+	}
+	ok := n.pullFromPeers(w, r, id, &pull, fail)
+	flat := pull.sink.finish()
+	// The replica record announces the copy. A seeded dataset whose spill
+	// failed is still a holder — its bytes are materialized from the
+	// generator on the next local hit — but an opaque dataset has no
+	// generator, so its record exists only when digest-verified bytes
+	// committed as one whole file.
+	if ok && adopt && (flat || !n.opaque(id)) {
+		n.cachePulled(id, bytes)
+	}
 }
 
-// serveLocal streams the dataset (or the requested byte range of it)
-// from this edge: from the disk-backed replica volume via sendfile when
-// the node has one, from the in-memory deterministic generator
-// otherwise. Generated and disk copies of a seeded dataset are the
-// identical byte stream, so clients verify either the same way. Opaque
-// (uploaded) datasets exist only as real files: they are never
-// synthesized, so a missing volume file returns false — the caller must
+// opaque reports whether the dataset is an upload whose bytes exist
+// only as real files: they are never synthesized.
+func (n *Node) opaque(id storage.DatasetID) bool {
+	man, ok := n.manifests.Get(id)
+	return ok && man.Opaque
+}
+
+// fetchSource is where a local serve reads the dataset's bytes from,
+// picked before any header is written. Exactly one form is set: a
+// whole-file replica (served by seek + sendfile), the per-segment files
+// of the segmented layout (walked by copySegmentRange), or the
+// deterministic generator's repetition block. A struct rather than an
+// interface or closure so the warm serve path allocates nothing.
+type fetchSource struct {
+	id    storage.DatasetID
+	total int64
+	file  *os.File
+	seg   bool
+	block []byte
+}
+
+// serveLocal streams the dataset (or the requested ranges of it) from
+// this edge, which the caller has established holds it. Returns false,
+// before any header is written, when no local source can produce the
+// bytes: an opaque dataset whose volume file is gone — the caller must
 // treat the local copy as lost.
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
 	rngs []byteRange, isRange bool, total int64) bool {
-	man, hasMan := n.manifests.Get(id)
-	opaque := hasMan && man.Opaque
-	// Large regenerable datasets take the segmented layout: per-segment
-	// files materialized on demand, so the volume never commits to one
-	// monolithic large file and a quota-constrained edge still serves
-	// datasets bigger than itself. A whole-file replica that already
-	// exists (e.g. committed before the threshold changed) is still
-	// served as one file below; opaque datasets always are — their
-	// missing segments could never be re-derived.
-	if n.vol != nil && !opaque && n.segmented(total) && !n.vol.Has(id) {
-		if n.serveSegments(w, r, id, rngs, isRange, total) {
-			return true
-		}
-		n.serveGenerated(w, r, id, rngs, isRange, total)
-		return true
-	}
-	if n.vol != nil && n.serveDisk(w, r, id, rngs, isRange, total, opaque) {
-		return true
-	}
-	if opaque {
+	last := rngs[len(rngs)-1]
+	src, ok := n.localSource(id, total, rngs[0].off, last.off+last.n, true)
+	if !ok {
 		return false
 	}
-	n.serveGenerated(w, r, id, rngs, isRange, total)
+	n.writeRanges(w, r, &src, rngs, isRange, total)
+	n.releaseSource(&src)
 	return true
 }
 
+// localSource picks the source for the dataset window [off, end). held
+// says this edge is a catalogued holder: only a holder derives bytes
+// (materializes a replica or segment, or runs the generator) instead of
+// serving what its volume already has, and never for an opaque dataset.
+//
+// A whole-file replica wins when one exists — materialized on first
+// access for flat datasets. Large datasets take the segmented layout:
+// per-segment files materialized on demand, so a quota-constrained edge
+// still serves datasets bigger than its volume. The generator is the
+// fallback — generated and disk copies of a seeded dataset are the
+// identical byte stream — so a fetch never fails just because a disk is
+// full.
+func (n *Node) localSource(id storage.DatasetID, total, off, end int64, held bool) (fetchSource, bool) {
+	derive := held && !n.opaque(id)
+	src := fetchSource{id: id, total: total}
+	if n.vol != nil {
+		segmented := n.segmented(total)
+		f, size, ok := n.vol.Open(id)
+		if !ok && derive && !segmented && n.materialize(id, total) {
+			f, size, ok = n.vol.Open(id)
+		}
+		if ok {
+			if size == total {
+				src.file = f
+				return src, true
+			}
+			// Stale replica (catalog size changed): drop it and
+			// re-materialize on the next access rather than serving
+			// wrong bytes now.
+			n.vol.Release(id, f)
+			n.vol.Remove(id)
+		}
+		if segmented {
+			// The walk materializes every segment past the first, so a
+			// non-holder serves only a window inside one resident segment.
+			seg := off / n.cfg.SegmentSize
+			oneSeg := end <= (seg+1)*n.cfg.SegmentSize
+			if (derive || oneSeg && n.vol.HasSegment(id, seg)) && n.ensureSegment(id, seg, total) {
+				src.seg = true
+				return src, true
+			}
+		}
+	}
+	if !derive {
+		return src, false
+	}
+	src.block = n.payloadBlock(id)
+	return src, true
+}
+
+// releaseSource returns a whole-file source's descriptor to the pool.
+func (n *Node) releaseSource(src *fetchSource) {
+	if src.file != nil {
+		n.vol.Release(src.id, src.file)
+	}
+}
+
+// copyRange writes the dataset window [off, off+length) from src to
+// dst. A scratch, when given, lends its LimitedReader, which net/http
+// unwraps so a file window rides sendfile without allocating.
+func (n *Node) copyRange(dst io.Writer, sc *fetchScratch, src *fetchSource, off, length int64) (int64, error) {
+	switch {
+	case src.file != nil:
+		if _, err := src.file.Seek(off, io.SeekStart); err != nil {
+			return 0, err
+		}
+		if sc == nil {
+			return io.CopyN(dst, src.file, length)
+		}
+		sc.lr = io.LimitedReader{R: src.file, N: length}
+		return io.Copy(dst, &sc.lr)
+	case src.seg:
+		return n.copySegmentRange(dst, sc, src.id, src.total, off, length)
+	default:
+		return writeBlockRangeBuffered(dst, src.block, off, length)
+	}
+}
+
 // Constant header values shared across requests. The keys they are
-// assigned under are already in canonical form, so the disk serving path
+// assigned under are already in canonical form, so the serving path
 // pays neither textproto canonicalization nor a value-slice allocation
 // per request for them.
 var (
@@ -312,106 +421,83 @@ var (
 	acceptRangesHeader = []string{"bytes"}
 )
 
-// serveDisk serves the dataset from the node's replica volume as an
-// *os.File, so on a plain TCP connection the kernel moves the bytes
-// (sendfile) and userspace copies nothing. Full GETs seek to the start
-// (the FD pool hands back files wherever the last request left them)
-// and stream via io.Copy, whose ReadFrom fast path is the sendfile
-// call; single-part ranges — already parsed and validated by
-// handleFetch — seek and stream the window through the scratch's pooled
-// LimitedReader, which net/http unwraps so the range path rides
-// sendfile too. Multipart range sets stream a multipart/byteranges body
-// part by part straight off the file, never buffering a part. Warm
-// requests allocate nothing: header values, length strings, and the
-// LimitedReader all live in the pooled fetchScratch (see hotpath.go),
-// enforced by TestServeAllocBudgets. The replica is materialized on
-// first access (once, via the deterministic generator, so integrity
-// verification is unchanged). Returns false to fall back to the
-// generated path when the volume cannot produce the file; the fetch
-// must not fail just because a disk is full. Opaque datasets skip
-// materialization — their bytes are not derivable, a missing file is
-// simply a miss.
-func (n *Node) serveDisk(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
-	rngs []byteRange, isRange bool, total int64, opaque bool) bool {
-	f, size, ok := n.vol.Open(id)
-	if !ok {
-		if opaque || !n.materialize(id, total) {
-			return false
-		}
-		if f, size, ok = n.vol.Open(id); !ok {
-			return false
-		}
-	}
-	if size != total {
-		// Stale replica (catalog size changed): drop it and re-materialize
-		// on the next access rather than serving wrong bytes now.
-		n.vol.Release(id, f)
-		n.vol.Remove(id)
-		return false
-	}
-	defer n.vol.Release(id, f)
-	if len(rngs) > 1 {
-		n.Metrics.StoreDiskHits.Inc()
-		n.Metrics.RangeRequests.Inc()
-		n.Metrics.RangeMultipart.Inc()
-		h := w.Header()
+// writeRanges writes every local fetch and segment response: headers,
+// then the windows rngs of the dataset read from src — one window as a
+// 200 (or a 206 with Content-Range when isRange), several as a
+// multipart/byteranges body streamed part by part, never buffering a
+// part. Warm single-window serves allocate nothing: header values,
+// length strings, and the LimitedReader live in the pooled fetchScratch
+// (see hotpath.go), enforced by TestServeAllocBudgets.
+func (n *Node) writeRanges(w http.ResponseWriter, r *http.Request, src *fetchSource,
+	rngs []byteRange, isRange bool, total int64) {
+	// The fetch endpoint addresses the dataset itself, whole or ranged;
+	// a segment response is one window of it and honors no Range.
+	object := isRange || rngs[0].n == total
+	h := w.Header()
+	if object {
 		h["Accept-Ranges"] = acceptRangesHeader
-		h["X-Scdn-Source"] = n.srcHdr
-		served := writeMultipart(w, r, rngs, total, func(pw io.Writer, rng byteRange) error {
-			if _, err := f.Seek(rng.off, io.SeekStart); err != nil {
-				return err
-			}
-			_, err := io.CopyN(pw, f, rng.n)
+	}
+	h["X-Scdn-Source"] = n.srcHdr
+	if src.block == nil {
+		n.Metrics.StoreDiskHits.Inc()
+		if src.seg && object {
+			n.Metrics.SegmentedServes.Inc()
+		}
+	}
+	if isRange {
+		n.Metrics.RangeRequests.Inc()
+	}
+	var served int64
+	if len(rngs) > 1 {
+		n.Metrics.RangeMultipart.Inc()
+		served = writeMultipart(w, r, rngs, total, func(pw io.Writer, rng byteRange) error {
+			_, err := n.copyRange(pw, nil, src, rng.off, rng.n)
 			return err
 		})
-		n.Metrics.LocalHits.Inc()
-		n.Metrics.BytesServed.Add(uint64(served))
-		return true
-	}
-	rng := rngs[0]
-	off := int64(0)
-	if isRange {
-		off = rng.off
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return false // nothing written yet; generated path takes over
-	}
-	n.Metrics.StoreDiskHits.Inc()
-	h := w.Header()
-	h["Content-Type"] = octetStreamHeader
-	h["Accept-Ranges"] = acceptRangesHeader
-	h["X-Scdn-Source"] = n.srcHdr
-	if useScratch(r, rng.n) {
-		sc := fetchScratchPool.Get().(*fetchScratch)
-		defer fetchScratchPool.Put(sc)
-		h["Content-Length"] = sc.contentLength(rng.n)
-		if isRange {
-			n.Metrics.RangeRequests.Inc()
-			h["Content-Range"] = sc.contentRange(rng, total)
-			w.WriteHeader(http.StatusPartialContent)
-		} else {
-			w.WriteHeader(http.StatusOK)
-		}
-		sc.lr = io.LimitedReader{R: f, N: rng.n}
-		_, _ = io.Copy(w, &sc.lr)
 	} else {
-		// HEAD or empty body: net/http may serialize the header map after
-		// the handler returns, so the values must not alias pooled memory.
-		h.Set("Content-Length", strconv.FormatInt(rng.n, 10))
+		rng := rngs[0]
+		h["Content-Type"] = octetStreamHeader
 		status := http.StatusOK
 		if isRange {
-			n.Metrics.RangeRequests.Inc()
-			h.Set("Content-Range", rng.contentRange(total))
 			status = http.StatusPartialContent
 		}
-		w.WriteHeader(status)
-		if r.Method != http.MethodHead {
-			_, _ = io.CopyN(w, f, rng.n)
+		if useScratch(r, rng.n) {
+			sc := fetchScratchPool.Get().(*fetchScratch)
+			defer fetchScratchPool.Put(sc)
+			h["Content-Length"] = sc.contentLength(rng.n)
+			if isRange {
+				h["Content-Range"] = sc.contentRange(rng, total)
+			}
+			w.WriteHeader(status)
+			served, _ = n.copyRange(w, sc, src, rng.off, rng.n)
+		} else {
+			// HEAD or empty body: net/http may serialize the header map
+			// after the handler returns, so the values must not alias
+			// pooled memory.
+			h.Set("Content-Length", strconv.FormatInt(rng.n, 10))
+			if isRange {
+				h.Set("Content-Range", rng.contentRange(total))
+			}
+			w.WriteHeader(status)
+			if r.Method != http.MethodHead {
+				served, _ = n.copyRange(w, nil, src, rng.off, rng.n)
+			}
 		}
 	}
 	n.Metrics.LocalHits.Inc()
-	n.Metrics.BytesServed.Add(uint64(rng.n))
-	return true
+	n.Metrics.BytesServed.Add(uint64(served))
+}
+
+// payloadBlock returns the dataset's generator repetition block from
+// the node's cache, so the SHA-256 chain is paid once per dataset.
+func (n *Node) payloadBlock(id storage.DatasetID) []byte {
+	block, hit := n.blocks.Block(id)
+	if hit {
+		n.Metrics.PayloadCacheHits.Inc()
+	} else {
+		n.Metrics.PayloadCacheMisses.Inc()
+	}
+	return block
 }
 
 // materialize writes the dataset's deterministic bytes into the replica
@@ -419,13 +505,7 @@ func (n *Node) serveDisk(w http.ResponseWriter, r *http.Request, id storage.Data
 // committed replica now exists.
 func (n *Node) materialize(id storage.DatasetID, total int64) bool {
 	did, err := n.vol.Materialize(id, total, func(w io.Writer) error {
-		block, hit := n.blocks.Block(id)
-		if hit {
-			n.Metrics.PayloadCacheHits.Inc()
-		} else {
-			n.Metrics.PayloadCacheMisses.Inc()
-		}
-		_, err := writeBlockRangeBuffered(w, block, 0, total)
+		_, err := writeBlockRangeBuffered(w, n.payloadBlock(id), 0, total)
 		return err
 	})
 	if err != nil {
@@ -439,83 +519,37 @@ func (n *Node) materialize(id storage.DatasetID, total int64) bool {
 	return true
 }
 
-// serveGenerated streams the dataset from the node's payload-block cache
-// so the SHA-256 chain is paid once per dataset, not per request; the
-// wire bytes are assembled through a pooled buffer and the response
-// headers through the pooled fetchScratch, so the warm steady state
-// allocates nothing per fetch. Multipart range sets stream a
-// multipart/byteranges body with each part generated directly into the
-// response writer.
-func (n *Node) serveGenerated(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
-	rngs []byteRange, isRange bool, total int64) {
-	block, hit := n.blocks.Block(id)
-	if hit {
-		n.Metrics.PayloadCacheHits.Inc()
-	} else {
-		n.Metrics.PayloadCacheMisses.Inc()
-	}
-	h := w.Header()
-	h["Accept-Ranges"] = acceptRangesHeader
-	h["X-Scdn-Source"] = n.srcHdr
-	if len(rngs) > 1 {
-		n.Metrics.RangeRequests.Inc()
-		n.Metrics.RangeMultipart.Inc()
-		served := writeMultipart(w, r, rngs, total, func(pw io.Writer, rng byteRange) error {
-			_, err := writeBlockRangeBuffered(pw, block, rng.off, rng.n)
-			return err
-		})
-		n.Metrics.LocalHits.Inc()
-		n.Metrics.BytesServed.Add(uint64(served))
-		return
-	}
-	rng := rngs[0]
-	h["Content-Type"] = octetStreamHeader
-	var written int64
-	if useScratch(r, rng.n) {
-		sc := fetchScratchPool.Get().(*fetchScratch)
-		defer fetchScratchPool.Put(sc)
-		h["Content-Length"] = sc.contentLength(rng.n)
-		if isRange {
-			n.Metrics.RangeRequests.Inc()
-			h["Content-Range"] = sc.contentRange(rng, total)
-			w.WriteHeader(http.StatusPartialContent)
-		} else {
-			w.WriteHeader(http.StatusOK)
-		}
-		written, _ = writeBlockRangeBuffered(w, block, rng.off, rng.n)
-	} else {
-		h.Set("Content-Length", strconv.FormatInt(rng.n, 10))
-		status := http.StatusOK
-		if isRange {
-			n.Metrics.RangeRequests.Inc()
-			h.Set("Content-Range", rng.contentRange(total))
-			status = http.StatusPartialContent
-		}
-		w.WriteHeader(status)
-		if r.Method != http.MethodHead {
-			written, _ = writeBlockRangeBuffered(w, block, rng.off, rng.n)
-		}
-	}
-	n.Metrics.LocalHits.Inc()
-	n.Metrics.BytesServed.Add(uint64(written))
+// peerPull is one proxied request, the same for every attempt: the path
+// on the peer, the Range header to forward ("" for a whole body), the
+// status a good peer answers with, the body length that answer must
+// carry (-1: the peer's own, for relayed multipart framing), the sink
+// adopting the bytes (nil: none), and the failure counter of the
+// client-facing endpoint.
+type peerPull struct {
+	path     string
+	rangeHdr string
+	status   int
+	length   int64
+	sink     *spillWriter
+	failures *metrics.Counter
 }
 
-// proxyFetch realizes the edge fallback: resolve the dataset's replica
-// holders, order them by estimated RTT from this edge's site, and try
-// them with bounded retry and exponential backoff, streaming the first
-// successful response to the client. Range requests are forwarded to the
-// peer as ranges, so a proxied stripe moves only its own bytes.
-func (n *Node) proxyFetch(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
-	rngs []byteRange, isRange bool, total int64, fail func(int, error)) {
+// pullFromPeers realizes the edge fallback: resolve the dataset's
+// replica holders, order them by estimated RTT from this edge's site,
+// and try them with bounded retry and exponential backoff, streaming
+// the first good response to the client. Reports whether a response
+// was streamed in full.
+func (n *Node) pullFromPeers(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
+	pull *peerPull, fail func(int, error)) bool {
 	reps, err := n.catalog.Replicas(id)
 	if err != nil {
 		fail(http.StatusBadGateway, err)
-		return
+		return false
 	}
 	origin, err := n.catalog.Origin(id)
 	if err != nil {
 		fail(http.StatusInternalServerError, err)
-		return
+		return false
 	}
 	cands := n.orderCandidates(reps)
 	if len(cands) == 0 {
@@ -524,7 +558,7 @@ func (n *Node) proxyFetch(w http.ResponseWriter, r *http.Request, id storage.Dat
 		// repair sweeper is already working the gap. Tell the client when
 		// to come back instead of counting a fetch failure.
 		n.serveUnavailable(w, id)
-		return
+		return false
 	}
 	backoff := n.cfg.RetryBase
 	var lastErr error
@@ -534,7 +568,7 @@ func (n *Node) proxyFetch(w http.ResponseWriter, r *http.Request, id storage.Dat
 			select {
 			case <-r.Context().Done():
 				fail(http.StatusBadGateway, r.Context().Err())
-				return
+				return false
 			case <-time.After(backoff):
 			}
 			backoff *= 2
@@ -542,10 +576,9 @@ func (n *Node) proxyFetch(w http.ResponseWriter, r *http.Request, id storage.Dat
 				backoff = n.cfg.RetryMax
 			}
 		}
-		cand := cands[attempt%len(cands)]
-		committed, err := n.tryPeer(w, r, id, cand, rngs, isRange, total, origin)
+		committed, err := n.tryPeer(w, r, cands[attempt%len(cands)], origin, pull)
 		if committed {
-			return
+			return err == nil
 		}
 		lastErr = err
 	}
@@ -553,10 +586,11 @@ func (n *Node) proxyFetch(w http.ResponseWriter, r *http.Request, id storage.Dat
 	// failure is churn (the holders died under us), not a broken peer.
 	if len(n.orderCandidates(cands)) == 0 {
 		n.serveUnavailable(w, id)
-		return
+		return false
 	}
 	fail(http.StatusBadGateway,
-		fmt.Errorf("server: all %d fetch attempts for %q failed: %w", n.cfg.FetchAttempts, id, lastErr))
+		fmt.Errorf("server: all %d attempts to pull %s failed: %w", n.cfg.FetchAttempts, pull.path, lastErr))
+	return false
 }
 
 // retryAfterHeader is the Retry-After value on churn 503s: one second is
@@ -604,191 +638,65 @@ func (n *Node) orderCandidates(reps []allocation.Replica) []allocation.Replica {
 	return cands
 }
 
-// tryPeer fetches the dataset from one peer edge and, on success, streams
-// it through to the client. committed reports whether a response was
-// written (successfully or not) — once headers are on the wire there is
-// no retrying.
-func (n *Node) tryPeer(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
-	cand allocation.Replica, rngs []byteRange, isRange bool, total int64,
-	origin allocation.NodeID) (committed bool, _ error) {
+// relayHeaders are the peer response headers a proxied answer passes
+// through verbatim: the peer serves the identical window through the
+// same range writer, and a multipart boundary lives in its Content-Type.
+var relayHeaders = []string{"Accept-Ranges", "Content-Type", "Content-Length", "Content-Range"}
+
+// tryPeer makes one attempt of a pull against one candidate holder and,
+// on a good answer, streams it to the client and through pull.sink.
+// committed reports whether a response was written (successfully or
+// not) — once headers are on the wire there is no retrying.
+func (n *Node) tryPeer(w http.ResponseWriter, r *http.Request, cand allocation.Replica,
+	origin allocation.NodeID, pull *peerPull) (committed bool, _ error) {
 	base, ok := n.registry.BaseURL(cand.Node)
 	if !ok {
 		return false, ErrNoEndpoint
 	}
-	rng, multi := rngs[0], len(rngs) > 1
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet,
-		base+"/v1/fetch/"+url.PathEscape(string(id)), nil)
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, base+pull.path, nil)
 	if err != nil {
 		return false, err
 	}
-	req.Header.Set(peerHeader, fmt.Sprint(n.cfg.Node))
+	req.Header.Set(peerHeader, n.srcID)
 	req.Header.Set("Authorization", r.Header.Get("Authorization"))
-	wantStatus := http.StatusOK
-	if isRange {
-		req.Header.Set("Range", rangesHeader(rngs))
-		wantStatus = http.StatusPartialContent
+	if pull.rangeHdr != "" {
+		req.Header.Set("Range", pull.rangeHdr)
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
 		return false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != wantStatus {
+	if resp.StatusCode != pull.status || pull.length >= 0 && resp.ContentLength != pull.length {
 		drainBody(resp.Body)
-		return false, fmt.Errorf("server: peer %d returned %s", cand.Node, resp.Status)
+		return false, fmt.Errorf("server: peer %d answered %s with %s (%d bytes)",
+			cand.Node, pull.path, resp.Status, resp.ContentLength)
 	}
-	// Pull-through spills the stream to the replica volume as it proxies
-	// (temp file + atomic rename on success), so the next local hit rides
-	// sendfile without re-deriving a single byte. Spill problems never
-	// fail the client's fetch: the spill is poisoned, aborted at the end,
-	// and counted.
-	var spill *storage.Spill
-	var segSpill *segmentSpillWriter
-	man, hasMan := n.manifests.Get(id)
-	opaque := hasMan && man.Opaque
-	pullThrough := n.cfg.PullThrough && !isRange
-	if pullThrough && n.vol != nil {
-		if n.segmented(total) {
-			// Large objects adopt per segment: the stream is cut on
-			// segment boundaries, each piece verified against its block
-			// digests and committed the moment it completes — an
-			// interrupted pull still leaves servable segments behind,
-			// and a dataset bigger than the whole volume still caches
-			// its hot prefix. Without a manifest whose block size
-			// divides the segment size there is nothing to verify
-			// against, so nothing is adopted.
-			if hasMan && n.cfg.SegmentSize%man.BlockSize == 0 {
-				segSpill = &segmentSpillWriter{n: n, id: id, man: man, total: total}
-			}
-		} else if total <= n.vol.Quota() {
-			if sp, serr := n.vol.NewSpill(id); serr == nil {
-				spill = sp
-			} else {
-				n.Metrics.StoreSpillFailures.Inc()
-			}
+	h := w.Header()
+	for _, k := range relayHeaders {
+		if v := resp.Header[k]; v != nil {
+			h[k] = v
 		}
 	}
-	// Peer bytes are never trusted on faith: when the dataset has a
-	// manifest, the spilled stream runs through a whole-stream verifier
-	// (every block digest plus the exact length) and a mismatch discards
-	// the copy (and, for opaque datasets, the would-be replica record).
-	// The client's own stream is already on the wire by then —
-	// end-to-end client verification catches that side.
-	var verifier *ingest.RangeVerifier
-	if spill != nil && hasMan {
-		if vv, verr := man.NewVerifier(); verr == nil {
-			verifier = vv
-		} else {
-			spill.Abort()
-			spill = nil
-			n.Metrics.StoreSpillFailures.Inc()
-		}
-	}
-	// A multipart stripe set is relayed as the peer framed it: the
-	// boundary lives in the peer's Content-Type, so that header (and the
-	// framing-inclusive Content-Length) pass through verbatim.
-	expected := rng.n
-	w.Header().Set("Accept-Ranges", "bytes")
-	w.Header().Set("X-SCDN-Source", fmt.Sprint(cand.Node))
-	status := http.StatusOK
-	if multi {
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		if cl := resp.Header.Get("Content-Length"); cl != "" {
-			w.Header().Set("Content-Length", cl)
-		}
-		expected = resp.ContentLength
-		status = http.StatusPartialContent
-	} else {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", fmt.Sprint(rng.n))
-		if isRange {
-			w.Header().Set("Content-Range", rng.contentRange(total))
-			status = http.StatusPartialContent
-		}
-	}
-	w.WriteHeader(status)
+	h["X-Scdn-Source"] = []string{strconv.FormatInt(int64(cand.Node), 10)}
+	w.WriteHeader(pull.status)
 	dst := io.Writer(w)
-	var spillW *bestEffortWriter
-	switch {
-	case segSpill != nil:
-		spillW = &bestEffortWriter{w: segSpill}
-		dst = io.MultiWriter(w, spillW)
-	case spill != nil:
-		sink := io.Writer(spill)
-		if verifier != nil {
-			sink = io.MultiWriter(verifier, spill)
-		}
-		spillW = &bestEffortWriter{w: sink}
-		dst = io.MultiWriter(w, spillW)
+	if pull.sink != nil {
+		dst = io.MultiWriter(w, pull.sink)
 	}
 	written, copyErr := copyBuffered(dst, resp.Body)
 	n.Metrics.BytesServed.Add(uint64(written))
-	if copyErr != nil || (expected >= 0 && written != expected) {
-		if spill != nil {
-			spill.Abort()
-			n.Metrics.StoreSpillFailures.Inc()
+	if copyErr != nil || written != resp.ContentLength && resp.ContentLength >= 0 {
+		pull.failures.Inc()
+		if copyErr == nil {
+			copyErr = io.ErrUnexpectedEOF
 		}
-		if segSpill != nil {
-			// The tail segment aborts; every segment that completed and
-			// verified before the failure stays adopted.
-			segSpill.finish()
-			n.noteSegSpillErr(spillW)
-		}
-		n.Metrics.FetchFailures.Inc()
 		return true, copyErr
 	}
 	if cand.Node == origin {
 		n.Metrics.OriginFetches.Inc()
 	} else {
 		n.Metrics.PeerHits.Inc()
-	}
-	committedSpill := false
-	if segSpill != nil {
-		// Segment-granular adoption never mints a catalog replica record
-		// (even at full coverage): segments are pieces, individually
-		// evictable, so the holder claim stays with whole-file replicas
-		// and generator-backed datasets. finish aborts a half-received
-		// tail segment and keeps everything that committed.
-		segSpill.finish()
-		n.noteSegSpillErr(spillW)
-	}
-	if spill != nil {
-		var verr error
-		if spillW.err == nil && verifier != nil {
-			verr = verifier.Close()
-		}
-		switch {
-		case errors.Is(spillW.err, ingest.ErrDigestMismatch):
-			// A corrupt block fails the verifier mid-stream, which
-			// surfaces through the sink as a write error: corruption,
-			// not a spill problem.
-			spill.Abort()
-			n.Metrics.IngestDigestRejects.Inc()
-		case spillW.err != nil:
-			spill.Abort()
-			n.Metrics.StoreSpillFailures.Inc()
-		case verr != nil:
-			// The peer's bytes do not match the manifest: never adopt them.
-			spill.Abort()
-			n.Metrics.IngestDigestRejects.Inc()
-		default:
-			if err := spill.Commit(total); err != nil {
-				n.Metrics.StoreSpillFailures.Inc()
-			} else {
-				n.Metrics.StoreSpills.Inc()
-				committedSpill = true
-			}
-		}
-	}
-	// Pull-through only on full-body fetches: a stripe proves nothing
-	// about the rest of the dataset, so partial transfers never mint a
-	// replica record. (The metadata registration below is what announces
-	// the replica; for a seeded dataset a failed spill just means the
-	// bytes get materialized from the generator on the next local hit —
-	// but an opaque dataset has no generator, so its replica record
-	// exists only when digest-verified bytes actually committed.)
-	if pullThrough && (!opaque || committedSpill) {
-		n.cachePulled(id, total)
 	}
 	return true, nil
 }
@@ -808,19 +716,150 @@ func drainBody(body io.Reader) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(body, drainBodyLimit))
 }
 
-// bestEffortWriter forwards writes to w until the first error, then
-// swallows everything: the primary stream (the client response) must
-// never fail because a secondary sink (the disk spill) did.
-type bestEffortWriter struct {
-	w   io.Writer
-	err error
+// pullSink returns the sink adopting a pulled window [off, end) of the
+// dataset into the local volume, or nil when nothing may be adopted.
+// Flat datasets adopt as one whole-file piece. Large objects adopt per
+// segment: each piece is verified and committed the moment it
+// completes, so an interrupted pull still leaves servable segments
+// behind, and a dataset bigger than the whole volume still caches its
+// hot prefix. Every piece is verified against the manifest, so without
+// one (whose block size divides the segment size) nothing is adopted.
+func (n *Node) pullSink(id storage.DatasetID, total, off, end int64) *spillWriter {
+	if !n.cfg.PullThrough || n.vol == nil {
+		return nil
+	}
+	man, ok := n.manifests.Get(id)
+	if !ok {
+		return nil
+	}
+	s := &spillWriter{n: n, id: id, man: man, total: total, piece: total, off: off, end: end}
+	if s.segs = n.segmented(total); s.segs {
+		if n.cfg.SegmentSize%man.BlockSize != 0 {
+			return nil
+		}
+		s.piece = n.cfg.SegmentSize
+	} else if total > n.vol.Quota() {
+		return nil
+	}
+	return s
 }
 
-func (b *bestEffortWriter) Write(p []byte) (int, error) {
-	if b.err == nil {
-		if _, err := b.w.Write(p); err != nil {
-			b.err = err
+// errSpillCut marks a piece the pulled stream ended inside of.
+var errSpillCut = errors.New("server: pulled stream ended mid-piece")
+
+// spillWriter adopts a pulled stream into the replica volume piece by
+// piece — a whole flat dataset (NewSpill) or one segment
+// (NewSegmentSpill) — each verified against the manifest's block
+// digests for exactly its window and committed the moment its last
+// byte arrives. Peer bytes are never adopted on faith: a mismatch
+// discards the piece (and, for opaque datasets, the would-be replica
+// record); the client's own stream is already on the wire by then and
+// end-to-end client verification catches that side. Write never fails:
+// the client response must not fail because the secondary sink did, so
+// the first error poisons the sink and later bytes are dropped.
+type spillWriter struct {
+	n        *Node
+	id       storage.DatasetID
+	man      *ingest.Manifest
+	total    int64
+	segs     bool  // pieces are segments, not the whole dataset
+	piece    int64 // piece size: the segment size, else the dataset size
+	off, end int64 // absolute offset of the next byte; end of the pulled window
+	cur      *storage.Spill
+	verifier *ingest.RangeVerifier
+	flat     bool  // a whole-file piece committed
+	err      error // first adoption error
+}
+
+func (s *spillWriter) Write(p []byte) (int, error) {
+	if s.err != nil {
+		return len(p), nil
+	}
+	if err := s.write(p); err != nil {
+		if s.cur != nil {
+			s.cur.Abort()
+			s.cur, s.verifier = nil, nil
 		}
+		s.err = err
 	}
 	return len(p), nil
+}
+
+func (s *spillWriter) write(p []byte) error {
+	for len(p) > 0 {
+		if s.off >= s.end {
+			return fmt.Errorf("server: pull of %q runs past byte %d", s.id, s.end)
+		}
+		idx := s.off / s.piece
+		start := idx * s.piece
+		extent := min(s.piece, s.total-start)
+		if s.cur == nil {
+			var err error
+			if s.segs {
+				s.cur, err = s.n.vol.NewSegmentSpill(s.id, idx)
+			} else {
+				s.cur, err = s.n.vol.NewSpill(s.id)
+			}
+			if err != nil {
+				return err
+			}
+			if s.verifier, err = s.man.NewRangeVerifier(start, extent); err != nil {
+				return err
+			}
+		}
+		chunk := min(start+extent-s.off, int64(len(p)))
+		if _, err := s.verifier.Write(p[:chunk]); err != nil {
+			return err
+		}
+		if _, err := s.cur.Write(p[:chunk]); err != nil {
+			return err
+		}
+		s.off += chunk
+		p = p[chunk:]
+		if s.off < start+extent {
+			continue
+		}
+		if err := s.verifier.Close(); err != nil {
+			return err
+		}
+		cur := s.cur
+		s.cur, s.verifier = nil, nil
+		if err := cur.Commit(extent); err != nil {
+			return err
+		}
+		if s.segs {
+			s.n.Metrics.SegmentPulls.Inc()
+		} else {
+			s.flat = true
+			s.n.Metrics.StoreSpills.Inc()
+		}
+	}
+	return nil
+}
+
+// finish closes out the sink after the pull: a piece the stream ended
+// inside of is aborted, every piece that committed stays adopted, and
+// the first adoption error is counted — corrupt peer bytes as a digest
+// reject, anything else as a spill failure; the client's stream already
+// went out either way. Reports whether a whole-file piece committed.
+// Nil-safe.
+func (s *spillWriter) finish() bool {
+	if s == nil {
+		return false
+	}
+	if s.cur != nil {
+		s.cur.Abort()
+		s.cur = nil
+		if s.err == nil {
+			s.err = errSpillCut
+		}
+	}
+	switch {
+	case s.err == nil:
+	case errors.Is(s.err, ingest.ErrDigestMismatch):
+		s.n.Metrics.IngestDigestRejects.Inc()
+	default:
+		s.n.Metrics.StoreSpillFailures.Inc()
+	}
+	return s.flat
 }

@@ -277,6 +277,7 @@ func TestFetchRangeMultipartProxied(t *testing.T) {
 			t.Fatalf("part %d bytes diverge", i)
 		}
 	}
+	quiesce(t, lc)
 	if lc.Nodes[1].Metrics.OriginFetches.Value() != 1 {
 		t.Fatal("proxied multipart not accounted as origin fetch")
 	}
@@ -306,6 +307,7 @@ func TestFetchRangeProxied(t *testing.T) {
 	if _, err := VerifyPayloadRange(bytes.NewReader(body), "ds-001", 100, 4100); err != nil {
 		t.Fatal(err)
 	}
+	quiesce(t, lc)
 	if lc.Nodes[1].Metrics.OriginFetches.Value() != 1 {
 		t.Fatal("proxied range not accounted as origin fetch")
 	}
@@ -322,12 +324,14 @@ func TestFetchRangeNoPullThrough(t *testing.T) {
 	if resp.StatusCode != http.StatusPartialContent {
 		t.Fatalf("proxied range = %s", resp.Status)
 	}
+	quiesce(t, lc)
 	if got := lc.Catalog.ReplicaCount("ds-001"); got != 1 {
 		t.Fatalf("replica count after range fetch = %d, want 1 (no pull-through)", got)
 	}
 
 	// A full fetch still pulls through.
 	fetchDataset(t, client, lc.Nodes[1].BaseURL(), socialnet.Token(tok), "ds-001", lc.Config.DatasetBytes)
+	quiesce(t, lc)
 	if got := lc.Catalog.ReplicaCount("ds-001"); got != 2 {
 		t.Fatalf("replica count after full fetch = %d, want 2", got)
 	}

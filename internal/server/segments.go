@@ -10,8 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"scdn/internal/allocation"
-	"scdn/internal/ingest"
 	"scdn/internal/storage"
 )
 
@@ -62,13 +60,7 @@ func (n *Node) materializeSegment(id storage.DatasetID, seg, total int64) bool {
 		return false
 	}
 	did, err := n.vol.MaterializeSegment(id, seg, extent, func(w io.Writer) error {
-		block, hit := n.blocks.Block(id)
-		if hit {
-			n.Metrics.PayloadCacheHits.Inc()
-		} else {
-			n.Metrics.PayloadCacheMisses.Inc()
-		}
-		_, err := writeBlockRangeBuffered(w, block, seg*segSize, extent)
+		_, err := writeBlockRangeBuffered(w, n.payloadBlock(id), seg*segSize, extent)
 		return err
 	})
 	if err != nil {
@@ -92,14 +84,14 @@ func (n *Node) materializeSegment(id storage.DatasetID, seg, total int64) bool {
 // nothing: interned segment keys, pooled descriptors, and the pooled
 // LimitedReader that net/http unwraps onto sendfile.
 func (n *Node) copySegmentRange(dst io.Writer, sc *fetchScratch, id storage.DatasetID,
-	total, off, length int64) error {
+	total, off, length int64) (written int64, _ error) {
 	segSize := n.cfg.SegmentSize
 	drop := !n.cfg.KeepSegmentPages
 	for length > 0 {
 		seg := off / segSize
 		extent := storage.SegmentExtent(total, segSize, seg)
 		if extent <= 0 {
-			return errSegment
+			return written, errSegment
 		}
 		segOff := off - seg*segSize
 		chunk := extent - segOff
@@ -109,10 +101,10 @@ func (n *Node) copySegmentRange(dst io.Writer, sc *fetchScratch, id storage.Data
 		f, size, fresh, ok := n.vol.OpenSegment(id, seg)
 		if !ok {
 			if !n.materializeSegment(id, seg, total) {
-				return errSegment
+				return written, errSegment
 			}
 			if f, size, fresh, ok = n.vol.OpenSegment(id, seg); !ok {
-				return errSegment
+				return written, errSegment
 			}
 		}
 		if size != extent {
@@ -120,22 +112,24 @@ func (n *Node) copySegmentRange(dst io.Writer, sc *fetchScratch, id storage.Data
 			// re-materialize on the next access, never serve wrong bytes.
 			n.vol.ReleaseSegment(id, seg, f)
 			n.vol.Remove(storage.SegmentKey(id, seg))
-			return errSegment
+			return written, errSegment
 		}
 		if fresh && storage.FadviseSequential(f) {
 			n.Metrics.StoreFadviseSequential.Inc()
 		}
 		if _, err := f.Seek(segOff, io.SeekStart); err != nil {
 			n.vol.ReleaseSegment(id, seg, f)
-			return err
+			return written, err
 		}
+		var m int64
 		var err error
 		if sc != nil {
 			sc.lr = io.LimitedReader{R: f, N: chunk}
-			_, err = io.Copy(dst, &sc.lr)
+			m, err = io.Copy(dst, &sc.lr)
 		} else {
-			_, err = io.CopyN(dst, f, chunk)
+			m, err = io.CopyN(dst, f, chunk)
 		}
+		written += m
 		if err == nil && drop && segOff == 0 && chunk == extent {
 			// Complete sequential pass: this serve touched every page of
 			// the segment once and will not come back for them.
@@ -145,70 +139,12 @@ func (n *Node) copySegmentRange(dst io.Writer, sc *fetchScratch, id storage.Data
 		}
 		n.vol.ReleaseSegment(id, seg, f)
 		if err != nil {
-			return err
+			return written, err
 		}
 		off += chunk
 		length -= chunk
 	}
-	return nil
-}
-
-// serveSegments is serveDisk for the segmented layout: the dataset's
-// bytes come from per-segment replica files, materialized on demand,
-// so a quota-constrained volume serves datasets far larger than
-// itself. Returns false (before any header is written) when the first
-// needed segment cannot be produced — the caller falls back to the
-// whole-file or generated path.
-func (n *Node) serveSegments(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
-	rngs []byteRange, isRange bool, total int64) bool {
-	if !n.ensureSegment(id, rngs[0].off/n.cfg.SegmentSize, total) {
-		return false
-	}
-	n.Metrics.StoreDiskHits.Inc()
-	n.Metrics.SegmentedServes.Inc()
-	h := w.Header()
-	h["Accept-Ranges"] = acceptRangesHeader
-	h["X-Scdn-Source"] = n.srcHdr
-	if len(rngs) > 1 {
-		n.Metrics.RangeRequests.Inc()
-		n.Metrics.RangeMultipart.Inc()
-		served := writeMultipart(w, r, rngs, total, func(pw io.Writer, rng byteRange) error {
-			return n.copySegmentRange(pw, nil, id, total, rng.off, rng.n)
-		})
-		n.Metrics.LocalHits.Inc()
-		n.Metrics.BytesServed.Add(uint64(served))
-		return true
-	}
-	rng := rngs[0]
-	h["Content-Type"] = octetStreamHeader
-	if useScratch(r, rng.n) {
-		sc := fetchScratchPool.Get().(*fetchScratch)
-		defer fetchScratchPool.Put(sc)
-		h["Content-Length"] = sc.contentLength(rng.n)
-		if isRange {
-			n.Metrics.RangeRequests.Inc()
-			h["Content-Range"] = sc.contentRange(rng, total)
-			w.WriteHeader(http.StatusPartialContent)
-		} else {
-			w.WriteHeader(http.StatusOK)
-		}
-		_ = n.copySegmentRange(w, sc, id, total, rng.off, rng.n)
-	} else {
-		h.Set("Content-Length", strconv.FormatInt(rng.n, 10))
-		status := http.StatusOK
-		if isRange {
-			n.Metrics.RangeRequests.Inc()
-			h.Set("Content-Range", rng.contentRange(total))
-			status = http.StatusPartialContent
-		}
-		w.WriteHeader(status)
-		if r.Method != http.MethodHead {
-			_ = n.copySegmentRange(w, nil, id, total, rng.off, rng.n)
-		}
-	}
-	n.Metrics.LocalHits.Inc()
-	n.Metrics.BytesServed.Add(uint64(rng.n))
-	return true
+	return written, nil
 }
 
 // handleFetchSegment is GET /v1/fetch/{dataset}/segments/{n}: one
@@ -252,7 +188,14 @@ func (n *Node) handleFetchSegment(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("server: segment %q of %q outside [0, %d)", r.PathValue("n"), id, count))
 		return
 	}
-	if n.serveSegmentLocal(w, r, id, seg, total) {
+	// The segment is the one window [seg·size, extent) served as a 200:
+	// from a whole-file replica (opaque uploads commit as one file), a
+	// per-segment file (cached from a peer pull or materialized), or the
+	// generator.
+	win := byteRange{off: seg * n.cfg.SegmentSize, n: storage.SegmentExtent(total, n.cfg.SegmentSize, seg)}
+	if src, ok := n.localSource(id, total, win.off, win.off+win.n, n.hasLocal(id)); ok {
+		n.writeRanges(w, r, &src, []byteRange{win}, false, total)
+		n.releaseSource(&src)
 		return
 	}
 	if fromPeer {
@@ -261,258 +204,18 @@ func (n *Node) handleFetchSegment(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("server: node %d does not hold segment %d of %q", n.cfg.Node, seg, id))
 		return
 	}
-	n.proxySegment(w, r, id, seg, total, fail)
-}
-
-// serveSegmentLocal streams one segment from whatever this edge has: a
-// whole-file replica (opaque uploads commit as one file — the segment
-// is a window into it), a per-segment file (cached from a peer pull or
-// materialized), or the deterministic generator. Returns false, before
-// any header is written, when none of those can produce the bytes.
-func (n *Node) serveSegmentLocal(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
-	seg, total int64) bool {
-	segSize := n.cfg.SegmentSize
-	extent := storage.SegmentExtent(total, segSize, seg)
-	off := seg * segSize
-	man, hasMan := n.manifests.Get(id)
-	opaque := hasMan && man.Opaque
-	if n.vol != nil {
-		if f, size, ok := n.vol.Open(id); ok {
-			// Whole-file replica: serve the segment window out of it.
-			if size != total {
-				n.vol.Release(id, f)
-				n.vol.Remove(id)
-				return false
-			}
-			if _, err := f.Seek(off, io.SeekStart); err != nil {
-				n.vol.Release(id, f)
-				return false
-			}
-			n.Metrics.StoreDiskHits.Inc()
-			n.writeSegment(w, r, extent, func(dst io.Writer, sc *fetchScratch) {
-				if sc != nil {
-					sc.lr = io.LimitedReader{R: f, N: extent}
-					_, _ = io.Copy(dst, &sc.lr)
-				} else {
-					_, _ = io.CopyN(dst, f, extent)
-				}
-			})
-			n.vol.Release(id, f)
-			return true
-		}
-		// Per-segment file: serve what is cached, and materialize on
-		// demand when this edge is a holder of a regenerable dataset.
-		if n.vol.HasSegment(id, seg) || (!opaque && n.hasLocal(id)) {
-			if !n.ensureSegment(id, seg, total) {
-				return false
-			}
-			n.Metrics.StoreDiskHits.Inc()
-			n.writeSegment(w, r, extent, func(dst io.Writer, sc *fetchScratch) {
-				_ = n.copySegmentRange(dst, sc, id, total, off, extent)
-			})
-			return true
-		}
-		return false
+	// Segment pull-through adopts exactly this segment, verified against
+	// its manifest window, and never mints a catalog replica record for
+	// holding a piece of a dataset.
+	pull := peerPull{
+		path:   "/v1/fetch/" + url.PathEscape(string(id)) + "/segments/" + strconv.FormatInt(seg, 10),
+		status: http.StatusOK, length: win.n, failures: &n.Metrics.SegmentFetchFailures,
 	}
-	// Generated mode: synthesize the window for regenerable datasets
-	// this edge holds.
-	if opaque || !n.hasLocal(id) {
-		return false
+	if n.vol != nil && !n.vol.HasSegment(id, seg) {
+		pull.sink = n.pullSink(id, total, win.off, win.off+win.n)
 	}
-	block, hit := n.blocks.Block(id)
-	if hit {
-		n.Metrics.PayloadCacheHits.Inc()
-	} else {
-		n.Metrics.PayloadCacheMisses.Inc()
-	}
-	n.writeSegment(w, r, extent, func(dst io.Writer, _ *fetchScratch) {
-		_, _ = writeBlockRangeBuffered(dst, block, off, extent)
-	})
-	return true
-}
-
-// writeSegment writes a segment response: minimal headers (the segment
-// index lives on /v1/resolve, not in per-segment headers), a 200, and
-// the body produced by body. The scratch path keeps warm segment
-// serves free of header-value allocations, same as the fetch path.
-func (n *Node) writeSegment(w http.ResponseWriter, r *http.Request, extent int64,
-	body func(io.Writer, *fetchScratch)) {
-	h := w.Header()
-	h["Content-Type"] = octetStreamHeader
-	h["X-Scdn-Source"] = n.srcHdr
-	if useScratch(r, extent) {
-		sc := fetchScratchPool.Get().(*fetchScratch)
-		defer fetchScratchPool.Put(sc)
-		h["Content-Length"] = sc.contentLength(extent)
-		w.WriteHeader(http.StatusOK)
-		body(w, sc)
-	} else {
-		h.Set("Content-Length", strconv.FormatInt(extent, 10))
-		w.WriteHeader(http.StatusOK)
-		if r.Method != http.MethodHead {
-			body(w, nil)
-		}
-	}
-	n.Metrics.LocalHits.Inc()
-	n.Metrics.BytesServed.Add(uint64(extent))
-}
-
-// proxySegment fetches one segment from a peer holder (one hop, RTT-
-// ordered candidates, bounded retry with backoff — the same fallback
-// discipline as proxyFetch) and streams it through, adopting the
-// verified segment into the local volume on the way past when
-// pull-through is enabled. Adoption is segment-granular: no catalog
-// replica record is minted for holding a piece of a dataset.
-func (n *Node) proxySegment(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
-	seg, total int64, fail func(int, error)) {
-	reps, err := n.catalog.Replicas(id)
-	if err != nil {
-		fail(http.StatusBadGateway, err)
-		return
-	}
-	origin, err := n.catalog.Origin(id)
-	if err != nil {
-		fail(http.StatusInternalServerError, err)
-		return
-	}
-	cands := n.orderCandidates(reps)
-	if len(cands) == 0 {
-		n.serveUnavailable(w, id)
-		return
-	}
-	backoff := n.cfg.RetryBase
-	var lastErr error
-	for attempt := 0; attempt < n.cfg.FetchAttempts; attempt++ {
-		if attempt > 0 {
-			n.Metrics.PeerRetries.Inc()
-			select {
-			case <-r.Context().Done():
-				fail(http.StatusBadGateway, r.Context().Err())
-				return
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			if backoff > n.cfg.RetryMax {
-				backoff = n.cfg.RetryMax
-			}
-		}
-		cand := cands[attempt%len(cands)]
-		committed, err := n.tryPeerSegment(w, r, id, cand, seg, total, origin)
-		if committed {
-			return
-		}
-		lastErr = err
-	}
-	if len(n.orderCandidates(cands)) == 0 {
-		n.serveUnavailable(w, id)
-		return
-	}
-	fail(http.StatusBadGateway,
-		fmt.Errorf("server: all %d segment fetch attempts for %q/%d failed: %w",
-			n.cfg.FetchAttempts, id, seg, lastErr))
-}
-
-// tryPeerSegment fetches one segment from one peer and streams it to
-// the client, spilling a manifest-verified copy into the local segment
-// file when pull-through is on. committed reports whether a response
-// was written (successfully or not) — once headers are on the wire
-// there is no retrying.
-func (n *Node) tryPeerSegment(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
-	cand allocation.Replica, seg, total int64, origin allocation.NodeID) (committed bool, _ error) {
-	base, ok := n.registry.BaseURL(cand.Node)
-	if !ok {
-		return false, ErrNoEndpoint
-	}
-	extent := storage.SegmentExtent(total, n.cfg.SegmentSize, seg)
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet,
-		segmentURL(base, id, seg), nil)
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set(peerHeader, n.srcID)
-	req.Header.Set("Authorization", r.Header.Get("Authorization"))
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		drainBody(resp.Body)
-		return false, fmt.Errorf("server: peer %d returned %s for segment %d", cand.Node, resp.Status, seg)
-	}
-	// Segment pull-through: spill the stream into the per-segment file,
-	// verified against the manifest's block digests over exactly this
-	// segment's window. Spill problems never fail the client's stream.
-	var spill *storage.Spill
-	var verifier *ingest.RangeVerifier
-	man, hasMan := n.manifests.Get(id)
-	if n.cfg.PullThrough && n.vol != nil && !n.vol.HasSegment(id, seg) &&
-		hasMan && n.cfg.SegmentSize%man.BlockSize == 0 {
-		if sp, serr := n.vol.NewSegmentSpill(id, seg); serr == nil {
-			if vv, verr := man.NewRangeVerifier(seg*n.cfg.SegmentSize, extent); verr == nil {
-				spill, verifier = sp, vv
-			} else {
-				sp.Abort()
-				n.Metrics.StoreSpillFailures.Inc()
-			}
-		} else {
-			n.Metrics.StoreSpillFailures.Inc()
-		}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(extent, 10))
-	w.Header().Set("X-SCDN-Source", n.srcID)
-	w.WriteHeader(http.StatusOK)
-	dst := io.Writer(w)
-	var spillW *bestEffortWriter
-	if spill != nil {
-		spillW = &bestEffortWriter{w: io.MultiWriter(verifier, spill)}
-		dst = io.MultiWriter(w, spillW)
-	}
-	written, copyErr := copyBuffered(dst, resp.Body)
-	n.Metrics.BytesServed.Add(uint64(written))
-	if copyErr != nil || written != extent {
-		if spill != nil {
-			spill.Abort()
-			n.Metrics.StoreSpillFailures.Inc()
-		}
-		n.Metrics.SegmentFetchFailures.Inc()
-		return true, copyErr
-	}
-	if cand.Node == origin {
-		n.Metrics.OriginFetches.Inc()
-	} else {
-		n.Metrics.PeerHits.Inc()
-	}
-	if spill != nil {
-		var verr error
-		if spillW.err == nil {
-			verr = verifier.Close()
-		}
-		switch {
-		case errors.Is(spillW.err, ingest.ErrDigestMismatch) || errors.Is(verr, ingest.ErrDigestMismatch):
-			// The peer's bytes do not match the manifest window: never
-			// adopt them. The client's own stream already carried the bad
-			// bytes — end-to-end verification catches that side.
-			spill.Abort()
-			n.Metrics.IngestDigestRejects.Inc()
-		case spillW.err != nil || verr != nil:
-			spill.Abort()
-			n.Metrics.StoreSpillFailures.Inc()
-		default:
-			if err := spill.Commit(extent); err != nil {
-				n.Metrics.StoreSpillFailures.Inc()
-			} else {
-				n.Metrics.SegmentPulls.Inc()
-			}
-		}
-	}
-	return true, nil
-}
-
-// segmentURL renders the segment endpoint URL for a peer hop.
-func segmentURL(base string, id storage.DatasetID, seg int64) string {
-	return base + "/v1/fetch/" + url.PathEscape(string(id)) + "/segments/" + strconv.FormatInt(seg, 10)
+	n.pullFromPeers(w, r, id, &pull, fail)
+	pull.sink.finish()
 }
 
 // segmentDigestIndex returns the dataset's rolled-up segment digests
@@ -547,105 +250,4 @@ func (n *Node) segmentDigestIndex(id storage.DatasetID, total int64) []string {
 	n.segIdx[id] = hexes
 	n.segIdxMu.Unlock()
 	return hexes
-}
-
-// segmentSpillWriter splits a whole-dataset pull-through stream into
-// per-segment spills: each segment's bytes are verified against the
-// manifest's block digests for exactly that window and committed the
-// moment they complete. An interrupted or partially corrupt transfer
-// still leaves every clean, complete segment servable — pull-through
-// adopts segments, not whole datasets.
-type segmentSpillWriter struct {
-	n         *Node
-	id        storage.DatasetID
-	man       *ingest.Manifest
-	total     int64
-	off       int64
-	cur       *storage.Spill
-	verifier  *ingest.RangeVerifier
-	committed int64
-}
-
-func (s *segmentSpillWriter) Write(p []byte) (int, error) {
-	segSize := s.n.cfg.SegmentSize
-	written := 0
-	for len(p) > 0 {
-		if s.off >= s.total {
-			return written, fmt.Errorf("server: segment spill for %q overflows %d bytes", s.id, s.total)
-		}
-		seg := s.off / segSize
-		extent := storage.SegmentExtent(s.total, segSize, seg)
-		segOff := s.off - seg*segSize
-		if s.cur == nil {
-			sp, err := s.n.vol.NewSegmentSpill(s.id, seg)
-			if err != nil {
-				return written, err
-			}
-			vv, err := s.man.NewRangeVerifier(seg*segSize, extent)
-			if err != nil {
-				sp.Abort()
-				return written, err
-			}
-			s.cur, s.verifier = sp, vv
-		}
-		chunk := extent - segOff
-		if int64(len(p)) < chunk {
-			chunk = int64(len(p))
-		}
-		if _, err := s.verifier.Write(p[:chunk]); err != nil {
-			s.abortCur()
-			return written, err
-		}
-		if _, err := s.cur.Write(p[:chunk]); err != nil {
-			s.abortCur()
-			return written, err
-		}
-		s.off += chunk
-		written += int(chunk)
-		p = p[chunk:]
-		if s.off == seg*segSize+extent {
-			if err := s.verifier.Close(); err != nil {
-				s.abortCur()
-				return written, err
-			}
-			cur := s.cur
-			s.cur, s.verifier = nil, nil
-			if err := cur.Commit(extent); err != nil {
-				return written, err
-			}
-			s.committed++
-			s.n.Metrics.SegmentPulls.Inc()
-		}
-	}
-	return written, nil
-}
-
-// noteSegSpillErr classifies the first error a segment-spill sink
-// swallowed: corrupt peer bytes count as digest rejects, everything
-// else as spill failures. The client's stream already succeeded either
-// way — adoption problems are never fetch problems.
-func (n *Node) noteSegSpillErr(spillW *bestEffortWriter) {
-	switch {
-	case spillW == nil || spillW.err == nil:
-	case errors.Is(spillW.err, ingest.ErrDigestMismatch):
-		n.Metrics.IngestDigestRejects.Inc()
-	default:
-		n.Metrics.StoreSpillFailures.Inc()
-	}
-}
-
-// abortCur discards the in-flight segment spill after an error.
-func (s *segmentSpillWriter) abortCur() {
-	if s.cur != nil {
-		s.cur.Abort()
-		s.cur, s.verifier = nil, nil
-	}
-}
-
-// finish closes out the writer after the stream ends, aborting any
-// incomplete tail segment, and reports whether every segment of the
-// dataset committed.
-func (s *segmentSpillWriter) finish() bool {
-	s.abortCur()
-	return s.committed == storage.SegmentCount(s.total, s.n.cfg.SegmentSize)
 }

@@ -94,6 +94,7 @@ func TestSegmentedWholeFetch(t *testing.T) {
 	tok := login(t, lc)
 
 	fetchDataset(t, client, node.BaseURL(), tok, "ds-001", segTestBytes)
+	quiesce(t, lc)
 	if got := node.Metrics.SegmentedServes.Value(); got != 1 {
 		t.Fatalf("segmented serves = %d, want 1", got)
 	}
@@ -112,6 +113,7 @@ func TestSegmentedWholeFetch(t *testing.T) {
 
 	// Warm serve: same segments, no new disk work.
 	fetchDataset(t, client, node.BaseURL(), tok, "ds-001", segTestBytes)
+	quiesce(t, lc)
 	if got := node.Metrics.StoreMaterializations.Value(); got != uint64(segTestCount) {
 		t.Fatalf("warm fetch re-materialized: %d", got)
 	}
@@ -307,10 +309,16 @@ func TestSegmentPeerPull(t *testing.T) {
 		resp.Body.Close()
 		t.Fatalf("proxied segment: %s", resp.Status)
 	}
+	// A proxied response names the holder that produced the bytes, the
+	// same as a proxied whole fetch.
+	if src := resp.Header.Get("X-SCDN-Source"); src != "1" {
+		t.Fatalf("proxied segment source = %q, want the holder 1", src)
+	}
 	if _, err := VerifyPayloadRange(resp.Body, id, seg*segTestSize, segTestSize); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	quiesce(t, lc)
 
 	if got := owner.Metrics.PeerSegmentFetchRequests.Value(); got != 1 {
 		t.Fatalf("owner peer segment requests = %d, want 1", got)
@@ -338,6 +346,7 @@ func TestSegmentPeerPull(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	quiesce(t, lc)
 	if got := owner.Metrics.PeerSegmentFetchRequests.Value(); got != 1 {
 		t.Fatalf("adopted segment re-proxied: owner saw %d peer requests", got)
 	}
@@ -359,6 +368,7 @@ func TestSegmentedPullThroughWholeFetch(t *testing.T) {
 	const id = storage.DatasetID("ds-001")
 
 	fetchDataset(t, client, other.BaseURL(), tok, string(id), segTestBytes)
+	quiesce(t, lc)
 	if got := other.Metrics.SegmentPulls.Value(); got != uint64(segTestCount) {
 		t.Fatalf("segment pulls = %d, want %d (every segment adopted mid-stream)", got, segTestCount)
 	}
@@ -377,6 +387,7 @@ func TestSegmentedPullThroughWholeFetch(t *testing.T) {
 	// Warm: the second fetch never leaves the edge.
 	origins := other.Metrics.OriginFetches.Value()
 	fetchDataset(t, client, other.BaseURL(), tok, string(id), segTestBytes)
+	quiesce(t, lc)
 	if got := other.Metrics.SegmentedServes.Value(); got != 1 {
 		t.Fatalf("segmented serves = %d, want 1 (warm serve is local)", got)
 	}

@@ -30,6 +30,7 @@ import (
 	"scdn/internal/ingest"
 	"scdn/internal/middleware"
 	"scdn/internal/storage"
+	"scdn/internal/transport"
 )
 
 // Config parameterizes one node.
@@ -50,16 +51,11 @@ type Config struct {
 	// replica partition and registers the new replica in the catalog, so
 	// demand migrates data toward where it is requested.
 	PullThrough bool
-	// BlockCacheBlocks caps the node's payload-block cache (number of
-	// cached 4 KiB repetition blocks). Zero means
-	// DefaultBlockCacheBlocks.
-	BlockCacheBlocks int
 	// Volume, when non-nil, is the node's disk-backed replica volume:
 	// locally held datasets are materialized as real files (once, via
-	// the deterministic generator) and served through http.ServeContent
-	// so full bodies and single-part ranges ride the kernel's sendfile
-	// path, and pull-through caching spills the proxied stream straight
-	// to disk. Nil keeps the in-memory generated-payload path.
+	// the deterministic generator) and served by seek + sendfile, and
+	// pull-through caching spills the proxied stream straight to disk.
+	// Nil keeps the in-memory generated-payload path.
 	Volume *storage.DiskVolume
 	// Sweep configures the node's background repair sweeper
 	// (sweeper.go). The zero value enables it with defaults; set
@@ -132,6 +128,10 @@ type Node struct {
 
 	client *http.Client
 
+	// inflight tracks the requests the node's connections are serving
+	// (Quiesce).
+	inflight inflight
+
 	mu          sync.Mutex
 	httpSrv     *http.Server // fresh per Start: a shut-down http.Server cannot serve again
 	ln          net.Listener
@@ -185,7 +185,7 @@ func NewNode(cfg Config, repo *storage.Repository, auth *middleware.Middleware,
 		auth:      auth,
 		catalog:   catalog,
 		registry:  registry,
-		blocks:    NewBlockCache(cfg.BlockCacheBlocks),
+		blocks:    NewBlockCache(DefaultBlockCacheBlocks),
 		vol:       cfg.Volume,
 		srcID:     strconv.FormatInt(int64(cfg.Node), 10),
 		srcHdr:    []string{strconv.FormatInt(int64(cfg.Node), 10)},
@@ -194,7 +194,7 @@ func NewNode(cfg Config, repo *storage.Repository, auth *middleware.Middleware,
 		uploads:   make(map[storage.DatasetID]*uploadSession),
 		// Peer hops share the process-wide tuned transport: raised
 		// per-host idle pool, keep-alives on.
-		client: NewHTTPClient(30 * time.Second),
+		client: transport.NewClient(30 * time.Second),
 	}
 	return n, nil
 }
@@ -241,6 +241,7 @@ func (n *Node) Start() error {
 	srv := &http.Server{
 		Handler:           n.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
+		ConnState:         n.inflight.connState,
 	}
 	baseURL := "http://" + ln.Addr().String()
 	var sweepCtx context.Context
@@ -321,12 +322,78 @@ func (n *Node) Stop(ctx context.Context) error {
 	}
 	n.registry.SetOnline(n.cfg.Node, false)
 	reapSweeper(cancel, done)
-	err := srv.Shutdown(ctx)
+	// Shutdown under an expired context only starts the drain: it closes
+	// the listener and the idle keep-alive connections and turns
+	// keep-alives off, so each in-flight request's connection closes
+	// once its response is flushed. Quiesce does the waiting; Shutdown
+	// would also wait 5 s on every dialed but never-used connection.
+	expired, expire := context.WithCancel(ctx)
+	expire()
+	_ = srv.Shutdown(expired)
+	err := n.Quiesce(ctx)
+	_ = srv.Close()
 	// With the listener drained no new stripes can arrive: whatever
 	// upload sessions remain are half-finished and must not leave temp
 	// files behind.
 	n.abortUploads()
 	return err
+}
+
+// Quiesce waits until the node has no request in flight, or ctx
+// expires. A request stays in flight from the moment it is read until
+// its response is flushed and its connection goes idle or closes —
+// after the handler's epilogue, where spills commit, segments are
+// adopted, and hit counters are bumped, all of which can trail the
+// client reading EOF. Tests call it before reading counters.
+func (n *Node) Quiesce(ctx context.Context) error { return n.inflight.wait(ctx) }
+
+// inflight counts the connections with a request in flight, fed by the
+// http.Server ConnState hook (an HTTP/1.1 connection carries one
+// request at a time). Waiters block on a channel closed when the count
+// reaches zero — no polling.
+type inflight struct {
+	mu     sync.Mutex
+	active map[net.Conn]struct{}
+	idle   chan struct{} // made by the first waiter, closed at zero
+}
+
+func (t *inflight) connState(c net.Conn, st http.ConnState) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if st == http.StateActive {
+		if t.active == nil {
+			t.active = make(map[net.Conn]struct{})
+		}
+		t.active[c] = struct{}{}
+		return
+	}
+	if _, ok := t.active[c]; !ok {
+		return // a connection closing before or between requests
+	}
+	delete(t.active, c)
+	if len(t.active) == 0 && t.idle != nil {
+		close(t.idle)
+		t.idle = nil
+	}
+}
+
+func (t *inflight) wait(ctx context.Context) error {
+	t.mu.Lock()
+	if len(t.active) == 0 {
+		t.mu.Unlock()
+		return nil
+	}
+	if t.idle == nil {
+		t.idle = make(chan struct{})
+	}
+	idle := t.idle
+	t.mu.Unlock()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Crash kills the node the way a failing member dies: the listener and

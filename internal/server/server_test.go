@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -147,6 +148,7 @@ func TestLoginResolveFetchOverHTTP(t *testing.T) {
 
 	// Fetch from the resolved edge: a local hit there.
 	resp := fetchDataset(t, client, res.URL, tok, "ds-001", res.Bytes)
+	quiesce(t, lc)
 	if src := resp.Header.Get("X-SCDN-Source"); src != "1" {
 		t.Fatalf("source = %q", src)
 	}
@@ -175,6 +177,7 @@ func TestFetchPeerFallback(t *testing.T) {
 	// ds-001's origin is node 1; fetch it via node 2 → one proxy hop.
 	base2 := lc.Nodes[1].BaseURL()
 	fetchDataset(t, client, base2, tok, "ds-001", lc.Config.DatasetBytes)
+	quiesce(t, lc)
 	if lc.Nodes[1].Metrics.OriginFetches.Value() != 1 {
 		t.Fatalf("origin fetches on node2 = %d, want 1",
 			lc.Nodes[1].Metrics.OriginFetches.Value())
@@ -264,6 +267,7 @@ func TestFetchRetriesDeadPeerThenFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetchDataset(t, client, lc.Nodes[1].BaseURL(), tok, "ds-001", lc.Config.DatasetBytes)
+	quiesce(t, lc)
 	if lc.Nodes[1].Metrics.PeerRetries.Value() == 0 {
 		t.Fatal("dead peer did not trigger a retry")
 	}
@@ -314,6 +318,7 @@ func TestPullThroughCachesReplica(t *testing.T) {
 
 	// First access proxies from the origin and caches the replica...
 	fetchDataset(t, client, base2, tok, "ds-001", lc.Config.DatasetBytes)
+	quiesce(t, lc)
 	if got := lc.Catalog.ReplicaCount("ds-001"); got != 2 {
 		t.Fatalf("replica count after pull-through = %d, want 2", got)
 	}
@@ -323,6 +328,7 @@ func TestPullThroughCachesReplica(t *testing.T) {
 	}
 	// ...so the second access is a local hit on node 2.
 	fetchDataset(t, client, base2, tok, "ds-001", lc.Config.DatasetBytes)
+	quiesce(t, lc)
 	if lc.Nodes[1].Metrics.LocalHits.Value() != 1 {
 		t.Fatalf("local hits on node2 = %d, want 1", lc.Nodes[1].Metrics.LocalHits.Value())
 	}
@@ -348,6 +354,32 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestStopIgnoresUnusedConnection: a connection that was dialed but
+// never sent a request carries nothing in flight, so Stop must not wait
+// on it (net/http's Shutdown alone counts one busy for 5 s).
+func TestStopIgnoresUnusedConnection(t *testing.T) {
+	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1})
+	node := lc.Nodes[0]
+	conn, err := net.Dial("tcp", strings.TrimPrefix(node.BaseURL(), "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The listener accepts in dial order, so once a later connection
+	// has been answered the silent one is accepted and tracked too.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := client.Get(node.BaseURL() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := node.Stop(ctx); err != nil {
+		t.Fatalf("stop with an unused connection open: %v", err)
+	}
+}
+
 func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(Config{Node: 1}, nil, nil, nil, nil); err == nil {
 		t.Fatal("missing collaborators accepted")
@@ -356,3 +388,15 @@ func TestNewNodeValidation(t *testing.T) {
 
 // storageID converts for test readability.
 func storageID(id string) storage.DatasetID { return storage.DatasetID(id) }
+
+// quiesce waits until no node of the cluster has a request in flight,
+// so counters bumped in a handler's epilogue — after the client already
+// read EOF — are settled before a test reads them.
+func quiesce(t *testing.T, lc *LocalCluster) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := lc.Quiesce(ctx); err != nil {
+		t.Fatalf("quiesce: %v", err)
+	}
+}

@@ -485,6 +485,7 @@ func TestCorruptReplicaNeverAdopted(t *testing.T) {
 	}
 	got, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	quiesce(t, lc)
 	if bytes.Equal(got, data) {
 		t.Fatal("corruption did not propagate through the proxy — test setup broken")
 	}
