@@ -16,24 +16,25 @@
 #   make race    — just the -race pass.
 #   make flake   — the flake gate: the delivery-plane, storage and
 #                  transfer-client suites ten times over at GOMAXPROCS
-#                  1, 2 and 4, so a test that only passes under lucky
-#                  scheduling fails here instead of intermittently.
+#                  1, 2 and 4, then one pass of the whole tier-1 suite
+#                  at GOMAXPROCS 1 and 4, so a test that only passes
+#                  under lucky scheduling fails here instead of
+#                  intermittently.
 #   make fuzzsmoke — run each native fuzz target briefly against its
 #                  checked-in seed corpus.
 #   make bench   — the benchmark harness: delivery-plane micro-benchmarks
-#                  (catalog resolve, payload block cache, range writes,
-#                  disk vs generated serving, ingest hasher vs verifier
-#                  MB/s) at GOMAXPROCS=4, the
-#                  reproduction benchmarks, and short striped loadgen
-#                  passes in both payload store modes — the dir-mode run
-#                  writes BENCH_delivery.json, the generated-mode run
-#                  BENCH_delivery_generated.json.
+#                  (catalog resolve, payload block derivation, range
+#                  writes, warm disk serving, ingest hasher vs verifier
+#                  MB/s) at GOMAXPROCS=4, the reproduction benchmarks, a
+#                  short striped closed-loop loadgen pass
+#                  (BENCH_delivery_closed.json), and the open-loop sweep
+#                  (BENCH_delivery.json).
 #   make loadgen — end-to-end networked benchmark: closed-loop load
 #                  against a 3-node in-process edge cluster over TCP.
 #   make ci      — what .github/workflows/check.yml runs: gofmt
 #                  cleanliness, module verification, then the full
 #                  check gate.
-#   make churnsmoke — fixed-seed churn acceptance: a dir-mode loadgen
+#   make churnsmoke — fixed-seed churn acceptance: a loadgen
 #                  run that kills and restarts two edges mid-stream and
 #                  must finish with zero failed requests and every
 #                  dataset repaired back to the replication floor
@@ -111,6 +112,7 @@ race:
 
 flake:
 	$(GO) test -count=10 -cpu 1,2,4 ./internal/server ./internal/storage ./internal/cdnclient
+	$(GO) test -count=1 -cpu 1,4 ./...
 
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 5s ./internal/server
@@ -119,14 +121,13 @@ fuzzsmoke:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -cpu 4 ./...
-	$(GO) run ./cmd/scdn-loadgen -nodes 3 -workers 8 -requests 400 -stripes 4 -store generated -bench-out BENCH_delivery_generated.json
-	$(GO) run ./cmd/scdn-loadgen -nodes 3 -workers 8 -requests 400 -stripes 4 -store dir -bench-out BENCH_delivery_closed.json
-	$(GO) run ./cmd/scdn-loadgen -openloop -nodes 3 -datasets 8 -store dir \
+	$(GO) run ./cmd/scdn-loadgen -nodes 3 -workers 8 -requests 400 -stripes 4 -bench-out BENCH_delivery_closed.json
+	$(GO) run ./cmd/scdn-loadgen -openloop -nodes 3 -datasets 8 \
 		-rates 200,400,800,1600 -openloop-duration 2s -seed 42 -bench-out BENCH_delivery.json
 
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/server
-	$(GO) run ./cmd/scdn-loadgen -nodes 2 -workers 4 -requests 80 -store dir -bench-out BENCH_delivery_smoke.json
+	$(GO) run ./cmd/scdn-loadgen -nodes 2 -workers 4 -requests 80 -bench-out BENCH_delivery_smoke.json
 	grep -q '"payload_mode": "dir"' BENCH_delivery_smoke.json
 	grep -q '"failed": 0' BENCH_delivery_smoke.json
 	grep -q '"schema_version": 2' BENCH_delivery_smoke.json
@@ -139,7 +140,7 @@ loadgen:
 # exits non-zero on any unexplained failure or unrepaired dataset; the
 # greps pin the recorded outcome.
 churnsmoke:
-	$(GO) run ./cmd/scdn-loadgen -nodes 4 -workers 6 -requests 300 -store dir \
+	$(GO) run ./cmd/scdn-loadgen -nodes 4 -workers 6 -requests 300 \
 		-churn 'kill=2,restart=2s,spacing=2s' -seed 7 -bench-out BENCH_churn.json
 	grep -q '"failed": 0' BENCH_churn.json
 	grep -q '"all_restarted": true' BENCH_churn.json
@@ -167,7 +168,7 @@ ingestsmoke:
 # To advance the baseline after an intentional change, copy the
 # candidate over BENCH_delivery.json and check it in.
 perfgate:
-	$(GO) run ./cmd/scdn-loadgen -openloop -nodes 3 -datasets 8 -store dir \
+	$(GO) run ./cmd/scdn-loadgen -openloop -nodes 3 -datasets 8 \
 		-rates 200,400,800,1600 -openloop-duration 2s -seed 42 \
 		-bench-out BENCH_openloop_candidate.json
 	$(GO) run ./cmd/scdn-loadgen -large -nodes 2 -datasets 2 -bytes 33554432 \

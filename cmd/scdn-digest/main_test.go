@@ -21,7 +21,7 @@ import (
 // for the same bytes, so a raw-protocol upload can declare it.
 func TestDigestMatchesUpload(t *testing.T) {
 	lc, err := server.StartLocalCluster(server.ClusterConfig{
-		Nodes: 1, Users: 1, StoreMode: server.StoreModeDir, NoSeedDatasets: true,
+		Nodes: 1, Users: 1, NoSeedDatasets: true,
 		Sweep: server.SweeperConfig{Disabled: true},
 	})
 	if err != nil {

@@ -44,7 +44,7 @@ func runIngest(p ingestParams) {
 	const replicationTarget = 2
 	lc, err := server.StartLocalCluster(server.ClusterConfig{
 		Nodes: p.nodes, Users: p.workers, Seed: p.seed,
-		StoreMode: server.StoreModeDir, NoSeedDatasets: true, PullThrough: true,
+		NoSeedDatasets: true, PullThrough: true,
 		Sweep: server.SweeperConfig{ReplicationTarget: replicationTarget},
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func runIngest(p ingestParams) {
 		defer cancel()
 		_ = lc.Shutdown(ctx)
 	}()
-	fmt.Printf("scdn-loadgen: ingest mode: %d-node dir-store cluster, %d opaque datasets × %d bytes\n",
+	fmt.Printf("scdn-loadgen: ingest mode: %d-node cluster, %d opaque datasets × %d bytes\n",
 		p.nodes, p.datasets, p.bytesPer)
 
 	ctx := context.Background()

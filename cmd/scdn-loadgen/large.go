@@ -82,7 +82,7 @@ func buildLargeMix(seed int64, n, datasets int, bytesPer, segSize int64) []large
 }
 
 // runLarge drives the large-object byte-throughput bench: start a
-// dir-store cluster sized so every dataset crosses the segment
+// cluster sized so every dataset crosses the segment
 // threshold, warm each edge once per dataset (materializing segments),
 // sweep the arrival ladder with the seeded mix, locate the knee,
 // reconcile request counts against /metrics, and write BENCH_large.json
@@ -96,7 +96,6 @@ func runLarge(p largeParams) {
 	lc, err := server.StartLocalCluster(server.ClusterConfig{
 		Nodes: p.nodes, Users: 8, Datasets: p.datasets,
 		DatasetBytes: p.bytesPer, Seed: p.seed, PullThrough: true,
-		StoreMode:  server.StoreModeDir,
 		StoreQuota: p.storeQuota,
 		// Threshold at the segment size: every dataset in this run is
 		// stored and served segmented.
@@ -113,7 +112,7 @@ func runLarge(p largeParams) {
 	}()
 	urls := lc.URLs()
 	datasetIDs := lc.DatasetIDs
-	fmt.Printf("scdn-loadgen: started %d-node dir-store cluster: %d datasets × %d MiB, %d×%d MiB segments each\n",
+	fmt.Printf("scdn-loadgen: started %d-node cluster: %d datasets × %d MiB, %d×%d MiB segments each\n",
 		p.nodes, p.datasets, p.bytesPer>>20, segsPer, p.segSize>>20)
 
 	ctx := context.Background()

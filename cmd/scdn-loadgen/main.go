@@ -16,7 +16,6 @@
 //	scdn-loadgen                                   # 3-node cluster, 8 workers, 600 requests
 //	scdn-loadgen -nodes 5 -workers 32 -requests 10000 -pull-through
 //	scdn-loadgen -stripes 4                        # parallel striped range fetches
-//	scdn-loadgen -store dir                        # disk-backed volumes, sendfile delivery
 //	scdn-loadgen -churn 'kill=2,restart=5s'        # crash nodes mid-run; repair must heal
 //	scdn-loadgen -targets http://127.0.0.1:8001,http://127.0.0.1:8002 -datasets 12
 //
@@ -65,7 +64,6 @@ func main() {
 		pullThrough = flag.Bool("pull-through", true, "enable pull-through caching (in-process mode)")
 		verify      = flag.Bool("verify", true, "verify every payload in-stream, byte-for-byte")
 		benchOut    = flag.String("bench-out", "BENCH_delivery.json", "write a machine-readable benchmark record here (empty disables)")
-		store       = flag.String("store", "generated", "payload store for the in-process cluster: generated or dir")
 		churnFlag   = flag.String("churn", "", "inject node churn, e.g. 'kill=2,restart=5s' (in-process mode only)")
 		ingestMode  = flag.Bool("ingest", false, "ingest mode: upload opaque datasets, fetch under churn, require repair-by-copy")
 		openLoop    = flag.Bool("openloop", false, "open-loop mode: sweep seeded arrival rates, latency from intended start times")
@@ -129,8 +127,7 @@ func main() {
 			nodes: *nodes, targets: *targets, datasets: *datasets,
 			bytesPer: *bytesPer, rates: rates, duration: *olDuration,
 			maxConns: *maxConns, dist: *distFlag, seed: *seed,
-			pull: *pullThrough, verify: *verify, store: *store,
-			benchOut: *benchOut,
+			pull: *pullThrough, verify: *verify, benchOut: *benchOut,
 		})
 		return
 	}
@@ -181,10 +178,10 @@ func main() {
 		// experiment.
 		*resolveEach = 0
 	}
-	// payloadMode lands in the benchmark record so perf runs in the two
-	// store modes stay distinguishable; against an external cluster the
-	// mode is whatever scdn-serve chose, recorded as "targets".
-	payloadMode := *store
+	// payloadMode lands in the benchmark record: "dir" for the
+	// in-process cluster's disk-backed volumes, "targets" for a run
+	// against an external cluster.
+	payloadMode := "dir"
 	// The loadgen pins the sweeper's replication floor explicitly so the
 	// post-churn acceptance check below tests against the same number.
 	const replicationTarget = 2
@@ -193,8 +190,7 @@ func main() {
 		lc, err = server.StartLocalCluster(server.ClusterConfig{
 			Nodes: *nodes, Users: *workers, Datasets: *datasets,
 			DatasetBytes: *bytesPer, Seed: *seed, PullThrough: *pullThrough,
-			StoreMode: *store,
-			Sweep:     server.SweeperConfig{ReplicationTarget: replicationTarget},
+			Sweep: server.SweeperConfig{ReplicationTarget: replicationTarget},
 		})
 		if err != nil {
 			fatal(err)
@@ -209,8 +205,7 @@ func main() {
 		for _, u := range lc.UserIDs {
 			userIDs = append(userIDs, int64(u))
 		}
-		fmt.Printf("scdn-loadgen: started %d-node in-process cluster on loopback TCP (store: %s)\n",
-			*nodes, *store)
+		fmt.Printf("scdn-loadgen: started %d-node in-process cluster on loopback TCP\n", *nodes)
 		if *churnFlag != "" {
 			churnEvents = churnSpec.Events(*nodes, *seed)
 			churnRun = server.StartChurn(lc, churnEvents)
@@ -414,16 +409,11 @@ func main() {
 		s.Mean*1000, s.P50*1000, s.P95*1000, s.P99*1000)
 	fmt.Printf("failed requests: %d\n", failed.Load())
 
-	cacheHits := delta["scdn_payload_cache_hits_total"]
-	cacheMisses := delta["scdn_payload_cache_misses_total"]
-	hitRate := loadharness.HitRate(cacheHits, cacheMisses)
 	fmt.Printf("cluster delta: fetch=%d failures=%d local=%d peer=%d origin=%d retries=%d ranges=%d latency-samples=%d\n",
 		delta["scdn_fetch_requests_total"], delta["scdn_fetch_failures_total"],
 		delta["scdn_local_hits_total"], delta["scdn_peer_hits_total"],
 		delta["scdn_origin_fetches_total"], delta["scdn_peer_retries_total"],
 		delta["scdn_range_requests_total"], delta["scdn_fetch_latency_seconds_count"])
-	fmt.Printf("payload-block cache: %d hits / %d misses (%.1f%% hit rate)\n",
-		cacheHits, cacheMisses, hitRate*100)
 	if churnRun != nil {
 		fmt.Printf("churn: kills=%d stops=%d restarts=%d still-down=%d excused-failures=%d\n",
 			churnSum.Kills, churnSum.Stops, churnSum.Restarts, churnSum.Down, excused.Load())
@@ -502,9 +492,6 @@ func main() {
 			LatencyMS: loadharness.Latency{Mean: s.Mean * 1000, P50: s.P50 * 1000,
 				P95: s.P95 * 1000, P99: s.P99 * 1000},
 			Failed:        failed.Load(),
-			CacheHits:     cacheHits,
-			CacheMisses:   cacheMisses,
-			CacheHitRate:  hitRate,
 			RangeRequests: delta["scdn_range_requests_total"],
 			Reconciled:    ok,
 			Churn:         churnBenchInfo(churnRun != nil, *churnFlag, churnSum, excused.Load(), delta),

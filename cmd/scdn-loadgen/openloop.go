@@ -32,7 +32,6 @@ type openLoopParams struct {
 	seed     int64
 	pull     bool
 	verify   bool
-	store    string
 	benchOut string
 }
 
@@ -63,14 +62,13 @@ func runOpenLoop(p openLoopParams) {
 		userIDs    []int64
 		lc         *server.LocalCluster
 	)
-	payloadMode := p.store
+	payloadMode := "dir"
 	if p.targets == "" {
 		var err error
 		lc, err = server.StartLocalCluster(server.ClusterConfig{
 			Nodes: p.nodes, Users: 8, Datasets: p.datasets,
 			DatasetBytes: p.bytesPer, Seed: p.seed, PullThrough: p.pull,
-			StoreMode: p.store,
-			Sweep:     server.SweeperConfig{ReplicationTarget: 2},
+			Sweep: server.SweeperConfig{ReplicationTarget: 2},
 		})
 		if err != nil {
 			fatal(err)
@@ -85,8 +83,7 @@ func runOpenLoop(p openLoopParams) {
 		for _, u := range lc.UserIDs {
 			userIDs = append(userIDs, int64(u))
 		}
-		fmt.Printf("scdn-loadgen: started %d-node in-process cluster on loopback TCP (store: %s)\n",
-			p.nodes, p.store)
+		fmt.Printf("scdn-loadgen: started %d-node in-process cluster on loopback TCP\n", p.nodes)
 	} else {
 		payloadMode = "targets"
 		urls = strings.Split(p.targets, ",")
@@ -179,8 +176,6 @@ func runOpenLoop(p openLoopParams) {
 		agg.Mean()*1000, agg.Quantile(0.50)*1000, agg.Quantile(0.95)*1000, agg.Quantile(0.99)*1000)
 	fmt.Printf("failed requests: %d\n", failed)
 
-	cacheHits := delta["scdn_payload_cache_hits_total"]
-	cacheMisses := delta["scdn_payload_cache_misses_total"]
 	fmt.Printf("cluster delta: fetch=%d failures=%d local=%d peer=%d origin=%d latency-samples=%d\n",
 		delta["scdn_fetch_requests_total"], delta["scdn_fetch_failures_total"],
 		delta["scdn_local_hits_total"], delta["scdn_peer_hits_total"],
@@ -222,9 +217,6 @@ func runOpenLoop(p openLoopParams) {
 			ThroughputMBps: mb / elapsed.Seconds(),
 			LatencyMS:      agg.LatencyMS(),
 			Failed:         failed,
-			CacheHits:      cacheHits,
-			CacheMisses:    cacheMisses,
-			CacheHitRate:   loadharness.HitRate(cacheHits, cacheMisses),
 			RangeRequests:  delta["scdn_range_requests_total"],
 			Reconciled:     ok,
 			OpenLoop:       loadharness.NewOpenLoop(cfg, results),

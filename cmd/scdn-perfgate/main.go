@@ -14,7 +14,7 @@
 //
 // Usage (what `make perfgate` runs):
 //
-//	scdn-loadgen -openloop -store dir -bench-out BENCH_openloop_candidate.json
+//	scdn-loadgen -openloop -bench-out BENCH_openloop_candidate.json
 //	scdn-perfgate -baseline BENCH_delivery.json -candidate BENCH_openloop_candidate.json
 //
 //	scdn-loadgen -large ... -bench-out BENCH_large_candidate.json

@@ -8,7 +8,7 @@
 //
 //	scdn-serve                         # 3 edges on ephemeral ports
 //	scdn-serve -nodes 5 -datasets 30 -pull-through
-//	scdn-serve -store dir              # disk-backed replica volumes, sendfile delivery
+//	scdn-serve -store-dir /tmp/store   # keep the replica volumes after shutdown
 //	scdn-serve -host 0.0.0.0           # reachable off-box
 //	scdn-serve -churn-script churn.txt # scripted node churn (see below)
 //
@@ -50,11 +50,10 @@ func main() {
 		pullThrough = flag.Bool("pull-through", false, "cache proxied datasets as local replicas")
 		group       = flag.String("group", "live-collab", "collaboration group scoping all datasets")
 		shards      = flag.Int("catalog-shards", 0, "catalog lock shards, rounded to a power of two (0: default)")
-		store       = flag.String("store", "generated", "payload store: generated (in-memory synthesis) or dir (disk-backed replica volumes, sendfile delivery)")
-		storeDir    = flag.String("store-dir", "", "root directory for dir-mode replica volumes (empty: temp dir, removed on shutdown)")
-		storeQuota  = flag.Int64("store-quota", 0, "per-node replica volume byte quota in dir mode (0: replica reserve)")
+		storeDir    = flag.String("store-dir", "", "root directory for the replica volumes (empty: temp dir, removed on shutdown)")
+		storeQuota  = flag.Int64("store-quota", 0, "per-node replica volume byte quota (0: replica reserve)")
 		churnFile   = flag.String("churn-script", "", "churn script file: one '<offset> <action> <node>' per line (kill/stop/restart)")
-		noSeed      = flag.Bool("no-seed", false, "start with zero datasets; publish via PUT /v1/datasets (forces -store dir)")
+		noSeed      = flag.Bool("no-seed", false, "start with zero datasets; publish via PUT /v1/datasets")
 		segSize     = flag.Int64("segment-size", 0, "segmented large-object layout: segment bytes, a multiple of the 64 KiB ingest block (0: default 4 MiB)")
 		segThresh   = flag.Int64("segment-threshold", 0, "store and serve datasets at or above this size as segments (0: default 16 MiB, negative: disable)")
 		keepPages   = flag.Bool("keep-segment-pages", false, "keep served segment pages in the page cache (skip the post-serve DONTNEED drop)")
@@ -76,17 +75,12 @@ func main() {
 		}
 	}
 
-	if *noSeed {
-		// Uploads land in replica volumes; an ingest-ready cluster needs
-		// the disk-backed store on every edge.
-		*store = server.StoreModeDir
-	}
 	lc, err := server.StartLocalCluster(server.ClusterConfig{
 		Nodes: *nodes, Sites: *sites, CatalogServers: *catalog,
 		Users: *users, Datasets: *datasets, DatasetBytes: *bytes,
 		Seed: *seed, PullThrough: *pullThrough, Group: *group,
 		ListenHost: *host, CatalogShards: *shards,
-		StoreMode: *store, StoreDir: *storeDir, StoreQuota: *storeQuota,
+		StoreDir: *storeDir, StoreQuota: *storeQuota,
 		NoSeedDatasets:   *noSeed,
 		SegmentSize:      *segSize,
 		SegmentThreshold: *segThresh,
@@ -99,9 +93,7 @@ func main() {
 
 	fmt.Printf("scdn-serve: %d edge servers up (group %q, %d datasets × %d bytes, %d users)\n",
 		len(lc.Nodes), *group, *datasets, *bytes, *users)
-	if lc.StoreRoot != "" {
-		fmt.Printf("  store:    dir mode, replica volumes under %s\n", lc.StoreRoot)
-	}
+	fmt.Printf("  store:    replica volumes under %s\n", lc.StoreRoot)
 	for i, n := range lc.Nodes {
 		fmt.Printf("  edge %d: %s\n", i+1, n.BaseURL())
 	}

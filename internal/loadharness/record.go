@@ -12,9 +12,12 @@ import (
 //
 //	(absent) — PR 2–6 records: closed-loop only, no host info, hit rate
 //	           unguarded against zero-sample runs.
-//	2        — schema_version + host block on every record, guarded
-//	           payload_cache_hit_rate, optional open_loop section with
-//	           the rate sweep and knee point.
+//	2        — schema_version + host block on every record, optional
+//	           open_loop section with the rate sweep and knee point.
+//	           Records written while the serving plane still had a
+//	           payload block cache also carry payload_cache_hits,
+//	           payload_cache_misses and payload_cache_hit_rate; readers
+//	           ignore those keys.
 const SchemaVersion = 2
 
 // Host pins the hardware/runtime context a BENCH record was produced
@@ -120,22 +123,10 @@ type DeliveryRecord struct {
 	ThroughputMBps  float64      `json:"throughput_mbps"`
 	LatencyMS       Latency      `json:"latency_ms"`
 	Failed          uint64       `json:"failed"`
-	CacheHits       uint64       `json:"payload_cache_hits"`
-	CacheMisses     uint64       `json:"payload_cache_misses"`
-	CacheHitRate    float64      `json:"payload_cache_hit_rate"`
 	RangeRequests   uint64       `json:"range_requests"`
 	Reconciled      bool         `json:"reconciled"`
 	OpenLoop        *OpenLoop    `json:"open_loop,omitempty"`
 	Churn           *ChurnRecord `json:"churn,omitempty"`
-}
-
-// HitRate is hits/(hits+misses), guarded against the zero-sample case —
-// a run that never touched the payload cache reports 0, not NaN.
-func HitRate(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
 }
 
 // WriteRecord marshals any BENCH record as indented JSON.

@@ -1,20 +1,12 @@
 package loadharness
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
-
-func TestHitRateGuarded(t *testing.T) {
-	if got := HitRate(0, 0); got != 0 {
-		t.Fatalf("HitRate(0,0) = %g, want 0 (not NaN)", got)
-	}
-	if got := HitRate(3, 1); got != 0.75 {
-		t.Fatalf("HitRate(3,1) = %g, want 0.75", got)
-	}
-}
 
 func TestCurrentHost(t *testing.T) {
 	h := CurrentHost()
@@ -32,9 +24,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		Requests:      1200,
 		PayloadMode:   "dir",
 		LatencyMS:     Latency{Mean: 0.4, P50: 0.3, P95: 0.9, P99: 1.2, Max: 4},
-		CacheHits:     10,
-		CacheMisses:   2,
-		CacheHitRate:  HitRate(10, 2),
 		Reconciled:    true,
 		OpenLoop: &OpenLoop{
 			Distribution: DistExponential, DurationSeconds: 1, MaxConns: 64,
@@ -54,6 +43,58 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if got.OpenLoop.Knee.AchievedRPS != 990 {
 		t.Fatalf("knee achieved = %g, want 990", got.OpenLoop.Knee.AchievedRPS)
+	}
+}
+
+// TestReadDeliveryRecordRetiredCacheKeys: checked-in v2 baselines were
+// written while records still carried the payload block cache's
+// counters. They must stay readable, so scdn-perfgate can ratchet
+// against them; the retired keys are ignored.
+func TestReadDeliveryRecordRetiredCacheKeys(t *testing.T) {
+	const baseline = `{
+  "schema_version": 2,
+  "host": {"gomaxprocs": 1, "num_cpu": 1, "go_version": "go1.24.0"},
+  "mode": "open-loop",
+  "requests": 6032,
+  "edges": 3,
+  "datasets": 8,
+  "bytes_per_dataset": 65536,
+  "payload_mode": "dir",
+  "elapsed_seconds": 8.589640428,
+  "throughput_rps": 406.57960015411817,
+  "throughput_mbps": 43.890079353156366,
+  "latency_ms": {"mean": 2.83, "p50": 1.38, "p95": 6.31, "p99": 46.34, "max": 72.58},
+  "failed": 0,
+  "payload_cache_hits": 0,
+  "payload_cache_misses": 0,
+  "payload_cache_hit_rate": 0,
+  "range_requests": 0,
+  "reconciled": true,
+  "open_loop": {
+    "distribution": "exp",
+    "duration_seconds": 2,
+    "max_conns": 64,
+    "rates": [{"offered_rps": 400, "achieved_rps": 406.57960015411817, "issued": 813, "failed": 0,
+      "latency_ms": {"mean": 1.21, "p50": 1.16, "p95": 2.048, "p99": 3.0245399468840946, "max": 5.12}}],
+    "knee": {"offered_rps": 400, "achieved_rps": 406.57960015411817, "p99_ms": 3.0245399468840946}
+  }
+}`
+	path := filepath.Join(t.TempDir(), "BENCH_delivery.json")
+	if err := os.WriteFile(path, []byte(baseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadDeliveryRecord(path)
+	if err != nil {
+		t.Fatalf("record with retired payload_cache_* keys rejected: %v", err)
+	}
+	if got.SchemaVersion != 2 || got.PayloadMode != "dir" || !got.Reconciled {
+		t.Fatalf("decoded record lost fields: %+v", got)
+	}
+	if got.OpenLoop == nil || got.OpenLoop.Knee == nil || got.OpenLoop.Knee.AchievedRPS != 406.57960015411817 {
+		t.Fatalf("decoded record lost its knee: %+v", got.OpenLoop)
+	}
+	if err := CompareDelivery(got, got, GateOptions{}); err != nil {
+		t.Fatalf("decoded baseline does not gate against itself: %v", err)
 	}
 }
 

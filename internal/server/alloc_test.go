@@ -19,19 +19,16 @@ import (
 const (
 	allocBudgetDiskFull  = 0 // sendfile + pooled scratch: nothing left to allocate
 	allocBudgetDiskRange = 0
-	allocBudgetGenFull   = 0 // pooled copy buffer + pooled scratch
-	allocBudgetGenRange  = 0
 	// The warm segmented path crosses segment boundaries (pooled FDs,
 	// interned segment keys) and must stay as lean as the whole-file
 	// path (ISSUE 8 acceptance).
 	allocBudgetSegFull  = 0
 	allocBudgetSegRange = 0
 	// GET /v1/fetch/{id}/segments/{n} answers through the same source
-	// and range writer as the fetch path, from a per-segment file, a
-	// window of a whole-file replica, or the generator.
+	// and range writer as the fetch path, from a per-segment file or a
+	// window of a whole-file replica.
 	allocBudgetSegEndpointSegment = 0
 	allocBudgetSegEndpointFile    = 0
-	allocBudgetSegEndpointGen     = 0
 	// Resolve walks the sharded catalog and copies one replica record
 	// out under the shard lock; the copy and the per-call rand draw
 	// dominate.
@@ -39,7 +36,7 @@ const (
 )
 
 // serveAllocs measures steady-state allocs/op of the warm local serve
-// path for the given store mode and Range header.
+// path for the given node layout and Range header.
 func serveAllocs(t *testing.T, n *Node, total int64, rangeHdr string) float64 {
 	t.Helper()
 	const id = storage.DatasetID("alloc-serve")
@@ -56,7 +53,7 @@ func serveAllocs(t *testing.T, n *Node, total int64, rangeHdr string) float64 {
 		want += rng.n
 	}
 	w := &benchRW{h: make(http.Header)}
-	for i := 0; i < 3; i++ { // warm: materialize replica, prime block + scratch pools
+	for i := 0; i < 3; i++ { // warm: materialize replica, prime scratch pools
 		w.n = 0
 		if !n.serveLocal(w, req, id, rngs, isRange, total) {
 			t.Fatal("serveLocal failed")
@@ -90,7 +87,7 @@ func segmentEndpointAllocs(t *testing.T, lc *LocalCluster) float64 {
 			t.Fatalf("served %d bytes, want %d", w.n, want)
 		}
 	}
-	for i := 0; i < 3; i++ { // warm: materialize, prime block + scratch pools
+	for i := 0; i < 3; i++ { // warm: materialize, prime scratch pools
 		serve()
 	}
 	if n.Metrics.LocalHits.Value() != 3 {
@@ -132,8 +129,6 @@ func TestServeAllocBudgets(t *testing.T) {
 	}{
 		{"disk/full", newDiskNode, "", allocBudgetDiskFull},
 		{"disk/range", newDiskNode, rangeHdr, allocBudgetDiskRange},
-		{"generated/full", func(*testing.T) *Node { return benchNode(nil) }, "", allocBudgetGenFull},
-		{"generated/range", func(*testing.T) *Node { return benchNode(nil) }, rangeHdr, allocBudgetGenRange},
 		{"segment/full", newSegNode, "", allocBudgetSegFull},
 		{"segment/range", newSegNode, rangeHdr, allocBudgetSegRange},
 	}
@@ -149,9 +144,9 @@ func TestServeAllocBudgets(t *testing.T) {
 	// The segment endpoint runs on a one-node cluster (the handler needs
 	// auth and the catalog) with the sweeper off, so no background
 	// goroutine allocates while the budget is measured.
-	segCluster := func(t *testing.T, mode string) *LocalCluster {
+	segCluster := func(t *testing.T) *LocalCluster {
 		return startCluster(t, ClusterConfig{
-			Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: total, StoreMode: mode,
+			Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: total,
 			SegmentSize: 64 << 10, SegmentThreshold: 64 << 10, Sweep: SweeperConfig{Disabled: true},
 		})
 	}
@@ -160,19 +155,14 @@ func TestServeAllocBudgets(t *testing.T) {
 		lc     func(*testing.T) *LocalCluster
 		budget float64
 	}{
-		{"segment-endpoint/segment-file", func(t *testing.T) *LocalCluster {
-			return segCluster(t, StoreModeDir)
-		}, allocBudgetSegEndpointSegment},
+		{"segment-endpoint/segment-file", segCluster, allocBudgetSegEndpointSegment},
 		{"segment-endpoint/whole-file", func(t *testing.T) *LocalCluster {
-			lc := segCluster(t, StoreModeDir)
+			lc := segCluster(t)
 			if !lc.Nodes[0].materialize(lc.DatasetIDs[0], total) {
 				t.Fatal("materialize failed")
 			}
 			return lc
 		}, allocBudgetSegEndpointFile},
-		{"segment-endpoint/generated", func(t *testing.T) *LocalCluster {
-			return segCluster(t, StoreModeGenerated)
-		}, allocBudgetSegEndpointGen},
 	}
 	for _, tc := range segCases {
 		t.Run(tc.name, func(t *testing.T) {

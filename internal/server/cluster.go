@@ -41,16 +41,17 @@ type ClusterConfig struct {
 	// (defaults 1 GiB / 512 MiB).
 	RepoCapacity   int64
 	ReplicaReserve int64
-	// StoreMode selects how edges produce payload bytes: "generated"
-	// (in-memory deterministic synthesis, the default) or "dir"
-	// (disk-backed replica volumes served through sendfile).
+	// StoreMode accepts only "" or StoreModeDir ("dir"), which mean the
+	// same thing: every edge stores replicas on a disk-backed volume.
+	// Any other value is an error. It selects nothing; it remains only
+	// for callers that still set it.
 	StoreMode string
-	// StoreDir roots the per-node replica volumes in "dir" mode
+	// StoreDir roots the per-node replica volumes
 	// (<StoreDir>/node-<id>/...). Empty means a fresh temp directory
 	// that Shutdown removes.
 	StoreDir string
-	// StoreQuota bounds each node's replica volume in "dir" mode
-	// (default ReplicaReserve).
+	// StoreQuota bounds each node's replica volume (default
+	// ReplicaReserve).
 	StoreQuota int64
 	// SegmentSize / SegmentThreshold configure every node's segmented
 	// large-object layout (see Config). Zeros take the storage package
@@ -105,9 +106,6 @@ func (c *ClusterConfig) applyDefaults() {
 	if c.ReplicaReserve <= 0 {
 		c.ReplicaReserve = c.RepoCapacity / 2
 	}
-	if c.StoreMode == "" {
-		c.StoreMode = StoreModeGenerated
-	}
 	if c.StoreQuota <= 0 {
 		c.StoreQuota = c.ReplicaReserve
 	}
@@ -119,11 +117,8 @@ func (c *ClusterConfig) applyDefaults() {
 	}
 }
 
-// Store modes for ClusterConfig.StoreMode.
-const (
-	StoreModeGenerated = "generated"
-	StoreModeDir       = "dir"
-)
+// StoreModeDir is the one ClusterConfig.StoreMode value besides "".
+const StoreModeDir = "dir"
 
 // clientUserBase offsets client user IDs away from edge node IDs.
 const clientUserBase = 100
@@ -141,8 +136,8 @@ type LocalCluster struct {
 	// UserIDs are the client participants; DatasetIDs the published data.
 	UserIDs    []socialnet.UserID
 	DatasetIDs []storage.DatasetID
-	// StoreRoot is the replica-volume root in "dir" mode ("" otherwise);
-	// node i's files live under StoreRoot/node-<id>/data/.
+	// StoreRoot is the replica-volume root; node i's files live under
+	// StoreRoot/node-<id>/data/.
 	StoreRoot string
 	// ownStoreRoot marks a temp StoreRoot the cluster created and must
 	// remove on Shutdown.
@@ -153,9 +148,8 @@ type LocalCluster struct {
 // already-started nodes are shut down before returning.
 func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 	cfg.applyDefaults()
-	if cfg.StoreMode != StoreModeGenerated && cfg.StoreMode != StoreModeDir {
-		return nil, fmt.Errorf("server: unknown store mode %q (want %q or %q)",
-			cfg.StoreMode, StoreModeGenerated, StoreModeDir)
+	if cfg.StoreMode != "" && cfg.StoreMode != StoreModeDir {
+		return nil, fmt.Errorf("server: unknown store mode %q (want %q or empty)", cfg.StoreMode, StoreModeDir)
 	}
 	platform := socialnet.New(cfg.Seed)
 	start := time.Now()
@@ -171,17 +165,15 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 		Config: cfg, Platform: platform, Middleware: mw,
 		Registry: reg, Catalog: catalog, Manifests: manifests,
 	}
-	if cfg.StoreMode == StoreModeDir {
-		if cfg.StoreDir != "" {
-			lc.StoreRoot = cfg.StoreDir
-		} else {
-			root, err := os.MkdirTemp("", "scdn-store-")
-			if err != nil {
-				return nil, fmt.Errorf("server: store root: %w", err)
-			}
-			lc.StoreRoot = root
-			lc.ownStoreRoot = true
+	if cfg.StoreDir != "" {
+		lc.StoreRoot = cfg.StoreDir
+	} else {
+		root, err := os.MkdirTemp("", "scdn-store-")
+		if err != nil {
+			return nil, fmt.Errorf("server: store root: %w", err)
 		}
+		lc.StoreRoot = root
+		lc.ownStoreRoot = true
 	}
 	// fail unwinds partial bootstrap (a temp store root must not leak).
 	fail := func(err error) (*LocalCluster, error) {
@@ -211,13 +203,10 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 			return fail(err)
 		}
 		repos[i] = repo
-		var vol *storage.DiskVolume
-		if cfg.StoreMode == StoreModeDir {
-			vol, err = storage.NewDiskVolume(
-				filepath.Join(lc.StoreRoot, fmt.Sprintf("node-%d", nodeID)), cfg.StoreQuota)
-			if err != nil {
-				return fail(err)
-			}
+		vol, err := storage.NewDiskVolume(
+			filepath.Join(lc.StoreRoot, fmt.Sprintf("node-%d", nodeID)), cfg.StoreQuota)
+		if err != nil {
+			return fail(err)
 		}
 		node, err := NewNode(Config{
 			Node:             nodeID,
@@ -245,10 +234,10 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 		if err := platform.Register(uid, socialnet.Profile{
 			Name: fmt.Sprintf("user-%d", uid), SiteID: site,
 		}); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if err := platform.JoinGroup(cfg.Group, uid); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		reg.Register(Member{Node: allocation.NodeID(uid), Site: site, Online: true})
 		lc.UserIDs = append(lc.UserIDs, uid)
@@ -265,20 +254,20 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 			originIdx := d % cfg.Nodes
 			origin := allocation.NodeID(originIdx + 1)
 			if err := mw.RegisterDataset(id, cfg.Group); err != nil {
-				return nil, err
+				return fail(err)
 			}
 			if err := catalog.RegisterDataset(id, origin, cfg.DatasetBytes); err != nil {
-				return nil, err
+				return fail(err)
 			}
 			if err := repos[originIdx].StoreUser(id, cfg.DatasetBytes, 0); err != nil {
-				return nil, err
+				return fail(err)
 			}
 			hasher := ingest.NewHasher(ingest.DefaultBlockSize)
 			if _, err := WritePayload(hasher, id, cfg.DatasetBytes); err != nil {
-				return nil, err
+				return fail(err)
 			}
 			if err := manifests.Put(hasher.Manifest(id, false)); err != nil {
-				return nil, err
+				return fail(err)
 			}
 			lc.DatasetIDs = append(lc.DatasetIDs, id)
 		}

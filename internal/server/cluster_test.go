@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -205,8 +206,11 @@ func TestClusterShutdownUnderLoad(t *testing.T) {
 	wg.Wait()
 }
 
-// TestClusterStartupErrors exercises bootstrap validation.
+// TestClusterStartupErrors exercises bootstrap validation, and that a
+// failed start removes the temp store root it created.
 func TestClusterStartupErrors(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	// Dataset bigger than the repository cannot seed the origin copy.
 	_, err := StartLocalCluster(ClusterConfig{
 		Nodes: 1, Users: 1, Datasets: 1,
@@ -217,5 +221,12 @@ func TestClusterStartupErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "storage") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("failed start left %d entries in the temp dir, first %q", len(left), left[0].Name())
 	}
 }

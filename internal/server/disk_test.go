@@ -15,14 +15,18 @@ import (
 )
 
 func TestStoreModeValidation(t *testing.T) {
-	if _, err := StartLocalCluster(ClusterConfig{StoreMode: "ramdisk"}); err == nil {
-		t.Fatal("unknown store mode accepted")
+	for _, mode := range []string{"ramdisk", "generated"} {
+		if _, err := StartLocalCluster(ClusterConfig{StoreMode: mode}); err == nil {
+			t.Fatalf("store mode %q accepted", mode)
+		}
 	}
+	startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, StoreMode: StoreModeDir,
+		Sweep: SweeperConfig{Disabled: true}})
 }
 
 func TestDiskModeFullFetch(t *testing.T) {
 	lc := startCluster(t, ClusterConfig{
-		Nodes: 1, Users: 1, Datasets: 1, StoreMode: StoreModeDir,
+		Nodes: 1, Users: 1, Datasets: 1,
 	})
 	client := &http.Client{Timeout: 5 * time.Second}
 	node := lc.Nodes[0]
@@ -70,9 +74,36 @@ func TestDiskModeFullFetch(t *testing.T) {
 	}
 }
 
+// TestGeneratorFallback: a volume too small to hold a flat replica
+// cannot materialize it, so the holder serves the bytes straight from
+// the generator — the same stream, never a failed fetch.
+func TestGeneratorFallback(t *testing.T) {
+	lc := startCluster(t, ClusterConfig{
+		Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: 64 << 10,
+		StoreQuota: 32 << 10, SegmentThreshold: -1, Sweep: SweeperConfig{Disabled: true},
+	})
+	client := &http.Client{Timeout: 5 * time.Second}
+	node := lc.Nodes[0]
+	fetchDataset(t, client, node.BaseURL(), login(t, lc), "ds-001", lc.Config.DatasetBytes)
+	quiesce(t, lc)
+	m := node.Metrics
+	if got := m.StoreSpillFailures.Value(); got < 1 {
+		t.Fatalf("spill failures = %d, want >= 1 (materialize must have failed)", got)
+	}
+	if got := m.LocalHits.Value(); got != 1 {
+		t.Fatalf("local hits = %d, want 1", got)
+	}
+	if got := m.StoreDiskHits.Value(); got != 0 {
+		t.Fatalf("disk hits = %d, want 0 (no replica fits the volume)", got)
+	}
+	if node.Volume().Has("ds-001") {
+		t.Fatal("volume holds a replica larger than its quota")
+	}
+}
+
 func TestDiskModeRangeFetch(t *testing.T) {
 	lc := startCluster(t, ClusterConfig{
-		Nodes: 1, Users: 1, Datasets: 1, StoreMode: StoreModeDir,
+		Nodes: 1, Users: 1, Datasets: 1,
 	})
 	client := &http.Client{Timeout: 5 * time.Second}
 	node := lc.Nodes[0]
@@ -115,7 +146,7 @@ func TestDiskModeRangeFetch(t *testing.T) {
 
 func TestDiskModePullThroughSpills(t *testing.T) {
 	lc := startCluster(t, ClusterConfig{
-		Nodes: 2, Users: 1, Datasets: 2, StoreMode: StoreModeDir, PullThrough: true,
+		Nodes: 2, Users: 1, Datasets: 2, PullThrough: true,
 	})
 	client := &http.Client{Timeout: 5 * time.Second}
 	node2 := lc.Nodes[1]

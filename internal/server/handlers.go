@@ -306,8 +306,9 @@ func (n *Node) opaque(id storage.DatasetID) bool {
 // fetchSource is where a local serve reads the dataset's bytes from,
 // picked before any header is written. Exactly one form is set: a
 // whole-file replica (served by seek + sendfile), the per-segment files
-// of the segmented layout (walked by copySegmentRange), or the
-// deterministic generator's repetition block. A struct rather than an
+// of the segmented layout (walked by copySegmentRange), or — when the
+// volume cannot hold the piece — the deterministic generator's
+// repetition block. A struct rather than an
 // interface or closure so the warm serve path allocates nothing.
 type fetchSource struct {
 	id    storage.DatasetID
@@ -343,44 +344,42 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, id storage.Dat
 // access for flat datasets. Large datasets take the segmented layout:
 // per-segment files materialized on demand, so a quota-constrained edge
 // still serves datasets bigger than its volume. The generator is the
-// fallback — generated and disk copies of a seeded dataset are the
+// fallback when the volume cannot hold the piece — it derives the
 // identical byte stream — so a fetch never fails just because a disk is
 // full.
 func (n *Node) localSource(id storage.DatasetID, total, off, end int64, held bool) (fetchSource, bool) {
 	derive := held && !n.opaque(id)
 	src := fetchSource{id: id, total: total}
-	if n.vol != nil {
-		segmented := n.segmented(total)
-		f, size, ok := n.vol.Open(id)
-		if !ok && derive && !segmented && n.materialize(id, total) {
-			f, size, ok = n.vol.Open(id)
+	segmented := n.segmented(total)
+	f, size, ok := n.vol.Open(id)
+	if !ok && derive && !segmented && n.materialize(id, total) {
+		f, size, ok = n.vol.Open(id)
+	}
+	if ok {
+		if size == total {
+			src.file = f
+			return src, true
 		}
-		if ok {
-			if size == total {
-				src.file = f
-				return src, true
-			}
-			// Stale replica (catalog size changed): drop it and
-			// re-materialize on the next access rather than serving
-			// wrong bytes now.
-			n.vol.Release(id, f)
-			n.vol.Remove(id)
-		}
-		if segmented {
-			// The walk materializes every segment past the first, so a
-			// non-holder serves only a window inside one resident segment.
-			seg := off / n.cfg.SegmentSize
-			oneSeg := end <= (seg+1)*n.cfg.SegmentSize
-			if (derive || oneSeg && n.vol.HasSegment(id, seg)) && n.ensureSegment(id, seg, total) {
-				src.seg = true
-				return src, true
-			}
+		// Stale replica (catalog size changed): drop it and
+		// re-materialize on the next access rather than serving
+		// wrong bytes now.
+		n.vol.Release(id, f)
+		n.vol.Remove(id)
+	}
+	if segmented {
+		// The walk materializes every segment past the first, so a
+		// non-holder serves only a window inside one resident segment.
+		seg := off / n.cfg.SegmentSize
+		oneSeg := end <= (seg+1)*n.cfg.SegmentSize
+		if (derive || oneSeg && n.vol.HasSegment(id, seg)) && n.ensureSegment(id, seg, total) {
+			src.seg = true
+			return src, true
 		}
 	}
 	if !derive {
 		return src, false
 	}
-	src.block = n.payloadBlock(id)
+	src.block = payloadBlock(id)
 	return src, true
 }
 
@@ -488,24 +487,12 @@ func (n *Node) writeRanges(w http.ResponseWriter, r *http.Request, src *fetchSou
 	n.Metrics.BytesServed.Add(uint64(served))
 }
 
-// payloadBlock returns the dataset's generator repetition block from
-// the node's cache, so the SHA-256 chain is paid once per dataset.
-func (n *Node) payloadBlock(id storage.DatasetID) []byte {
-	block, hit := n.blocks.Block(id)
-	if hit {
-		n.Metrics.PayloadCacheHits.Inc()
-	} else {
-		n.Metrics.PayloadCacheMisses.Inc()
-	}
-	return block
-}
-
 // materialize writes the dataset's deterministic bytes into the replica
 // volume (single-flight across concurrent fetches) and reports whether a
 // committed replica now exists.
 func (n *Node) materialize(id storage.DatasetID, total int64) bool {
 	did, err := n.vol.Materialize(id, total, func(w io.Writer) error {
-		_, err := writeBlockRangeBuffered(w, n.payloadBlock(id), 0, total)
+		_, err := writeBlockRangeBuffered(w, payloadBlock(id), 0, total)
 		return err
 	})
 	if err != nil {
@@ -725,7 +712,7 @@ func drainBody(body io.Reader) {
 // hot prefix. Every piece is verified against the manifest, so without
 // one (whose block size divides the segment size) nothing is adopted.
 func (n *Node) pullSink(id storage.DatasetID, total, off, end int64) *spillWriter {
-	if !n.cfg.PullThrough || n.vol == nil {
+	if !n.cfg.PullThrough {
 		return nil
 	}
 	man, ok := n.manifests.Get(id)

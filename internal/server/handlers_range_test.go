@@ -173,11 +173,11 @@ func readMultipartBody(t *testing.T, resp *http.Response, body []byte) (crs []st
 	}
 }
 
-// testFetchRangeMultipart drives multipart Range requests against a
-// 1-node cluster in the given store mode and verifies the
-// multipart/byteranges framing byte for byte.
-func testFetchRangeMultipart(t *testing.T, storeMode string) {
-	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, StoreMode: storeMode})
+// TestFetchRangeMultipartDisk drives multipart Range requests against a
+// 1-node cluster and verifies the multipart/byteranges framing byte for
+// byte.
+func TestFetchRangeMultipartDisk(t *testing.T) {
+	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1})
 	client := &http.Client{Timeout: 5 * time.Second}
 	tok := string(login(t, lc))
 	base := lc.Nodes[0].BaseURL()
@@ -221,8 +221,8 @@ func testFetchRangeMultipart(t *testing.T, storeMode string) {
 		t.Fatalf("range metrics = %d/%d, want 1/1",
 			m.RangeRequests.Value(), m.RangeMultipart.Value())
 	}
-	if storeMode == StoreModeDir && m.StoreDiskHits.Value() == 0 {
-		t.Fatal("dir-mode multipart never hit the disk volume")
+	if m.StoreDiskHits.Value() == 0 {
+		t.Fatal("multipart never hit the disk volume")
 	}
 
 	// Overlapping and adjacent parts coalesce into one plain 206.
@@ -240,9 +240,6 @@ func testFetchRangeMultipart(t *testing.T, storeMode string) {
 		t.Fatal("coalesced single range wrongly counted as multipart")
 	}
 }
-
-func TestFetchRangeMultipartDisk(t *testing.T)      { testFetchRangeMultipart(t, StoreModeDir) }
-func TestFetchRangeMultipartGenerated(t *testing.T) { testFetchRangeMultipart(t, StoreModeGenerated) }
 
 // TestFetchRangeMultipartProxied: an edge that does not hold the dataset
 // relays the peer's multipart framing (boundary, Content-Length, parts)

@@ -110,8 +110,8 @@ func multipartContentLength(boundary string, rngs []byteRange, total int64) int6
 // then each part framed by mw with its bytes produced by copyPart
 // directly into the response writer — no part is ever buffered whole.
 // copyPart writes exactly rng.n bytes of the dataset window into w (a
-// seek+copy for the disk path, a generator walk for the in-memory
-// path). Returns the payload bytes served (excluding framing).
+// seek+copy from the volume, or a generator walk on the fallback).
+// Returns the payload bytes served (excluding framing).
 func writeMultipart(w http.ResponseWriter, r *http.Request, rngs []byteRange, total int64,
 	copyPart func(io.Writer, byteRange) error) int64 {
 	mw := multipart.NewWriter(w)

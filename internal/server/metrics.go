@@ -83,19 +83,14 @@ type Metrics struct {
 	RangeRequests       metrics.Counter
 	RangeMultipart      metrics.Counter
 	RangeNotSatisfiable metrics.Counter
-	// PayloadCacheHits / PayloadCacheMisses count repetition-block cache
-	// outcomes on locally served payloads: a hit skips the per-request
-	// SHA-256 chain entirely.
-	PayloadCacheHits   metrics.Counter
-	PayloadCacheMisses metrics.Counter
 	// Disk-backed store instrumentation. StoreDiskHits counts local
 	// fetches served from the replica volume via sendfile;
 	// StoreMaterializations / StoreMaterializedBytes count datasets (and
 	// their bytes) written to disk from the deterministic generator;
 	// StoreSpills counts pull-through streams committed to disk, and
 	// StoreSpillFailures the temp-file spills that could not start or
-	// commit (the serve falls back to the generated path, the fetch
-	// itself still succeeds).
+	// commit (the serve falls back to the generator, the fetch itself
+	// still succeeds).
 	StoreDiskHits          metrics.Counter
 	StoreMaterializations  metrics.Counter
 	StoreMaterializedBytes metrics.Counter
@@ -207,8 +202,6 @@ func (m *Metrics) WriteExposition(w io.Writer, up time.Duration) error {
 		{"scdn_range_requests_total", &m.RangeRequests},
 		{"scdn_range_multipart_total", &m.RangeMultipart},
 		{"scdn_range_not_satisfiable_total", &m.RangeNotSatisfiable},
-		{"scdn_payload_cache_hits_total", &m.PayloadCacheHits},
-		{"scdn_payload_cache_misses_total", &m.PayloadCacheMisses},
 		{"scdn_store_disk_hits_total", &m.StoreDiskHits},
 		{"scdn_store_materialize_total", &m.StoreMaterializations},
 		{"scdn_store_materialize_bytes_total", &m.StoreMaterializedBytes},

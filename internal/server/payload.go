@@ -11,7 +11,7 @@ import (
 )
 
 // copyBufPool holds the 64 KiB scratch buffers behind every userspace
-// byte move in the delivery plane — generated-payload assembly, peer
+// byte move in the delivery plane — payload materialization, peer
 // proxy streaming, disk spills, and client-side verification — so the
 // steady state performs no per-request buffer allocation.
 var copyBufPool = sync.Pool{
@@ -41,8 +41,9 @@ func copyBuffered(dst io.Writer, src io.Reader) (int64, error) {
 const payloadBlockSize = 4096
 
 // payloadBlock builds a dataset's repetition block by chaining SHA-256
-// over the dataset ID. Hot paths should go through BlockCache instead of
-// calling this per request.
+// over the dataset ID. The serving plane calls it only to materialize a
+// replica or segment into the volume, or as the fallback when the volume
+// cannot hold one — never on the warm serve path.
 func payloadBlock(id storage.DatasetID) []byte {
 	block := make([]byte, 0, payloadBlockSize)
 	sum := sha256.Sum256([]byte(id))

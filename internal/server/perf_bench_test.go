@@ -184,34 +184,20 @@ func BenchmarkCatalogReadsParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkPayloadBlock contrasts the cold SHA-256 chain against a warm
-// cache hit. The acceptance criterion is warm ≥ 10× fewer allocations
-// than cold (warm hits allocate nothing).
+// BenchmarkPayloadBlock measures the SHA-256 chain that derives a
+// dataset's repetition block, paid once per materialized replica or
+// segment (and per request only on the generator fallback).
 func BenchmarkPayloadBlock(b *testing.B) {
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = payloadBlock("bench-payload")
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache := NewBlockCache(16)
-		cache.Block("bench-payload") // prime
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, hit := cache.Block("bench-payload"); !hit {
-				b.Fatal("cache miss on warm path")
-			}
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = payloadBlock("bench-payload")
+	}
 }
 
 // BenchmarkWritePayloadRange measures the wire-serialization cost of a
-// mid-block 64 KiB range from a cached block.
+// mid-block 64 KiB range from a prebuilt block.
 func BenchmarkWritePayloadRange(b *testing.B) {
-	cache := NewBlockCache(16)
-	block, _ := cache.Block("bench-payload")
+	block := payloadBlock("bench-payload")
 	b.SetBytes(64 << 10)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -256,11 +242,10 @@ func (w *benchRW) ReadFrom(r io.Reader) (int64, error) {
 }
 
 // benchNode builds an in-package node with just the serving-path
-// collaborators (block cache, optional volume) wired.
+// collaborators wired.
 func benchNode(vol *storage.DiskVolume) *Node {
 	return &Node{
 		cfg:       Config{Node: 1},
-		blocks:    NewBlockCache(16),
 		vol:       vol,
 		srcID:     "1",
 		srcHdr:    []string{"1"},
@@ -269,9 +254,8 @@ func benchNode(vol *storage.DiskVolume) *Node {
 	}
 }
 
-// benchServeLocal drives the local serve path (disk or generated,
-// depending on the node's volume) with a warm start: the replica file /
-// payload block exists before the timer runs.
+// benchServeLocal drives the local serve path with a warm start: the
+// replica file exists before the timer runs.
 func benchServeLocal(b *testing.B, n *Node, total int64, rangeHdr string) {
 	b.Helper()
 	const id = storage.DatasetID("bench-serve")
@@ -288,7 +272,7 @@ func benchServeLocal(b *testing.B, n *Node, total int64, rangeHdr string) {
 		want += rng.n
 	}
 	w := &benchRW{h: make(http.Header)}
-	n.serveLocal(w, req, id, rngs, isRange, total) // warm: materialize + prime caches
+	n.serveLocal(w, req, id, rngs, isRange, total) // warm: materialize + prime pools
 	b.SetBytes(want)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -300,38 +284,28 @@ func benchServeLocal(b *testing.B, n *Node, total int64, rangeHdr string) {
 		}
 	}
 	b.StopTimer()
-	if n.vol != nil && n.Metrics.StoreDiskHits.Value() == 0 {
-		b.Fatal("disk benchmark never hit the volume")
+	if n.Metrics.StoreDiskHits.Value() == 0 {
+		b.Fatal("benchmark never hit the volume")
 	}
 }
 
-// BenchmarkServeLocalModes compares the warm per-fetch cost of the
-// disk-backed sendfile path against the generated-payload path it
-// replaces, for full bodies and single-part ranges. The acceptance
-// criterion is disk/warm allocating less per op than generated/warm.
-func BenchmarkServeLocalModes(b *testing.B) {
+// BenchmarkServeLocal measures the warm per-fetch cost of the
+// disk-backed sendfile path, for full bodies and single-part ranges.
+func BenchmarkServeLocal(b *testing.B) {
 	const total = int64(256 << 10)
 	const rangeHdr = "bytes=5000-70535" // 64 KiB, mid-block offset
-	b.Run("disk/warm-full", func(b *testing.B) {
-		vol, err := storage.NewDiskVolume(b.TempDir(), 1<<30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchServeLocal(b, benchNode(vol), total, "")
-	})
-	b.Run("generated/warm-full", func(b *testing.B) {
-		benchServeLocal(b, benchNode(nil), total, "")
-	})
-	b.Run("disk/warm-range", func(b *testing.B) {
-		vol, err := storage.NewDiskVolume(b.TempDir(), 1<<30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchServeLocal(b, benchNode(vol), total, rangeHdr)
-	})
-	b.Run("generated/warm-range", func(b *testing.B) {
-		benchServeLocal(b, benchNode(nil), total, rangeHdr)
-	})
+	for _, tc := range []struct{ name, rangeHdr string }{
+		{"warm-full", ""},
+		{"warm-range", rangeHdr},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			vol, err := storage.NewDiskVolume(b.TempDir(), 1<<30)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchServeLocal(b, benchNode(vol), total, tc.rangeHdr)
+		})
+	}
 }
 
 // BenchmarkMaterializeCold measures the one-time cost the disk path pays

@@ -223,50 +223,3 @@ func TestRangeVerifier(t *testing.T) {
 		t.Fatal("offset-shifted stream verified")
 	}
 }
-
-func TestBlockCache(t *testing.T) {
-	c := NewBlockCache(2)
-	b1, hit := c.Block("ds-a")
-	if hit {
-		t.Fatal("cold lookup reported hit")
-	}
-	if !bytes.Equal(b1, payloadBlock("ds-a")) {
-		t.Fatal("cached block differs from computed block")
-	}
-	if _, hit = c.Block("ds-a"); !hit {
-		t.Fatal("warm lookup reported miss")
-	}
-	// Fill past capacity: ds-a stays (MRU), ds-b evicted.
-	c.Block("ds-b")
-	c.Block("ds-a")
-	c.Block("ds-c")
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-	if _, hit = c.Block("ds-a"); !hit {
-		t.Fatal("recently used block evicted")
-	}
-	if _, hit = c.Block("ds-b"); hit {
-		t.Fatal("LRU victim still cached")
-	}
-}
-
-func TestBlockCacheConcurrent(t *testing.T) {
-	c := NewBlockCache(64)
-	done := make(chan []byte, 32)
-	for g := 0; g < 32; g++ {
-		go func() {
-			b, _ := c.Block("ds-flight")
-			done <- b
-		}()
-	}
-	want := payloadBlock("ds-flight")
-	for g := 0; g < 32; g++ {
-		if b := <-done; !bytes.Equal(b, want) {
-			t.Fatal("concurrent Block returned wrong bytes")
-		}
-	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (singleflight collapsed)", c.Len())
-	}
-}

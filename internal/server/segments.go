@@ -60,7 +60,7 @@ func (n *Node) materializeSegment(id storage.DatasetID, seg, total int64) bool {
 		return false
 	}
 	did, err := n.vol.MaterializeSegment(id, seg, extent, func(w io.Writer) error {
-		_, err := writeBlockRangeBuffered(w, n.payloadBlock(id), seg*segSize, extent)
+		_, err := writeBlockRangeBuffered(w, payloadBlock(id), seg*segSize, extent)
 		return err
 	})
 	if err != nil {
@@ -211,7 +211,7 @@ func (n *Node) handleFetchSegment(w http.ResponseWriter, r *http.Request) {
 		path:   "/v1/fetch/" + url.PathEscape(string(id)) + "/segments/" + strconv.FormatInt(seg, 10),
 		status: http.StatusOK, length: win.n, failures: &n.Metrics.SegmentFetchFailures,
 	}
-	if n.vol != nil && !n.vol.HasSegment(id, seg) {
+	if !n.vol.HasSegment(id, seg) {
 		pull.sink = n.pullSink(id, total, win.off, win.off+win.n)
 	}
 	n.pullFromPeers(w, r, id, &pull, fail)

@@ -27,11 +27,10 @@ const (
 	segTestTail  = int64(1000)
 )
 
-// segCluster starts a dir-store cluster whose seeded datasets all take
+// segCluster starts a cluster whose seeded datasets all take
 // the segmented layout.
 func segCluster(t *testing.T, cfg ClusterConfig) *LocalCluster {
 	t.Helper()
-	cfg.StoreMode = StoreModeDir
 	cfg.DatasetBytes = segTestBytes
 	cfg.SegmentSize = segTestSize
 	cfg.SegmentThreshold = segTestSize
@@ -281,7 +280,7 @@ func TestSegmentEndpoint(t *testing.T) {
 func TestSegmentEndpointUnsegmentedDataset(t *testing.T) {
 	// Default threshold (16 MiB) far above the 64 KiB dataset: the
 	// segment surface does not exist for small datasets.
-	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, StoreMode: StoreModeDir})
+	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1})
 	client := &http.Client{Timeout: 5 * time.Second}
 	tok := login(t, lc)
 	resp := fetchSegment(t, client, lc.Nodes[0].BaseURL(), tok, "ds-001", 0)
@@ -453,7 +452,7 @@ func TestResolveSmallDatasetHasNoSegmentIndex(t *testing.T) {
 // windows out of that file.
 func TestOpaqueSegmentWindow(t *testing.T) {
 	lc := startCluster(t, ClusterConfig{
-		Nodes: 1, Users: 1, NoSeedDatasets: true, StoreMode: StoreModeDir,
+		Nodes: 1, Users: 1, NoSeedDatasets: true,
 		SegmentSize: segTestSize, SegmentThreshold: segTestSize,
 		Sweep: SweeperConfig{Disabled: true},
 	})

@@ -51,11 +51,10 @@ type Config struct {
 	// replica partition and registers the new replica in the catalog, so
 	// demand migrates data toward where it is requested.
 	PullThrough bool
-	// Volume, when non-nil, is the node's disk-backed replica volume:
+	// Volume is the node's disk-backed replica volume (required):
 	// locally held datasets are materialized as real files (once, via
 	// the deterministic generator) and served by seek + sendfile, and
 	// pull-through caching spills the proxied stream straight to disk.
-	// Nil keeps the in-memory generated-payload path.
 	Volume *storage.DiskVolume
 	// Sweep configures the node's background repair sweeper
 	// (sweeper.go). The zero value enables it with defaults; set
@@ -95,10 +94,9 @@ type Node struct {
 	auth     *middleware.Middleware
 	catalog  *Catalog
 	registry *Registry
-	blocks   *BlockCache
-	vol      *storage.DiskVolume // nil in generated-payload mode
-	srcID    string              // X-SCDN-Source value, rendered once
-	srcHdr   []string            // the same value as a sharable header slice
+	vol      *storage.DiskVolume
+	srcID    string   // X-SCDN-Source value, rendered once
+	srcHdr   []string // the same value as a sharable header slice
 	Metrics  *Metrics
 
 	// manifests is the shared content-address index: which datasets are
@@ -144,10 +142,10 @@ type Node struct {
 }
 
 // NewNode wires a node over shared serving-plane state. All
-// collaborators are required.
+// collaborators, and cfg.Volume, are required.
 func NewNode(cfg Config, repo *storage.Repository, auth *middleware.Middleware,
 	catalog *Catalog, registry *Registry) (*Node, error) {
-	if repo == nil || auth == nil || catalog == nil || registry == nil {
+	if repo == nil || auth == nil || catalog == nil || registry == nil || cfg.Volume == nil {
 		return nil, errors.New("server: missing collaborator")
 	}
 	if cfg.ListenAddr == "" {
@@ -185,7 +183,6 @@ func NewNode(cfg Config, repo *storage.Repository, auth *middleware.Middleware,
 		auth:      auth,
 		catalog:   catalog,
 		registry:  registry,
-		blocks:    NewBlockCache(DefaultBlockCacheBlocks),
 		vol:       cfg.Volume,
 		srcID:     strconv.FormatInt(int64(cfg.Node), 10),
 		srcHdr:    []string{strconv.FormatInt(int64(cfg.Node), 10)},
@@ -437,17 +434,15 @@ func (n *Node) Shutdown(ctx context.Context) error { return n.Stop(ctx) }
 func (n *Node) readoptReplicas() {
 	seen := make(map[storage.DatasetID]bool)
 	var ids []storage.DatasetID
-	if n.vol != nil {
-		for _, id := range n.vol.IDs() {
-			// Segment entries are pieces, not replicas: holding some
-			// segments of a dataset is never a catalog claim to hold it.
-			if _, _, isSeg := storage.ParseSegmentKey(id); isSeg {
-				continue
-			}
-			if !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
+	for _, id := range n.vol.IDs() {
+		// Segment entries are pieces, not replicas: holding some
+		// segments of a dataset is never a catalog claim to hold it.
+		if _, _, isSeg := storage.ParseSegmentKey(id); isSeg {
+			continue
+		}
+		if !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
 		}
 	}
 	n.repoMu.Lock()
@@ -478,8 +473,7 @@ func (n *Node) readoptReplicas() {
 	}
 }
 
-// Volume returns the node's disk-backed replica volume (nil in
-// generated-payload mode).
+// Volume returns the node's disk-backed replica volume.
 func (n *Node) Volume() *storage.DiskVolume { return n.vol }
 
 // Manifest returns the dataset's recorded content manifest, if any.

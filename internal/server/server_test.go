@@ -384,6 +384,16 @@ func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(Config{Node: 1}, nil, nil, nil, nil); err == nil {
 		t.Fatal("missing collaborators accepted")
 	}
+	// Every collaborator present but no replica volume: the volume is
+	// the node's only store, so it is required too.
+	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, Sweep: SweeperConfig{Disabled: true}})
+	repo, err := storage.NewRepository(9, 0, 1<<20, 1<<19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewNode(Config{Node: 9}, repo, lc.Middleware, lc.Catalog, lc.Registry); err == nil {
+		t.Fatal("node without a replica volume accepted")
+	}
 }
 
 // storageID converts for test readability.

@@ -289,11 +289,9 @@ func (n *Node) replicateLocal(ctx context.Context, id storage.DatasetID) bool {
 		n.Metrics.RepairFailures.Inc()
 		return false
 	}
-	if n.vol != nil {
-		// Best effort: if the disk is full the generated path still
-		// serves the bytes, so the replica is real either way.
-		_ = n.materialize(id, size)
-	}
+	// Best effort: if the disk is full the generator fallback still
+	// serves the bytes, so the replica is real either way.
+	_ = n.materialize(id, size)
 	if err := n.catalog.AddReplica(id, n.cfg.Node, n.now()); err != nil {
 		return false // already announced (origin copy or racing repairer)
 	}
@@ -308,9 +306,6 @@ func (n *Node) replicateLocal(ctx context.Context, id storage.DatasetID) bool {
 // replica volume, size-checked, and only then committed and announced.
 // A corrupt or short transfer leaves no state.
 func (n *Node) replicateByCopy(ctx context.Context, id storage.DatasetID, man *ingest.Manifest) bool {
-	if n.vol == nil {
-		return false // opaque bytes only live as real files
-	}
 	reps, err := n.catalog.Replicas(id)
 	if err != nil {
 		return false

@@ -119,7 +119,6 @@ func TestSweeperDetectsDeadRepairsAndReadmits(t *testing.T) {
 func TestCrashRestartReadoptsDiskReplica(t *testing.T) {
 	lc := startCluster(t, ClusterConfig{
 		Nodes: 3, Users: 1, Datasets: 4, Sweep: fastSweep(),
-		StoreMode: StoreModeDir,
 	})
 	client := &http.Client{Timeout: 5 * time.Second}
 	tok := login(t, lc)

@@ -66,11 +66,6 @@ func (n *Node) handleUpload(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("server: dataset ID exceeds %d bytes", maxUploadDatasetID))
 		return
 	}
-	if n.vol == nil {
-		writeError(w, http.StatusNotImplemented,
-			fmt.Errorf("server: node %d has no replica volume; uploads need disk-backed storage", n.cfg.Node))
-		return
-	}
 	digest, err := parseDigestHeader(r.Header.Get(ingest.DigestHeader))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

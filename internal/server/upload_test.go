@@ -30,11 +30,10 @@ func opaqueBytes(seed int64, n int) []byte {
 	return b
 }
 
-// ingestCluster starts a disk-backed cluster with no seeded datasets:
+// ingestCluster starts a cluster with no seeded datasets:
 // every dataset must enter through an upload.
 func ingestCluster(t *testing.T, cfg ClusterConfig) *LocalCluster {
 	t.Helper()
-	cfg.StoreMode = StoreModeDir
 	cfg.NoSeedDatasets = true
 	return startCluster(t, cfg)
 }
@@ -281,21 +280,11 @@ func TestUploadValidation(t *testing.T) {
 		}
 	}
 
-	// Generated-mode nodes have no volume: uploads are unsupported there.
-	gen := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, Sweep: SweeperConfig{Disabled: true}})
-	gtok := login(t, gen)
-	resp := rawPut(t, http.DefaultClient, gen.Nodes[0].BaseURL(), "up-gen", string(gtok),
-		bytes.NewReader(data), int64(len(data)), good)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("generated-mode upload: status = %d, want 501", resp.StatusCode)
-	}
 	// Seeded datasets cannot be overwritten.
 	seeded := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1,
-		StoreMode: StoreModeDir, Sweep: SweeperConfig{Disabled: true}})
+		Sweep: SweeperConfig{Disabled: true}})
 	stok := login(t, seeded)
-	resp = rawPut(t, http.DefaultClient, seeded.Nodes[0].BaseURL(), "ds-001", string(stok),
+	resp := rawPut(t, http.DefaultClient, seeded.Nodes[0].BaseURL(), "ds-001", string(stok),
 		bytes.NewReader(data), int64(len(data)), good)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()

@@ -151,7 +151,7 @@ func TestFetchValidation(t *testing.T) {
 
 func TestStripedFetchDiskStore(t *testing.T) {
 	lc, tok := startCluster(t, server.ClusterConfig{
-		Nodes: 3, Users: 1, Datasets: 3, StoreMode: server.StoreModeDir,
+		Nodes: 3, Users: 1, Datasets: 3,
 	})
 	total := lc.Config.DatasetBytes
 	dst := &bufferAt{b: make([]byte, total)}
