@@ -14,10 +14,11 @@
 #                  suite (bodydrain, lockio, metricname, atomiccopy,
 #                  ctxhttp); non-zero exit on any finding.
 #   make race    — just the -race pass.
-#   make flake   — the flake gate: the delivery-plane, storage and
-#                  transfer-client suites ten times over at GOMAXPROCS
-#                  1, 2 and 4, then one pass of the whole tier-1 suite
-#                  at GOMAXPROCS 1 and 4, so a test that only passes
+#   make flake   — the flake gate: the delivery-plane, storage,
+#                  transfer-client and metrics suites (every serving
+#                  goroutine shares the metrics histogram) ten times
+#                  over at GOMAXPROCS 1, 2 and 4, then one pass of the
+#                  whole tier-1 suite at GOMAXPROCS 1 and 4, so a test that only passes
 #                  under lucky scheduling fails here instead of
 #                  intermittently.
 #   make fuzzsmoke — run each native fuzz target briefly against its
@@ -97,10 +98,11 @@ perfbenchcheck:
 	$(GO) -C perfbench test ./...
 
 # Every package that spawns goroutines or holds sync/atomic state runs
-# under the race detector: cdnclient fans upload/download stripes out
-# across goroutines and ingest's manifest store is shared by every
-# node. Audited exclusions (no goroutines, no sync, no atomics as of
-# this writing): internal/replication, internal/sim, internal/transfer
+# under the race detector: cdnclient fans striped fetches and uploads
+# out across goroutines, ingest's manifest store is shared by every
+# node, and every serving goroutine records into metrics' lock-free
+# histogram. Audited exclusions (no goroutines, no sync, no atomics as
+# of this writing): internal/replication, internal/sim, internal/transfer
 # (single-threaded simulation code), internal/lint (sequential analyzer
 # driver), the remaining pure graph/model packages, and cmd/ (only
 # scdn-digest has a test, a sequential one against a local cluster).
@@ -108,15 +110,16 @@ race:
 	$(GO) test -race ./internal/allocation ./internal/cdnclient ./internal/ingest \
 		./internal/loadharness ./internal/metrics ./internal/middleware \
 		./internal/placement ./internal/server ./internal/socialnet \
-		./internal/storage ./internal/stripe
+		./internal/storage
 
 flake:
-	$(GO) test -count=10 -cpu 1,2,4 ./internal/server ./internal/storage ./internal/cdnclient
+	$(GO) test -count=10 -cpu 1,2,4 ./internal/server ./internal/storage ./internal/cdnclient \
+		./internal/metrics
 	$(GO) test -count=1 -cpu 1,4 ./...
 
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 5s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanStripes$$' -fuzztime 5s ./internal/stripe
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanStripes$$' -fuzztime 5s ./internal/cdnclient
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 5s ./internal/ingest
 
 bench:

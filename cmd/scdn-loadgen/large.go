@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"scdn/internal/loadharness"
+	"scdn/internal/metrics"
 	"scdn/internal/server"
 	"scdn/internal/storage"
 	"scdn/internal/transport"
@@ -212,7 +213,7 @@ func runLarge(p largeParams) {
 	delta := diffScrapes(before, after)
 
 	var issued, failed, totalBytes uint64
-	var agg, aggMBps loadharness.Hist
+	var agg, aggMBps metrics.Histogram
 	for _, r := range results {
 		issued += r.Issued
 		failed += r.Failed

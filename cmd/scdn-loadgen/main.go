@@ -37,16 +37,18 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"scdn/internal/cdnclient"
 	"scdn/internal/loadharness"
+	"scdn/internal/metrics"
 	"scdn/internal/server"
 	"scdn/internal/storage"
-	"scdn/internal/stripe"
 	"scdn/internal/transport"
 )
 
@@ -243,7 +245,7 @@ func main() {
 		excused                  atomic.Uint64
 		bytesRead                atomic.Int64
 		next                     atomic.Int64
-		lat                      server.LatencyHist
+		lat                      metrics.Histogram
 		wg                       sync.WaitGroup
 	)
 	// Churn-mode retry policy: a request that fails while churn can
@@ -399,14 +401,14 @@ func main() {
 	after := scrapeAll(ctx, urls)
 	delta := diffScrapes(before, after)
 
-	s := lat.Summary()
+	s := lat.LatencyMS()
 	mb := float64(bytesRead.Load()) / (1 << 20)
 	fmt.Printf("\n%d workers × closed loop over %d edges: %d requests (%d resolves, %d stripes/request) in %.2fs\n",
 		*workers, len(urls), issued.Load(), resolves.Load(), fetchesPerRequest, elapsed.Seconds())
 	fmt.Printf("throughput: %.1f req/s, %.1f MB/s (%.1f MB served)\n",
 		float64(issued.Load())/elapsed.Seconds(), mb/elapsed.Seconds(), mb)
 	fmt.Printf("latency ms: mean %.2f  p50 %.2f  p95 %.2f  p99 %.2f\n",
-		s.Mean*1000, s.P50*1000, s.P95*1000, s.P99*1000)
+		s.Mean, s.P50, s.P95, s.P99)
 	fmt.Printf("failed requests: %d\n", failed.Load())
 
 	fmt.Printf("cluster delta: fetch=%d failures=%d local=%d peer=%d origin=%d retries=%d ranges=%d latency-samples=%d\n",
@@ -489,8 +491,8 @@ func main() {
 			ElapsedSeconds: elapsed.Seconds(),
 			ThroughputRPS:  float64(issued.Load()) / elapsed.Seconds(),
 			ThroughputMBps: mb / elapsed.Seconds(),
-			LatencyMS: loadharness.Latency{Mean: s.Mean * 1000, P50: s.P50 * 1000,
-				P95: s.P95 * 1000, P99: s.P99 * 1000},
+			// Closed-loop records carry no max.
+			LatencyMS:     metrics.Latency{Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99},
 			Failed:        failed.Load(),
 			RangeRequests: delta["scdn_range_requests_total"],
 			Reconciled:    ok,
@@ -613,12 +615,12 @@ func fetchStriped(ctx context.Context, client *http.Client, res server.ResolveRe
 	}
 	if len(endpoints) < stripes {
 		for _, u := range allURLs {
-			if !contains(endpoints, u) {
+			if !slices.Contains(endpoints, u) {
 				endpoints = append(endpoints, u)
 			}
 		}
 	}
-	opts := stripe.Options{
+	opts := cdnclient.StripeOptions{
 		Client: client, Endpoints: endpoints, Token: tok,
 		Stripes: stripes,
 	}
@@ -627,17 +629,8 @@ func fetchStriped(ctx context.Context, client *http.Client, res server.ResolveRe
 			return server.NewRangeVerifier(ds, off, length), nil
 		}
 	}
-	r, err := stripe.Fetch(ctx, opts, ds, wantBytes)
+	r, err := cdnclient.FetchStriped(ctx, opts, ds, wantBytes)
 	return r.Bytes, err
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 func reportHTTP(ctx context.Context, client *http.Client, base, tok string, user int64, accesses uint64) error {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"scdn/internal/loadharness"
+	"scdn/internal/metrics"
 	"scdn/internal/server"
 	"scdn/internal/storage"
 	"scdn/internal/transport"
@@ -114,6 +115,7 @@ func runOpenLoop(p openLoopParams) {
 		}
 	}
 
+	quiesce(ctx, lc)
 	before := scrapeAll(ctx, urls)
 
 	var (
@@ -152,11 +154,12 @@ func runOpenLoop(p openLoopParams) {
 	}
 	elapsed := time.Since(start)
 
+	quiesce(ctx, lc)
 	after := scrapeAll(ctx, urls)
 	delta := diffScrapes(before, after)
 
 	var issued, failed uint64
-	var agg loadharness.Hist
+	var agg metrics.Histogram
 	for _, r := range results {
 		issued += r.Issued
 		failed += r.Failed
@@ -232,5 +235,21 @@ func runOpenLoop(p openLoopParams) {
 		fmt.Println("metrics reconciliation: OK")
 	} else {
 		os.Exit(1)
+	}
+}
+
+// quiesce waits, bounded, until an in-process cluster has no request in
+// flight: an edge records a fetch's latency after the client has read
+// the last byte, so a scrape taken straight after a request can miss
+// that sample. A -targets run has no cluster handle (lc is nil) and
+// scrapes at once.
+func quiesce(ctx context.Context, lc *server.LocalCluster) {
+	if lc == nil {
+		return
+	}
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := lc.Quiesce(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "scdn-loadgen: quiesce: %v\n", err)
 	}
 }

@@ -1,23 +1,23 @@
-package stripe
+package cdnclient
 
 import (
 	"math"
 	"testing"
 )
 
-// checkPlan asserts the planStripes contract: contiguous, non-empty,
+// checkPlan asserts the planner's contract: contiguous, non-empty,
 // non-overlapping ranges covering [0, total) exactly, at most
 // min(max(n,1), maxStripes) of them.
-func checkPlan(t *testing.T, total int64, n int, plan []stripeRange) {
+func checkPlan(t *testing.T, total int64, n int, plan []Range) {
 	t.Helper()
 	if total <= 0 {
 		if plan != nil {
-			t.Fatalf("planStripes(%d, %d) = %v, want nil", total, n, plan)
+			t.Fatalf("plan(%d, %d) = %v, want nil", total, n, plan)
 		}
 		return
 	}
 	if len(plan) == 0 {
-		t.Fatalf("planStripes(%d, %d) planned nothing", total, n)
+		t.Fatalf("plan(%d, %d) planned nothing", total, n)
 	}
 	limit := n
 	if limit < 1 {
@@ -27,24 +27,24 @@ func checkPlan(t *testing.T, total int64, n int, plan []stripeRange) {
 		limit = maxStripes
 	}
 	if len(plan) > limit {
-		t.Fatalf("planStripes(%d, %d) planned %d stripes, limit %d", total, n, len(plan), limit)
+		t.Fatalf("plan(%d, %d) planned %d stripes, limit %d", total, n, len(plan), limit)
 	}
 	var next, sum int64
 	for i, p := range plan {
 		if p.Offset != next {
-			t.Fatalf("planStripes(%d, %d): stripe %d starts at %d, want %d (gap or overlap)", total, n, i, p.Offset, next)
+			t.Fatalf("plan(%d, %d): stripe %d starts at %d, want %d (gap or overlap)", total, n, i, p.Offset, next)
 		}
 		if p.Length < 1 {
-			t.Fatalf("planStripes(%d, %d): stripe %d has length %d", total, n, i, p.Length)
+			t.Fatalf("plan(%d, %d): stripe %d has length %d", total, n, i, p.Length)
 		}
 		if p.Offset > total-p.Length {
-			t.Fatalf("planStripes(%d, %d): stripe %d = %+v runs past total", total, n, i, p)
+			t.Fatalf("plan(%d, %d): stripe %d = %+v runs past total", total, n, i, p)
 		}
 		next = p.Offset + p.Length
 		sum += p.Length
 	}
 	if sum != total {
-		t.Fatalf("planStripes(%d, %d): planned %d bytes, want %d", total, n, sum, total)
+		t.Fatalf("plan(%d, %d): planned %d bytes, want %d", total, n, sum, total)
 	}
 }
 
@@ -61,14 +61,14 @@ func TestPlanStripes(t *testing.T) {
 		{math.MaxInt64, 10}, {math.MaxInt64 - 1, 7}, {math.MaxInt64, 1024},
 	}
 	for _, tc := range cases {
-		checkPlan(t, tc.total, tc.n, planStripes(tc.total, tc.n))
+		checkPlan(t, tc.total, tc.n, planStripesAligned(tc.total, tc.n, 1))
 	}
 }
 
 // checkAlignedPlan asserts the planStripesAligned contract: everything
 // checkPlan demands, plus every boundary except the dataset end falls on
 // a multiple of align.
-func checkAlignedPlan(t *testing.T, total int64, n int, align int64, plan []stripeRange) {
+func checkAlignedPlan(t *testing.T, total int64, n int, align int64, plan []Range) {
 	t.Helper()
 	checkPlan(t, total, n, plan)
 	if align <= 1 {
@@ -117,6 +117,6 @@ func FuzzPlanStripes(f *testing.F) {
 	f.Add(int64(5), 10)
 	f.Add(int64(-1), 3)
 	f.Fuzz(func(t *testing.T, total int64, n int) {
-		checkPlan(t, total, n, planStripes(total, n))
+		checkPlan(t, total, n, planStripesAligned(total, n, 1))
 	})
 }

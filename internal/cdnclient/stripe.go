@@ -1,13 +1,13 @@
-// Package stripe implements the client side of the paper's GridFTP-style
-// high-performance transfer (Section V-A): a dataset is split into N byte
-// ranges fetched concurrently — ideally from N different replica holders
-// — and reassembled into one verified stream. Each stripe is an HTTP
-// range request against the serving plane's GET /v1/fetch/{dataset}, so
-// any edge can serve any stripe (locally or via its own peer fallback),
-// and verification runs in-stream through a caller-supplied per-range
-// verifier (deterministic payload, manifest block digests, ...), so
-// memory stays flat no matter how large the dataset is.
-package stripe
+// Striped fetch: the client side of the paper's GridFTP-style
+// high-performance transfer (Section V-A). A dataset is split into N
+// byte ranges fetched concurrently — ideally from N different replica
+// holders — and reassembled into one verified stream. Each stripe is an
+// HTTP range request against the serving plane's GET /v1/fetch/{dataset},
+// so any edge can serve any stripe (locally or via its own peer
+// fallback), and verification runs in-stream through a caller-supplied
+// per-range verifier (deterministic payload, manifest block digests,
+// ...), so memory stays flat no matter how large the dataset is.
+package cdnclient
 
 import (
 	"context"
@@ -19,16 +19,10 @@ import (
 	"time"
 
 	"scdn/internal/storage"
-	"scdn/internal/transport"
 )
 
-// defaultClient drives stripes over the delivery plane's shared tuned
-// transport (raised per-host idle pool, keep-alives on) when the caller
-// supplies no client of their own.
-var defaultClient = transport.NewClient(30 * time.Second)
-
-// Options parameterizes a striped fetch.
-type Options struct {
+// StripeOptions parameterizes a striped fetch.
+type StripeOptions struct {
 	// Client issues the HTTP requests. Nil means a package-default client
 	// over the delivery plane's shared tuned transport.
 	Client *http.Client
@@ -58,18 +52,23 @@ type Options struct {
 	Dst io.WriterAt
 }
 
-// StripeStat describes one completed (or failed) stripe.
-type StripeStat struct {
+// Range is one planned byte range of a striped transfer.
+type Range struct {
 	Offset, Length int64
-	Bytes          int64
-	Endpoint       string
-	Source         string // serving edge, from X-SCDN-Source
-	Elapsed        time.Duration
-	Err            error
 }
 
-// Result summarizes a striped fetch.
-type Result struct {
+// StripeStat describes one completed (or failed) stripe.
+type StripeStat struct {
+	Range
+	Bytes    int64
+	Endpoint string
+	Source   string // serving edge, from X-SCDN-Source
+	Elapsed  time.Duration
+	Err      error
+}
+
+// StripeResult summarizes a striped fetch.
+type StripeResult struct {
 	// Bytes is the total payload bytes received across stripes.
 	Bytes int64
 	// Stripes holds per-stripe accounting, ordered by offset.
@@ -78,19 +77,19 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Fetch retrieves the dataset's total bytes as opts.Stripes concurrent
-// range requests and returns per-stripe accounting. It fails if any
-// stripe errors, returns a wrong status, or moves the wrong byte count —
-// a short stripe can never masquerade as success.
-func Fetch(ctx context.Context, opts Options, id storage.DatasetID, total int64) (Result, error) {
+// FetchStriped retrieves the dataset's total bytes as opts.Stripes
+// concurrent range requests and returns per-stripe accounting. It fails
+// if any stripe errors, returns a wrong status, or moves the wrong byte
+// count — a short stripe can never masquerade as success.
+func FetchStriped(ctx context.Context, opts StripeOptions, id storage.DatasetID, total int64) (StripeResult, error) {
 	if opts.Client == nil {
-		opts.Client = defaultClient
+		opts.Client = defaultTransferClient
 	}
 	if len(opts.Endpoints) == 0 {
-		return Result{}, fmt.Errorf("stripe: no endpoints")
+		return StripeResult{}, fmt.Errorf("cdnclient: striped fetch: no endpoints")
 	}
 	if total <= 0 {
-		return Result{}, fmt.Errorf("stripe: non-positive dataset size %d", total)
+		return StripeResult{}, fmt.Errorf("cdnclient: striped fetch: non-positive dataset size %d", total)
 	}
 	plan := planStripesAligned(total, opts.Stripes, opts.Align)
 
@@ -100,7 +99,7 @@ func Fetch(ctx context.Context, opts Options, id storage.DatasetID, total int64)
 	start := time.Now()
 	stats := make([]StripeStat, len(plan))
 	for i, p := range plan {
-		stats[i] = StripeStat{Offset: p.Offset, Length: p.Length}
+		stats[i] = StripeStat{Range: p}
 	}
 	var wg sync.WaitGroup
 	for i := range stats {
@@ -119,12 +118,12 @@ func Fetch(ctx context.Context, opts Options, id storage.DatasetID, total int64)
 	}
 	wg.Wait()
 
-	res := Result{Stripes: stats, Elapsed: time.Since(start)}
+	res := StripeResult{Stripes: stats, Elapsed: time.Since(start)}
 	var firstErr error
 	for i := range stats {
 		res.Bytes += stats[i].Bytes
 		if stats[i].Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("stripe: range %d-%d of %q from %s: %w",
+			firstErr = fmt.Errorf("cdnclient: striped fetch: range %d-%d of %q from %s: %w",
 				stats[i].Offset, stats[i].Offset+stats[i].Length-1, id,
 				stats[i].Endpoint, stats[i].Err)
 		}
@@ -133,7 +132,7 @@ func Fetch(ctx context.Context, opts Options, id storage.DatasetID, total int64)
 		return res, firstErr
 	}
 	if res.Bytes != total {
-		return res, fmt.Errorf("stripe: reassembled %d of %d bytes of %q", res.Bytes, total, id)
+		return res, fmt.Errorf("cdnclient: striped fetch: reassembled %d of %d bytes of %q", res.Bytes, total, id)
 	}
 	return res, nil
 }
@@ -143,72 +142,22 @@ func Fetch(ctx context.Context, opts Options, id storage.DatasetID, total int64)
 // stripe count must not size an allocation.
 const maxStripes = 1024
 
-// stripeRange is one planned byte range.
-type stripeRange struct {
-	Offset, Length int64
-}
-
-// planStripes splits [0, total) into at most n contiguous non-empty
-// ranges. It returns nil for non-positive totals, clamps n to
-// [1, maxStripes], never plans more ranges than bytes, and the ceiling
-// division is written to be overflow-safe at total == math.MaxInt64.
-func planStripes(total int64, n int) []stripeRange {
+// planStripesAligned splits [0, total) into at most n contiguous
+// non-empty ranges whose boundaries (except the dataset end) are
+// multiples of align: each stripe covers whole align-sized blocks, so
+// per-block digest verification lines up with stripe edges. It returns
+// nil for non-positive totals, clamps n to [1, maxStripes], treats
+// align < 1 as 1, and never plans more ranges than blocks. The chunk
+// arithmetic is overflow-safe at total == math.MaxInt64, and the final
+// (short) range is detected by remainder, not by advancing off past
+// total — off + chunk can overflow int64 there, and a wrapped offset
+// would loop forever.
+func planStripesAligned(total int64, n int, align int64) []Range {
 	if total <= 0 {
 		return nil
 	}
-	if n < 1 {
-		n = 1
-	}
-	if n > maxStripes {
-		n = maxStripes
-	}
-	if int64(n) > total {
-		n = int(total)
-	}
-	chunk := total / int64(n)
-	if total%int64(n) != 0 {
-		chunk++
-	}
-	return fillPlan(total, n, chunk)
-}
-
-// fillPlan lays chunk-sized ranges over [0, total). The final (short)
-// range is detected by remainder, not by advancing off past total —
-// off + chunk can overflow int64 when total is near MaxInt64, and a
-// wrapped offset would loop forever.
-func fillPlan(total int64, n int, chunk int64) []stripeRange {
-	plan := make([]stripeRange, 0, n)
-	off := int64(0)
-	for {
-		rem := total - off
-		if rem <= chunk {
-			plan = append(plan, stripeRange{Offset: off, Length: rem})
-			return plan
-		}
-		plan = append(plan, stripeRange{Offset: off, Length: chunk})
-		off += chunk
-	}
-}
-
-// planStripesAligned is planStripes with every boundary (except the
-// dataset end) rounded to a multiple of align: the plan covers whole
-// align-sized blocks per stripe, at most n of them, so per-block digest
-// verification lines up with stripe edges. align <= 1 degrades to the
-// unaligned planner. The chunk arithmetic is overflow-safe at
-// total == math.MaxInt64.
-func planStripesAligned(total int64, n int, align int64) []stripeRange {
-	if align <= 1 {
-		return planStripes(total, n)
-	}
-	if total <= 0 {
-		return nil
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > maxStripes {
-		n = maxStripes
-	}
+	n = min(max(n, 1), maxStripes)
+	align = max(align, 1)
 	blocks := total / align
 	if total%align != 0 {
 		blocks++
@@ -224,25 +173,13 @@ func planStripesAligned(total int64, n int, align int64) []stripeRange {
 	if per <= (int64(1)<<62)/align {
 		chunk = per * align
 	}
-	return fillPlan(total, n, chunk)
-}
-
-// Range is one planned byte range of a striped transfer.
-type Range struct {
-	Offset, Length int64
-}
-
-// Plan splits [0, total) into at most n contiguous non-empty ranges,
-// aligned to align when align > 1 (see planStripesAligned). It is the
-// exported planner for callers that drive their own transfer loop —
-// striped uploads use the same ranges a striped fetch would.
-func Plan(total int64, n int, align int64) []Range {
-	plan := planStripesAligned(total, n, align)
-	out := make([]Range, len(plan))
-	for i, p := range plan {
-		out[i] = Range{Offset: p.Offset, Length: p.Length}
+	plan := make([]Range, 0, n)
+	for off := int64(0); ; off += chunk {
+		if rem := total - off; rem <= chunk {
+			return append(plan, Range{Offset: off, Length: rem})
+		}
+		plan = append(plan, Range{Offset: off, Length: chunk})
 	}
-	return out
 }
 
 // drainLimit bounds how many bytes of an unwanted response body are read
@@ -251,7 +188,7 @@ const drainLimit = 1 << 20
 
 // fetchOne moves a single stripe, verifying and/or writing it as it
 // streams.
-func fetchOne(ctx context.Context, opts Options, id storage.DatasetID,
+func fetchOne(ctx context.Context, opts StripeOptions, id storage.DatasetID,
 	base string, off, length, total int64) (int64, string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		base+"/v1/fetch/"+url.PathEscape(string(id)), nil)

@@ -1,4 +1,4 @@
-package stripe_test
+package cdnclient_test
 
 import (
 	"bytes"
@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"scdn/internal/cdnclient"
 	"scdn/internal/server"
 	"scdn/internal/storage"
-	"scdn/internal/stripe"
 )
 
 // aligned buffer implementing io.WriterAt for reassembly checks.
@@ -24,7 +24,7 @@ func (w *bufferAt) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // payloadVerifier adapts the serving plane's deterministic payload
-// verifier to the stripe package's injected-verifier contract.
+// verifier to the striped fetch's injected-verifier contract.
 func payloadVerifier(id storage.DatasetID) func(off, length int64) (io.WriteCloser, error) {
 	return func(off, length int64) (io.WriteCloser, error) {
 		return server.NewRangeVerifier(id, off, length), nil
@@ -55,7 +55,7 @@ func TestStripedFetchVerifiesAndReassembles(t *testing.T) {
 	total := lc.Config.DatasetBytes
 	dst := &bufferAt{b: make([]byte, total)}
 
-	res, err := stripe.Fetch(context.Background(), stripe.Options{
+	res, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
 		Client: client, Endpoints: lc.URLs(), Token: tok,
 		Stripes: 4, NewVerifier: payloadVerifier("ds-001"), Dst: dst,
 	}, "ds-001", total)
@@ -101,7 +101,7 @@ func TestStripedFetchClipsSmallDatasets(t *testing.T) {
 		Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: 3,
 	})
 	client := &http.Client{Timeout: 10 * time.Second}
-	res, err := stripe.Fetch(context.Background(), stripe.Options{
+	res, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
 		Client: client, Endpoints: lc.URLs(), Token: tok,
 		Stripes: 8, NewVerifier: payloadVerifier("ds-001"),
 	}, "ds-001", 3)
@@ -118,7 +118,7 @@ func TestStripedFetchDetectsWrongSize(t *testing.T) {
 	client := &http.Client{Timeout: 10 * time.Second}
 	// Claim the dataset is larger than it is: the stripe past the real
 	// end must fail with 416, and the fetch must fail loudly.
-	if _, err := stripe.Fetch(context.Background(), stripe.Options{
+	if _, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
 		Client: client, Endpoints: lc.URLs(), Token: tok,
 		Stripes: 4, NewVerifier: payloadVerifier("ds-001"),
 	}, "ds-001", lc.Config.DatasetBytes*2); err == nil {
@@ -129,7 +129,7 @@ func TestStripedFetchDetectsWrongSize(t *testing.T) {
 func TestStripedFetchAuthRequired(t *testing.T) {
 	lc, _ := startCluster(t, server.ClusterConfig{Nodes: 1, Users: 1, Datasets: 1})
 	client := &http.Client{Timeout: 10 * time.Second}
-	if _, err := stripe.Fetch(context.Background(), stripe.Options{
+	if _, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
 		Client: client, Endpoints: lc.URLs(), Token: "bogus",
 		Stripes: 2, NewVerifier: payloadVerifier("ds-001"),
 	}, "ds-001", lc.Config.DatasetBytes); err == nil {
@@ -139,10 +139,10 @@ func TestStripedFetchAuthRequired(t *testing.T) {
 
 func TestFetchValidation(t *testing.T) {
 	client := &http.Client{}
-	if _, err := stripe.Fetch(context.Background(), stripe.Options{Client: client}, "d", 1); err == nil {
+	if _, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{Client: client}, "d", 1); err == nil {
 		t.Fatal("no endpoints accepted")
 	}
-	if _, err := stripe.Fetch(context.Background(), stripe.Options{
+	if _, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
 		Client: client, Endpoints: []string{"x"},
 	}, "d", 0); err == nil {
 		t.Fatal("zero size accepted")
@@ -158,7 +158,7 @@ func TestStripedFetchDiskStore(t *testing.T) {
 
 	// Nil client: the package-default shared-transport client drives the
 	// stripes; every stripe rides the disk-backed sendfile path.
-	res, err := stripe.Fetch(context.Background(), stripe.Options{
+	res, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
 		Endpoints: lc.URLs(), Token: tok,
 		Stripes: 4, NewVerifier: payloadVerifier("ds-001"), Dst: dst,
 	}, "ds-001", total)

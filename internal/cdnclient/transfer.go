@@ -17,7 +17,6 @@ import (
 
 	"scdn/internal/ingest"
 	"scdn/internal/storage"
-	"scdn/internal/stripe"
 	"scdn/internal/transport"
 )
 
@@ -55,10 +54,6 @@ func (o *TransferOptions) client() *http.Client {
 	return defaultTransferClient
 }
 
-// uploadDrainLimit bounds how much of an upload error body is read
-// before close (small JSON envelopes).
-const uploadDrainLimit = 1 << 20
-
 // Upload publishes size bytes from src as dataset id, scoped to the
 // collaboration group. It streams src once to compute the content
 // manifest (per-block SHA-256 and their roll-up), then PUTs the bytes —
@@ -83,7 +78,7 @@ func Upload(ctx context.Context, opts TransferOptions, id storage.DatasetID,
 	}
 	local := hasher.Manifest(id, true)
 
-	plan := stripe.Plan(size, opts.Stripes, ingest.DefaultBlockSize)
+	plan := planStripesAligned(size, opts.Stripes, ingest.DefaultBlockSize)
 	base := opts.Endpoints[0]
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -96,7 +91,7 @@ func Upload(ctx context.Context, opts TransferOptions, id storage.DatasetID,
 	var wg sync.WaitGroup
 	for i, p := range plan {
 		wg.Add(1)
-		go func(i int, p stripe.Range) {
+		go func(i int, p Range) {
 			defer wg.Done()
 			body, err := putStripe(ctx, opts, base, id, group, local, src, p, size, len(plan) == 1)
 			results[i] = stripeResult{manifest: body, err: err}
@@ -135,7 +130,7 @@ func Upload(ctx context.Context, opts TransferOptions, id storage.DatasetID,
 // completed the upload) and nil for 204 (stripe accepted, more
 // outstanding).
 func putStripe(ctx context.Context, opts TransferOptions, base string, id storage.DatasetID,
-	group string, man *ingest.Manifest, src io.ReaderAt, p stripe.Range, total int64,
+	group string, man *ingest.Manifest, src io.ReaderAt, p Range, total int64,
 	whole bool) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
 		base+"/v1/datasets/"+url.PathEscape(string(id)),
@@ -159,11 +154,11 @@ func putStripe(ctx context.Context, opts TransferOptions, base string, id storag
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusCreated:
-		return io.ReadAll(io.LimitReader(resp.Body, uploadDrainLimit))
+		return io.ReadAll(io.LimitReader(resp.Body, drainLimit))
 	case http.StatusNoContent:
 		return nil, nil
 	default:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, uploadDrainLimit))
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, drainLimit))
 		return nil, fmt.Errorf("status %s: %s", resp.Status, body)
 	}
 }
@@ -174,14 +169,14 @@ func putStripe(ctx context.Context, opts TransferOptions, base string, id storag
 // from a corrupt or lying holder fails the transfer before dst is
 // trusted. Endpoints should list replica holders (from a resolve).
 func Download(ctx context.Context, opts TransferOptions, man *ingest.Manifest,
-	dst io.WriterAt) (stripe.Result, error) {
+	dst io.WriterAt) (StripeResult, error) {
 	align := man.BlockSize
 	if opts.SegmentSize > 0 && man.BlockSize > 0 && opts.SegmentSize%man.BlockSize == 0 {
 		// Segment-aligned stripes stay block-aligned (segments are whole
 		// blocks), so in-stream range verification is unaffected.
 		align = opts.SegmentSize
 	}
-	return stripe.Fetch(ctx, stripe.Options{
+	return FetchStriped(ctx, StripeOptions{
 		Client:    opts.Client,
 		Endpoints: opts.Endpoints,
 		Token:     opts.Token,

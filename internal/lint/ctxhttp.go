@@ -7,14 +7,13 @@ import (
 )
 
 // DefaultCtxHTTPPackages are the packages whose outbound HTTP requests
-// must carry a context: the serving plane's peer hops, the striped
-// fetcher, the CDN client, and the load drivers. A peer hop without a
+// must carry a context: the serving plane's peer hops, the CDN client
+// (striped fetches and uploads), and the load drivers. A peer hop without a
 // context cannot be canceled when the client goes away, so a dead
 // request keeps streaming between edges. Test files are exempt — they
 // drive short-lived in-process servers.
 var DefaultCtxHTTPPackages = []string{
 	"scdn/internal/server",
-	"scdn/internal/stripe",
 	"scdn/internal/cdnclient",
 	"scdn/cmd/scdn-loadgen",
 	"scdn/cmd/scdn-serve",

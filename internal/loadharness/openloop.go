@@ -1,3 +1,20 @@
+// Package loadharness is the delivery plane's honest measurement kit:
+// an open-loop load generator (requests fired on a seeded arrival
+// schedule, regardless of how many are still in flight) with
+// coordinated-omission-safe latency recording into the repo's shared
+// metrics.Histogram, and the versioned BENCH record schema plus the
+// perf-ratchet comparison behind `make perfgate`.
+//
+// The closed-loop generator this package replaces measured the harness,
+// not the server: when every worker waits for its previous response
+// before sending the next request, a slow server quietly lowers the
+// offered load and the recorded latencies omit exactly the requests
+// that would have hurt — the coordinated-omission trap. Here the
+// arrival schedule is fixed up front, each request's latency is
+// measured from its *intended* start time (so time spent queued behind
+// a saturated connection pool counts against the server), and the sweep
+// across arrival rates yields a latency-vs-throughput curve whose knee
+// is the number worth ratcheting.
 package loadharness
 
 import (
@@ -6,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"scdn/internal/metrics"
 )
 
 // RunConfig parameterizes one open-loop step at a single arrival rate.
@@ -35,21 +54,21 @@ type RateResult struct {
 	// LatencyMS digests intended-start-time latencies: each sample runs
 	// from the moment the schedule said the request should begin (not
 	// from when a connection freed up) to its completion.
-	LatencyMS Latency `json:"latency_ms"`
+	LatencyMS metrics.Latency `json:"latency_ms"`
 	// Bytes, AchievedMBps, and RequestMBps appear only on byte-measured
 	// steps (RunBytes): total payload bytes moved, wall-clock byte
 	// throughput in MB/s (1e6 bytes), and the per-request MB/s
 	// distribution — the step's second axis, so a serve path that keeps
 	// its request knee but halves its byte rate is still caught.
-	Bytes        uint64   `json:"bytes,omitempty"`
-	AchievedMBps float64  `json:"achieved_mbps,omitempty"`
-	RequestMBps  *Latency `json:"request_mbps,omitempty"`
+	Bytes        uint64           `json:"bytes,omitempty"`
+	AchievedMBps float64          `json:"achieved_mbps,omitempty"`
+	RequestMBps  *metrics.Latency `json:"request_mbps,omitempty"`
 
 	// Hist carries the raw latency histogram for callers that
 	// aggregate; MBpsHist the per-request MB/s histogram of a
 	// byte-measured step. Neither is serialized.
-	Hist     *Hist `json:"-"`
-	MBpsHist *Hist `json:"-"`
+	Hist     *metrics.Histogram `json:"-"`
+	MBpsHist *metrics.Histogram `json:"-"`
 }
 
 // Run executes one open-loop step: arrivals fire on the seeded schedule
@@ -88,8 +107,8 @@ func RunBytes(ctx context.Context, cfg RunConfig, do func(context.Context) (int6
 		return RateResult{}, err
 	}
 	var (
-		hist   Hist
-		mbps   Hist
+		hist   metrics.Histogram
+		mbps   metrics.Histogram
 		bytes  atomic.Uint64
 		issued atomic.Uint64
 		failed atomic.Uint64

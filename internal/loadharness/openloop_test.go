@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"scdn/internal/metrics"
 )
 
 func TestRunIssuesOnSchedule(t *testing.T) {
@@ -126,7 +128,7 @@ func TestSweep(t *testing.T) {
 func TestKnee(t *testing.T) {
 	mk := func(offered, achieved, p99 float64) RateResult {
 		return RateResult{OfferedRPS: offered, AchievedRPS: achieved, Issued: 100,
-			LatencyMS: Latency{P99: p99}}
+			LatencyMS: metrics.Latency{P99: p99}}
 	}
 	t.Run("empty", func(t *testing.T) {
 		if got := Knee(nil); got != -1 {

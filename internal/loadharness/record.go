@@ -6,6 +6,8 @@ import (
 	"os"
 	"runtime"
 	"strings"
+
+	"scdn/internal/metrics"
 )
 
 // SchemaVersion is the current BENCH_*.json schema. History:
@@ -108,25 +110,25 @@ type ChurnRecord struct {
 // DeliveryRecord is the BENCH_delivery.json schema: the delivery
 // plane's perf trajectory across PRs, and perfgate's ratchet unit.
 type DeliveryRecord struct {
-	SchemaVersion   int          `json:"schema_version"`
-	Host            Host         `json:"host"`
-	Mode            string       `json:"mode"` // "closed-loop" or "open-loop"
-	Workers         int          `json:"workers,omitempty"`
-	Requests        int          `json:"requests"`
-	Stripes         int          `json:"stripes,omitempty"`
-	Edges           int          `json:"edges"`
-	Datasets        int          `json:"datasets"`
-	BytesPerDataset int64        `json:"bytes_per_dataset"`
-	PayloadMode     string       `json:"payload_mode"`
-	ElapsedSeconds  float64      `json:"elapsed_seconds"`
-	ThroughputRPS   float64      `json:"throughput_rps"`
-	ThroughputMBps  float64      `json:"throughput_mbps"`
-	LatencyMS       Latency      `json:"latency_ms"`
-	Failed          uint64       `json:"failed"`
-	RangeRequests   uint64       `json:"range_requests"`
-	Reconciled      bool         `json:"reconciled"`
-	OpenLoop        *OpenLoop    `json:"open_loop,omitempty"`
-	Churn           *ChurnRecord `json:"churn,omitempty"`
+	SchemaVersion   int             `json:"schema_version"`
+	Host            Host            `json:"host"`
+	Mode            string          `json:"mode"` // "closed-loop" or "open-loop"
+	Workers         int             `json:"workers,omitempty"`
+	Requests        int             `json:"requests"`
+	Stripes         int             `json:"stripes,omitempty"`
+	Edges           int             `json:"edges"`
+	Datasets        int             `json:"datasets"`
+	BytesPerDataset int64           `json:"bytes_per_dataset"`
+	PayloadMode     string          `json:"payload_mode"`
+	ElapsedSeconds  float64         `json:"elapsed_seconds"`
+	ThroughputRPS   float64         `json:"throughput_rps"`
+	ThroughputMBps  float64         `json:"throughput_mbps"`
+	LatencyMS       metrics.Latency `json:"latency_ms"`
+	Failed          uint64          `json:"failed"`
+	RangeRequests   uint64          `json:"range_requests"`
+	Reconciled      bool            `json:"reconciled"`
+	OpenLoop        *OpenLoop       `json:"open_loop,omitempty"`
+	Churn           *ChurnRecord    `json:"churn,omitempty"`
 }
 
 // WriteRecord marshals any BENCH record as indented JSON.
@@ -169,31 +171,31 @@ type LargeMix struct {
 // segmented_serves) rather than measuring the whole-file path by
 // accident.
 type LargeRecord struct {
-	SchemaVersion     int       `json:"schema_version"`
-	Host              Host      `json:"host"`
-	Mode              string    `json:"mode"` // "open-loop"
-	Seed              int64     `json:"seed"`
-	Edges             int       `json:"edges"`
-	Datasets          int       `json:"datasets"`
-	BytesPerDataset   int64     `json:"bytes_per_dataset"`
-	SegmentSize       int64     `json:"segment_size"`
-	StoreQuota        int64     `json:"store_quota"`
-	Mix               LargeMix  `json:"mix"`
-	TotalBytes        uint64    `json:"total_bytes"`
-	ElapsedSeconds    float64   `json:"elapsed_seconds"`
-	SustainedMBps     float64   `json:"sustained_mbps"` // wall-clock MB/s at the knee step
-	LatencyMS         Latency   `json:"latency_ms"`
-	RequestMBps       Latency   `json:"request_mbps"`
-	Failed            uint64    `json:"failed"`
-	SegmentedServes   uint64    `json:"segmented_serves"`
-	SegmentFetches    uint64    `json:"segment_fetches"`
-	SegmentPulls      uint64    `json:"segment_pulls"`
-	FadviseSequential uint64    `json:"fadvise_sequential"`
-	FadviseDontNeed   uint64    `json:"fadvise_dontneed"`
-	Materializations  uint64    `json:"materializations"`
-	MaterializedBytes uint64    `json:"materialized_bytes"`
-	Reconciled        bool      `json:"reconciled"`
-	OpenLoop          *OpenLoop `json:"open_loop,omitempty"`
+	SchemaVersion     int             `json:"schema_version"`
+	Host              Host            `json:"host"`
+	Mode              string          `json:"mode"` // "open-loop"
+	Seed              int64           `json:"seed"`
+	Edges             int             `json:"edges"`
+	Datasets          int             `json:"datasets"`
+	BytesPerDataset   int64           `json:"bytes_per_dataset"`
+	SegmentSize       int64           `json:"segment_size"`
+	StoreQuota        int64           `json:"store_quota"`
+	Mix               LargeMix        `json:"mix"`
+	TotalBytes        uint64          `json:"total_bytes"`
+	ElapsedSeconds    float64         `json:"elapsed_seconds"`
+	SustainedMBps     float64         `json:"sustained_mbps"` // wall-clock MB/s at the knee step
+	LatencyMS         metrics.Latency `json:"latency_ms"`
+	RequestMBps       metrics.Latency `json:"request_mbps"`
+	Failed            uint64          `json:"failed"`
+	SegmentedServes   uint64          `json:"segmented_serves"`
+	SegmentFetches    uint64          `json:"segment_fetches"`
+	SegmentPulls      uint64          `json:"segment_pulls"`
+	FadviseSequential uint64          `json:"fadvise_sequential"`
+	FadviseDontNeed   uint64          `json:"fadvise_dontneed"`
+	Materializations  uint64          `json:"materializations"`
+	MaterializedBytes uint64          `json:"materialized_bytes"`
+	Reconciled        bool            `json:"reconciled"`
+	OpenLoop          *OpenLoop       `json:"open_loop,omitempty"`
 }
 
 // ReadLargeRecord loads a BENCH_large.json history record.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scdn/internal/metrics"
 )
 
 func TestCurrentHost(t *testing.T) {
@@ -23,7 +25,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		Mode:          "open-loop",
 		Requests:      1200,
 		PayloadMode:   "dir",
-		LatencyMS:     Latency{Mean: 0.4, P50: 0.3, P95: 0.9, P99: 1.2, Max: 4},
+		LatencyMS:     metrics.Latency{Mean: 0.4, P50: 0.3, P95: 0.9, P99: 1.2, Max: 4},
 		Reconciled:    true,
 		OpenLoop: &OpenLoop{
 			Distribution: DistExponential, DurationSeconds: 1, MaxConns: 64,
@@ -115,8 +117,8 @@ func TestNewOpenLoopComputesKnee(t *testing.T) {
 	cfg := SweepConfig{Rates: []float64{100, 200}, Duration: time.Second,
 		MaxConns: 8, Dist: DistExponential}
 	results := []RateResult{
-		{OfferedRPS: 100, AchievedRPS: 99, Issued: 99, LatencyMS: Latency{P99: 1}},
-		{OfferedRPS: 200, AchievedRPS: 198, Issued: 198, LatencyMS: Latency{P99: 1.5}},
+		{OfferedRPS: 100, AchievedRPS: 99, Issued: 99, LatencyMS: metrics.Latency{P99: 1}},
+		{OfferedRPS: 200, AchievedRPS: 198, Issued: 198, LatencyMS: metrics.Latency{P99: 1.5}},
 	}
 	ol := NewOpenLoop(cfg, results)
 	if ol.Knee == nil || ol.Knee.OfferedRPS != 200 {

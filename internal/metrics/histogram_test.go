@@ -1,4 +1,4 @@
-package loadharness
+package metrics
 
 import (
 	"math"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestHistQuantileAccuracy(t *testing.T) {
-	var h Hist
+	var h Histogram
 	// 1..10000 µs uniformly: quantiles are known exactly.
 	for i := 1; i <= 10000; i++ {
 		h.Observe(float64(i) * 1e-6)
@@ -36,7 +36,7 @@ func TestHistQuantileAccuracy(t *testing.T) {
 }
 
 func TestHistEdgeCases(t *testing.T) {
-	var h Hist
+	var h Histogram
 	if got := h.Quantile(0.99); got != 0 {
 		t.Errorf("empty Quantile = %g, want 0", got)
 	}
@@ -56,10 +56,31 @@ func TestHistEdgeCases(t *testing.T) {
 	if got := h.Quantile(-1); got != histMin {
 		t.Errorf("Quantile(-1) = %g, want clamp to first bucket %g", got, histMin)
 	}
+
+	// A single sample reports itself at every q: its bucket's upper bound
+	// is capped at the max, which is the sample.
+	var one Histogram
+	one.Observe(0.0123)
+	for _, q := range []float64{-1, 0, 0.5, 0.99, 1, 2} {
+		if got := one.Quantile(q); got != 0.0123 {
+			t.Errorf("single sample: Quantile(%g) = %g, want 0.0123", q, got)
+		}
+	}
+
+	// All-zero samples report 0, not the first bucket's bound.
+	var zeros Histogram
+	for i := 0; i < 10; i++ {
+		zeros.Observe(0)
+	}
+	for _, q := range []float64{0, 0.5, 1} {
+		if got := zeros.Quantile(q); got != 0 {
+			t.Errorf("all-zero: Quantile(%g) = %g, want 0", q, got)
+		}
+	}
 }
 
 func TestHistQuantileNeverUnderstates(t *testing.T) {
-	var h Hist
+	var h Histogram
 	samples := []float64{0.0001, 0.0005, 0.003, 0.003, 0.020, 0.150}
 	for _, s := range samples {
 		h.Observe(s)
@@ -75,7 +96,7 @@ func TestHistQuantileNeverUnderstates(t *testing.T) {
 }
 
 func TestHistConcurrentObserve(t *testing.T) {
-	var h Hist
+	var h Histogram
 	var wg sync.WaitGroup
 	const goroutines, per = 8, 1000
 	for g := 0; g < goroutines; g++ {
@@ -101,7 +122,7 @@ func TestHistConcurrentObserve(t *testing.T) {
 }
 
 func TestHistMerge(t *testing.T) {
-	var a, b Hist
+	var a, b Histogram
 	for i := 1; i <= 100; i++ {
 		a.Observe(float64(i) * 1e-6)
 	}
@@ -116,7 +137,7 @@ func TestHistMerge(t *testing.T) {
 }
 
 func TestLatencyMS(t *testing.T) {
-	var h Hist
+	var h Histogram
 	h.Observe(0.010) // 10ms
 	l := h.LatencyMS()
 	if l.P99 < 10 || l.P99 > 11 {
@@ -134,7 +155,7 @@ func TestLatencyMS(t *testing.T) {
 // own units (MB/s for byte-rate hists), 1000× smaller than LatencyMS's
 // millisecond scaling of the same buckets.
 func TestHistDigestNativeUnits(t *testing.T) {
-	var h Hist
+	var h Histogram
 	for i := 0; i < 1000; i++ {
 		h.Observe(2.0) // e.g. 2 MB/s per request
 	}

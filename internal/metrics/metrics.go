@@ -1,5 +1,5 @@
 // Package metrics provides the measurement layer for the S-CDN: generic
-// counters, gauges, and histograms plus the two Section V-E metric sets —
+// counters, gauges, and one bounded histogram plus the two Section V-E metric sets —
 // CDN quality (availability, reliability, redundancy, response time,
 // stability) and social performance (request acceptance rate, exchanges,
 // immediacy of allocation, success ratio, free-rider ratio, transaction
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -49,73 +48,6 @@ func (g *Gauge) Add(delta float64) {
 
 // Value returns the gauge.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram accumulates observations for quantile and mean queries. It
-// stores raw values; S-CDN simulations observe at most a few million
-// samples, for which exact quantiles are affordable and precise.
-type Histogram struct {
-	samples []float64
-	sorted  bool
-}
-
-// Observe records a sample.
-func (h *Histogram) Observe(v float64) {
-	h.samples = append(h.samples, v)
-	h.sorted = false
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.samples) }
-
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range h.samples {
-		sum += v
-	}
-	return sum / float64(len(h.samples))
-}
-
-// StdDev returns the sample standard deviation (0 for fewer than two
-// samples).
-func (h *Histogram) StdDev() float64 {
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	m := h.Mean()
-	sum := 0.0
-	for _, v := range h.samples {
-		sum += (v - m) * (v - m)
-	}
-	return math.Sqrt(sum / float64(n-1))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank; it
-// returns 0 when empty and clamps q into range.
-func (h *Histogram) Quantile(q float64) float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	idx := int(math.Ceil(q*float64(len(h.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return h.samples[idx]
-}
 
 // CDNMetrics is the Section V-E CDN-quality metric set.
 type CDNMetrics struct {

@@ -28,7 +28,7 @@ func TestGauge(t *testing.T) {
 
 func TestHistogramStats(t *testing.T) {
 	var h Histogram
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.StdDev() != 0 {
+	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -40,30 +40,20 @@ func TestHistogramStats(t *testing.T) {
 	if math.Abs(h.Mean()-5) > 1e-12 {
 		t.Fatalf("mean = %v", h.Mean())
 	}
-	if math.Abs(h.StdDev()-2.138089935) > 1e-6 {
-		t.Fatalf("stddev = %v", h.StdDev())
+	// Quantiles are bucket upper bounds: at or above the true order
+	// statistic, within one bucket width (~4.4%) of it.
+	within := func(got, want float64) bool { return got >= want && got <= want*1.045 }
+	if q := h.Quantile(0.5); !within(q, 4) {
+		t.Fatalf("p50 = %v, want 4 within one bucket", q)
 	}
-	if q := h.Quantile(0.5); q != 4 {
-		t.Fatalf("p50 = %v, want 4", q)
+	if q := h.Quantile(1); q != h.Max() || q != 9 {
+		t.Fatalf("p100 = %v, want max 9", q)
 	}
-	if q := h.Quantile(1); q != 9 {
-		t.Fatalf("p100 = %v, want 9", q)
+	if q := h.Quantile(0); !within(q, 2) {
+		t.Fatalf("p0 = %v, want 2 within one bucket", q)
 	}
-	if q := h.Quantile(0); q != 2 {
-		t.Fatalf("p0 = %v, want 2", q)
-	}
-	if q := h.Quantile(-1); q != 2 {
-		t.Fatalf("clamped q = %v, want 2", q)
-	}
-}
-
-func TestHistogramObserveAfterQuantile(t *testing.T) {
-	var h Histogram
-	h.Observe(5)
-	_ = h.Quantile(0.5)
-	h.Observe(1)
-	if q := h.Quantile(0); q != 1 {
-		t.Fatalf("histogram not re-sorted after new observation: p0 = %v", q)
+	if q := h.Quantile(-1); !within(q, 2) {
+		t.Fatalf("clamped q = %v, want 2 within one bucket", q)
 	}
 }
 

@@ -116,7 +116,7 @@ func TestClusterConcurrentEndToEnd(t *testing.T) {
 		m := n.Metrics
 		fetches += m.FetchRequests.Value()
 		fetchFail += m.FetchFailures.Value()
-		latCount += uint64(m.FetchLatency.Summary().Count)
+		latCount += m.FetchLatency.Count()
 		resolveTotal += m.ResolveRequests.Value()
 		hits += m.LocalHits.Value() + m.PeerHits.Value() + m.OriginFetches.Value()
 		reported += m.ReportedAccesses.Value()

@@ -3,46 +3,10 @@ package server
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"scdn/internal/metrics"
 )
-
-// LatencyHist is a goroutine-safe wrapper around metrics.Histogram for
-// request latencies. The underlying histogram keeps raw samples (exact
-// quantiles); a mutex serializes Observe against quantile queries, which
-// sort in place.
-type LatencyHist struct {
-	mu sync.Mutex
-	h  metrics.Histogram
-}
-
-// Observe records one latency sample in seconds.
-func (l *LatencyHist) Observe(seconds float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.h.Observe(seconds)
-}
-
-// HistSummary is a point-in-time histogram digest.
-type HistSummary struct {
-	Count               int
-	Mean, P50, P95, P99 float64
-}
-
-// Summary returns the histogram digest.
-func (l *LatencyHist) Summary() HistSummary {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return HistSummary{
-		Count: l.h.Count(),
-		Mean:  l.h.Mean(),
-		P50:   l.h.Quantile(0.5),
-		P95:   l.h.Quantile(0.95),
-		P99:   l.h.Quantile(0.99),
-	}
-}
 
 // Metrics is one node's serving-plane metric set, built on the
 // goroutine-safe internal/metrics primitives. Client-facing and
@@ -166,9 +130,9 @@ type Metrics struct {
 	SuspectNodes metrics.Gauge
 	// FetchLatency / ResolveLatency / SegmentFetchLatency are end-to-end
 	// handler latencies in seconds for client-facing requests.
-	FetchLatency        LatencyHist
-	ResolveLatency      LatencyHist
-	SegmentFetchLatency LatencyHist
+	FetchLatency        metrics.Histogram
+	ResolveLatency      metrics.Histogram
+	SegmentFetchLatency metrics.Histogram
 }
 
 // WriteExposition writes the node's metrics in a Prometheus-style text
@@ -240,19 +204,19 @@ func (m *Metrics) WriteExposition(w io.Writer, up time.Duration) error {
 	p("scdn_suspect_nodes %.0f\n", m.SuspectNodes.Value())
 	hists := []struct {
 		name string
-		h    *LatencyHist
+		h    *metrics.Histogram
 	}{
 		{"scdn_fetch_latency_seconds", &m.FetchLatency},
 		{"scdn_resolve_latency_seconds", &m.ResolveLatency},
 		{"scdn_segment_fetch_latency_seconds", &m.SegmentFetchLatency},
 	}
+	// Quantiles are bucket upper bounds capped at the largest sample.
 	for _, h := range hists {
-		s := h.h.Summary()
-		p("%s{quantile=\"0.5\"} %.6f\n", h.name, s.P50)
-		p("%s{quantile=\"0.95\"} %.6f\n", h.name, s.P95)
-		p("%s{quantile=\"0.99\"} %.6f\n", h.name, s.P99)
-		p("%s_mean %.6f\n", h.name, s.Mean)
-		p("%s_count %d\n", h.name, s.Count)
+		for _, q := range []float64{0.5, 0.95, 0.99} {
+			p("%s{quantile=\"%g\"} %.6f\n", h.name, q, h.h.Quantile(q))
+		}
+		p("%s_mean %.6f\n", h.name, h.h.Mean())
+		p("%s_count %d\n", h.name, h.h.Count())
 	}
 	return err
 }

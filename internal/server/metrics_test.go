@@ -1,45 +1,59 @@
 package server
 
 import (
+	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func TestLatencyHistSummary(t *testing.T) {
-	var h LatencyHist
-	if s := h.Summary(); s.Count != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary = %+v", s)
+// TestLatencyHistBoundedMemory pins the north star's bounded-memory
+// invariant for the serving plane's latency histograms: a million
+// observations must not grow the live heap (a raw-sample histogram
+// grows by 8 bytes per sample).
+func TestLatencyHistBoundedMemory(t *testing.T) {
+	m := &Metrics{}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1_000_000; i++ {
+		m.FetchLatency.Observe(float64(i%5000) * 1e-6)
 	}
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) / 1000)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := m.FetchLatency.Count(); got != 1_000_000 {
+		t.Fatalf("count = %d, want 1000000", got)
 	}
-	s := h.Summary()
-	if s.Count != 100 {
-		t.Fatalf("count = %d", s.Count)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("heap grew %d bytes over 1e6 observations, want < 1 MiB", grew)
 	}
-	if s.P50 != 0.050 || s.P95 != 0.095 || s.P99 != 0.099 {
-		t.Fatalf("quantiles = %+v", s)
-	}
+	runtime.KeepAlive(m)
 }
 
+// TestLatencyHistConcurrent races observations against the /metrics
+// scrape path; under -race it is the regression test for the lock-free
+// histogram every serving goroutine shares.
 func TestLatencyHistConcurrent(t *testing.T) {
-	var h LatencyHist
+	m := &Metrics{}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				h.Observe(0.001)
-				_ = h.Summary()
+				m.FetchLatency.Observe(0.001)
+				if err := m.WriteExposition(io.Discard, time.Second); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if s := h.Summary(); s.Count != 4000 {
-		t.Fatalf("count = %d, want 4000", s.Count)
+	if got := m.FetchLatency.Count(); got != 4000 {
+		t.Fatalf("count = %d, want 4000", got)
 	}
 }
 
