@@ -33,8 +33,9 @@
 #   make loadgen — end-to-end networked benchmark: closed-loop load
 #                  against a 3-node in-process edge cluster over TCP.
 #   make ci      — what .github/workflows/check.yml runs: gofmt
-#                  cleanliness, module verification, then the full
-#                  check gate.
+#                  cleanliness of every Go file in the tree (root
+#                  package, cmd, internal, examples, perfbench), module
+#                  verification, then the full check gate.
 #   make churnsmoke — fixed-seed churn acceptance: a loadgen
 #                  run that kills and restarts two edges mid-stream and
 #                  must finish with zero failed requests and every
@@ -73,9 +74,10 @@ check: vet lint test race fuzzsmoke benchsmoke largesmoke perfbenchcheck
 ci: fmtcheck modverify check
 
 # gofmt -l prints nothing when the tree is clean; any output fails the
-# gate.
+# gate. It walks the whole tree, so the root package, examples/ and the
+# perfbench module are held to the same format as cmd/ and internal/.
 fmtcheck:
-	@out=$$(gofmt -l cmd internal); \
+	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi

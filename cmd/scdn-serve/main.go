@@ -41,7 +41,6 @@ func main() {
 	var (
 		nodes       = flag.Int("nodes", 3, "edge servers to run")
 		sites       = flag.Int("sites", 0, "network sites (0: one per node)")
-		catalog     = flag.Int("catalog-servers", 2, "allocation-cluster members")
 		users       = flag.Int("users", 8, "client users provisioned on the platform")
 		datasets    = flag.Int("datasets", 12, "datasets published into the CDN")
 		bytes       = flag.Int64("bytes", 64<<10, "bytes per dataset")
@@ -49,7 +48,6 @@ func main() {
 		seed        = flag.Int64("seed", 42, "auth token seed")
 		pullThrough = flag.Bool("pull-through", false, "cache proxied datasets as local replicas")
 		group       = flag.String("group", "live-collab", "collaboration group scoping all datasets")
-		shards      = flag.Int("catalog-shards", 0, "catalog lock shards, rounded to a power of two (0: default)")
 		storeDir    = flag.String("store-dir", "", "root directory for the replica volumes (empty: temp dir, removed on shutdown)")
 		storeQuota  = flag.Int64("store-quota", 0, "per-node replica volume byte quota (0: replica reserve)")
 		churnFile   = flag.String("churn-script", "", "churn script file: one '<offset> <action> <node>' per line (kill/stop/restart)")
@@ -76,11 +74,10 @@ func main() {
 	}
 
 	lc, err := server.StartLocalCluster(server.ClusterConfig{
-		Nodes: *nodes, Sites: *sites, CatalogServers: *catalog,
+		Nodes: *nodes, Sites: *sites,
 		Users: *users, Datasets: *datasets, DatasetBytes: *bytes,
 		Seed: *seed, PullThrough: *pullThrough, Group: *group,
-		ListenHost: *host, CatalogShards: *shards,
-		StoreDir: *storeDir, StoreQuota: *storeQuota,
+		ListenHost: *host, StoreDir: *storeDir, StoreQuota: *storeQuota,
 		NoSeedDatasets:   *noSeed,
 		SegmentSize:      *segSize,
 		SegmentThreshold: *segThresh,

@@ -3,7 +3,9 @@
 // requests to the best available replica, track demand, and decide when
 // to add, migrate, or retire replicas. A Cluster keeps several servers'
 // catalogs consistent, as in the paper's "one or more allocation servers
-// act as catalogs for global datasets".
+// act as catalogs for global datasets"; only the simulator uses it, to
+// model allocation-server outages. The live serving plane
+// (internal/server) puts one Server behind each of its catalog shards.
 package allocation
 
 import (

@@ -2,7 +2,6 @@ package allocation
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"scdn/internal/storage"
@@ -13,16 +12,12 @@ import (
 // live members so lookup load is shared. Trusted third parties (national
 // labs, universities) host these servers in the paper's design; the
 // cluster survives individual server outages as long as one member is up.
-//
-// The round-robin cursor is atomic so that callers who guard mutations
-// with an exclusive lock (the serving plane's sharded catalog) can run
-// pure reads — Replicas, DatasetBytes, Origin, Datasets, ReplicaCount —
-// under a shared lock without racing on cursor advancement. Everything
-// else remains single-writer.
+// Reads advance the round-robin cursor, so a Cluster is not safe for
+// concurrent use, not even by readers alone.
 type Cluster struct {
 	servers []*Server
 	down    map[int]bool
-	cursor  atomic.Uint64 // round-robin read cursor
+	cursor  int // round-robin read cursor
 }
 
 // NewCluster builds n servers over the directory. n must be >= 1.
@@ -84,7 +79,8 @@ func cloneCatalog(in map[storage.DatasetID]*entry) map[storage.DatasetID]*entry 
 
 // live returns a live server for reads, advancing the round-robin cursor.
 func (c *Cluster) live() (*Server, error) {
-	start := int((c.cursor.Add(1) - 1) % uint64(len(c.servers)))
+	start := c.cursor % len(c.servers)
+	c.cursor++
 	for i := 0; i < len(c.servers); i++ {
 		idx := (start + i) % len(c.servers)
 		if !c.down[idx] {

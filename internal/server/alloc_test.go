@@ -29,10 +29,10 @@ const (
 	// window of a whole-file replica.
 	allocBudgetSegEndpointSegment = 0
 	allocBudgetSegEndpointFile    = 0
-	// Resolve walks the sharded catalog and copies one replica record
-	// out under the shard lock; the copy and the per-call rand draw
-	// dominate.
-	allocBudgetResolve = 4
+	// Resolve's two allocations are both in allocation.Server.Resolve:
+	// the holder-ID slice it sorts for a deterministic scan, and the
+	// boxing of that slice into sort.Slice's interface argument.
+	allocBudgetResolve = 2
 )
 
 // serveAllocs measures steady-state allocs/op of the warm local serve
@@ -184,10 +184,7 @@ func TestResolveAllocBudget(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		reg.Register(Member{Node: allocation.NodeID(i + 1), Site: i, Online: true})
 	}
-	cat, err := NewCatalogSharded(2, reg, DefaultCatalogShards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := NewCatalog(reg)
 	var ids []storage.DatasetID
 	for d := 0; d < 64; d++ {
 		id := storage.DatasetID(fmt.Sprintf("alloc-%03d", d))

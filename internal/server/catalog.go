@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -10,63 +9,51 @@ import (
 	"scdn/internal/storage"
 )
 
-// DefaultCatalogShards is the shard count NewCatalog uses. Sixteen shards
-// keep contention negligible well past typical core counts while the
-// per-shard memory overhead (one small allocation cluster each) stays
-// trivial.
-const DefaultCatalogShards = 16
+// catalogShardCount is the catalog's shard count. Sixteen shards keep
+// contention negligible well past typical core counts while the
+// per-shard overhead (one small allocation server each) stays trivial.
+const catalogShardCount = 16
 
-// catalogShard is one lock domain of the catalog: a full allocation
-// cluster owning the datasets that hash into this shard. Resolve mutates
-// demand counters and lookup statistics inside the allocation package, so
-// it takes the write lock; the pure reads (Replicas, DatasetBytes,
-// Origin, Datasets, ReplicaCount, Stats) share an RLock — the allocation
-// cluster's round-robin read cursor is atomic precisely so these can
-// overlap.
+// catalogShard is one lock domain of the catalog: an allocation server
+// owning the datasets that hash into this shard. Resolve mutates demand
+// counters and lookup statistics inside the allocation package, so it
+// takes the write lock; the pure reads (Replicas, DatasetBytes, Origin,
+// Datasets, ReplicaCount, MaintenanceSweep) share an RLock.
 type catalogShard struct {
-	mu      sync.RWMutex
-	cluster *allocation.Cluster
+	mu  sync.RWMutex
+	srv *allocation.Server
 }
 
-// Catalog is the serving plane's view of the allocation-server cluster.
-// The allocation package is deliberately single-threaded (the simulator
-// owns its own event loop); here every HTTP request may touch the catalog
-// concurrently. Datasets are spread across power-of-two shards by an
-// FNV-1a hash of the dataset ID, so resolves and fetches of distinct
-// datasets never contend on a lock — the catalog scales with cores
-// instead of serializing the whole delivery plane behind one mutex.
+// Catalog is the serving plane's view of the allocation servers. The
+// allocation package is deliberately single-threaded (the simulator
+// owns its own event loop); here every HTTP request may touch the
+// catalog concurrently. Datasets are spread across catalogShardCount
+// shards by an FNV-1a hash of the dataset ID, so resolves and fetches of
+// distinct datasets never contend on a lock — the catalog scales with
+// cores instead of serializing the whole delivery plane behind one
+// mutex.
 type Catalog struct {
+	// shards is a slice, not a fixed array of shards: len() of such an
+	// array is a by-value use, which the atomiccopy lint flags because
+	// each shard's RWMutex carries sync/atomic fields.
 	shards []*catalogShard
-	mask   uint32
 }
 
-// NewCatalog builds a sharded catalog over n allocation servers per
-// shard, sharing the registry as their directory, with
-// DefaultCatalogShards shards.
-func NewCatalog(n int, dir allocation.Directory) (*Catalog, error) {
-	return NewCatalogSharded(n, dir, DefaultCatalogShards)
+// NewCatalog builds a sharded catalog whose allocation servers share
+// dir as their directory.
+func NewCatalog(dir allocation.Directory) *Catalog {
+	c := &Catalog{shards: make([]*catalogShard, catalogShardCount)}
+	for i := range c.shards {
+		c.shards[i] = &catalogShard{srv: allocation.NewServer(i, dir)}
+	}
+	return c
 }
 
-// NewCatalogSharded builds a catalog with an explicit shard count, which
-// is rounded up to the next power of two (minimum 1) so shard selection
-// is a mask, not a modulo.
-func NewCatalogSharded(n int, dir allocation.Directory, shards int) (*Catalog, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	pow2 := 1
-	for pow2 < shards {
-		pow2 <<= 1
-	}
-	c := &Catalog{mask: uint32(pow2 - 1)}
-	for i := 0; i < pow2; i++ {
-		cl, err := allocation.NewCluster(n, dir)
-		if err != nil {
-			return nil, fmt.Errorf("server: catalog shard %d: %w", i, err)
-		}
-		c.shards = append(c.shards, &catalogShard{cluster: cl})
-	}
-	return c, nil
+// NewCatalogSharded returns NewCatalog(dir), ignoring both counts.
+//
+// Deprecated: use NewCatalog.
+func NewCatalogSharded(_ int, dir allocation.Directory, _ int) (*Catalog, error) {
+	return NewCatalog(dir), nil
 }
 
 // ShardCount returns the catalog's shard count.
@@ -81,7 +68,7 @@ func (c *Catalog) shard(id storage.DatasetID) *catalogShard {
 		h ^= uint32(id[i])
 		h *= 16777619 // FNV prime
 	}
-	return c.shards[h&c.mask]
+	return c.shards[h%catalogShardCount]
 }
 
 // RegisterDataset catalogs a dataset with its origin node and size.
@@ -89,7 +76,7 @@ func (c *Catalog) RegisterDataset(id storage.DatasetID, origin allocation.NodeID
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cluster.RegisterDataset(id, origin, bytes)
+	return s.srv.RegisterDataset(id, origin, bytes)
 }
 
 // AddReplica records a new replica holder.
@@ -97,7 +84,7 @@ func (c *Catalog) AddReplica(id storage.DatasetID, node allocation.NodeID, at ti
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cluster.AddReplica(id, node, at)
+	return s.srv.AddReplica(id, node, at)
 }
 
 // RemoveReplica deletes a replica record.
@@ -105,24 +92,24 @@ func (c *Catalog) RemoveReplica(id storage.DatasetID, node allocation.NodeID) er
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cluster.RemoveReplica(id, node)
+	return s.srv.RemoveReplica(id, node)
 }
 
 // Resolve picks the best online replica for a requester. It takes the
-// shard's write lock: resolution records demand on every cluster member.
+// shard's write lock: resolution records demand.
 func (c *Catalog) Resolve(id storage.DatasetID, requester allocation.NodeID) (allocation.Replica, bool, error) {
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cluster.Resolve(id, requester)
+	return s.srv.Resolve(id, requester)
 }
 
-// Replicas lists a dataset's replica holders.
+// Replicas lists a dataset's replica holders. The error is always nil.
 func (c *Catalog) Replicas(id storage.DatasetID) ([]allocation.Replica, error) {
 	s := c.shard(id)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.cluster.Replicas(id)
+	return s.srv.Replicas(id), nil
 }
 
 // DatasetBytes returns a dataset's size.
@@ -130,7 +117,7 @@ func (c *Catalog) DatasetBytes(id storage.DatasetID) (int64, error) {
 	s := c.shard(id)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.cluster.DatasetBytes(id)
+	return s.srv.DatasetBytes(id)
 }
 
 // Origin returns a dataset's origin node.
@@ -138,21 +125,17 @@ func (c *Catalog) Origin(id storage.DatasetID) (allocation.NodeID, error) {
 	s := c.shard(id)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.cluster.Origin(id)
+	return s.srv.Origin(id)
 }
 
 // Datasets lists all catalogued dataset IDs, merged across shards and
-// sorted ascending.
+// sorted ascending. The error is always nil.
 func (c *Catalog) Datasets() ([]storage.DatasetID, error) {
 	var out []storage.DatasetID
 	for _, s := range c.shards {
 		s.mu.RLock()
-		ids, err := s.cluster.Datasets()
+		out = append(out, s.srv.Datasets()...)
 		s.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ids...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
@@ -163,7 +146,7 @@ func (c *Catalog) ReplicaCount(id storage.DatasetID) int {
 	s := c.shard(id)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.cluster.ReplicaCount(id)
+	return s.srv.ReplicaCount(id)
 }
 
 // MaintenanceSweep merges hot-dataset recommendations across every
@@ -174,11 +157,8 @@ func (c *Catalog) MaintenanceSweep() []allocation.HotDataset {
 	var out []allocation.HotDataset
 	for _, s := range c.shards {
 		s.mu.RLock()
-		hot, err := s.cluster.MaintenanceSweep()
+		out = append(out, s.srv.MaintenanceSweep()...)
 		s.mu.RUnlock()
-		if err == nil {
-			out = append(out, hot...)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -187,33 +167,20 @@ func (c *Catalog) MaintenanceSweep() []allocation.HotDataset {
 // AckSweep acknowledges handled recommendations, routing each to its
 // dataset's shard under the write lock.
 func (c *Catalog) AckSweep(hot []allocation.HotDataset) {
-	for _, h := range hot {
-		s := c.shard(h.ID)
+	for i := range hot {
+		s := c.shard(hot[i].ID)
 		s.mu.Lock()
-		s.cluster.AckSweep([]allocation.HotDataset{h})
+		s.srv.AckSweep(hot[i : i+1])
 		s.mu.Unlock()
 	}
 }
 
 // SetPolicy applies replica-budget and demand-threshold settings to
-// every shard's allocation cluster.
+// every shard's allocation server.
 func (c *Catalog) SetPolicy(maxReplicas int, demandThreshold uint64) {
 	for _, s := range c.shards {
 		s.mu.Lock()
-		s.cluster.SetPolicy(maxReplicas, demandThreshold)
+		s.srv.MaxReplicas, s.srv.DemandThreshold = maxReplicas, demandThreshold
 		s.mu.Unlock()
 	}
-}
-
-// Stats aggregates lookup statistics across every shard's members.
-func (c *Catalog) Stats() (lookups, resolved, unresolved uint64) {
-	for _, s := range c.shards {
-		s.mu.RLock()
-		l, r, u := s.cluster.Stats()
-		s.mu.RUnlock()
-		lookups += l
-		resolved += r
-		unresolved += u
-	}
-	return
 }

@@ -9,19 +9,16 @@ import (
 	"scdn/internal/storage"
 )
 
-// catalogFixture builds a sharded catalog over a registry with members
-// nodes 1..members (all online, sites 0..members-1) and datasets
+// catalogFixture builds a catalog over a registry with members nodes
+// 1..members (all online, sites 0..members-1) and datasets
 // ds-000..ds-(datasets-1) owned round-robin.
-func catalogFixture(t testing.TB, members, servers, shards, datasets int) (*Catalog, []storage.DatasetID) {
+func catalogFixture(t testing.TB, members, datasets int) (*Catalog, []storage.DatasetID) {
 	t.Helper()
 	reg := NewRegistry()
 	for i := 0; i < members; i++ {
 		reg.Register(Member{Node: allocation.NodeID(i + 1), Site: i, Online: true})
 	}
-	cat, err := NewCatalogSharded(servers, reg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := NewCatalog(reg)
 	var ids []storage.DatasetID
 	for d := 0; d < datasets; d++ {
 		id := storage.DatasetID(fmt.Sprintf("ds-%03d", d))
@@ -34,30 +31,29 @@ func catalogFixture(t testing.TB, members, servers, shards, datasets int) (*Cata
 	return cat, ids
 }
 
-func TestCatalogShardCountRounding(t *testing.T) {
-	reg := NewRegistry()
-	for _, tc := range []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32},
-	} {
-		cat, err := NewCatalogSharded(1, reg, tc.in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := cat.ShardCount(); got != tc.want {
-			t.Errorf("shards(%d) = %d, want %d", tc.in, got, tc.want)
-		}
+// TestCatalogShardCount checks that NewCatalog and the deprecated
+// NewCatalogSharded shim both build catalogShardCount shards, and
+// that the ID hash reaches every one of them.
+func TestCatalogShardCount(t *testing.T) {
+	cat, ids := catalogFixture(t, 4, 256)
+	if cat.ShardCount() != catalogShardCount {
+		t.Fatalf("shards = %d, want %d", cat.ShardCount(), catalogShardCount)
 	}
-	cat, err := NewCatalog(2, reg)
-	if err != nil {
-		t.Fatal(err)
+	shim, err := NewCatalogSharded(1, NewRegistry(), 3)
+	if err != nil || shim.ShardCount() != catalogShardCount {
+		t.Fatalf("shim shards = %d (err %v), want %d", shim.ShardCount(), err, catalogShardCount)
 	}
-	if cat.ShardCount() != DefaultCatalogShards {
-		t.Fatalf("default shards = %d", cat.ShardCount())
+	used := make(map[*catalogShard]bool)
+	for _, id := range ids {
+		used[cat.shard(id)] = true
+	}
+	if len(used) != catalogShardCount {
+		t.Fatalf("%d datasets reached %d of %d shards", len(ids), len(used), catalogShardCount)
 	}
 }
 
 func TestCatalogShardedSemantics(t *testing.T) {
-	cat, ids := catalogFixture(t, 4, 2, 8, 40)
+	cat, ids := catalogFixture(t, 4, 40)
 
 	// Every dataset resolves regardless of which shard it hashed into.
 	for _, id := range ids {
@@ -88,12 +84,6 @@ func TestCatalogShardedSemantics(t *testing.T) {
 		}
 	}
 
-	// Stats aggregates lookups across shards: one per resolve above.
-	lookups, resolved, _ := cat.Stats()
-	if lookups != uint64(len(ids)) || resolved != uint64(len(ids)) {
-		t.Fatalf("stats = %d/%d, want %d/%d", lookups, resolved, len(ids), len(ids))
-	}
-
 	// Replica bookkeeping routes to the owning shard.
 	if err := cat.AddReplica(ids[0], 3, 0); err != nil {
 		t.Fatal(err)
@@ -118,7 +108,7 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 		goroutines = 16
 		iters      = 300
 	)
-	cat, ids := catalogFixture(t, 8, 2, 8, 12)
+	cat, ids := catalogFixture(t, 8, 12)
 
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -161,7 +151,7 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 						t.Errorf("datasets: %v", err)
 						return
 					}
-					cat.Stats()
+					cat.MaintenanceSweep()
 					cat.ReplicaCount(id)
 				}
 			}
@@ -179,9 +169,11 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 			t.Fatalf("dataset %s lost its origin replica", id)
 		}
 	}
-	lookups, _, _ := cat.Stats()
-	if lookups == 0 {
-		t.Fatal("no lookups recorded")
+	// The loop above resolved every dataset, so at a threshold of one
+	// every dataset has recorded demand.
+	cat.SetPolicy(1<<20, 1)
+	if hot := cat.MaintenanceSweep(); len(hot) != len(ids) {
+		t.Fatalf("sweep lists %d datasets with demand, want %d", len(hot), len(ids))
 	}
 }
 
@@ -192,10 +184,7 @@ func TestCatalogConcurrentRegister(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		reg.Register(Member{Node: allocation.NodeID(i + 1), Site: i, Online: true})
 	}
-	cat, err := NewCatalogSharded(2, reg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := NewCatalog(reg)
 	const n = 64
 	var wg sync.WaitGroup
 	var dups sync.Map
@@ -218,5 +207,106 @@ func TestCatalogConcurrentRegister(t *testing.T) {
 	}
 	if len(all) != n {
 		t.Fatalf("registered %d datasets, want %d", len(all), n)
+	}
+}
+
+// TestCatalogDemandSweep drives the demand-driven maintenance path
+// (SetPolicy, MaintenanceSweep, AckSweep) through the sharded catalog:
+// per-dataset demand is counted in the owning shard, the merged
+// recommendations come back sorted, a dataset at its replica budget is
+// never recommended, and demand that arrives between a sweep and its
+// acknowledgment survives the ack.
+func TestCatalogDemandSweep(t *testing.T) {
+	const (
+		maxReplicas = 3
+		threshold   = 3
+	)
+	cat, ids := catalogFixture(t, 4, 40)
+	cat.SetPolicy(maxReplicas, threshold)
+
+	// Dataset i is resolved i%5 times: 0..4 accesses, so some datasets
+	// sit below the threshold and some at or above it.
+	want := make(map[storage.DatasetID]uint64)
+	for i, id := range ids {
+		k := i % 5
+		for j := 0; j < k; j++ {
+			if _, ok, err := cat.Resolve(id, 1); err != nil || !ok {
+				t.Fatalf("resolve %s: ok=%v err=%v", id, ok, err)
+			}
+		}
+		if k >= threshold {
+			want[id] = uint64(k)
+		}
+	}
+
+	// Fill one hot dataset up to its replica budget: it has demand but
+	// no room for another replica, so the sweep must skip it.
+	var full storage.DatasetID
+	for _, id := range ids {
+		if _, hot := want[id]; hot {
+			full = id
+			break
+		}
+	}
+	origin, err := cat.Origin(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for node := allocation.NodeID(1); cat.ReplicaCount(full) < maxReplicas; node++ {
+		if node != origin {
+			if err := cat.AddReplica(full, node, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	delete(want, full)
+
+	hot := cat.MaintenanceSweep()
+	if len(hot) != len(want) {
+		t.Fatalf("sweep lists %d datasets, want %d: %+v", len(hot), len(want), hot)
+	}
+	shards := make(map[*catalogShard]bool)
+	for i, h := range hot {
+		if i > 0 && hot[i-1].ID >= h.ID {
+			t.Fatalf("sweep not sorted by ID: %s before %s", hot[i-1].ID, h.ID)
+		}
+		if h.Accesses != want[h.ID] {
+			t.Fatalf("%s: accesses = %d, want %d", h.ID, h.Accesses, want[h.ID])
+		}
+		if h.ID == full {
+			t.Fatalf("%s is at its replica budget but was recommended", full)
+		}
+		shards[cat.shard(h.ID)] = true
+	}
+	if len(shards) < 2 {
+		t.Fatalf("hot datasets span %d shard(s); the merge is untested", len(shards))
+	}
+
+	// One resolve lands between the sweep and its acknowledgment. The
+	// ack subtracts only what the sweep observed, so that access alone
+	// remains; datasets the sweep never listed keep their demand.
+	late := hot[len(hot)-1].ID
+	if _, _, err := cat.Resolve(late, 2); err != nil {
+		t.Fatal(err)
+	}
+	cat.AckSweep(hot)
+	cat.SetPolicy(maxReplicas, 1)
+	left := make(map[storage.DatasetID]uint64)
+	for _, h := range cat.MaintenanceSweep() {
+		left[h.ID] = h.Accesses
+	}
+	for i, id := range ids {
+		wantLeft := uint64(i % 5)
+		switch {
+		case id == late:
+			wantLeft = 1
+		case id == full:
+			continue // at budget: never listed
+		case wantLeft >= threshold:
+			wantLeft = 0 // acknowledged
+		}
+		if left[id] != wantLeft {
+			t.Fatalf("after ack: %s has %d accesses listed, want %d", id, left[id], wantLeft)
+		}
 	}
 }

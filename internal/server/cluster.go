@@ -23,11 +23,6 @@ type ClusterConfig struct {
 	// Sites spreads nodes and users across this many network sites
 	// (default: one site per node).
 	Sites int
-	// CatalogServers is the allocation-cluster membership (default 2).
-	CatalogServers int
-	// CatalogShards is the catalog's lock-shard count, rounded up to a
-	// power of two (default DefaultCatalogShards).
-	CatalogShards int
 	// Users is the number of client-only participants (default 8).
 	Users int
 	// Datasets is the number of published datasets (default 12) of
@@ -84,12 +79,6 @@ func (c *ClusterConfig) applyDefaults() {
 	}
 	if c.Sites <= 0 {
 		c.Sites = c.Nodes
-	}
-	if c.CatalogServers <= 0 {
-		c.CatalogServers = 2
-	}
-	if c.CatalogShards <= 0 {
-		c.CatalogShards = DefaultCatalogShards
 	}
 	if c.Users <= 0 {
 		c.Users = 8
@@ -156,10 +145,7 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 	clock := func() time.Duration { return time.Since(start) }
 	mw := middleware.New(platform, clock)
 	reg := NewRegistry()
-	catalog, err := NewCatalogSharded(cfg.CatalogServers, reg, cfg.CatalogShards)
-	if err != nil {
-		return nil, err
-	}
+	catalog := NewCatalog(reg)
 	manifests := ingest.NewStore()
 	lc := &LocalCluster{
 		Config: cfg, Platform: platform, Middleware: mw,

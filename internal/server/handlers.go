@@ -521,6 +521,13 @@ type peerPull struct {
 	failures *metrics.Counter
 }
 
+// The peer-fallback backoff starts at retryBase and doubles per retry
+// up to retryMax.
+const (
+	retryBase = 10 * time.Millisecond
+	retryMax  = 250 * time.Millisecond
+)
+
 // pullFromPeers realizes the edge fallback: resolve the dataset's
 // replica holders, order them by estimated RTT from this edge's site,
 // and try them with bounded retry and exponential backoff, streaming
@@ -547,7 +554,7 @@ func (n *Node) pullFromPeers(w http.ResponseWriter, r *http.Request, id storage.
 		n.serveUnavailable(w, id)
 		return false
 	}
-	backoff := n.cfg.RetryBase
+	backoff := retryBase
 	var lastErr error
 	for attempt := 0; attempt < n.cfg.FetchAttempts; attempt++ {
 		if attempt > 0 {
@@ -559,8 +566,8 @@ func (n *Node) pullFromPeers(w http.ResponseWriter, r *http.Request, id storage.
 			case <-time.After(backoff):
 			}
 			backoff *= 2
-			if backoff > n.cfg.RetryMax {
-				backoff = n.cfg.RetryMax
+			if backoff > retryMax {
+				backoff = retryMax
 			}
 		}
 		committed, err := n.tryPeer(w, r, cands[attempt%len(cands)], origin, pull)

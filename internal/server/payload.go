@@ -3,7 +3,6 @@ package server
 import (
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"io"
 	"sync"
 
@@ -129,20 +128,17 @@ func WritePayloadRange(w io.Writer, id storage.DatasetID, off, n int64) (int64, 
 // RangeVerifier incrementally checks that a byte stream equals the
 // dataset's deterministic payload over [off, off+n). It is an io.Writer,
 // so verification runs in constant memory as the response body streams
-// through it — no buffering of the payload — while a running SHA-256 of
-// the consumed bytes is kept for callers that want a content digest.
+// through it — no buffering of the payload.
 type RangeVerifier struct {
 	id    storage.DatasetID
 	block []byte
 	off   int64 // absolute offset of the next expected byte
 	n     int64 // bytes still expected
-	read  int64
-	h     hash.Hash
 }
 
 // NewRangeVerifier builds a verifier for the dataset's bytes [off, off+n).
 func NewRangeVerifier(id storage.DatasetID, off, n int64) *RangeVerifier {
-	return &RangeVerifier{id: id, block: payloadBlock(id), off: off, n: n, h: sha256.New()}
+	return &RangeVerifier{id: id, block: payloadBlock(id), off: off, n: n}
 }
 
 // Write consumes the next chunk of the stream, failing on the first
@@ -157,10 +153,8 @@ func (v *RangeVerifier) Write(p []byte) (int, error) {
 			return i, fmt.Errorf("server: payload for %q corrupt at offset %d", v.id, v.off+int64(i))
 		}
 	}
-	_, _ = v.h.Write(p)
 	v.off += int64(len(p))
 	v.n -= int64(len(p))
-	v.read += int64(len(p))
 	return len(p), nil
 }
 
@@ -171,12 +165,6 @@ func (v *RangeVerifier) Close() error {
 	}
 	return nil
 }
-
-// BytesRead returns how many verified bytes have streamed through.
-func (v *RangeVerifier) BytesRead() int64 { return v.read }
-
-// Sum256 returns the SHA-256 of the bytes consumed so far.
-func (v *RangeVerifier) Sum256() []byte { return v.h.Sum(nil) }
 
 // VerifyPayload consumes r and checks that it carries exactly the
 // dataset's deterministic stream of length n. It returns the bytes read

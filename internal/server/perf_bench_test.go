@@ -15,38 +15,32 @@ import (
 	"scdn/internal/storage"
 )
 
-// singleMutexCatalog is the pre-sharding baseline: one allocation cluster
-// behind one mutex. It exists only so the resolve benchmark can measure
-// the sharded catalog against the design it replaced — the acceptance bar
-// is ≥ 2× parallel resolve throughput at GOMAXPROCS ≥ 4.
+// singleMutexCatalog is the pre-sharding baseline: one allocation server
+// behind one mutex, holding the same state as the sharded catalog. It
+// exists only so the resolve benchmark can measure the sharded catalog
+// against the design it replaced — the acceptance bar is ≥ 2× parallel
+// resolve throughput at GOMAXPROCS ≥ 4.
 type singleMutexCatalog struct {
-	mu      sync.Mutex
-	cluster *allocation.Cluster
+	mu  sync.Mutex
+	srv *allocation.Server
 }
 
 func (c *singleMutexCatalog) Resolve(id storage.DatasetID, requester allocation.NodeID) (allocation.Replica, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cluster.Resolve(id, requester)
+	return c.srv.Resolve(id, requester)
 }
 
 func (c *singleMutexCatalog) Datasets() ([]storage.DatasetID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cluster.Datasets()
-}
-
-func (c *singleMutexCatalog) Stats() (uint64, uint64, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cluster.Stats()
+	return c.srv.Datasets(), nil
 }
 
 // benchResolver abstracts the two catalogs under test.
 type benchResolver interface {
 	Resolve(id storage.DatasetID, requester allocation.NodeID) (allocation.Replica, bool, error)
 	Datasets() ([]storage.DatasetID, error)
-	Stats() (uint64, uint64, uint64)
 }
 
 const (
@@ -97,7 +91,6 @@ func benchResolveParallel(b *testing.B, cat benchResolver, ids []storage.Dataset
 					b.Error(err)
 					return
 				}
-				cat.Stats()
 			}
 		}()
 	}
@@ -123,21 +116,14 @@ func benchResolveParallel(b *testing.B, cat benchResolver, ids []storage.Dataset
 func benchBothCatalogs(b *testing.B, withScans bool) {
 	b.Run("sharded", func(b *testing.B) {
 		reg, ids := benchRegistry(b)
-		cat, err := NewCatalogSharded(2, reg, DefaultCatalogShards)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cat := NewCatalog(reg)
 		registerAll(b, ids, cat.RegisterDataset)
 		benchResolveParallel(b, cat, ids, withScans)
 	})
 	b.Run("single-mutex", func(b *testing.B) {
 		reg, ids := benchRegistry(b)
-		cl, err := allocation.NewCluster(2, reg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cat := &singleMutexCatalog{cluster: cl}
-		registerAll(b, ids, cl.RegisterDataset)
+		cat := &singleMutexCatalog{srv: allocation.NewServer(0, reg)}
+		registerAll(b, ids, cat.srv.RegisterDataset)
 		benchResolveParallel(b, cat, ids, withScans)
 	})
 }
@@ -162,10 +148,7 @@ func BenchmarkCatalogResolveNoScan(b *testing.B) {
 // origin/replicas lookups every fetch performs).
 func BenchmarkCatalogReadsParallel(b *testing.B) {
 	reg, ids := benchRegistry(b)
-	cat, err := NewCatalogSharded(2, reg, DefaultCatalogShards)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cat := NewCatalog(reg)
 	registerAll(b, ids, cat.RegisterDataset)
 	var cursor atomic.Uint64
 	b.ResetTimer()

@@ -43,10 +43,6 @@ type Config struct {
 	// FetchAttempts bounds the peer-fallback retry loop (total attempts
 	// across candidates). Zero means the default of 4.
 	FetchAttempts int
-	// RetryBase is the first backoff delay; it doubles per retry up to
-	// RetryMax. Zeros mean 10ms and 250ms.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// PullThrough caches successfully proxied datasets in the local
 	// replica partition and registers the new replica in the catalog, so
 	// demand migrates data toward where it is requested.
@@ -64,10 +60,6 @@ type Config struct {
 	// manifest). Nil gets a private empty store; clusters share one the
 	// same way they share the catalog.
 	Manifests *ingest.Store
-	// UploadIdleTimeout is how long a striped upload session may sit
-	// with no arriving stripe before the sweeper aborts it and deletes
-	// its temp file. Zero means 15s.
-	UploadIdleTimeout time.Duration
 	// SegmentSize is the fixed segment size of the large-object layout
 	// (segments.go); it must be a positive multiple of the ingest block
 	// size so every segment boundary is a digest boundary. Zero means
@@ -154,18 +146,9 @@ func NewNode(cfg Config, repo *storage.Repository, auth *middleware.Middleware,
 	if cfg.FetchAttempts <= 0 {
 		cfg.FetchAttempts = 4
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 10 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 250 * time.Millisecond
-	}
 	cfg.Sweep.applyDefaults()
 	if cfg.Manifests == nil {
 		cfg.Manifests = ingest.NewStore()
-	}
-	if cfg.UploadIdleTimeout <= 0 {
-		cfg.UploadIdleTimeout = 15 * time.Second
 	}
 	if cfg.SegmentSize == 0 {
 		cfg.SegmentSize = storage.DefaultSegmentSize

@@ -52,6 +52,11 @@ func (s *uploadSession) touchLocked() { s.touched = time.Now() }
 // manifest codec's own cap, checked early so a hostile URL fails fast).
 const maxUploadDatasetID = 1024
 
+// uploadIdleTimeout is how long a striped upload session may sit with
+// no arriving stripe before the sweeper aborts it and deletes its temp
+// file.
+const uploadIdleTimeout = 15 * time.Second
+
 // handleUpload is PUT /v1/datasets/{dataset}.
 func (n *Node) handleUpload(w http.ResponseWriter, r *http.Request) {
 	id := storage.DatasetID(r.PathValue("dataset"))
@@ -352,11 +357,11 @@ func parseInt64(s string) (int64, error) {
 	return v, nil
 }
 
-// expireUploads aborts upload sessions idle past the configured
-// timeout: a client that died mid-stripe must not pin a temp file (or
-// the dataset ID) forever. Called from the repair sweeper.
+// expireUploads aborts upload sessions idle past uploadIdleTimeout: a
+// client that died mid-stripe must not pin a temp file (or the dataset
+// ID) forever. Called from the repair sweeper.
 func (n *Node) expireUploads() {
-	cutoff := time.Now().Add(-n.cfg.UploadIdleTimeout)
+	cutoff := time.Now().Add(-uploadIdleTimeout)
 	var stale []*uploadSession
 	n.upMu.Lock()
 	for id, sess := range n.uploads {
