@@ -121,6 +121,7 @@ flake:
 
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzMultipartFraming$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanStripes$$' -fuzztime 5s ./internal/cdnclient
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 5s ./internal/ingest
 

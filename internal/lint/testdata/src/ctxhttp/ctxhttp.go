@@ -4,7 +4,9 @@ package ctxhttp
 
 import (
 	"context"
+	"net"
 	"net/http"
+	"time"
 )
 
 // plainGet uses the context-less client helper.
@@ -40,4 +42,32 @@ func withCtx(ctx context.Context, c *http.Client) error {
 		return err
 	}
 	return resp.Body.Close()
+}
+
+// plainDial dials with no context, three ways.
+func plainDial() {
+	if c, err := net.Dial("tcp", "example.com:80"); err == nil { // want "net.Dial dials"
+		c.Close()
+	}
+	if c, err := net.DialTimeout("tcp", "example.com:80", time.Second); err == nil { // want "net.DialTimeout dials"
+		c.Close()
+	}
+	d := net.Dialer{Timeout: time.Second}
+	if c, err := d.Dial("tcp", "example.com:80"); err == nil { // want "net.Dialer.Dial dials"
+		c.Close()
+	}
+	pd := &net.Dialer{}
+	if c, err := pd.Dial("tcp", "example.com:80"); err == nil { // want "net.Dialer.Dial dials"
+		c.Close()
+	}
+}
+
+// dialCtx is the required shape — clean.
+func dialCtx(ctx context.Context) error {
+	d := net.Dialer{Timeout: time.Second}
+	c, err := d.DialContext(ctx, "tcp", "example.com:80")
+	if err != nil {
+		return err
+	}
+	return c.Close()
 }

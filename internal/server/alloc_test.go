@@ -29,6 +29,13 @@ const (
 	// window of a whole-file replica.
 	allocBudgetSegEndpointSegment = 0
 	allocBudgetSegEndpointFile    = 0
+	// A multipart answer allocates its random boundary (one string the
+	// Content-Type value and the framing share), the Content-Length
+	// string, and the two header-value slices: net/http may read a HEAD's
+	// header map after the handler returns, so these never alias pooled
+	// memory.
+	allocBudgetDiskMultipart = 4
+	allocBudgetSegMultipart  = 4
 	// Resolve's two allocations are both in allocation.Server.Resolve:
 	// the holder-ID slice it sorts for a deterministic scan, and the
 	// boxing of that slice into sort.Slice's interface argument.
@@ -48,24 +55,33 @@ func serveAllocs(t *testing.T, n *Node, total int64, rangeHdr string) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want int64
+	// The body is the payload, plus the framing of a multipart answer;
+	// the served-bytes counter sees the payload alone.
+	var payload, framing int64
 	for _, rng := range rngs {
-		want += rng.n
+		payload += rng.n
+	}
+	if len(rngs) > 1 {
+		framing = multipartLength(rngs, total) - payload
 	}
 	w := &benchRW{h: make(http.Header)}
-	for i := 0; i < 3; i++ { // warm: materialize replica, prime scratch pools
+	serve := func() {
 		w.n = 0
+		before := n.Metrics.BytesServed.Value()
 		if !n.serveLocal(w, req, id, rngs, isRange, total) {
 			t.Fatal("serveLocal failed")
 		}
-	}
-	return testing.AllocsPerRun(200, func() {
-		w.n = 0
-		n.serveLocal(w, req, id, rngs, isRange, total)
-		if w.n != want {
-			t.Fatalf("served %d bytes, want %d", w.n, want)
+		if w.n != payload+framing {
+			t.Fatalf("wrote %d bytes, want %d payload + %d framing", w.n, payload, framing)
 		}
-	})
+		if got := int64(n.Metrics.BytesServed.Value() - before); got != payload {
+			t.Fatalf("counted %d served bytes, want %d", got, payload)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm: materialize replica, prime scratch pools
+		serve()
+	}
+	return testing.AllocsPerRun(200, serve)
 }
 
 // segmentEndpointAllocs measures steady-state allocs/op of the segment
@@ -105,6 +121,9 @@ func TestServeAllocBudgets(t *testing.T) {
 	}
 	const total = int64(256 << 10)
 	const rangeHdr = "bytes=5000-70535" // 64 KiB, mid-block offset
+	// Three parts: a head, a window across the first segment boundary,
+	// and a tail.
+	const multipartHdr = "bytes=0-1023,60000-70535,-4096"
 	newDiskNode := func(t *testing.T) *Node {
 		vol, err := storage.NewDiskVolume(t.TempDir(), 1<<30)
 		if err != nil {
@@ -131,6 +150,8 @@ func TestServeAllocBudgets(t *testing.T) {
 		{"disk/range", newDiskNode, rangeHdr, allocBudgetDiskRange},
 		{"segment/full", newSegNode, "", allocBudgetSegFull},
 		{"segment/range", newSegNode, rangeHdr, allocBudgetSegRange},
+		{"disk/multipart", newDiskNode, multipartHdr, allocBudgetDiskMultipart},
+		{"segment/multipart", newSegNode, multipartHdr, allocBudgetSegMultipart},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -277,10 +277,10 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 			pull.length = -1
 		}
 	}
-	// Pull-through only on full-body fetches: a stripe proves nothing
-	// about the rest of the dataset, so partial transfers never adopt
-	// bytes or mint a replica record.
-	adopt := n.cfg.PullThrough && !isRange
+	// Pull-through only on full-body GETs: a stripe proves nothing about
+	// the rest of the dataset, so partial transfers never adopt bytes or
+	// mint a replica record, and a HEAD moves no bytes at all.
+	adopt := n.cfg.PullThrough && !isRange && r.Method != http.MethodHead
 	if adopt {
 		pull.sink = n.pullSink(id, bytes, 0, bytes)
 	}
@@ -392,7 +392,8 @@ func (n *Node) releaseSource(src *fetchSource) {
 
 // copyRange writes the dataset window [off, off+length) from src to
 // dst. A scratch, when given, lends its LimitedReader, which net/http
-// unwraps so a file window rides sendfile without allocating.
+// unwraps so a file window rides sendfile, and a multipart partWriter
+// reads straight into its buffer — either way without allocating.
 func (n *Node) copyRange(dst io.Writer, sc *fetchScratch, src *fetchSource, off, length int64) (int64, error) {
 	switch {
 	case src.file != nil:
@@ -449,10 +450,7 @@ func (n *Node) writeRanges(w http.ResponseWriter, r *http.Request, src *fetchSou
 	var served int64
 	if len(rngs) > 1 {
 		n.Metrics.RangeMultipart.Inc()
-		served = writeMultipart(w, r, rngs, total, func(pw io.Writer, rng byteRange) error {
-			_, err := n.copyRange(pw, nil, src, rng.off, rng.n)
-			return err
-		})
+		served = n.writeMultipart(w, r, src, rngs, total)
 	} else {
 		rng := rngs[0]
 		h["Content-Type"] = octetStreamHeader
@@ -637,8 +635,10 @@ func (n *Node) orderCandidates(reps []allocation.Replica) []allocation.Replica {
 // same range writer, and a multipart boundary lives in its Content-Type.
 var relayHeaders = []string{"Accept-Ranges", "Content-Type", "Content-Length", "Content-Range"}
 
-// tryPeer makes one attempt of a pull against one candidate holder and,
-// on a good answer, streams it to the client and through pull.sink.
+// tryPeer makes one attempt of a pull against one candidate holder over
+// the node's relay (relay.go) and, on a good answer, streams it to the
+// client and through pull.sink. A HEAD is forwarded as a HEAD: the
+// holder's headers are relayed and no byte is counted or adopted.
 // committed reports whether a response was written (successfully or
 // not) — once headers are on the wire there is no retrying.
 func (n *Node) tryPeer(w http.ResponseWriter, r *http.Request, cand allocation.Replica,
@@ -647,22 +647,16 @@ func (n *Node) tryPeer(w http.ResponseWriter, r *http.Request, cand allocation.R
 	if !ok {
 		return false, ErrNoEndpoint
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, base+pull.path, nil)
+	q := relayRequest{method: r.Method, path: pull.path, auth: r.Header.Get("Authorization"),
+		peer: n.srcID, rangeHdr: pull.rangeHdr}
+	rc, resp, err := n.relay.roundTrip(r.Context(), strings.TrimPrefix(base, "http://"), &q)
 	if err != nil {
 		return false, err
 	}
-	req.Header.Set(peerHeader, n.srcID)
-	req.Header.Set("Authorization", r.Header.Get("Authorization"))
-	if pull.rangeHdr != "" {
-		req.Header.Set("Range", pull.rangeHdr)
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
+	keep := false
+	defer func() { rc.release(keep && !resp.Close) }()
 	if resp.StatusCode != pull.status || pull.length >= 0 && resp.ContentLength != pull.length {
-		drainBody(resp.Body)
+		keep = drainBody(resp.Body)
 		return false, fmt.Errorf("server: peer %d answered %s with %s (%d bytes)",
 			cand.Node, pull.path, resp.Status, resp.ContentLength)
 	}
@@ -674,19 +668,29 @@ func (n *Node) tryPeer(w http.ResponseWriter, r *http.Request, cand allocation.R
 	}
 	h["X-Scdn-Source"] = []string{strconv.FormatInt(int64(cand.Node), 10)}
 	w.WriteHeader(pull.status)
-	dst := io.Writer(w)
-	if pull.sink != nil {
-		dst = io.MultiWriter(w, pull.sink)
-	}
-	written, copyErr := copyBuffered(dst, resp.Body)
-	n.Metrics.BytesServed.Add(uint64(written))
-	if copyErr != nil || written != resp.ContentLength && resp.ContentLength >= 0 {
-		pull.failures.Inc()
-		if copyErr == nil {
-			copyErr = io.ErrUnexpectedEOF
+	head := r.Method == http.MethodHead
+	var written int64
+	var copyErr error
+	switch {
+	case head:
+	case pull.sink == nil && resp.ContentLength >= 0:
+		written, copyErr = rc.relayBody(w, resp.ContentLength)
+	default:
+		dst := io.Writer(w)
+		if pull.sink != nil {
+			dst = io.MultiWriter(w, pull.sink)
 		}
+		written, copyErr = copyBuffered(dst, resp.Body)
+	}
+	n.Metrics.BytesServed.Add(uint64(written))
+	if copyErr == nil && !head && resp.ContentLength >= 0 && written != resp.ContentLength {
+		copyErr = io.ErrUnexpectedEOF
+	}
+	if copyErr != nil {
+		pull.failures.Inc()
 		return true, copyErr
 	}
+	keep = true
 	if cand.Node == origin {
 		n.Metrics.OriginFetches.Inc()
 	} else {
@@ -703,11 +707,12 @@ func (n *Node) tryPeer(w http.ResponseWriter, r *http.Request, cand allocation.R
 const drainBodyLimit = 1 << 20
 
 // drainBody reads a response body to EOF (bounded) so the underlying
-// connection returns to the transport's idle pool instead of being torn
-// down — without this, every failed peer hop costs the next attempt a
-// TCP handshake.
-func drainBody(body io.Reader) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(body, drainBodyLimit))
+// connection can go back to its idle pool instead of being torn down —
+// without this, every failed peer hop costs the next attempt a TCP
+// handshake. Reports whether the body was read to its end.
+func drainBody(body io.Reader) bool {
+	n, err := io.Copy(io.Discard, io.LimitReader(body, drainBodyLimit))
+	return err == nil && n < drainBodyLimit
 }
 
 // pullSink returns the sink adopting a pulled window [off, end) of the

@@ -273,13 +273,15 @@ func benchServeLocal(b *testing.B, n *Node, total int64, rangeHdr string) {
 }
 
 // BenchmarkServeLocal measures the warm per-fetch cost of the
-// disk-backed sendfile path, for full bodies and single-part ranges.
+// disk-backed serve path: full bodies and single-part ranges (sendfile)
+// and a three-part multipart answer (one pooled send buffer).
 func BenchmarkServeLocal(b *testing.B) {
 	const total = int64(256 << 10)
 	const rangeHdr = "bytes=5000-70535" // 64 KiB, mid-block offset
 	for _, tc := range []struct{ name, rangeHdr string }{
 		{"warm-full", ""},
 		{"warm-range", rangeHdr},
+		{"warm-multipart", "bytes=0-1023,60000-70535,-4096"},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			vol, err := storage.NewDiskVolume(b.TempDir(), 1<<30)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"net/textproto"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,14 +24,6 @@ func (r byteRange) contentRange(total int64) string {
 // header renders the client-side Range header value for this range.
 func (r byteRange) header() string {
 	return fmt.Sprintf("bytes=%d-%d", r.off, r.end())
-}
-
-// mimeHeader renders the per-part headers of a multipart/byteranges part.
-func (r byteRange) mimeHeader(total int64) textproto.MIMEHeader {
-	return textproto.MIMEHeader{
-		"Content-Range": {r.contentRange(total)},
-		"Content-Type":  {"application/octet-stream"},
-	}
 }
 
 // rangesHeader renders the client-side Range header for a set of parts

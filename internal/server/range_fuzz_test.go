@@ -1,6 +1,17 @@
 package server
 
-import "testing"
+import (
+	"bytes"
+	"io"
+	"mime"
+	"mime/multipart"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+
+	"scdn/internal/storage"
+)
 
 // FuzzParseRange holds parseRanges to its contract under arbitrary Range
 // headers: accepted range sets are in-bounds, non-empty, sorted,
@@ -77,6 +88,102 @@ func FuzzParseRange(f *testing.F) {
 				t.Fatalf("parseRange(%q, %d) = (%+v, %v, %v), disagrees with parseRanges",
 					rngs[0].header(), total, r1, p1, err1)
 			}
+		}
+	})
+}
+
+// FuzzMultipartFraming holds the hand-rendered multipart/byteranges
+// framing to mime/multipart's reading of it. For every accepted
+// 2–16-part range set over a small dataset, the served body parses
+// into exactly those windows, each under its own Content-Range;
+// Content-Length equals the bytes written; and a HEAD carries the same
+// headers (its boundary aside) and no body.
+func FuzzMultipartFraming(f *testing.F) {
+	f.Add("bytes=0-0,2-2")
+	f.Add("bytes=0-1023,2000-2999,-256")
+	f.Add("bytes=4098-,0-0")
+	f.Add("bytes=10-20,30-40,50-60,70-80,90-100,110-120,130-140,150-160,170-180,190-200,210-220,230-240,250-260,270-280,290-300,310-320")
+	f.Add("bytes=100-,0-50")
+	const (
+		id    = storage.DatasetID("fuzz-multipart")
+		total = int64(4099) // one byte past a payload block
+	)
+	vol, err := storage.NewDiskVolume(f.TempDir(), 1<<30)
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := benchNode(vol)
+	var whole bytes.Buffer
+	if _, err := WritePayload(&whole, id, total); err != nil {
+		f.Fatal(err)
+	}
+	ref := whole.Bytes()
+	serve := func(t *testing.T, method string, rngs []byteRange) *http.Response {
+		rec := httptest.NewRecorder()
+		if !n.serveLocal(rec, httptest.NewRequest(method, "/v1/fetch/"+string(id), nil), id, rngs, true, total) {
+			t.Fatal("serveLocal failed")
+		}
+		return rec.Result()
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		rngs, _, err := parseRanges(h, total)
+		if err != nil || len(rngs) < 2 {
+			return // single windows and rejected sets carry no framing
+		}
+		get := serve(t, http.MethodGet, rngs)
+		body, err := io.ReadAll(get.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if get.StatusCode != http.StatusPartialContent {
+			t.Fatalf("%q: status %d", h, get.StatusCode)
+		}
+		if cl := get.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			t.Fatalf("%q: Content-Length %s, body %d bytes", h, cl, len(body))
+		}
+		mediaType, params, err := mime.ParseMediaType(get.Header.Get("Content-Type"))
+		if err != nil || mediaType != "multipart/byteranges" || len(params["boundary"]) != boundaryLen {
+			t.Fatalf("%q: Content-Type %q (%v)", h, get.Header.Get("Content-Type"), err)
+		}
+		mr := multipart.NewReader(bytes.NewReader(body), params["boundary"])
+		for i, rng := range rngs {
+			p, err := mr.NextPart()
+			if err != nil {
+				t.Fatalf("%q: part %d: %v", h, i, err)
+			}
+			if got, want := p.Header.Get("Content-Range"), rng.contentRange(total); got != want {
+				t.Fatalf("%q: part %d Content-Range %q, want %q", h, i, got, want)
+			}
+			data, err := io.ReadAll(p)
+			if err != nil {
+				t.Fatalf("%q: part %d body: %v", h, i, err)
+			}
+			if !bytes.Equal(data, ref[rng.off:rng.off+rng.n]) {
+				t.Fatalf("%q: part %d bytes diverge from window %d+%d", h, i, rng.off, rng.n)
+			}
+		}
+		if p, err := mr.NextPart(); err != io.EOF {
+			t.Fatalf("%q: %d parts expected, then %v (%v)", h, len(rngs), p, err)
+		}
+
+		head := serve(t, http.MethodHead, rngs)
+		if b, _ := io.ReadAll(head.Body); len(b) != 0 {
+			t.Fatalf("%q: HEAD wrote %d body bytes", h, len(b))
+		}
+		if head.StatusCode != get.StatusCode {
+			t.Fatalf("%q: HEAD status %d, GET %d", h, head.StatusCode, get.StatusCode)
+		}
+		for k := range get.Header {
+			hv, gv := head.Header.Get(k), get.Header.Get(k)
+			if k == "Content-Type" {
+				hv, gv = hv[:len(hv)-boundaryLen], gv[:len(gv)-boundaryLen]
+			}
+			if hv != gv {
+				t.Fatalf("%q: HEAD %s %q, GET %q", h, k, hv, gv)
+			}
+		}
+		if len(head.Header) != len(get.Header) {
+			t.Fatalf("%q: HEAD headers %v, GET %v", h, head.Header, get.Header)
 		}
 	})
 }

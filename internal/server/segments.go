@@ -211,7 +211,7 @@ func (n *Node) handleFetchSegment(w http.ResponseWriter, r *http.Request) {
 		path:   "/v1/fetch/" + url.PathEscape(string(id)) + "/segments/" + strconv.FormatInt(seg, 10),
 		status: http.StatusOK, length: win.n, failures: &n.Metrics.SegmentFetchFailures,
 	}
-	if !n.vol.HasSegment(id, seg) {
+	if r.Method != http.MethodHead && !n.vol.HasSegment(id, seg) {
 		pull.sink = n.pullSink(id, total, win.off, win.off+win.n)
 	}
 	n.pullFromPeers(w, r, id, &pull, fail)

@@ -116,7 +116,10 @@ type Node struct {
 	repoMu sync.Mutex
 	repo   *storage.Repository
 
+	// client carries the health probes, replicate calls and repair byte
+	// copies; fetch hops ride relay (relay.go).
 	client *http.Client
+	relay  relayPool
 
 	// inflight tracks the requests the node's connections are serving
 	// (Quiesce).
@@ -172,9 +175,7 @@ func NewNode(cfg Config, repo *storage.Repository, auth *middleware.Middleware,
 		Metrics:   &Metrics{},
 		manifests: cfg.Manifests,
 		uploads:   make(map[storage.DatasetID]*uploadSession),
-		// Peer hops share the process-wide tuned transport: raised
-		// per-host idle pool, keep-alives on.
-		client: transport.NewClient(30 * time.Second),
+		client:    transport.NewClient(peerTimeout),
 	}
 	return n, nil
 }
@@ -312,6 +313,7 @@ func (n *Node) Stop(ctx context.Context) error {
 	_ = srv.Shutdown(expired)
 	err := n.Quiesce(ctx)
 	_ = srv.Close()
+	n.relay.closeIdle()
 	// With the listener drained no new stripes can arrive: whatever
 	// upload sessions remain are half-finished and must not leave temp
 	// files behind.
@@ -389,6 +391,7 @@ func (n *Node) Crash() {
 	n.Metrics.ChurnKills.Inc()
 	reapSweeper(cancel, done)
 	_ = srv.Close()
+	n.relay.closeIdle()
 	// Connections are dead; in-flight stripes error out on their own and
 	// the rest of the session state is garbage now.
 	n.abortUploads()

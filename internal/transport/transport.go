@@ -1,9 +1,11 @@
 // Package transport holds the delivery plane's process-wide tuned HTTP
-// transport. It sits below every networked package (server, stripe,
-// cdnclient) so all of them can share one connection pool without
-// importing each other: the serving plane's peer clients, striped
-// fetches, repair byte copies, and load-generator workers all ride the
-// same warm keep-alive sockets.
+// transport. It sits below every networked package (server, cdnclient)
+// so all of them can share one connection pool without importing each
+// other: the serving plane's health probes, replicate calls and repair
+// byte copies, striped fetches, and load-generator workers all ride the
+// same warm keep-alive sockets. Edge-to-edge fetch hops do not: they
+// ride the serving plane's own relay (internal/server/relay.go), which
+// keeps its per-peer connections under the same limits below.
 package transport
 
 import (
@@ -12,20 +14,35 @@ import (
 	"time"
 )
 
-// shared is the one tuned transport. The stock http.DefaultTransport
-// keeps only two idle connections per host, so a 32-worker load
-// generator (or a node proxying a hot dataset) churns through TCP
-// handshakes as fast as it closes sockets; here the per-host idle pool
-// is sized for a striped fan-out and keep-alives stay on.
+// Connection limits shared by the tuned transport and the serving
+// plane's peer relay.
+const (
+	// DialTimeout bounds one TCP connect.
+	DialTimeout = 10 * time.Second
+	// KeepAlive is the TCP keep-alive probe period of a dialed socket.
+	KeepAlive = 30 * time.Second
+	// MaxIdleConnsPerHost sizes the idle pool per peer. The stock
+	// http.DefaultTransport keeps two, so a striped fan-out (or a
+	// 32-worker load generator) that opens more concurrent requests
+	// than that to one host churns through TCP handshakes as fast as
+	// it closes sockets.
+	MaxIdleConnsPerHost = 64
+	// IdleConnTimeout is how long an unused kept-alive connection stays
+	// pooled before it is closed.
+	IdleConnTimeout = 90 * time.Second
+)
+
+// shared is the one tuned transport: keep-alives on and the per-host
+// idle pool raised to MaxIdleConnsPerHost.
 var shared = &http.Transport{
 	Proxy: http.ProxyFromEnvironment,
 	DialContext: (&net.Dialer{
-		Timeout:   10 * time.Second,
-		KeepAlive: 30 * time.Second,
+		Timeout:   DialTimeout,
+		KeepAlive: KeepAlive,
 	}).DialContext,
 	MaxIdleConns:        512,
-	MaxIdleConnsPerHost: 64,
-	IdleConnTimeout:     90 * time.Second,
+	MaxIdleConnsPerHost: MaxIdleConnsPerHost,
+	IdleConnTimeout:     IdleConnTimeout,
 }
 
 // Shared returns the process-wide tuned transport. Callers must not
