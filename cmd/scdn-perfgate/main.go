@@ -14,10 +14,10 @@
 //
 // Usage (what `make perfgate` runs):
 //
-//	scdn-loadgen -openloop -bench-out BENCH_openloop_candidate.json
+//	scdn-loadgen -scenario delivery -bench-out BENCH_openloop_candidate.json
 //	scdn-perfgate -baseline BENCH_delivery.json -candidate BENCH_openloop_candidate.json
 //
-//	scdn-loadgen -large ... -bench-out BENCH_large_candidate.json
+//	scdn-loadgen -scenario large ... -bench-out BENCH_large_candidate.json
 //	scdn-perfgate -candidate "" -large-baseline BENCH_large.json -large-candidate BENCH_large_candidate.json
 //
 // A baseline predating the open-loop schema (no open_loop section)

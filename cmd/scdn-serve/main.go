@@ -34,6 +34,7 @@ import (
 	"syscall"
 	"time"
 
+	"scdn/internal/loadharness"
 	"scdn/internal/server"
 )
 
@@ -58,14 +59,14 @@ func main() {
 	)
 	flag.Parse()
 
-	var churnEvents []server.ChurnEvent
+	var churnEvents []loadharness.ChurnEvent
 	if *churnFile != "" {
 		f, err := os.Open(*churnFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scdn-serve:", err)
 			os.Exit(1)
 		}
-		churnEvents, err = server.ParseChurnScript(f)
+		churnEvents, err = loadharness.ParseChurnScript(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scdn-serve:", err)
@@ -102,9 +103,9 @@ func main() {
 	fmt.Printf("  users:    %d .. %d\n", lc.UserIDs[0], lc.UserIDs[len(lc.UserIDs)-1])
 	fmt.Println("serving — ctrl-c to stop")
 
-	var churn *server.ChurnRun
+	var churn *loadharness.ChurnRun
 	if len(churnEvents) > 0 {
-		churn = server.StartChurn(lc, churnEvents)
+		churn = loadharness.StartChurn(lc, churnEvents)
 		fmt.Printf("scdn-serve: churn script armed: %d events from %s\n", len(churnEvents), *churnFile)
 	}
 

@@ -1,9 +1,12 @@
-package server
+package loadharness
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
+
+	"scdn/internal/server"
 )
 
 func TestParseChurnSpec(t *testing.T) {
@@ -129,5 +132,111 @@ func TestParseChurnScript(t *testing.T) {
 		if _, err := ParseChurnScript(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseChurnScript(%q) accepted, want error", bad)
 		}
+	}
+}
+
+// churnCluster starts a small in-process cluster for ChurnRun tests.
+// The sweepers are off: these tests check the runner's bookkeeping, not
+// repair.
+func churnCluster(t *testing.T) *server.LocalCluster {
+	t.Helper()
+	lc, err := server.StartLocalCluster(server.ClusterConfig{Nodes: 3, Users: 1, Datasets: 1,
+		Sweep: server.SweeperConfig{Disabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = lc.Shutdown(ctx)
+	})
+	return lc
+}
+
+func TestChurnRunSummary(t *testing.T) {
+	lc := churnCluster(t)
+	run := StartChurn(lc, []ChurnEvent{
+		{At: 0, Action: ChurnKill, Node: 2},
+		{At: 10 * time.Millisecond, Action: ChurnStop, Node: 3},
+		{At: 20 * time.Millisecond, Action: ChurnRestart, Node: 2},
+		{At: 30 * time.Millisecond, Action: ChurnRestart, Node: 3},
+	})
+	run.Wait()
+	sum := run.Summary()
+	if sum.Kills != 1 || sum.Stops != 1 || sum.Restarts != 2 || sum.Down != 0 || !sum.AllRestarted || len(sum.Errs) != 0 {
+		t.Fatalf("summary = %+v, want 1 kill, 1 stop, 2 restarts, none down, all restarted", sum)
+	}
+	for i, n := range lc.Nodes {
+		if !n.Running() {
+			t.Fatalf("node %d down after its restart", i+1)
+		}
+	}
+}
+
+func TestChurnRunNeverRestart(t *testing.T) {
+	lc := churnCluster(t)
+	events := ChurnSpec{Kills: 1, Restart: -1, Spacing: time.Millisecond}.Events(len(lc.Nodes), 1)
+	run := StartChurn(lc, events)
+	run.Wait()
+	sum := run.Summary()
+	if sum.Kills != 1 || sum.Restarts != 0 || sum.Down != 1 || sum.AllRestarted {
+		t.Fatalf("summary = %+v, want 1 kill, 1 down, not all restarted", sum)
+	}
+	// A member still down explains failures however long ago it died.
+	if !run.Active(0) {
+		t.Fatal("Active(0) = false with a member down")
+	}
+}
+
+func TestChurnRunActive(t *testing.T) {
+	lc := churnCluster(t)
+	run := StartChurn(lc, []ChurnEvent{
+		{At: 0, Action: ChurnKill, Node: 2},
+		{At: time.Millisecond, Action: ChurnRestart, Node: 2},
+	})
+	run.Wait()
+	if !run.Active(time.Hour) {
+		t.Fatal("Active = false inside the grace window after a transition")
+	}
+	if run.Active(0) {
+		t.Fatal("Active = true outside the grace window, schedule done, nobody down")
+	}
+
+	// A schedule still running explains failures before its first event.
+	pending := StartChurn(lc, []ChurnEvent{{At: time.Hour, Action: ChurnKill, Node: 3}})
+	defer pending.Cancel()
+	if !pending.Active(0) {
+		t.Fatal("Active = false while the schedule is still running")
+	}
+}
+
+func TestChurnRunCancelLeavesDownedNodesDown(t *testing.T) {
+	lc := churnCluster(t)
+	run := StartChurn(lc, []ChurnEvent{
+		{At: 0, Action: ChurnKill, Node: 2},
+		{At: time.Hour, Action: ChurnRestart, Node: 2},
+	})
+	for deadline := time.Now().Add(5 * time.Second); run.Summary().Kills == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("kill never applied")
+		}
+	}
+	run.Cancel()
+	sum := run.Summary()
+	if sum.Restarts != 0 || sum.Down != 1 || sum.AllRestarted {
+		t.Fatalf("summary after Cancel = %+v, want the victim still down", sum)
+	}
+	if lc.Nodes[1].Running() {
+		t.Fatal("Cancel restarted a downed node")
+	}
+}
+
+func TestChurnRunOutOfRangeNode(t *testing.T) {
+	lc := churnCluster(t)
+	run := StartChurn(lc, []ChurnEvent{{At: 0, Action: ChurnKill, Node: 9}})
+	run.Wait()
+	sum := run.Summary()
+	if len(sum.Errs) != 1 || !strings.Contains(sum.Errs[0], "no node 9") || sum.Kills != 0 {
+		t.Fatalf("summary = %+v, want one error naming node 9 and no kill", sum)
 	}
 }

@@ -1,20 +1,27 @@
-// Package loadharness is the delivery plane's honest measurement kit:
-// an open-loop load generator (requests fired on a seeded arrival
-// schedule, regardless of how many are still in flight) with
+// Package loadharness is the delivery plane's honest measurement kit
+// and the whole of scdn-loadgen. Main runs one scenario — delivery,
+// large, churn or ingest — through one path: set up the cluster, run
+// the scenario's request mix, reconcile the client's counts against
+// the cluster's /metrics delta, write one BENCH record. The package
+// also holds the open-loop generator (requests fired on a seeded
+// arrival schedule, regardless of how many are still in flight) with
 // coordinated-omission-safe latency recording into the repo's shared
-// metrics.Histogram, and the versioned BENCH record schema plus the
-// perf-ratchet comparison behind `make perfgate`.
+// metrics.Histogram, the churn injector, and the versioned BENCH
+// record schema plus the perf-ratchet comparison behind `make
+// perfgate`.
 //
-// The closed-loop generator this package replaces measured the harness,
-// not the server: when every worker waits for its previous response
-// before sending the next request, a slow server quietly lowers the
-// offered load and the recorded latencies omit exactly the requests
-// that would have hurt — the coordinated-omission trap. Here the
-// arrival schedule is fixed up front, each request's latency is
-// measured from its *intended* start time (so time spent queued behind
-// a saturated connection pool counts against the server), and the sweep
-// across arrival rates yields a latency-vs-throughput curve whose knee
-// is the number worth ratcheting.
+// A closed-loop generator measures the harness, not the server: when
+// every worker waits for its previous response before sending the next
+// request, a slow server quietly lowers the offered load and the
+// recorded latencies omit exactly the requests that would have hurt —
+// the coordinated-omission trap. The open loop fixes the arrival
+// schedule up front, measures each request's latency from its
+// *intended* start time (so time spent queued behind a saturated
+// connection pool counts against the server), and sweeps arrival rates
+// into a latency-vs-throughput curve whose knee is the number worth
+// ratcheting. Only the churn scenario runs closed loop: it measures
+// survival, not latency, and its workers are paced across the kill
+// schedule.
 package loadharness
 
 import (
@@ -39,8 +46,6 @@ type RunConfig struct {
 	// schedule — its wait for a slot is charged to its latency, exactly
 	// the queueing delay a real client would see.
 	MaxConns int
-	// Dist is the inter-arrival distribution (DistExponential default).
-	Dist string
 	// Seed makes the schedule reproducible.
 	Seed int64
 }
@@ -55,18 +60,18 @@ type RateResult struct {
 	// from the moment the schedule said the request should begin (not
 	// from when a connection freed up) to its completion.
 	LatencyMS metrics.Latency `json:"latency_ms"`
-	// Bytes, AchievedMBps, and RequestMBps appear only on byte-measured
-	// steps (RunBytes): total payload bytes moved, wall-clock byte
-	// throughput in MB/s (1e6 bytes), and the per-request MB/s
-	// distribution — the step's second axis, so a serve path that keeps
-	// its request knee but halves its byte rate is still caught.
+	// Bytes, AchievedMBps, and RequestMBps are the step's byte axis:
+	// total payload bytes moved, wall-clock byte throughput in MB/s (1e6
+	// bytes), and the per-request MB/s distribution — so a serve path
+	// that keeps its request knee but halves its byte rate is still
+	// caught. They are omitted when no request moved a byte.
 	Bytes        uint64           `json:"bytes,omitempty"`
 	AchievedMBps float64          `json:"achieved_mbps,omitempty"`
 	RequestMBps  *metrics.Latency `json:"request_mbps,omitempty"`
 
 	// Hist carries the raw latency histogram for callers that
-	// aggregate; MBpsHist the per-request MB/s histogram of a
-	// byte-measured step. Neither is serialized.
+	// aggregate; MBpsHist the per-request MB/s histogram. Neither is
+	// serialized.
 	Hist     *metrics.Histogram `json:"-"`
 	MBpsHist *metrics.Histogram `json:"-"`
 }
@@ -74,35 +79,22 @@ type RateResult struct {
 // Run executes one open-loop step: arrivals fire on the seeded schedule
 // regardless of in-flight count, each request's latency is measured from
 // its intended start time, and the call returns once every fired request
-// has completed. do performs one request; a non-nil error counts as a
-// failure (the latency is still recorded — failures are usually the
-// slow ones, dropping them would re-introduce the omission).
-func Run(ctx context.Context, cfg RunConfig, do func(context.Context) error) (RateResult, error) {
-	res, err := RunBytes(ctx, cfg, func(ctx context.Context) (int64, error) {
-		return 0, do(ctx)
-	})
-	// A request-only run carries no byte axis.
-	res.Bytes, res.AchievedMBps, res.RequestMBps, res.MBpsHist = 0, 0, nil, nil
-	return res, err
-}
-
-// RunBytes is Run for byte-throughput measurement: do additionally
-// reports how many payload bytes the request moved, and the step's
-// result carries the byte axis — total bytes, wall-clock MB/s, and the
-// per-request MB/s distribution (each request's bytes over its
-// intended-start-time latency, so queueing delay depresses the number
-// exactly as a client would experience it).
-func RunBytes(ctx context.Context, cfg RunConfig, do func(context.Context) (int64, error)) (RateResult, error) {
+// has completed. do performs one request and reports the payload bytes
+// it moved; a non-nil error counts as a failure (the latency is still
+// recorded — failures are usually the slow ones, dropping them would
+// re-introduce the omission). The step's result carries the byte axis
+// too: total bytes, wall-clock MB/s, and the per-request MB/s
+// distribution (each request's bytes over its intended-start-time
+// latency, so queueing delay depresses the number exactly as a client
+// would experience it).
+func Run(ctx context.Context, cfg RunConfig, do func(context.Context) (int64, error)) (RateResult, error) {
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 64
-	}
-	if cfg.Dist == "" {
-		cfg.Dist = DistExponential
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = time.Second
 	}
-	sched, err := NewArrivals(cfg.Dist, cfg.Rate, cfg.Seed)
+	sched, err := NewArrivals(cfg.Rate, cfg.Seed)
 	if err != nil {
 		return RateResult{}, err
 	}
@@ -184,7 +176,6 @@ type SweepConfig struct {
 	Rates    []float64
 	Duration time.Duration
 	MaxConns int
-	Dist     string
 	Seed     int64
 	// Settle is an idle pause between steps so one step's stragglers
 	// don't pollute the next step's measurements.
@@ -195,23 +186,14 @@ type SweepConfig struct {
 
 // Sweep runs one open-loop step per configured rate, in order, and
 // returns the per-rate results.
-func Sweep(ctx context.Context, cfg SweepConfig, do func(context.Context) error) ([]RateResult, error) {
-	return SweepBytes(ctx, cfg, func(ctx context.Context) (int64, error) {
-		return 0, do(ctx)
-	})
-}
-
-// SweepBytes is Sweep over a byte-measuring request function: each
-// step's result carries the byte-throughput axis (see RunBytes).
-func SweepBytes(ctx context.Context, cfg SweepConfig, do func(context.Context) (int64, error)) ([]RateResult, error) {
+func Sweep(ctx context.Context, cfg SweepConfig, do func(context.Context) (int64, error)) ([]RateResult, error) {
 	if len(cfg.Rates) == 0 {
 		return nil, fmt.Errorf("loadharness: sweep needs at least one arrival rate")
 	}
 	out := make([]RateResult, 0, len(cfg.Rates))
 	for i, rate := range cfg.Rates {
-		res, err := RunBytes(ctx, RunConfig{
-			Rate: rate, Duration: cfg.Duration, MaxConns: cfg.MaxConns,
-			Dist: cfg.Dist, Seed: cfg.Seed + int64(i),
+		res, err := Run(ctx, RunConfig{
+			Rate: rate, Duration: cfg.Duration, MaxConns: cfg.MaxConns, Seed: cfg.Seed + int64(i),
 		}, do)
 		if err != nil {
 			return out, err

@@ -14,9 +14,9 @@ func TestRunIssuesOnSchedule(t *testing.T) {
 	var calls atomic.Uint64
 	res, err := Run(context.Background(), RunConfig{
 		Rate: 2000, Duration: 200 * time.Millisecond, Seed: 1,
-	}, func(context.Context) error {
+	}, func(context.Context) (int64, error) {
 		calls.Add(1)
-		return nil
+		return 0, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +47,9 @@ func TestRunIssuesOnSchedule(t *testing.T) {
 func TestRunOpenLoopChargesQueueing(t *testing.T) {
 	res, err := Run(context.Background(), RunConfig{
 		Rate: 500, Duration: 300 * time.Millisecond, MaxConns: 1, Seed: 3,
-	}, func(context.Context) error {
+	}, func(context.Context) (int64, error) {
 		time.Sleep(20 * time.Millisecond)
-		return nil
+		return 0, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,11 +67,11 @@ func TestRunRecordsFailures(t *testing.T) {
 	var n atomic.Uint64
 	res, err := Run(context.Background(), RunConfig{
 		Rate: 1000, Duration: 100 * time.Millisecond, Seed: 5,
-	}, func(context.Context) error {
+	}, func(context.Context) (int64, error) {
 		if n.Add(1)%2 == 0 {
-			return boom
+			return 0, boom
 		}
-		return nil
+		return 0, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,14 +89,14 @@ func TestRunContextCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	_, err := Run(ctx, RunConfig{Rate: 1, Duration: time.Hour, Seed: 1},
-		func(context.Context) error { return nil })
+		func(context.Context) (int64, error) { return 0, nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 }
 
 func TestRunRejectsBadRate(t *testing.T) {
-	if _, err := Run(context.Background(), RunConfig{Rate: 0}, func(context.Context) error { return nil }); err == nil {
+	if _, err := Run(context.Background(), RunConfig{Rate: 0}, func(context.Context) (int64, error) { return 0, nil }); err == nil {
 		t.Fatal("rate 0 accepted")
 	}
 }
@@ -108,7 +108,7 @@ func TestSweep(t *testing.T) {
 		Duration: 100 * time.Millisecond,
 		Seed:     9,
 		Progress: func(RateResult) { steps++ },
-	}, func(context.Context) error { return nil })
+	}, func(context.Context) (int64, error) { return 0, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSweep(t *testing.T) {
 			t.Errorf("step %d issued nothing", i)
 		}
 	}
-	if _, err := Sweep(context.Background(), SweepConfig{}, func(context.Context) error { return nil }); err == nil {
+	if _, err := Sweep(context.Background(), SweepConfig{}, func(context.Context) (int64, error) { return 0, nil }); err == nil {
 		t.Error("empty rate ladder accepted")
 	}
 }
@@ -185,7 +185,7 @@ func TestKnee(t *testing.T) {
 // native units.
 func TestRunBytesByteAxis(t *testing.T) {
 	const perReq = int64(50_000)
-	res, err := RunBytes(context.Background(), RunConfig{
+	res, err := Run(context.Background(), RunConfig{
 		Rate: 1000, Duration: 200 * time.Millisecond, Seed: 3,
 	}, func(context.Context) (int64, error) {
 		return perReq, nil
@@ -219,7 +219,7 @@ func TestRunBytesByteAxis(t *testing.T) {
 // TestRunBytesFailuresCarryNoBytes: failed requests count in Failed and
 // latency but contribute nothing to the byte axis.
 func TestRunBytesFailuresCarryNoBytes(t *testing.T) {
-	res, err := RunBytes(context.Background(), RunConfig{
+	res, err := Run(context.Background(), RunConfig{
 		Rate: 500, Duration: 100 * time.Millisecond, Seed: 4,
 	}, func(context.Context) (int64, error) {
 		return 0, errors.New("boom")
@@ -235,19 +235,5 @@ func TestRunBytesFailuresCarryNoBytes(t *testing.T) {
 	}
 	if res.AchievedRPS != 0 {
 		t.Errorf("AchievedRPS = %g with all requests failed, want 0", res.AchievedRPS)
-	}
-}
-
-// TestRunDropsByteAxis: the request-only wrapper must not report bytes
-// even though it rides RunBytes internally.
-func TestRunDropsByteAxis(t *testing.T) {
-	res, err := Run(context.Background(), RunConfig{
-		Rate: 500, Duration: 100 * time.Millisecond, Seed: 5,
-	}, func(context.Context) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Bytes != 0 || res.AchievedMBps != 0 || res.RequestMBps != nil || res.MBpsHist != nil {
-		t.Fatalf("request-only run carries a byte axis: %+v", res)
 	}
 }

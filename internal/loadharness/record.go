@@ -68,7 +68,7 @@ type KneePoint struct {
 // OpenLoop is a delivery record's open-loop section: the swept
 // latency-vs-throughput curve and its knee.
 type OpenLoop struct {
-	Distribution    string       `json:"distribution"`
+	Distribution    string       `json:"distribution"` // always DistExponential
 	DurationSeconds float64      `json:"duration_seconds"`
 	MaxConns        int          `json:"max_conns"`
 	Rates           []RateResult `json:"rates"`
@@ -78,7 +78,7 @@ type OpenLoop struct {
 // NewOpenLoop assembles the open-loop section from sweep results.
 func NewOpenLoop(cfg SweepConfig, results []RateResult) *OpenLoop {
 	ol := &OpenLoop{
-		Distribution:    cfg.Dist,
+		Distribution:    DistExponential,
 		DurationSeconds: cfg.Duration.Seconds(),
 		MaxConns:        cfg.MaxConns,
 		Rates:           results,
@@ -112,10 +112,9 @@ type ChurnRecord struct {
 type DeliveryRecord struct {
 	SchemaVersion   int             `json:"schema_version"`
 	Host            Host            `json:"host"`
-	Mode            string          `json:"mode"` // "closed-loop" or "open-loop"
+	Mode            string          `json:"mode"` // "open-loop", or "closed-loop" under churn
 	Workers         int             `json:"workers,omitempty"`
 	Requests        int             `json:"requests"`
-	Stripes         int             `json:"stripes,omitempty"`
 	Edges           int             `json:"edges"`
 	Datasets        int             `json:"datasets"`
 	BytesPerDataset int64           `json:"bytes_per_dataset"`
@@ -129,6 +128,30 @@ type DeliveryRecord struct {
 	Reconciled      bool            `json:"reconciled"`
 	OpenLoop        *OpenLoop       `json:"open_loop,omitempty"`
 	Churn           *ChurnRecord    `json:"churn,omitempty"`
+}
+
+// IngestRecord is the BENCH_ingest.json schema: the live-ingest data
+// plane's acceptance record.
+type IngestRecord struct {
+	SchemaVersion    int          `json:"schema_version"`
+	Host             Host         `json:"host"`
+	Mode             string       `json:"mode"`
+	Edges            int          `json:"edges"`
+	Workers          int          `json:"workers"`
+	Datasets         int          `json:"datasets"`
+	BytesPerDataset  int64        `json:"bytes_per_dataset"`
+	Stripes          int          `json:"stripes"`
+	Fetches          uint64       `json:"fetches"`
+	ElapsedSeconds   float64      `json:"elapsed_seconds"`
+	Failed           uint64       `json:"failed"`
+	DigestMismatches uint64       `json:"digest_mismatches"`
+	Uploads          uint64       `json:"uploads"`
+	UploadBytes      uint64       `json:"upload_bytes"`
+	RepairCopies     uint64       `json:"repair_copies"`
+	RepairCopyBytes  uint64       `json:"repair_copy_bytes"`
+	RepairRegen      uint64       `json:"repair_regenerated"`
+	Churn            *ChurnRecord `json:"churn,omitempty"`
+	Reconciled       bool         `json:"reconciled"`
 }
 
 // WriteRecord marshals any BENCH record as indented JSON.
@@ -253,7 +276,7 @@ func CompareDelivery(baseline, candidate *DeliveryRecord, opt GateOptions) error
 		return fmt.Errorf("perfgate: candidate recorded %d failed requests", candidate.Failed)
 	}
 	if candidate.OpenLoop == nil || candidate.OpenLoop.Knee == nil {
-		return fmt.Errorf("perfgate: candidate record has no open-loop knee (run scdn-loadgen -openloop)")
+		return fmt.Errorf("perfgate: candidate record has no open-loop knee (run scdn-loadgen -scenario delivery)")
 	}
 	if baseline == nil || baseline.OpenLoop == nil || baseline.OpenLoop.Knee == nil {
 		// Pre-ratchet history: nothing to compare against. The candidate
@@ -296,7 +319,7 @@ func CompareLarge(baseline, candidate *LargeRecord, opt GateOptions) error {
 		return fmt.Errorf("perfgate: large candidate recorded %d failed requests", candidate.Failed)
 	}
 	if candidate.OpenLoop == nil || candidate.OpenLoop.Knee == nil {
-		return fmt.Errorf("perfgate: large candidate record has no open-loop knee (run scdn-loadgen -large)")
+		return fmt.Errorf("perfgate: large candidate record has no open-loop knee (run scdn-loadgen -scenario large)")
 	}
 	if candidate.SegmentedServes == 0 && candidate.SegmentFetches == 0 {
 		return fmt.Errorf("perfgate: large candidate never hit the segmented path (segmented_serves and segment_fetches both zero)")

@@ -114,8 +114,7 @@ func TestReadDeliveryRecordErrors(t *testing.T) {
 }
 
 func TestNewOpenLoopComputesKnee(t *testing.T) {
-	cfg := SweepConfig{Rates: []float64{100, 200}, Duration: time.Second,
-		MaxConns: 8, Dist: DistExponential}
+	cfg := SweepConfig{Rates: []float64{100, 200}, Duration: time.Second, MaxConns: 8}
 	results := []RateResult{
 		{OfferedRPS: 100, AchievedRPS: 99, Issued: 99, LatencyMS: metrics.Latency{P99: 1}},
 		{OfferedRPS: 200, AchievedRPS: 198, Issued: 198, LatencyMS: metrics.Latency{P99: 1.5}},

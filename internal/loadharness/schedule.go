@@ -7,11 +7,9 @@ import (
 	"time"
 )
 
-// Distribution names accepted by NewArrivals.
-const (
-	DistExponential = "exp"     // Poisson process: exponential inter-arrivals
-	DistUniform     = "uniform" // jittered inter-arrivals, uniform in (0, 2/rate)
-)
+// DistExponential names the arrival law in records: a Poisson process,
+// exponential inter-arrival gaps — the standard open-world client model.
+const DistExponential = "exp"
 
 // Arrivals is a seeded arrival-time schedule at a fixed mean rate. The
 // schedule is decided by the seed alone — never by how the server is
@@ -20,48 +18,25 @@ const (
 // previous requests have completed.
 type Arrivals struct {
 	rng  *rand.Rand
-	dist string
 	mean float64 // mean inter-arrival gap in seconds
 	next float64 // next arrival offset from schedule start, seconds
 }
 
-// NewArrivals builds a schedule with mean arrival rate `rate` requests
-// per second. dist selects the inter-arrival law: DistExponential (a
-// Poisson process — the standard open-world client model) or
-// DistUniform (bounded jitter around the mean gap).
-func NewArrivals(dist string, rate float64, seed int64) (*Arrivals, error) {
+// NewArrivals builds a Poisson schedule with mean arrival rate `rate`
+// requests per second.
+func NewArrivals(rate float64, seed int64) (*Arrivals, error) {
 	if rate <= 0 {
 		return nil, fmt.Errorf("loadharness: arrival rate must be positive, got %g", rate)
 	}
-	switch dist {
-	case DistExponential, DistUniform:
-	default:
-		return nil, fmt.Errorf("loadharness: unknown arrival distribution %q (want %q or %q)",
-			dist, DistExponential, DistUniform)
-	}
-	return &Arrivals{
-		rng:  rand.New(rand.NewSource(seed)),
-		dist: dist,
-		mean: 1 / rate,
-	}, nil
+	return &Arrivals{rng: rand.New(rand.NewSource(seed)), mean: 1 / rate}, nil
 }
 
 // Next returns the next intended start time as an offset from the
 // schedule's start. Offsets are strictly non-decreasing.
 func (a *Arrivals) Next() time.Duration {
 	at := a.next
-	var gap float64
-	switch a.dist {
-	case DistExponential:
-		gap = a.rng.ExpFloat64() * a.mean
-	case DistUniform:
-		gap = a.rng.Float64() * 2 * a.mean
-	}
 	// Clamp pathological tail draws so one 10-sigma gap cannot stall a
 	// short smoke run.
-	if max := 10 * a.mean; gap > max {
-		gap = max
-	}
-	a.next = at + gap
+	a.next = at + min(a.rng.ExpFloat64()*a.mean, 10*a.mean)
 	return time.Duration(math.Round(at * 1e9))
 }

@@ -6,52 +6,45 @@ import (
 )
 
 func TestArrivalsRejectsBadConfig(t *testing.T) {
-	if _, err := NewArrivals(DistExponential, 0, 1); err == nil {
+	if _, err := NewArrivals(0, 1); err == nil {
 		t.Error("rate 0 accepted")
 	}
-	if _, err := NewArrivals(DistExponential, -5, 1); err == nil {
+	if _, err := NewArrivals(-5, 1); err == nil {
 		t.Error("negative rate accepted")
-	}
-	if _, err := NewArrivals("zipf", 100, 1); err == nil {
-		t.Error("unknown distribution accepted")
 	}
 }
 
 func TestArrivalsDeterministic(t *testing.T) {
-	for _, dist := range []string{DistExponential, DistUniform} {
-		a1, err := NewArrivals(dist, 1000, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, _ := NewArrivals(dist, 1000, 42)
-		for i := 0; i < 100; i++ {
-			if x, y := a1.Next(), a2.Next(); x != y {
-				t.Fatalf("%s: same seed diverged at draw %d: %v vs %v", dist, i, x, y)
-			}
+	a1, err := NewArrivals(1000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, _ := NewArrivals(1000, 42)
+	for i := 0; i < 100; i++ {
+		if x, y := a1.Next(), a2.Next(); x != y {
+			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, x, y)
 		}
 	}
 }
 
 func TestArrivalsMonotoneAndRate(t *testing.T) {
-	for _, dist := range []string{DistExponential, DistUniform} {
-		a, err := NewArrivals(dist, 1000, 7) // mean gap 1ms
-		if err != nil {
-			t.Fatal(err)
+	a, err := NewArrivals(1000, 7) // mean gap 1ms
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10000
+	var prev, last time.Duration
+	for i := 0; i < n; i++ {
+		at := a.Next()
+		if at < prev {
+			t.Fatalf("offsets decreased: %v after %v", at, prev)
 		}
-		const n = 10000
-		var prev, last time.Duration
-		for i := 0; i < n; i++ {
-			at := a.Next()
-			if at < prev {
-				t.Fatalf("%s: offsets decreased: %v after %v", dist, at, prev)
-			}
-			prev, last = at, at
-		}
-		// n draws at 1000/s should land near n milliseconds; both laws have
-		// mean gap 1/rate, so allow 10% statistical slack.
-		want := time.Duration(n) * time.Millisecond
-		if last < want*9/10 || last > want*11/10 {
-			t.Errorf("%s: %d draws span %v, want ~%v", dist, n, last, want)
-		}
+		prev, last = at, at
+	}
+	// n draws at 1000/s should land near n milliseconds (mean gap
+	// 1/rate); allow 10% statistical slack.
+	want := time.Duration(n) * time.Millisecond
+	if last < want*9/10 || last > want*11/10 {
+		t.Errorf("%d draws span %v, want ~%v", n, last, want)
 	}
 }

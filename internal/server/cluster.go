@@ -66,8 +66,6 @@ type ClusterConfig struct {
 	// Sweep configures every node's background repair sweeper; the zero
 	// value enables it with defaults (see SweeperConfig).
 	Sweep SweeperConfig
-	// FetchAttempts bounds each edge's peer-fallback retries.
-	FetchAttempts int
 	// ListenHost is the bind address (default 127.0.0.1); ports are
 	// ephemeral.
 	ListenHost string
@@ -198,7 +196,6 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 			Node:             nodeID,
 			ListenAddr:       cfg.ListenHost + ":0",
 			PullThrough:      cfg.PullThrough,
-			FetchAttempts:    cfg.FetchAttempts,
 			Volume:           vol,
 			Sweep:            cfg.Sweep,
 			Manifests:        manifests,
@@ -343,7 +340,7 @@ func (lc *LocalCluster) Quiesce(ctx context.Context) error {
 func (lc *LocalCluster) Shutdown(ctx context.Context) error {
 	var firstErr error
 	for _, n := range lc.Nodes {
-		if err := n.Shutdown(ctx); err != nil && firstErr == nil {
+		if err := n.Stop(ctx); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -214,7 +214,7 @@ func TestPeerDrainKeepsConnectionAlive(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, FetchAttempts: 3})
+	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1})
 	tok := login(t, lc)
 
 	// A dataset whose only holder is the failing fake peer: every attempt
@@ -246,8 +246,8 @@ func TestPeerDrainKeepsConnectionAlive(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(remoteAddrs) < 2 {
-		t.Fatalf("peer saw %d attempts, want >= 2", len(remoteAddrs))
+	if len(remoteAddrs) != fetchAttempts {
+		t.Fatalf("peer saw %d attempts, want %d", len(remoteAddrs), fetchAttempts)
 	}
 	for i, addr := range remoteAddrs {
 		if addr != remoteAddrs[0] {

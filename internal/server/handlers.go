@@ -275,6 +275,9 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 		pull.rangeHdr, pull.status, pull.length = rangesHeader(rngs), http.StatusPartialContent, rngs[0].n
 		if len(rngs) > 1 {
 			pull.length = -1
+			for _, rng := range rngs {
+				pull.payload += rng.n
+			}
 		}
 	}
 	// Pull-through only on full-body GETs: a stripe proves nothing about
@@ -507,23 +510,27 @@ func (n *Node) materialize(id storage.DatasetID, total int64) bool {
 // peerPull is one proxied request, the same for every attempt: the path
 // on the peer, the Range header to forward ("" for a whole body), the
 // status a good peer answers with, the body length that answer must
-// carry (-1: the peer's own, for relayed multipart framing), the sink
-// adopting the bytes (nil: none), and the failure counter of the
-// client-facing endpoint.
+// carry (-1: the peer's own, for relayed multipart framing) and, for
+// multipart, the payload bytes inside that framing, the sink adopting
+// the bytes (nil: none), and the failure counter of the client-facing
+// endpoint.
 type peerPull struct {
 	path     string
 	rangeHdr string
 	status   int
 	length   int64
+	payload  int64
 	sink     *spillWriter
 	failures *metrics.Counter
 }
 
-// The peer-fallback backoff starts at retryBase and doubles per retry
-// up to retryMax.
+// The peer fallback makes fetchAttempts attempts in all, across the
+// candidates; its backoff starts at retryBase and doubles per retry up
+// to retryMax.
 const (
-	retryBase = 10 * time.Millisecond
-	retryMax  = 250 * time.Millisecond
+	fetchAttempts = 4
+	retryBase     = 10 * time.Millisecond
+	retryMax      = 250 * time.Millisecond
 )
 
 // pullFromPeers realizes the edge fallback: resolve the dataset's
@@ -554,7 +561,7 @@ func (n *Node) pullFromPeers(w http.ResponseWriter, r *http.Request, id storage.
 	}
 	backoff := retryBase
 	var lastErr error
-	for attempt := 0; attempt < n.cfg.FetchAttempts; attempt++ {
+	for attempt := 0; attempt < fetchAttempts; attempt++ {
 		if attempt > 0 {
 			n.Metrics.PeerRetries.Inc()
 			select {
@@ -581,7 +588,7 @@ func (n *Node) pullFromPeers(w http.ResponseWriter, r *http.Request, id storage.
 		return false
 	}
 	fail(http.StatusBadGateway,
-		fmt.Errorf("server: all %d attempts to pull %s failed: %w", n.cfg.FetchAttempts, pull.path, lastErr))
+		fmt.Errorf("server: all %d attempts to pull %s failed: %w", fetchAttempts, pull.path, lastErr))
 	return false
 }
 
@@ -682,7 +689,13 @@ func (n *Node) tryPeer(w http.ResponseWriter, r *http.Request, cand allocation.R
 		}
 		written, copyErr = copyBuffered(dst, resp.Body)
 	}
-	n.Metrics.BytesServed.Add(uint64(written))
+	// BytesServed counts payload, as the holder does: a relayed
+	// multipart answer's framing is left out.
+	served := written
+	if pull.length < 0 && resp.ContentLength >= 0 {
+		served = max(0, written-(resp.ContentLength-pull.payload))
+	}
+	n.Metrics.BytesServed.Add(uint64(served))
 	if copyErr == nil && !head && resp.ContentLength >= 0 && written != resp.ContentLength {
 		copyErr = io.ErrUnexpectedEOF
 	}

@@ -47,7 +47,8 @@ func phantomDataset(t *testing.T, lc *LocalCluster, url string, bytes int64) {
 // that does not hold the dataset: the hop is forwarded as a HEAD, the
 // holder's headers come back exactly as a GET's would, neither edge
 // counts a served byte, and nothing is adopted even with pull-through
-// on.
+// on. The matching GET counts the windows' payload on both edges, a
+// multipart answer's framing on neither.
 func TestHeadThroughNonHolder(t *testing.T) {
 	lc := startCluster(t, ClusterConfig{Nodes: 2, Users: 1, Datasets: 2, PullThrough: true,
 		Sweep: SweeperConfig{Disabled: true}})
@@ -80,10 +81,13 @@ func TestHeadThroughNonHolder(t *testing.T) {
 		return resp
 	}
 	// The whole-body case runs last: its GET adopts the dataset.
-	for _, tc := range []struct{ name, rangeHdr string }{
-		{"range", "bytes=100-4199"},
-		{"multipart", "bytes=0-99,1000-1099,-256"},
-		{"whole", ""},
+	for _, tc := range []struct {
+		name, rangeHdr string
+		payload        uint64 // served bytes each edge counts for the GET
+	}{
+		{"range", "bytes=100-4199", 4100},
+		{"multipart", "bytes=0-99,1000-1099,-256", 100 + 100 + 256},
+		{"whole", "", 64 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			served := []uint64{lc.Nodes[0].Metrics.BytesServed.Value(), edge.Metrics.BytesServed.Value()}
@@ -102,7 +106,14 @@ func TestHeadThroughNonHolder(t *testing.T) {
 			if got := edge.Metrics.OriginFetches.Value(); got == 0 {
 				t.Fatal("HEAD not forwarded to the holder")
 			}
+			served = []uint64{lc.Nodes[0].Metrics.BytesServed.Value(), edge.Metrics.BytesServed.Value()}
 			get := do(http.MethodGet, tc.rangeHdr)
+			// Both edges count the windows' payload, never the framing.
+			for i, n := range lc.Nodes {
+				if got := n.Metrics.BytesServed.Value() - served[i]; got != tc.payload {
+					t.Errorf("node %d counted %d served bytes for the GET, want %d", i+1, got, tc.payload)
+				}
+			}
 			if head.StatusCode != get.StatusCode {
 				t.Fatalf("HEAD = %s, GET = %s", head.Status, get.Status)
 			}

@@ -40,9 +40,6 @@ type Config struct {
 	// ListenAddr is the TCP address to bind ("127.0.0.1:0" for an
 	// ephemeral port).
 	ListenAddr string
-	// FetchAttempts bounds the peer-fallback retry loop (total attempts
-	// across candidates). Zero means the default of 4.
-	FetchAttempts int
 	// PullThrough caches successfully proxied datasets in the local
 	// replica partition and registers the new replica in the catalog, so
 	// demand migrates data toward where it is requested.
@@ -145,9 +142,6 @@ func NewNode(cfg Config, repo *storage.Repository, auth *middleware.Middleware,
 	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
-	}
-	if cfg.FetchAttempts <= 0 {
-		cfg.FetchAttempts = 4
 	}
 	cfg.Sweep.applyDefaults()
 	if cfg.Manifests == nil {
@@ -406,9 +400,6 @@ func reapSweeper(cancel context.CancelFunc, done chan struct{}) {
 	cancel()
 	<-done
 }
-
-// Shutdown is Stop under its historical name.
-func (n *Node) Shutdown(ctx context.Context) error { return n.Stop(ctx) }
 
 // readoptReplicas re-registers the datasets this node still holds after
 // a restart: committed disk-volume files and repository records survive

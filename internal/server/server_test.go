@@ -279,7 +279,7 @@ func TestFetchRetriesDeadPeerThenFallsBack(t *testing.T) {
 func TestFetchFailsWhenNoReachableReplica(t *testing.T) {
 	// Sweeper off: the test drives membership by hand, and a live prober
 	// would re-admit node 1 the moment it noticed healthz still answers.
-	lc := startCluster(t, ClusterConfig{Nodes: 2, Users: 1, Datasets: 2, FetchAttempts: 2,
+	lc := startCluster(t, ClusterConfig{Nodes: 2, Users: 1, Datasets: 2,
 		Sweep: SweeperConfig{Disabled: true}})
 	client := &http.Client{Timeout: 5 * time.Second}
 	tok := login(t, lc)
@@ -307,6 +307,9 @@ func TestFetchFailsWhenNoReachableReplica(t *testing.T) {
 	}
 	if lc.Nodes[1].Metrics.FetchFailures.Value() != 0 {
 		t.Fatal("churn unavailability miscounted as fetch failure")
+	}
+	if got := lc.Nodes[1].Metrics.PeerRetries.Value(); got != 0 {
+		t.Fatalf("spent %d of the %d peer attempts with no live holder", got+1, fetchAttempts)
 	}
 }
 
@@ -339,7 +342,7 @@ func TestGracefulShutdown(t *testing.T) {
 	node := lc.Nodes[0]
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := node.Shutdown(ctx); err != nil {
+	if err := node.Stop(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if lc.Registry.Online(node.ID()) {
@@ -349,7 +352,7 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal("shut-down node still serving")
 	}
 	// Second shutdown is a no-op.
-	if err := node.Shutdown(ctx); err != nil {
+	if err := node.Stop(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

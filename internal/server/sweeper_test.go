@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -179,11 +180,22 @@ func TestChurnConcurrentSweepAndFetch(t *testing.T) {
 	tok := login(t, lc)
 	client := &http.Client{Timeout: 2 * time.Second}
 
-	events := []ChurnEvent{
-		{At: 50 * time.Millisecond, Action: ChurnKill, Node: 2},
-		{At: 150 * time.Millisecond, Action: ChurnStop, Node: 3},
-		{At: 450 * time.Millisecond, Action: ChurnRestart, Node: 2},
-		{At: 600 * time.Millisecond, Action: ChurnRestart, Node: 3},
+	crash := func(n *Node) error { n.Crash(); return nil }
+	drain := func(n *Node) error {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		return n.Stop(ctx)
+	}
+	start := func(n *Node) error { return n.Start() }
+	events := []struct {
+		at    time.Duration
+		apply func(*Node) error
+		node  int // 1-based
+	}{
+		{50 * time.Millisecond, crash, 2},
+		{150 * time.Millisecond, drain, 3},
+		{450 * time.Millisecond, start, 2},
+		{600 * time.Millisecond, start, 3},
 	}
 
 	stop := make(chan struct{})
@@ -218,17 +230,30 @@ func TestChurnConcurrentSweepAndFetch(t *testing.T) {
 		}(w)
 	}
 
-	churn := StartChurn(lc, events)
-	churn.Wait()
+	begin := time.Now()
+	var errs []error
+	for _, ev := range events {
+		time.Sleep(ev.at - time.Since(begin))
+		if err := ev.apply(lc.Nodes[ev.node-1]); err != nil {
+			errs = append(errs, fmt.Errorf("node %d at %v: %w", ev.node, ev.at, err))
+		}
+	}
 	close(stop)
 	wg.Wait()
 
-	sum := churn.Summary()
-	if len(sum.Errs) > 0 {
-		t.Fatalf("churn errors: %v", sum.Errs)
+	if len(errs) > 0 {
+		t.Fatalf("churn errors: %v", errs)
 	}
-	if sum.Kills != 1 || sum.Stops != 1 || sum.Restarts != 2 || !sum.AllRestarted {
-		t.Fatalf("churn summary = %+v", sum)
+	for i, n := range lc.Nodes {
+		if !n.Running() {
+			t.Fatalf("node %d still down after the schedule", i+1)
+		}
+	}
+	n2, n3 := lc.Nodes[1].Metrics, lc.Nodes[2].Metrics
+	if n2.ChurnKills.Value() != 1 || n3.ChurnKills.Value() != 0 ||
+		n2.ChurnRestarts.Value() != 1 || n3.ChurnRestarts.Value() != 1 {
+		t.Fatalf("churn counters: node 2 kills=%d restarts=%d, node 3 kills=%d restarts=%d; want 1/1, 0/1",
+			n2.ChurnKills.Value(), n2.ChurnRestarts.Value(), n3.ChurnKills.Value(), n3.ChurnRestarts.Value())
 	}
 	waitFor(t, 20*time.Second, "post-churn repair convergence", func() bool {
 		return replicationMet(lc, 2)
