@@ -16,8 +16,9 @@
 #                  ctxhttp); non-zero exit on any finding.
 #   make race    — just the -race pass.
 #   make flake   — the flake gate: the delivery-plane, storage,
-#                  transfer-client, metrics (every serving goroutine
-#                  shares its histogram) and load-harness suites ten times
+#                  transfer-client, ingest (block-parallel hashing),
+#                  metrics (every serving goroutine shares its
+#                  histogram) and load-harness suites ten times
 #                  over at GOMAXPROCS 1, 2 and 4, then one pass of the
 #                  whole tier-1 suite at GOMAXPROCS 1 and 4, so a test that only passes
 #                  under lucky scheduling fails here instead of
@@ -26,7 +27,7 @@
 #                  checked-in seed corpus.
 #   make bench   — the benchmark harness: delivery-plane micro-benchmarks
 #                  (catalog resolve, payload block derivation, range
-#                  writes, warm disk serving, ingest hasher vs verifier
+#                  writes, warm disk serving, ingest hashers vs verifier
 #                  MB/s) at GOMAXPROCS=4, the reproduction benchmarks,
 #                  and the open-loop delivery sweep (BENCH_delivery.json).
 #   make ci      — what .github/workflows/check.yml runs: gofmt
@@ -89,9 +90,9 @@ perfbenchcheck:
 
 # Every package that spawns goroutines or holds sync/atomic state runs
 # under the race detector: cdnclient fans striped fetches and uploads
-# out across goroutines, ingest's manifest store is shared by every
-# node, and every serving goroutine records into metrics' lock-free
-# histogram. Audited exclusions (no goroutines, no sync, no atomics as
+# out across goroutines, ingest hashes a manifest's blocks on every core
+# and its manifest store is shared by every node, and every serving
+# goroutine records into metrics' lock-free histogram. Audited exclusions (no goroutines, no sync, no atomics as
 # of this writing): internal/replication, internal/sim, internal/transfer
 # (single-threaded simulation code), internal/lint (sequential analyzer
 # driver), the remaining pure graph/model packages, and cmd/ (only
@@ -104,7 +105,7 @@ race:
 
 flake:
 	$(GO) test -count=10 -cpu 1,2,4 ./internal/server ./internal/storage ./internal/cdnclient \
-		./internal/metrics ./internal/loadharness
+		./internal/ingest ./internal/metrics ./internal/loadharness
 	$(GO) test -count=1 -cpu 1,4 ./...
 
 fuzzsmoke:
@@ -119,7 +120,7 @@ bench:
 		-rates 200,400,800,1600 -openloop-duration 2s -seed 42 -bench-out BENCH_delivery.json
 
 benchsmoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/server ./internal/ingest
 
 # The smoke table: one fixed-seed, CI-sized row per scenario.
 # SMOKE_<row> holds the row's scdn-loadgen flags, SMOKE_<row>_GREP the

@@ -5,8 +5,8 @@
 //
 // The dataset digest is not the plain SHA-256 of the bytes: it is the
 // SHA-256 of the concatenated 64 KiB block digests (ingest.Manifest's
-// Digest), computed here through the same streaming ingest.Hasher the
-// client and the edge use. A raw-protocol upload without Go code:
+// Digest), computed here through the same block-parallel ingest.HashAt
+// the client and the edge use. A raw-protocol upload without Go code:
 //
 //	DIG=$(scdn-digest data.bin | cut -d' ' -f1)
 //	curl -X PUT $EDGE/v1/datasets/my-data -H "Authorization: Bearer $TOK" \
@@ -46,17 +46,29 @@ func run(paths []string, stdout io.Writer) error {
 	return nil
 }
 
-// digestHex streams one file through a manifest hasher and returns its
-// dataset digest in lowercase hex.
+// digestHex hashes one file's blocks on every core (a pipe's in one
+// stream) and returns its dataset digest in lowercase hex.
 func digestHex(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return "", err
 	}
 	defer f.Close()
-	h := ingest.NewHasher(ingest.DefaultBlockSize)
-	if _, err := io.Copy(h, f); err != nil {
+	info, err := f.Stat()
+	if err != nil {
+		return "", err
+	}
+	if !info.Mode().IsRegular() {
+		// A pipe or device has no size to split into blocks: stream it.
+		h := ingest.NewHasher(ingest.DefaultBlockSize)
+		if _, err := io.Copy(h, f); err != nil {
+			return "", fmt.Errorf("%s: %w", path, err)
+		}
+		return h.Manifest("scdn-digest", true).DigestHex(), nil
+	}
+	m, err := ingest.HashAt(f, info.Size(), "scdn-digest", true)
+	if err != nil {
 		return "", fmt.Errorf("%s: %w", path, err)
 	}
-	return h.Manifest("scdn-digest", true).DigestHex(), nil
+	return m.DigestHex(), nil
 }

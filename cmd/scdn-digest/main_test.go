@@ -69,3 +69,40 @@ func TestDigestMissingFile(t *testing.T) {
 		t.Fatalf("missing file: err = %v", err)
 	}
 }
+
+// TestDigestPipe: a pipe has no size to split into blocks, so its bytes
+// stream through the sequential hasher and still print the file's
+// digest.
+func TestDigestPipe(t *testing.T) {
+	if _, err := os.Stat("/dev/fd"); err != nil {
+		t.Skip("no /dev/fd")
+	}
+	data := make([]byte, 3<<16+17)
+	rand.New(rand.NewSource(3)).Read(data)
+	path := filepath.Join(t.TempDir(), "data.bin")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := run([]string{path}, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	go func() {
+		_, _ = w.Write(data)
+		w.Close()
+	}()
+	pipe := fmt.Sprintf("/dev/fd/%d", r.Fd())
+	var got bytes.Buffer
+	if err := run([]string{pipe}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if wantLine := strings.Replace(want.String(), path, pipe, 1); got.String() != wantLine {
+		t.Fatalf("pipe printed %q, want %q", got.String(), wantLine)
+	}
+}

@@ -55,13 +55,16 @@ func (o *TransferOptions) client() *http.Client {
 }
 
 // Upload publishes size bytes from src as dataset id, scoped to the
-// collaboration group. It streams src once to compute the content
-// manifest (per-block SHA-256 and their roll-up), then PUTs the bytes —
-// as one body, or as Stripes parallel Content-Range sections for large
-// datasets — declaring the digest up front so the receiving edge can
-// reject any corruption with no partial state. The returned manifest is
+// collaboration group. It reads src once, block-parallel through
+// ingest.HashAt, to compute the content manifest (per-block SHA-256 and
+// their roll-up), then PUTs the bytes — as one body, or as Stripes
+// parallel Content-Range sections for large datasets — declaring the
+// digest up front so the receiving edge can reject any corruption with
+// no partial state. The returned manifest is
 // the server's accepted copy; Upload fails if it disagrees with the
-// locally computed digest.
+// locally computed digest. A src holding fewer than size bytes fails
+// the hash, with an error wrapping io.ErrUnexpectedEOF, before any
+// request is sent.
 func Upload(ctx context.Context, opts TransferOptions, id storage.DatasetID,
 	group string, src io.ReaderAt, size int64) (*ingest.Manifest, error) {
 	if len(opts.Endpoints) == 0 {
@@ -71,12 +74,12 @@ func Upload(ctx context.Context, opts TransferOptions, id storage.DatasetID,
 		return nil, fmt.Errorf("cdnclient: upload %q: non-positive size %d", id, size)
 	}
 	// Pass one: hash the content. The manifest exists before any byte
-	// leaves the machine, so a failed upload never half-publishes.
-	hasher := ingest.NewHasher(ingest.DefaultBlockSize)
-	if _, err := io.Copy(hasher, io.NewSectionReader(src, 0, size)); err != nil {
-		return nil, fmt.Errorf("cdnclient: upload %q: hash: %w", id, err)
+	// leaves the machine, so a failed upload never half-publishes, and a
+	// source shorter than size fails here, before any request.
+	local, err := ingest.HashAt(src, size, id, true)
+	if err != nil {
+		return nil, fmt.Errorf("cdnclient: upload %q: %w", id, err)
 	}
-	local := hasher.Manifest(id, true)
 
 	plan := planStripesAligned(size, opts.Stripes, ingest.DefaultBlockSize)
 	base := opts.Endpoints[0]

@@ -1,6 +1,9 @@
 package ingest
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // benchBytes is one ingest_mixed-sized dataset: 1 MiB, 16 default blocks.
 const benchBytes = 1 << 20
@@ -20,6 +23,26 @@ func BenchmarkHasher(b *testing.B) {
 		h := NewHasher(DefaultBlockSize)
 		_, _ = h.Write(data)
 		benchSink = h.Manifest("bench", true)
+	}
+}
+
+// BenchmarkHashAt measures block-parallel manifest hashing throughput
+// (MB/s) over a 16 MiB input — 256 blocks, enough to keep every worker
+// busy. Run it at -cpu 1,2 beside BenchmarkHasher: each block costs
+// one extra copy (ReadAt into the worker's buffer) over the streaming
+// hasher, and the rate should scale with the cores.
+func BenchmarkHashAt(b *testing.B) {
+	const size = 16 << 20
+	src := bytes.NewReader(testPayload(22, size))
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := HashAt(src, size, "bench", true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = m
 	}
 }
 

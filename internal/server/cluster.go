@@ -245,11 +245,11 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 			if err := repos[originIdx].StoreUser(id, cfg.DatasetBytes, 0); err != nil {
 				return fail(err)
 			}
-			hasher := ingest.NewHasher(ingest.DefaultBlockSize)
-			if _, err := WritePayload(hasher, id, cfg.DatasetBytes); err != nil {
+			man, err := ingest.HashAt(payloadBlock(id), cfg.DatasetBytes, id, false)
+			if err != nil {
 				return fail(err)
 			}
-			if err := manifests.Put(hasher.Manifest(id, false)); err != nil {
+			if err := manifests.Put(man); err != nil {
 				return fail(err)
 			}
 			lc.DatasetIDs = append(lc.DatasetIDs, id)

@@ -310,15 +310,15 @@ func (n *Node) opaque(id storage.DatasetID) bool {
 // picked before any header is written. Exactly one form is set: a
 // whole-file replica (served by seek + sendfile), the per-segment files
 // of the segmented layout (walked by copySegmentRange), or — when the
-// volume cannot hold the piece — the deterministic generator's
-// repetition block. A struct rather than an
-// interface or closure so the warm serve path allocates nothing.
+// volume cannot hold the piece — the deterministic generator. A struct
+// rather than an interface or closure so the warm serve path allocates
+// nothing.
 type fetchSource struct {
 	id    storage.DatasetID
 	total int64
 	file  *os.File
 	seg   bool
-	block []byte
+	gen   payload
 }
 
 // serveLocal streams the dataset (or the requested ranges of it) from
@@ -382,7 +382,7 @@ func (n *Node) localSource(id storage.DatasetID, total, off, end int64, held boo
 	if !derive {
 		return src, false
 	}
-	src.block = payloadBlock(id)
+	src.gen = payloadBlock(id)
 	return src, true
 }
 
@@ -411,7 +411,7 @@ func (n *Node) copyRange(dst io.Writer, sc *fetchScratch, src *fetchSource, off,
 	case src.seg:
 		return n.copySegmentRange(dst, sc, src.id, src.total, off, length)
 	default:
-		return writeBlockRangeBuffered(dst, src.block, off, length)
+		return copyBuffered(dst, io.NewSectionReader(src.gen, off, length))
 	}
 }
 
@@ -441,7 +441,7 @@ func (n *Node) writeRanges(w http.ResponseWriter, r *http.Request, src *fetchSou
 		h["Accept-Ranges"] = acceptRangesHeader
 	}
 	h["X-Scdn-Source"] = n.srcHdr
-	if src.block == nil {
+	if src.gen == nil {
 		n.Metrics.StoreDiskHits.Inc()
 		if src.seg && object {
 			n.Metrics.SegmentedServes.Inc()
@@ -493,7 +493,7 @@ func (n *Node) writeRanges(w http.ResponseWriter, r *http.Request, src *fetchSou
 // committed replica now exists.
 func (n *Node) materialize(id storage.DatasetID, total int64) bool {
 	did, err := n.vol.Materialize(id, total, func(w io.Writer) error {
-		_, err := writeBlockRangeBuffered(w, payloadBlock(id), 0, total)
+		_, err := copyBuffered(w, io.NewSectionReader(payloadBlock(id), 0, total))
 		return err
 	})
 	if err != nil {

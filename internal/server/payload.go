@@ -2,6 +2,7 @@ package server
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -39,11 +40,40 @@ func copyBuffered(dst io.Writer, src io.Reader) (int64, error) {
 // payloadBlockSize is the repetition unit of a dataset's byte stream.
 const payloadBlockSize = 4096
 
-// payloadBlock builds a dataset's repetition block by chaining SHA-256
-// over the dataset ID. The serving plane calls it only to materialize a
-// replica or segment into the volume, or as the fallback when the volume
-// cannot hold one — never on the warm serve path.
-func payloadBlock(id storage.DatasetID) []byte {
+// payload is a dataset's deterministic byte stream as an io.ReaderAt:
+// byte i is the repetition block's byte i mod payloadBlockSize, for
+// every i ≥ 0. Every producer of generated bytes reads it by offset:
+// the seeded manifests' block-parallel hash (ingest.HashAt) directly,
+// and range writes, replica and segment materialization and the serve
+// fallback through an io.SectionReader and copyBuffered, so they emit
+// pooled 64 KiB writes — a syscall count that does not scale with
+// payload size, and no buffer allocated per request.
+type payload []byte
+
+// errNegativeOffset is payload.ReadAt's one failure.
+var errNegativeOffset = errors.New("server: negative payload offset")
+
+// ReadAt fills b with the stream's bytes from off. The stream has no
+// end, so it always fills b.
+func (p payload) ReadAt(b []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, errNegativeOffset
+	}
+	pos := off % int64(len(p))
+	n := 0
+	for n < len(b) {
+		n += copy(b[n:], p[pos:])
+		pos = 0
+	}
+	return n, nil
+}
+
+// payloadBlock builds a dataset's payload by chaining SHA-256 over the
+// dataset ID into its repetition block. The serving plane calls it only
+// to seed a manifest, to materialize a replica or segment into the
+// volume, or as the fallback when the volume cannot hold one — never on
+// the warm serve path.
+func payloadBlock(id storage.DatasetID) payload {
 	block := make([]byte, 0, payloadBlockSize)
 	sum := sha256.Sum256([]byte(id))
 	for len(block) < payloadBlockSize {
@@ -51,56 +81,6 @@ func payloadBlock(id storage.DatasetID) []byte {
 		sum = sha256.Sum256(sum[:])
 	}
 	return block[:payloadBlockSize]
-}
-
-// writeBlockRange streams payload bytes [off, off+n) derived from a
-// prebuilt repetition block, honoring mid-block offsets: the first write
-// starts at off within the block cycle, subsequent writes emit whole
-// blocks until n bytes are out.
-func writeBlockRange(w io.Writer, block []byte, off, n int64) (int64, error) {
-	var written int64
-	for written < n {
-		pos := (off + written) % int64(len(block))
-		chunk := int64(len(block)) - pos
-		if rem := n - written; rem < chunk {
-			chunk = rem
-		}
-		m, err := w.Write(block[pos : pos+chunk])
-		written += int64(m)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
-}
-
-// writeBlockRangeBuffered streams the same byte range as writeBlockRange
-// but assembles the cyclic payload into a pooled scratch buffer first,
-// emitting few large writes instead of one write per 4 KiB block — the
-// non-sendfile serving path's syscall count stops scaling with payload
-// size, and nothing is allocated per request.
-func writeBlockRangeBuffered(w io.Writer, block []byte, off, n int64) (int64, error) {
-	bp := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(bp)
-	buf := *bp
-	var written int64
-	for written < n {
-		fill := 0
-		for fill < len(buf) && written+int64(fill) < n {
-			pos := (off + written + int64(fill)) % int64(len(block))
-			c := copy(buf[fill:], block[pos:])
-			if rem := n - written - int64(fill); int64(c) > rem {
-				c = int(rem)
-			}
-			fill += c
-		}
-		m, err := w.Write(buf[:fill])
-		written += int64(m)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
 }
 
 // WritePayload streams a dataset's first n bytes to w and returns the
@@ -119,10 +99,7 @@ func WritePayloadRange(w io.Writer, id storage.DatasetID, off, n int64) (int64, 
 	if n < 0 {
 		return 0, fmt.Errorf("server: negative payload size %d", n)
 	}
-	if n == 0 {
-		return 0, nil
-	}
-	return writeBlockRange(w, payloadBlock(id), off, n)
+	return copyBuffered(w, io.NewSectionReader(payloadBlock(id), off, n))
 }
 
 // RangeVerifier incrementally checks that a byte stream equals the

@@ -185,7 +185,7 @@ func BenchmarkWritePayloadRange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := writeBlockRange(io.Discard, block, 1000, 64<<10); err != nil {
+		if _, err := copyBuffered(io.Discard, io.NewSectionReader(block, 1000, 64<<10)); err != nil {
 			b.Fatal(err)
 		}
 	}

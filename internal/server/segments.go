@@ -60,7 +60,7 @@ func (n *Node) materializeSegment(id storage.DatasetID, seg, total int64) bool {
 		return false
 	}
 	did, err := n.vol.MaterializeSegment(id, seg, extent, func(w io.Writer) error {
-		_, err := writeBlockRangeBuffered(w, payloadBlock(id), seg*segSize, extent)
+		_, err := copyBuffered(w, io.NewSectionReader(payloadBlock(id), seg*segSize, extent))
 		return err
 	})
 	if err != nil {

@@ -211,18 +211,19 @@ func (n *Node) finalizeUpload(w http.ResponseWriter, id storage.DatasetID, sess 
 	}
 	n.upMu.Unlock()
 
-	// Re-read the temp file through a manifest hasher before the rename:
-	// one hash pass over exactly the bytes that hit the disk yields the
-	// block digests, and their roll-up must equal the declared digest.
-	// The committed origin copy is pinned — an opaque dataset's last
-	// byte must never fall to LRU pressure.
-	hasher := ingest.NewHasher(ingest.DefaultBlockSize)
+	// Hash the reopened temp file before the rename (CommitVerified's
+	// reader is a SectionReader over it, so its blocks hash on every
+	// core): the block digests of exactly the bytes that hit the disk,
+	// whose roll-up must equal the declared digest. The committed origin
+	// copy is pinned — an opaque dataset's last byte must never fall to
+	// LRU pressure.
 	var man *ingest.Manifest
 	err := sess.spill.CommitVerified(sess.total, func(r io.Reader) error {
-		if _, err := io.Copy(hasher, r); err != nil {
+		var err error
+		if man, err = ingest.HashAt(r.(io.ReaderAt), sess.total, id, true); err != nil {
 			return err
 		}
-		if man = hasher.Manifest(id, true); man.Digest != sess.digest {
+		if man.Digest != sess.digest {
 			return fmt.Errorf("server: upload %q: content does not hash to declared digest", id)
 		}
 		return nil

@@ -465,11 +465,15 @@ func (s *Spill) Commit(want int64) error {
 
 // CommitVerified publishes the spill like Commit, but sizes the spill by
 // the real file length (so positioned WriteAt stripes count correctly)
-// and, when verify is non-nil, re-reads the finished temp file through
-// it before the rename — the replica becomes visible only if its
-// on-disk bytes pass. pin marks the committed entry non-evictable (the
-// origin copy of an uploaded dataset). On any failure the temp file is
-// removed and no replica appears.
+// and, when verify is non-nil, hands the finished temp file to it
+// before the rename — the replica becomes visible only if its on-disk
+// bytes pass. verify's reader is always an *io.SectionReader over
+// exactly want bytes of the temp file, closed and reopened after the
+// last write, so a verifier may read it by offset (io.ReaderAt) as
+// well as in order, and the bytes it checks are the bytes the rename
+// publishes. pin marks the committed entry non-evictable (the origin
+// copy of an uploaded dataset). On any failure, a verify error
+// included, the temp file is removed and no replica appears.
 func (s *Spill) CommitVerified(want int64, verify func(io.Reader) error, pin bool) error {
 	if s.done {
 		return fmt.Errorf("storage: spill %q already finished", s.id)
@@ -504,7 +508,7 @@ func (s *Spill) CommitVerified(want int64, verify func(io.Reader) error, pin boo
 			_ = os.Remove(s.path)
 			return fmt.Errorf("storage: spill %q: %w", s.id, err)
 		}
-		verr := verify(f)
+		verr := verify(io.NewSectionReader(f, 0, want))
 		_ = f.Close()
 		if verr != nil {
 			_ = os.Remove(s.path)

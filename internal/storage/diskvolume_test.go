@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -171,6 +172,68 @@ func TestSpillAbort(t *testing.T) {
 	sp.Abort()
 	if err := sp.Commit(7); err == nil {
 		t.Fatal("commit after abort succeeded")
+	}
+}
+
+// TestCommitVerifiedContract pins what CommitVerified hands its
+// verifier — a SectionReader over exactly want bytes of the finished
+// temp file, readable by offset — and that a verifier error removes the
+// temp file and publishes nothing.
+func TestCommitVerifiedContract(t *testing.T) {
+	v := newVolume(t, 1<<20)
+	want := pattern("ds-v", 5000)
+	sp, err := v.NewSpill("ds-v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Positioned writes out of order, as striped uploads make them.
+	if _, err := sp.WriteAt(want[3000:], 3000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.WriteAt(want[:3000], 0); err != nil {
+		t.Fatal(err)
+	}
+	err = sp.CommitVerified(int64(len(want)), func(r io.Reader) error {
+		sr, ok := r.(*io.SectionReader)
+		if !ok {
+			return fmt.Errorf("verifier got %T, want *io.SectionReader", r)
+		}
+		if sr.Size() != int64(len(want)) {
+			return fmt.Errorf("section size %d, want %d", sr.Size(), len(want))
+		}
+		tail := make([]byte, 100)
+		if _, err := sr.ReadAt(tail, int64(len(want)-100)); err != nil {
+			return err
+		}
+		got, err := io.ReadAll(r)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) || !bytes.Equal(tail, want[len(want)-100:]) {
+			return fmt.Errorf("verifier read diverging bytes")
+		}
+		return nil
+	}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, v, "ds-v"); !bytes.Equal(got, want) {
+		t.Fatal("committed bytes diverge")
+	}
+
+	sp, err = v.NewSpill("ds-w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Write(want); err != nil {
+		t.Fatal(err)
+	}
+	reject := errors.New("reject")
+	if err := sp.CommitVerified(int64(len(want)), func(io.Reader) error { return reject }, false); !errors.Is(err, reject) {
+		t.Fatalf("err = %v, want the verifier's", err)
+	}
+	if v.Has("ds-w") || len(v.TempFiles()) != 0 {
+		t.Fatalf("rejected spill left state: has=%v temps=%d", v.Has("ds-w"), len(v.TempFiles()))
 	}
 }
 
