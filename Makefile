@@ -120,7 +120,7 @@ bench:
 		-rates 200,400,800,1600 -openloop-duration 2s -seed 42 -bench-out BENCH_delivery.json
 
 benchsmoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/server ./internal/ingest
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/server ./internal/ingest ./internal/storage
 
 # The smoke table: one fixed-seed, CI-sized row per scenario.
 # SMOKE_<row> holds the row's scdn-loadgen flags, SMOKE_<row>_GREP the

@@ -251,6 +251,9 @@ var pkgFuncs = map[string]map[string]bool{
 	},
 	"net/http": {"Get": true, "Post": true, "Head": true, "PostForm": true},
 	"io":       {"Copy": true, "CopyN": true, "CopyBuffer": true, "ReadAll": true},
+	// Raw descriptor syscalls: a pack's hole punch, a flush, a
+	// positioned read or write each wait on the disk.
+	"syscall": {"Fallocate": true, "Fsync": true, "Fdatasync": true, "Pread": true, "Pwrite": true},
 }
 
 // clientMethods are the blocking methods of *net/http.Client.

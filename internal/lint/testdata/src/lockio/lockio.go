@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -80,4 +81,41 @@ func (s *store) goAsync() {
 		_ = os.Remove("c")
 	}()
 	s.mu.Unlock()
+}
+
+// punchUnderLock frees blocks of a file inside the section.
+func (s *store) punchUnderLock(fd int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return syscall.Fallocate(fd, 0x3, 0, 4096) // want "syscall.Fallocate"
+}
+
+// syncUnderLock flushes inside the section, both ways.
+func (s *store) syncUnderLock(fd int) error {
+	s.mu.Lock()
+	err := syscall.Fsync(fd) // want "syscall.Fsync"
+	if err == nil {
+		err = syscall.Fdatasync(fd) // want "syscall.Fdatasync"
+	}
+	s.mu.Unlock()
+	return err
+}
+
+// positionedIOUnderLock reads and writes by offset inside the section.
+func (s *store) positionedIOUnderLock(fd int, p []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := syscall.Pread(fd, p, 0); err != nil { // want "syscall.Pread"
+		return err
+	}
+	_, err := syscall.Pwrite(fd, p, 0) // want "syscall.Pwrite"
+	return err
+}
+
+// punchAfterUnlock decides under the lock and punches after it — clean.
+func (s *store) punchAfterUnlock(fd int) error {
+	s.mu.Lock()
+	off := int64(4096)
+	s.mu.Unlock()
+	return syscall.Fallocate(fd, 0x3, off, 4096)
 }

@@ -310,3 +310,65 @@ func TestCatalogDemandSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestCatalogConcurrentResolveDemand runs resolves, which share the
+// shard's read lock, against a sweeper that acknowledges what it sees
+// under the write lock; run with -race. No access may be lost or
+// counted twice: what the sweeper acknowledged plus what the last
+// sweep still lists is exactly the number of resolves.
+func TestCatalogConcurrentResolveDemand(t *testing.T) {
+	const (
+		workers   = 8
+		perWorker = 500
+	)
+	cat, ids := catalogFixture(t, 4, 8)
+	cat.SetPolicy(10, 1)
+	stop := make(chan struct{})
+	sweeperDone := make(chan uint64)
+	go func() {
+		var acked uint64
+		for {
+			select {
+			case <-stop:
+				sweeperDone <- acked
+				return
+			default:
+			}
+			hot := cat.MaintenanceSweep()
+			cat.AckSweep(hot)
+			for _, h := range hot {
+				acked += h.Accesses
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				id := ids[(w+i)%len(ids)]
+				if _, ok, err := cat.Resolve(id, allocation.NodeID(w%4+1)); err != nil || !ok {
+					t.Errorf("resolve %s: ok=%v err=%v", id, ok, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	total := <-sweeperDone
+	for _, h := range cat.MaintenanceSweep() {
+		total += h.Accesses
+	}
+	if total != workers*perWorker {
+		t.Fatalf("demand total = %d, want %d", total, workers*perWorker)
+	}
+	var lookups uint64
+	for _, s := range cat.shards {
+		lookups += s.srv.Lookups.Load()
+	}
+	if lookups != workers*perWorker {
+		t.Fatalf("lookups = %d, want %d", lookups, workers*perWorker)
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -123,8 +124,8 @@ type LocalCluster struct {
 	// UserIDs are the client participants; DatasetIDs the published data.
 	UserIDs    []socialnet.UserID
 	DatasetIDs []storage.DatasetID
-	// StoreRoot is the replica-volume root; node i's files live under
-	// StoreRoot/node-<id>/data/.
+	// StoreRoot is the replica-volume root; node i's volume — its pack
+	// files and index log — lives in StoreRoot/node-<id>/.
 	StoreRoot string
 	// ownStoreRoot marks a temp StoreRoot the cluster created and must
 	// remove on Shutdown.
@@ -334,13 +335,13 @@ func (lc *LocalCluster) Quiesce(ctx context.Context) error {
 	return nil
 }
 
-// Shutdown gracefully stops every node, returning the first error. A
-// temp store root created by StartLocalCluster is removed; an explicit
-// StoreDir is left in place.
+// Shutdown gracefully stops every node and closes its volume, returning
+// the first error. A temp store root created by StartLocalCluster is
+// removed; an explicit StoreDir is left in place.
 func (lc *LocalCluster) Shutdown(ctx context.Context) error {
 	var firstErr error
 	for _, n := range lc.Nodes {
-		if err := n.Stop(ctx); err != nil && firstErr == nil {
+		if err := errors.Join(n.Stop(ctx), n.vol.Close()); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -47,14 +47,18 @@ func TestDiskModeFullFetch(t *testing.T) {
 	if got := node.Metrics.StoreDiskHits.Value(); got != 1 {
 		t.Fatalf("disk hits = %d, want 1", got)
 	}
-	// The replica is a real file under the cluster's store root.
-	path := filepath.Join(lc.StoreRoot, "node-1", "data", "ds-001")
+	// The replica is an extent of a real pack file under the cluster's
+	// store root.
+	path, off, size, ok := node.Volume().Locate("ds-001")
+	if !ok || filepath.Dir(path) != filepath.Join(lc.StoreRoot, "node-1") {
+		t.Fatalf("replica located at %q (ok %v), want a pack under node-1", path, ok)
+	}
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() != lc.Config.DatasetBytes {
-		t.Fatalf("replica file is %d bytes, want %d", fi.Size(), lc.Config.DatasetBytes)
+	if size != lc.Config.DatasetBytes || fi.Size() < off+size {
+		t.Fatalf("replica extent is %d bytes at %d of a %d-byte pack, want %d", size, off, fi.Size(), lc.Config.DatasetBytes)
 	}
 	if !node.Volume().Has("ds-001") {
 		t.Fatal("volume does not report the replica")
@@ -165,19 +169,23 @@ func TestDiskModePullThroughSpills(t *testing.T) {
 	if !node2.Volume().Has("ds-001") {
 		t.Fatal("spilled replica missing from node2's volume")
 	}
-	// The spilled file is byte-exact against the deterministic payload.
-	f, err := os.Open(filepath.Join(lc.StoreRoot, "node-2", "data", "ds-001"))
+	// The spilled extent is byte-exact against the deterministic payload.
+	path, off, size, ok := node2.Volume().Locate("ds-001")
+	if !ok {
+		t.Fatal("spilled replica has no extent")
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, verr := VerifyPayload(f, "ds-001", lc.Config.DatasetBytes)
+	_, verr := VerifyPayload(io.NewSectionReader(f, off, size), "ds-001", lc.Config.DatasetBytes)
 	f.Close()
 	if verr != nil {
 		t.Fatal(verr)
 	}
-	// No temp-file litter survived the spill.
-	if tmps := node2.Volume().TempFiles(); len(tmps) != 0 {
-		t.Fatalf("temp files after spill = %v", tmps)
+	// No reserved extent survived the spill.
+	if res := node2.Volume().Reserved(); len(res) != 0 {
+		t.Fatalf("reserved extents after spill = %v", res)
 	}
 
 	// Second fetch is a local disk hit on node 2 — the spill, not the

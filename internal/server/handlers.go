@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -307,16 +306,16 @@ func (n *Node) opaque(id storage.DatasetID) bool {
 }
 
 // fetchSource is where a local serve reads the dataset's bytes from,
-// picked before any header is written. Exactly one form is set: a
-// whole-file replica (served by seek + sendfile), the per-segment files
-// of the segmented layout (walked by copySegmentRange), or — when the
-// volume cannot hold the piece — the deterministic generator. A struct
+// picked before any header is written. Exactly one form is set: a whole
+// replica's extent (seek + sendfile), the segment extents of the
+// segmented layout (walked by copySegmentRange), or — when the volume
+// cannot hold the piece — the deterministic generator. A struct
 // rather than an interface or closure so the warm serve path allocates
 // nothing.
 type fetchSource struct {
 	id    storage.DatasetID
 	total int64
-	file  *os.File
+	file  *storage.Handle
 	seg   bool
 	gen   payload
 }
@@ -386,12 +385,9 @@ func (n *Node) localSource(id storage.DatasetID, total, off, end int64, held boo
 	return src, true
 }
 
-// releaseSource returns a whole-file source's descriptor to the pool.
-func (n *Node) releaseSource(src *fetchSource) {
-	if src.file != nil {
-		n.vol.Release(src.id, src.file)
-	}
-}
+// releaseSource returns a whole-replica source's handle to its pack's
+// pool (a nil handle is a no-op).
+func (n *Node) releaseSource(src *fetchSource) { n.vol.Release(src.id, src.file) }
 
 // copyRange writes the dataset window [off, off+length) from src to
 // dst. A scratch, when given, lends its LimitedReader, which net/http
@@ -400,13 +396,14 @@ func (n *Node) releaseSource(src *fetchSource) {
 func (n *Node) copyRange(dst io.Writer, sc *fetchScratch, src *fetchSource, off, length int64) (int64, error) {
 	switch {
 	case src.file != nil:
-		if _, err := src.file.Seek(off, io.SeekStart); err != nil {
+		f, err := src.file.FileAt(off)
+		if err != nil {
 			return 0, err
 		}
 		if sc == nil {
-			return io.CopyN(dst, src.file, length)
+			return io.CopyN(dst, f, length)
 		}
-		sc.lr = io.LimitedReader{R: src.file, N: length}
+		sc.lr = io.LimitedReader{R: f, N: length}
 		return io.Copy(dst, &sc.lr)
 	case src.seg:
 		return n.copySegmentRange(dst, sc, src.id, src.total, off, length)

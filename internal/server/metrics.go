@@ -52,7 +52,7 @@ type Metrics struct {
 	// StoreMaterializations / StoreMaterializedBytes count datasets (and
 	// their bytes) written to disk from the deterministic generator;
 	// StoreSpills counts pull-through streams committed to disk, and
-	// StoreSpillFailures the temp-file spills that could not start or
+	// StoreSpillFailures the volume spills that could not start or
 	// commit (the serve falls back to the generator, the fetch itself
 	// still succeeds).
 	StoreDiskHits          metrics.Counter

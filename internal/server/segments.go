@@ -117,23 +117,23 @@ func (n *Node) copySegmentRange(dst io.Writer, sc *fetchScratch, id storage.Data
 		if fresh && storage.FadviseSequential(f) {
 			n.Metrics.StoreFadviseSequential.Inc()
 		}
-		if _, err := f.Seek(segOff, io.SeekStart); err != nil {
+		file, err := f.FileAt(segOff)
+		if err != nil {
 			n.vol.ReleaseSegment(id, seg, f)
 			return written, err
 		}
 		var m int64
-		var err error
 		if sc != nil {
-			sc.lr = io.LimitedReader{R: f, N: chunk}
+			sc.lr = io.LimitedReader{R: file, N: chunk}
 			m, err = io.Copy(dst, &sc.lr)
 		} else {
-			m, err = io.CopyN(dst, f, chunk)
+			m, err = io.CopyN(dst, file, chunk)
 		}
 		written += m
 		if err == nil && drop && segOff == 0 && chunk == extent {
 			// Complete sequential pass: this serve touched every page of
 			// the segment once and will not come back for them.
-			if storage.FadviseDontNeed(f, 0, 0) {
+			if storage.FadviseDontNeed(f) {
 				n.Metrics.StoreFadviseDontNeed.Inc()
 			}
 		}

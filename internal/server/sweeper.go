@@ -346,8 +346,8 @@ func (n *Node) replicateByCopy(ctx context.Context, id storage.DatasetID, man *i
 		}
 		return false
 	}
-	// In-stream verification covered the wire; CommitVerified's stat
-	// check covers the file length the stripes actually produced.
+	// In-stream verification covered the wire; CommitVerified's
+	// coverage check covers every byte the stripes actually produced.
 	if err := sp.CommitVerified(man.Size, nil, false); err != nil {
 		n.Metrics.RepairFailures.Inc()
 		return false

@@ -15,13 +15,13 @@ import (
 )
 
 // Live user ingest: PUT /v1/datasets/{dataset} streams researcher bytes
-// into the receiving edge's disk volume through a temp-file spill,
+// into the receiving edge's disk volume through a spill,
 // verifies them against the digest the client declared up front, and —
 // only then, atomically — publishes the dataset: manifest in the shared
 // store, group scope in the middleware, origin record in the catalog,
 // user-partition record in the repository. A digest mismatch, short
-// stream, or crashed client leaves no state at all: no temp file, no
-// catalog entry, no manifest.
+// stream, or crashed client leaves no state at all: no reserved
+// extent, no catalog entry, no manifest.
 //
 // Large uploads arrive as parallel Content-Range stripes (the upload
 // mirror of the striped fetch). Stripes of one dataset share an
@@ -187,8 +187,8 @@ func (n *Node) uploadStripeDone(id storage.DatasetID, sess *uploadSession) {
 }
 
 // failUpload marks the session failed and removes it from the index so
-// no new stripe joins; the temp file dies with the last in-flight
-// stripe (uploadStripeDone).
+// no new stripe joins; the spill dies with the last in-flight stripe
+// (uploadStripeDone).
 func (n *Node) failUpload(id storage.DatasetID, sess *uploadSession) {
 	sess.mu.Lock()
 	sess.failed = true
@@ -211,8 +211,8 @@ func (n *Node) finalizeUpload(w http.ResponseWriter, id storage.DatasetID, sess 
 	}
 	n.upMu.Unlock()
 
-	// Hash the reopened temp file before the rename (CommitVerified's
-	// reader is a SectionReader over it, so its blocks hash on every
+	// Hash the spilled bytes before the commit (CommitVerified's reader
+	// is a SectionReader over them, so their blocks hash on every
 	// core): the block digests of exactly the bytes that hit the disk,
 	// whose roll-up must equal the declared digest. The committed origin
 	// copy is pinned — an opaque dataset's last byte must never fall to
@@ -359,7 +359,7 @@ func parseInt64(s string) (int64, error) {
 }
 
 // expireUploads aborts upload sessions idle past uploadIdleTimeout: a
-// client that died mid-stripe must not pin a temp file (or the dataset
+// client that died mid-stripe must not pin a spill's pack (or the dataset
 // ID) forever. Called from the repair sweeper.
 func (n *Node) expireUploads() {
 	cutoff := time.Now().Add(-uploadIdleTimeout)

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -92,8 +91,8 @@ func TestUploadRoundTrip(t *testing.T) {
 	if !lc.Nodes[0].Volume().Has(id) {
 		t.Fatal("origin volume does not hold the uploaded bytes")
 	}
-	if tmp := lc.Nodes[0].Volume().TempFiles(); len(tmp) != 0 {
-		t.Fatalf("leftover temp files after upload: %v", tmp)
+	if res := lc.Nodes[0].Volume().Reserved(); len(res) != 0 {
+		t.Fatalf("reserved extents left after upload: %v", res)
 	}
 	if got := lc.Nodes[0].Metrics.IngestUploads.Value(); got != 1 {
 		t.Fatalf("IngestUploads = %d, want 1", got)
@@ -160,7 +159,7 @@ func TestUploadDigestMismatchLeavesNoState(t *testing.T) {
 			t.Fatalf("%s: digest rejects = %d, want %d", tc.name, got, i+1)
 		}
 		// No partial state anywhere: no catalog entry, no manifest, no
-		// volume file, no temp file, no lingering session.
+		// replica, no reserved extent, no lingering session.
 		if _, err := lc.Catalog.DatasetBytes(id); err == nil {
 			t.Fatalf("%s: rejected upload reached the catalog", tc.name)
 		}
@@ -170,8 +169,8 @@ func TestUploadDigestMismatchLeavesNoState(t *testing.T) {
 		if node.Volume().Has(id) {
 			t.Fatalf("%s: rejected upload left a committed replica", tc.name)
 		}
-		if tmp := node.Volume().TempFiles(); len(tmp) != 0 {
-			t.Fatalf("%s: rejected upload left temp files: %v", tc.name, tmp)
+		if res := node.Volume().Reserved(); len(res) != 0 {
+			t.Fatalf("%s: rejected upload left reserved extents: %v", tc.name, res)
 		}
 		node.upMu.Lock()
 		sessions := len(node.uploads)
@@ -230,12 +229,12 @@ func TestUploadCrashMidStreamLeavesNoState(t *testing.T) {
 		node.upMu.Lock()
 		sessions := len(node.uploads)
 		node.upMu.Unlock()
-		tmp := node.Volume().TempFiles()
-		if sessions == 0 && len(tmp) == 0 {
+		res := node.Volume().Reserved()
+		if sessions == 0 && len(res) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("crashed upload left sessions=%d temp=%v", sessions, tmp)
+			t.Fatalf("crashed upload left sessions=%d reserved=%v", sessions, res)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -328,8 +327,8 @@ func TestUploadSessionExpiry(t *testing.T) {
 	if still {
 		t.Fatal("idle session survived expiry")
 	}
-	if tmp := node.Volume().TempFiles(); len(tmp) != 0 {
-		t.Fatalf("expired session left temp files: %v", tmp)
+	if res := node.Volume().Reserved(); len(res) != 0 {
+		t.Fatalf("expired session left reserved extents: %v", res)
 	}
 	if node.Metrics.IngestUploadExpired.Value() != 1 {
 		t.Fatal("expiry not counted")
@@ -449,14 +448,23 @@ func TestCorruptReplicaNeverAdopted(t *testing.T) {
 	}
 
 	// Flip one byte of the origin's on-disk copy (bit rot).
-	path := filepath.Join(lc.StoreRoot, "node-1", "data", url.PathEscape(string(id)))
-	raw, err := os.ReadFile(path)
+	path, off, size, ok := lc.Nodes[0].Volume().Locate(id)
+	if !ok {
+		t.Fatal("origin holds no extent of the upload")
+	}
+	pf, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	b := make([]byte, 1)
+	if _, err := pf.ReadAt(b, off+size/2); err != nil {
 		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	_, werr := pf.WriteAt(b, off+size/2)
+	pf.Close()
+	if werr != nil {
+		t.Fatal(werr)
 	}
 
 	// A client fetch through node 2 proxies the corrupt stream; the
@@ -496,8 +504,8 @@ func TestCorruptReplicaNeverAdopted(t *testing.T) {
 	if lc.Nodes[1].Volume().Has(id) {
 		t.Fatal("repair-by-copy left a committed replica of corrupt bytes")
 	}
-	if tmp := lc.Nodes[1].Volume().TempFiles(); len(tmp) != 0 {
-		t.Fatalf("repair-by-copy left temp files: %v", tmp)
+	if res := lc.Nodes[1].Volume().Reserved(); len(res) != 0 {
+		t.Fatalf("repair-by-copy left reserved extents: %v", res)
 	}
 }
 

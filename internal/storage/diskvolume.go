@@ -4,51 +4,57 @@ import (
 	"container/list"
 	"fmt"
 	"io"
-	"net/url"
 	"os"
-	"path/filepath"
-	"strings"
+	"sort"
 	"sync"
 )
 
 // DiskVolume is the on-disk realization of the CDN-managed replica
-// partition (Section V-A): dataset bytes live as real files under a root
-// directory, one file per dataset, so the serving plane can hand the
-// kernel an *os.File and ride sendfile instead of synthesizing payload
-// bytes in userspace per request. Files become visible only through an
-// atomic rename of a fully written temp file, so readers can never
-// observe a partial replica — a crash mid-write leaves only garbage in
-// the temp area, which the next NewDiskVolume sweeps away. The volume
-// enforces a byte quota with LRU eviction and pools open read handles
-// per dataset, so a warm serve costs no open(2) and no allocation.
+// partition (Section V-A): dataset bytes live in real files under a root
+// directory, so the serving plane can hand the kernel a descriptor and
+// ride sendfile instead of synthesizing payload bytes in userspace per
+// request. The partition holds many small datasets, and on a real
+// filesystem creating a file costs far more than writing its bytes, so
+// entries are not files: each is an extent of an append-only pack file
+// (pack.go), and an entry becomes visible only when its record reaches
+// the volume's index log — readers can never observe a partial replica,
+// and a crash mid-write leaves only unreferenced pack bytes, which the
+// next NewDiskVolume frees. The volume enforces a byte quota with LRU
+// eviction and pools open read handles per pack, so a warm serve costs
+// no open(2) and no allocation.
 //
 // Layout under the root:
 //
-//	data/<escaped dataset ID>   committed replicas
-//	tmp/<escaped ID>.<seq>      in-flight spills (never read)
+//	pack-<n>    append-only pack files holding the committed extents
+//	index.log   append-only log of put and remove records
 //
 // All methods are safe for concurrent use.
 type DiskVolume struct {
 	dir   string
 	quota int64
 
-	// fsMu serializes mutations of the data/ namespace: a commit's
-	// rename-into-place against eviction/removal unlinks of the same
-	// path. It is ordered before v.mu and is never taken on the serve
+	// fsMu serializes mutations of the index log: a commit's put record
+	// against eviction and removal records, so the log replays to the
+	// index. It is ordered before v.mu and is never taken on the serve
 	// path (Open/Release touch only v.mu), so disk latency under fsMu
-	// cannot stall readers.
-	fsMu sync.Mutex
+	// cannot stall readers. log, logSize and logBuf are fsMu's.
+	fsMu    sync.Mutex
+	log     *os.File
+	logSize int64
+	logBuf  []byte
 
-	// mu guards the index below and is held only for map/list work —
-	// never across file I/O, which the serving plane's hot path sits
-	// behind.
+	// mu guards the index and the packs' state below and is held only
+	// for map/list work — never across file I/O, which the serving
+	// plane's hot path sits behind.
 	mu        sync.Mutex
 	ll        *list.List // front = most recently used
 	items     map[DatasetID]*list.Element
 	used      int64
 	evictions uint64
 	inflight  map[DatasetID]chan struct{} // singleflight materializations
-	tmpSeq    uint64
+	packs     map[uint32]*pack
+	idle      []*pack // packs free to take a spill, LIFO
+	nextPack  uint32
 
 	// segMu guards the interned segment-key table (segment.go). Its own
 	// lock, not v.mu: key interning is read-mostly and must not contend
@@ -57,15 +63,19 @@ type DiskVolume struct {
 	segKeys map[DatasetID][]DatasetID
 }
 
-// maxPooledFDs caps the idle read handles kept per dataset. Four covers
-// a striped client's typical fan-in without hoarding descriptors.
-const maxPooledFDs = 4
+// maxPooledFDs caps the idle read handles kept per pack. Every entry of
+// a pack shares its pool, so it covers the edge's concurrent serves of
+// that pack, not one dataset's fan-in.
+const maxPooledFDs = 16
 
 type diskEntry struct {
 	id     DatasetID
 	size   int64
-	fds    []*os.File // idle read handles, LIFO
-	pinned bool       // never evicted (origin/user-partition copies)
+	pk     *pack
+	off    int64 // extent base within the pack
+	refs   int   // handles out
+	pinned bool  // never evicted (origin/user-partition copies)
+	dead   bool  // removed from the index; its bytes wait for the last handle
 }
 
 // DiskVolumeStats is a point-in-time usage snapshot.
@@ -77,9 +87,11 @@ type DiskVolumeStats struct {
 }
 
 // NewDiskVolume opens (or creates) a replica volume rooted at dir with
-// the given byte quota. Committed files already under data/ are adopted
-// — a restart keeps its replicas — and anything under tmp/ is a spill
-// that never committed, so it is deleted.
+// the given byte quota. Entries the index log records inside their pack
+// are adopted — a restart keeps its replicas — and every other pack
+// byte is a spill that never committed or an entry removed since, so
+// its blocks are freed. A directory holding a legacy data/ tree is
+// refused.
 func NewDiskVolume(dir string, quota int64) (*DiskVolume, error) {
 	if quota <= 0 {
 		return nil, fmt.Errorf("storage: non-positive volume quota %d", quota)
@@ -90,53 +102,16 @@ func NewDiskVolume(dir string, quota int64) (*DiskVolume, error) {
 		ll:       list.New(),
 		items:    make(map[DatasetID]*list.Element),
 		inflight: make(map[DatasetID]chan struct{}),
+		packs:    make(map[uint32]*pack),
 		segKeys:  make(map[DatasetID][]DatasetID),
 	}
-	for _, d := range []string{v.dataDir(), v.tmpDir()} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("storage: volume %s: %w", dir, err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("storage: volume %s: %w", dir, err)
 	}
 	if err := v.recover(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("storage: volume %s: %w", dir, err)
 	}
 	return v, nil
-}
-
-func (v *DiskVolume) dataDir() string { return filepath.Join(v.dir, "data") }
-func (v *DiskVolume) tmpDir() string  { return filepath.Join(v.dir, "tmp") }
-
-// path returns a dataset's committed file path. IDs are path-escaped so
-// any dataset name maps to exactly one flat file.
-func (v *DiskVolume) path(id DatasetID) string {
-	return filepath.Join(v.dataDir(), url.PathEscape(string(id)))
-}
-
-// recover sweeps orphaned spills and adopts committed replicas.
-func (v *DiskVolume) recover() error {
-	tmps, err := os.ReadDir(v.tmpDir())
-	if err != nil {
-		return err
-	}
-	for _, e := range tmps {
-		_ = os.Remove(filepath.Join(v.tmpDir(), e.Name()))
-	}
-	files, err := os.ReadDir(v.dataDir())
-	if err != nil {
-		return err
-	}
-	for _, e := range files {
-		name, uerr := url.PathUnescape(e.Name())
-		info, ierr := e.Info()
-		if uerr != nil || ierr != nil || !info.Mode().IsRegular() {
-			continue
-		}
-		v.mu.Lock()
-		cs := v.insertLocked(DatasetID(name), info.Size(), false)
-		v.mu.Unlock()
-		v.reap(cs) // adopted files may already exceed the quota
-	}
-	return nil
 }
 
 // Dir returns the volume's root directory.
@@ -184,19 +159,114 @@ func (v *DiskVolume) IDs() []DatasetID {
 	return out
 }
 
-// Open returns a positioned read handle on the dataset's replica and its
-// size, refreshing LRU recency. The handle is exclusively the caller's
-// until Release — pooled handles are never shared, so callers may Seek
-// freely (http.ServeContent does). A miss returns ok == false.
-func (v *DiskVolume) Open(id DatasetID) (f *os.File, size int64, ok bool) {
-	f, size, _, ok = v.open(id)
-	return f, size, ok
+// Locate reports where an entry's bytes live: its pack file and the
+// extent [off, off+size) within it (test and inspection hook).
+func (v *DiskVolume) Locate(id DatasetID) (path string, off, size int64, ok bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	el, ok := v.items[id]
+	if !ok {
+		return "", 0, 0, false
+	}
+	e := el.Value.(*diskEntry)
+	return e.pk.path, e.off, e.size, true
 }
 
-// open is Open plus a freshness report: fresh is true when the handle
-// came from open(2) rather than the FD pool, which is when per-
-// descriptor advice (readahead hints) is worth applying.
-func (v *DiskVolume) open(id DatasetID) (f *os.File, size int64, fresh, ok bool) {
+// Reserved returns the datasets whose spills currently hold a pack —
+// the extents reserved but not committed (test and inspection hook; a
+// volume at rest reports none).
+func (v *DiskVolume) Reserved() []DatasetID {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	var out []DatasetID
+	for _, pk := range v.packs {
+		if pk.busy {
+			out = append(out, pk.holder)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Handle is a read handle on one entry's extent: a descriptor of the
+// entry's pack plus the extent's base and size. Read, Seek and ReadAt
+// address the extent, never the rest of the pack. It is exclusively its
+// holder's until Release, so FileAt may move the descriptor's position.
+type Handle struct {
+	f   *os.File
+	pk  *pack
+	e   *diskEntry // the entry read; nil while pooled
+	pos int64      // Read/Seek position within the extent
+}
+
+// Size returns the extent's length.
+func (h *Handle) Size() int64 { return h.e.size }
+
+// FileAt positions the pack descriptor at offset off of the extent and
+// returns it, for a kernel copy (sendfile) of at most Size()-off bytes.
+func (h *Handle) FileAt(off int64) (*os.File, error) {
+	_, err := h.f.Seek(h.e.off+off, io.SeekStart)
+	return h.f, err
+}
+
+// ReadAt reads the extent at offset off (io.ReaderAt).
+func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("storage: negative read offset %d", off)
+	}
+	size := h.e.size
+	if off >= size {
+		return 0, io.EOF
+	}
+	short := int64(len(p)) > size-off
+	if short {
+		p = p[:size-off]
+	}
+	n, err := h.f.ReadAt(p, h.e.off+off)
+	if err == nil && short {
+		err = io.EOF
+	}
+	return n, err
+}
+
+// Read reads the extent from the handle's position (io.Reader).
+func (h *Handle) Read(p []byte) (int, error) {
+	n, err := h.ReadAt(p, h.pos)
+	h.pos += int64(n)
+	if err == io.EOF && n > 0 {
+		err = nil
+	}
+	return n, err
+}
+
+// Seek sets the position Read continues from (io.Seeker).
+func (h *Handle) Seek(off int64, whence int) (int64, error) {
+	switch whence {
+	case io.SeekCurrent:
+		off += h.pos
+	case io.SeekEnd:
+		off += h.e.size
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("storage: negative seek position %d", off)
+	}
+	h.pos = off
+	return off, nil
+}
+
+// Open returns a read handle on the dataset's replica and its size,
+// refreshing LRU recency. The handle is exclusively the caller's until
+// Release — pooled handles are never shared, so callers may position
+// it freely. A miss returns ok == false.
+func (v *DiskVolume) Open(id DatasetID) (h *Handle, size int64, ok bool) {
+	h, size, _, ok = v.open(id)
+	return h, size, ok
+}
+
+// open is Open plus a freshness report: fresh is true when the handle's
+// descriptor came from open(2) rather than the pack's pool, which is
+// when per-descriptor advice (readahead hints) is worth applying.
+func (v *DiskVolume) open(id DatasetID) (h *Handle, size int64, fresh, ok bool) {
 	v.mu.Lock()
 	el, present := v.items[id]
 	if !present {
@@ -205,117 +275,155 @@ func (v *DiskVolume) open(id DatasetID) (f *os.File, size int64, fresh, ok bool)
 	}
 	v.ll.MoveToFront(el)
 	e := el.Value.(*diskEntry)
-	size = e.size
-	if n := len(e.fds); n > 0 {
-		f = e.fds[n-1]
-		e.fds = e.fds[:n-1]
+	e.refs++
+	pk := e.pk
+	if n := len(pk.idle); n > 0 {
+		h = pk.idle[n-1]
+		pk.idle = pk.idle[:n-1]
+		h.e = e
 		v.mu.Unlock()
-		return f, size, false, true
+		return h, e.size, false, true
 	}
 	v.mu.Unlock()
-	f, err := os.Open(v.path(id))
+	// The reference taken above keeps the pack linked while it opens.
+	f, err := os.Open(pk.path)
 	if err != nil {
-		// Evicted (unlinked) between the lookup and the open, or the
-		// file vanished under us: drop the stale entry. fsMu first, so
-		// the reap below cannot unlink a replica a concurrent commit
-		// just renamed into place.
-		v.fsMu.Lock()
-		var cs []cleanup
-		v.mu.Lock()
-		if cur, still := v.items[id]; still && cur == el {
-			cs = append(cs, v.removeLocked(el))
-		}
-		v.mu.Unlock()
-		v.reap(cs)
-		v.fsMu.Unlock()
+		v.Release(id, &Handle{pk: pk, e: e})
 		return nil, 0, false, false
 	}
-	return f, size, true, true
+	return &Handle{f: f, pk: pk, e: e}, e.size, true, true
 }
 
-// Release returns a handle obtained from Open. Handles rewind to offset
-// zero and go back into the per-dataset pool; handles of evicted entries
-// (or a full pool) are closed. f may be nil.
-func (v *DiskVolume) Release(id DatasetID, f *os.File) {
-	if f == nil {
+// Release returns a handle obtained from Open to its pack's pool (the
+// handle is closed when the pool is full). When it was the last handle
+// on a removed entry, the entry's bytes are freed now. h may be nil.
+func (v *DiskVolume) Release(_ DatasetID, h *Handle) {
+	if h == nil {
 		return
 	}
+	var c cleanup
 	v.mu.Lock()
-	if el, ok := v.items[id]; ok {
-		e := el.Value.(*diskEntry)
-		if len(e.fds) < maxPooledFDs {
-			if _, err := f.Seek(0, io.SeekStart); err == nil {
-				e.fds = append(e.fds, f)
-				v.mu.Unlock()
-				return
-			}
-		}
+	e, pk := h.e, h.pk
+	h.e, h.pos = nil, 0
+	if e.refs--; e.dead && e.refs == 0 {
+		v.dropExtentLocked(e, &c)
+	}
+	pooled := h.f != nil && !pk.gone && len(pk.idle) < maxPooledFDs
+	if pooled {
+		pk.idle = append(pk.idle, h)
 	}
 	v.mu.Unlock()
-	_ = f.Close()
+	if !pooled && h.f != nil {
+		_ = h.f.Close()
+	}
+	v.reap(&c)
 }
 
-// Remove deletes a committed replica (and closes its pooled handles).
-// Removing an absent dataset is a no-op.
+// Remove deletes a committed replica. Removing an absent dataset is a
+// no-op. Handles still out keep reading the replica's bytes until they
+// are released.
 func (v *DiskVolume) Remove(id DatasetID) {
 	v.fsMu.Lock()
 	defer v.fsMu.Unlock()
-	var cs []cleanup
+	var c cleanup
 	v.mu.Lock()
 	if el, ok := v.items[id]; ok {
-		cs = append(cs, v.removeLocked(el))
+		v.removeLocked(el, &c)
 	}
 	v.mu.Unlock()
-	v.reap(cs)
+	v.reap(&c)
 }
 
-// cleanup is file I/O deferred out of a v.mu critical section: a path
-// to unlink and idle handles to close once the index lock is released.
-type cleanup struct {
-	path string
-	fds  []*os.File
-}
-
-// reap performs deferred cleanups. Callers must have released v.mu;
-// they hold fsMu whenever the unlinked path could race a commit's
-// rename (everywhere except construction-time recovery, which is
-// single-threaded).
-func (v *DiskVolume) reap(cs []cleanup) {
-	for _, c := range cs {
-		for _, f := range c.fds {
-			_ = f.Close()
+// Close releases the volume's descriptors — its log's, its packs' and
+// their pooled handles' — so removing the directory frees its blocks at
+// once. Handles still out are closed by their Release. The volume must
+// not be used after Close.
+func (v *DiskVolume) Close() error {
+	v.fsMu.Lock()
+	defer v.fsMu.Unlock()
+	var c cleanup
+	v.mu.Lock()
+	for _, pk := range v.packs {
+		pk.gone = true
+		c.fds = append(c.fds, pk.w)
+		for _, h := range pk.idle {
+			c.fds = append(c.fds, h.f)
 		}
-		_ = os.Remove(c.path)
+		pk.idle = nil
+	}
+	v.mu.Unlock()
+	v.reap(&c)
+	return v.log.Close()
+}
+
+// cleanup is I/O deferred out of a v.mu critical section: remove
+// records to log, extents to free, idle descriptors to close and packs
+// to unlink once the index lock is released.
+type cleanup struct {
+	dels   []DatasetID
+	punch  []extent
+	fds    []*os.File
+	unlink []*pack
+}
+
+// extent is a byte range of a pack.
+type extent struct {
+	pk        *pack
+	off, size int64
+}
+
+// reap performs deferred cleanups. Callers must have released v.mu, and
+// hold fsMu whenever c names removals to log. A removal whose record
+// cannot be logged keeps its bytes: replay will adopt the entry again,
+// and must find it intact.
+func (v *DiskVolume) reap(c *cleanup) {
+	logged := true
+	if len(c.dels) > 0 {
+		recs := make([]logRec, len(c.dels))
+		for i, id := range c.dels {
+			recs[i] = logRec{kind: recDel, id: id}
+		}
+		logged = v.appendLog(recs...) == nil
+	}
+	for _, f := range c.fds {
+		_ = f.Close()
+	}
+	if !logged {
+		return
+	}
+	for _, x := range c.punch {
+		punchHole(x.pk.w, x.off, x.size)
+	}
+	for _, pk := range c.unlink {
+		_ = pk.w.Close()
+		_ = os.Remove(pk.path)
 	}
 }
 
-// insertLocked records a committed file and returns the deferred
-// cleanups of any entries evicted to make room. Caller holds v.mu.
-func (v *DiskVolume) insertLocked(id DatasetID, size int64, pin bool) []cleanup {
-	el := v.ll.PushFront(&diskEntry{id: id, size: size, pinned: pin})
-	v.items[id] = el
-	v.used += size
-	return v.evictOverQuotaLocked(el)
+// insertLocked indexes a committed entry and queues the cleanups of
+// any entries evicted to make room. Caller holds v.mu.
+func (v *DiskVolume) insertLocked(e *diskEntry, c *cleanup) {
+	el := v.ll.PushFront(e)
+	v.items[e.id] = el
+	v.used += e.size
+	v.evictOverQuotaLocked(el, c)
 }
 
 // evictOverQuotaLocked drops least-recently-used replicas from the
 // index until the volume fits its quota, never evicting keep or pinned
 // entries (origin copies of opaque datasets exist nowhere else — losing
-// the last copy to cache pressure would lose the data). The file I/O is
-// returned as cleanups for the caller to perform after v.mu is
-// released.
-func (v *DiskVolume) evictOverQuotaLocked(keep *list.Element) []cleanup {
-	var cs []cleanup
+// the last copy to cache pressure would lose the data). The I/O is
+// queued on c for the caller to perform after v.mu is released.
+func (v *DiskVolume) evictOverQuotaLocked(keep *list.Element, c *cleanup) {
 	el := v.ll.Back()
 	for v.used > v.quota && el != nil {
 		prev := el.Prev()
 		if el != keep && !el.Value.(*diskEntry).pinned {
-			cs = append(cs, v.removeLocked(el))
+			v.removeLocked(el, c)
 			v.evictions++
 		}
 		el = prev
 	}
-	return cs
 }
 
 // Pin marks a committed replica as non-evictable: LRU pressure skips it
@@ -331,233 +439,39 @@ func (v *DiskVolume) Pin(id DatasetID) bool {
 	return ok
 }
 
-// removeLocked drops an entry from the index and returns the deferred
-// unlink/close work. Handles currently out via Open stay valid — POSIX
-// keeps the data reachable through open descriptors after the unlink.
-func (v *DiskVolume) removeLocked(el *list.Element) cleanup {
+// removeLocked drops an entry from the index and queues its remove
+// record. Its bytes are freed now, or by the Release of the last handle
+// still reading them.
+func (v *DiskVolume) removeLocked(el *list.Element, c *cleanup) {
 	e := el.Value.(*diskEntry)
 	v.ll.Remove(el)
 	delete(v.items, e.id)
 	v.used -= e.size
-	fds := e.fds
-	e.fds = nil
-	return cleanup{path: v.path(e.id), fds: fds}
+	e.dead = true
+	c.dels = append(c.dels, e.id)
+	if e.refs == 0 {
+		v.dropExtentLocked(e, c)
+	}
 }
 
-// Spill is an in-flight write of one dataset's bytes into the volume: a
-// temp file that becomes a committed replica only through Commit's
-// atomic rename. Sequential Write/Commit/Abort are single-goroutine;
-// WriteAt may be called from many goroutines at once (striped
-// transfers), provided Commit/CommitVerified/Abort happen only after
-// every writer has returned. The volume itself stays concurrent around
-// spills.
-type Spill struct {
-	v    *DiskVolume
-	id   DatasetID
-	f    *os.File
-	path string
-	n    int64
-	err  error
-	done bool
-
-	// atMu guards the error state shared by concurrent WriteAt callers.
-	atMu  sync.Mutex
-	atErr error
-}
-
-// NewSpill opens a temp file for the dataset's bytes. The caller must
-// finish with Commit or Abort.
-func (v *DiskVolume) NewSpill(id DatasetID) (*Spill, error) {
-	v.mu.Lock()
-	v.tmpSeq++
-	seq := v.tmpSeq
-	v.mu.Unlock()
-	path := filepath.Join(v.tmpDir(), fmt.Sprintf("%s.%d", url.PathEscape(string(id)), seq))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: spill %q: %w", id, err)
-	}
-	return &Spill{v: v, id: id, f: f, path: path}, nil
-}
-
-// Write appends to the temp file. After the first error the spill is
-// poisoned: Commit will fail, further writes are rejected.
-func (s *Spill) Write(p []byte) (int, error) {
-	if s.err != nil {
-		return 0, s.err
-	}
-	n, err := s.f.Write(p)
-	s.n += int64(n)
-	if err != nil {
-		s.err = err
-	}
-	return n, err
-}
-
-// WriteAt writes p at absolute offset off in the temp file (pwrite).
-// Safe for concurrent use by the stripes of one parallel transfer; the
-// positioned writes do not disturb sequential Write's file offset, and
-// after the first failure the spill is poisoned the same as Write.
-// Byte accounting is by extent, so CommitVerified — which checks the
-// real file size — must be used to publish a striped spill.
-func (s *Spill) WriteAt(p []byte, off int64) (int, error) {
-	s.atMu.Lock()
-	err := s.atErr
-	s.atMu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	n, err := s.f.WriteAt(p, off)
-	if err != nil {
-		s.atMu.Lock()
-		if s.atErr == nil {
-			s.atErr = err
+// dropExtentLocked retires a dead entry's extent once no handle reads
+// it: the extent's blocks are punched out of the pack, or — when it was
+// the last extent of a rolled pack — the whole pack is unlinked.
+func (v *DiskVolume) dropExtentLocked(e *diskEntry, c *cleanup) {
+	pk := e.pk
+	pk.extents--
+	if pk.rolled && pk.extents == 0 {
+		pk.gone = true
+		delete(v.packs, pk.n)
+		for _, h := range pk.idle {
+			c.fds = append(c.fds, h.f)
 		}
-		s.atMu.Unlock()
-	}
-	return n, err
-}
-
-// Bytes returns how many bytes have been spilled so far.
-func (s *Spill) Bytes() int64 { return s.n }
-
-// Abort discards the spill: the temp file is closed and deleted, and no
-// replica appears. Abort after Commit is a no-op.
-func (s *Spill) Abort() {
-	if s.done {
+		pk.idle = nil
+		c.unlink = append(c.unlink, pk)
 		return
 	}
-	s.done = true
-	_ = s.f.Close()
-	_ = os.Remove(s.path)
+	c.punch = append(c.punch, extent{pk: pk, off: e.off, size: alignUp(e.size)})
 }
-
-// Commit publishes the spill as the dataset's replica iff exactly want
-// bytes were written and no write failed. On success the temp file is
-// atomically renamed into place, the entry is indexed, and LRU eviction
-// trims the volume back under quota. On any failure the temp file is
-// removed and no replica appears.
-func (s *Spill) Commit(want int64) error {
-	if s.done {
-		return fmt.Errorf("storage: spill %q already finished", s.id)
-	}
-	if s.err == nil {
-		s.atMu.Lock()
-		s.err = s.atErr
-		s.atMu.Unlock()
-	}
-	if s.err != nil {
-		s.Abort()
-		return fmt.Errorf("storage: spill %q failed: %w", s.id, s.err)
-	}
-	if s.n != want {
-		s.Abort()
-		return fmt.Errorf("storage: spill %q wrote %d of %d bytes", s.id, s.n, want)
-	}
-	if err := s.f.Close(); err != nil {
-		s.done = true
-		_ = os.Remove(s.path)
-		return fmt.Errorf("storage: spill %q: %w", s.id, err)
-	}
-	s.done = true
-	return s.v.commit(s.id, s.path, want, false)
-}
-
-// CommitVerified publishes the spill like Commit, but sizes the spill by
-// the real file length (so positioned WriteAt stripes count correctly)
-// and, when verify is non-nil, hands the finished temp file to it
-// before the rename — the replica becomes visible only if its on-disk
-// bytes pass. verify's reader is always an *io.SectionReader over
-// exactly want bytes of the temp file, closed and reopened after the
-// last write, so a verifier may read it by offset (io.ReaderAt) as
-// well as in order, and the bytes it checks are the bytes the rename
-// publishes. pin marks the committed entry non-evictable (the origin
-// copy of an uploaded dataset). On any failure, a verify error
-// included, the temp file is removed and no replica appears.
-func (s *Spill) CommitVerified(want int64, verify func(io.Reader) error, pin bool) error {
-	if s.done {
-		return fmt.Errorf("storage: spill %q already finished", s.id)
-	}
-	if s.err == nil {
-		s.atMu.Lock()
-		s.err = s.atErr
-		s.atMu.Unlock()
-	}
-	if s.err != nil {
-		s.Abort()
-		return fmt.Errorf("storage: spill %q failed: %w", s.id, s.err)
-	}
-	if err := s.f.Close(); err != nil {
-		s.done = true
-		_ = os.Remove(s.path)
-		return fmt.Errorf("storage: spill %q: %w", s.id, err)
-	}
-	s.done = true
-	info, err := os.Stat(s.path)
-	if err != nil {
-		_ = os.Remove(s.path)
-		return fmt.Errorf("storage: spill %q: %w", s.id, err)
-	}
-	if info.Size() != want {
-		_ = os.Remove(s.path)
-		return fmt.Errorf("storage: spill %q holds %d of %d bytes", s.id, info.Size(), want)
-	}
-	if verify != nil {
-		f, err := os.Open(s.path)
-		if err != nil {
-			_ = os.Remove(s.path)
-			return fmt.Errorf("storage: spill %q: %w", s.id, err)
-		}
-		verr := verify(io.NewSectionReader(f, 0, want))
-		_ = f.Close()
-		if verr != nil {
-			_ = os.Remove(s.path)
-			return fmt.Errorf("storage: spill %q rejected: %w", s.id, verr)
-		}
-	}
-	return s.v.commit(s.id, s.path, want, pin)
-}
-
-// commit renames a completed temp file into the data directory and
-// indexes it. The rename and the index insert happen under fsMu (not
-// v.mu), so eviction unlinks cannot interleave with the publish, while
-// readers on v.mu never wait on the disk.
-func (v *DiskVolume) commit(id DatasetID, tmpPath string, size int64, pin bool) error {
-	if size > v.quota {
-		_ = os.Remove(tmpPath)
-		return fmt.Errorf("storage: replica %q (%d bytes) exceeds volume quota %d", id, size, v.quota)
-	}
-	v.fsMu.Lock()
-	defer v.fsMu.Unlock()
-	v.mu.Lock()
-	el, dup := v.items[id]
-	if dup && pin {
-		// The racer's copy carries identical (verified) bytes; keep it and
-		// take over only the pinning obligation.
-		el.Value.(*diskEntry).pinned = true
-	}
-	v.mu.Unlock()
-	if dup {
-		// A racing spill/materialization committed first. Bytes are
-		// content-addressed per dataset, so the existing file is identical;
-		// drop ours.
-		v.discardTmp(tmpPath)
-		return nil
-	}
-	//lint:ignore lockio fsMu's entire purpose is serializing this rename against eviction unlinks; it is never taken on the serve path (see the field comment)
-	if err := os.Rename(tmpPath, v.path(id)); err != nil {
-		v.discardTmp(tmpPath)
-		return fmt.Errorf("storage: commit %q: %w", id, err)
-	}
-	v.mu.Lock()
-	cs := v.insertLocked(id, size, pin)
-	v.mu.Unlock()
-	v.reap(cs)
-	return nil
-}
-
-// discardTmp disposes of a temp file that lost its commit.
-func (v *DiskVolume) discardTmp(tmpPath string) { _ = os.Remove(tmpPath) }
 
 // Materialize ensures the dataset's replica exists on disk, producing it
 // with fill (which must write exactly size bytes) when absent.
@@ -605,20 +519,4 @@ func (v *DiskVolume) materializeOnce(id DatasetID, size int64, fill func(io.Writ
 		return fmt.Errorf("storage: materialize %q: %w", id, err)
 	}
 	return sp.Commit(size)
-}
-
-// TempFiles returns the basenames currently in the spill area (test and
-// inspection hook; committed volumes should report none at rest).
-func (v *DiskVolume) TempFiles() []string {
-	entries, err := os.ReadDir(v.tmpDir())
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), ".") {
-			out = append(out, e.Name())
-		}
-	}
-	return out
 }

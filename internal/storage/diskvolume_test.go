@@ -117,22 +117,22 @@ func TestSpillInvisibleUntilCommit(t *testing.T) {
 	if _, err := sp.Write(pattern("ds-a", 100)[:60]); err != nil {
 		t.Fatal(err)
 	}
-	// Partial spill: no replica visible, one temp file on disk.
+	// Partial spill: no replica visible, one extent reserved.
 	if v.Has("ds-a") {
 		t.Fatal("partial spill visible as replica")
 	}
 	if _, _, ok := v.Open("ds-a"); ok {
 		t.Fatal("partial spill openable")
 	}
-	if n := len(v.TempFiles()); n != 1 {
-		t.Fatalf("temp files = %d, want 1", n)
+	if n := len(v.Reserved()); n != 1 {
+		t.Fatalf("reserved extents = %d, want 1", n)
 	}
-	// Committing with the wrong byte count fails and removes the temp.
+	// Committing with the wrong byte count fails and releases the extent.
 	if err := sp.Commit(100); err == nil {
 		t.Fatal("short spill committed")
 	}
-	if v.Has("ds-a") || len(v.TempFiles()) != 0 {
-		t.Fatalf("short commit left state: has=%v temps=%d", v.Has("ds-a"), len(v.TempFiles()))
+	if v.Has("ds-a") || len(v.Reserved()) != 0 {
+		t.Fatalf("short commit left state: has=%v reserved=%d", v.Has("ds-a"), len(v.Reserved()))
 	}
 
 	// A full spill commits atomically.
@@ -150,8 +150,8 @@ func TestSpillInvisibleUntilCommit(t *testing.T) {
 	if got := readAll(t, v, "ds-a"); !bytes.Equal(got, want) {
 		t.Fatal("committed bytes diverge")
 	}
-	if len(v.TempFiles()) != 0 {
-		t.Fatal("commit left temp files")
+	if len(v.Reserved()) != 0 {
+		t.Fatal("commit left a reserved extent")
 	}
 }
 
@@ -165,7 +165,7 @@ func TestSpillAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp.Abort()
-	if v.Has("ds-a") || len(v.TempFiles()) != 0 {
+	if v.Has("ds-a") || len(v.Reserved()) != 0 {
 		t.Fatal("abort left state behind")
 	}
 	// Abort after abort is a no-op; commit after abort fails.
@@ -177,8 +177,8 @@ func TestSpillAbort(t *testing.T) {
 
 // TestCommitVerifiedContract pins what CommitVerified hands its
 // verifier — a SectionReader over exactly want bytes of the finished
-// temp file, readable by offset — and that a verifier error removes the
-// temp file and publishes nothing.
+// spill, readable by offset — and that a verifier error releases the
+// reserved extent and publishes nothing.
 func TestCommitVerifiedContract(t *testing.T) {
 	v := newVolume(t, 1<<20)
 	want := pattern("ds-v", 5000)
@@ -232,8 +232,8 @@ func TestCommitVerifiedContract(t *testing.T) {
 	if err := sp.CommitVerified(int64(len(want)), func(io.Reader) error { return reject }, false); !errors.Is(err, reject) {
 		t.Fatalf("err = %v, want the verifier's", err)
 	}
-	if v.Has("ds-w") || len(v.TempFiles()) != 0 {
-		t.Fatalf("rejected spill left state: has=%v temps=%d", v.Has("ds-w"), len(v.TempFiles()))
+	if v.Has("ds-w") || len(v.Reserved()) != 0 {
+		t.Fatalf("rejected spill left state: has=%v reserved=%d", v.Has("ds-w"), len(v.Reserved()))
 	}
 }
 
@@ -254,9 +254,9 @@ func TestQuotaEviction(t *testing.T) {
 		t.Fatalf("eviction state: %+v has0=%v has1=%v has2=%v",
 			st, v.Has("ds-0"), v.Has("ds-1"), v.Has("ds-2"))
 	}
-	// The evicted file is really unlinked.
-	if _, err := os.Stat(v.path("ds-0")); !os.IsNotExist(err) {
-		t.Fatalf("evicted file still on disk: %v", err)
+	// The evicted extent is really gone from the index.
+	if _, _, _, ok := v.Locate("ds-0"); ok {
+		t.Fatal("evicted extent still locatable")
 	}
 	// Recency protects a replica: touch ds-1, insert another, ds-2 goes.
 	f, _, ok := v.Open("ds-1")
@@ -278,7 +278,7 @@ func TestOversizedReplicaRejected(t *testing.T) {
 	if _, err := v.Materialize("big", 2048, fillBytes(make([]byte, 2048))); err == nil {
 		t.Fatal("replica larger than the quota accepted")
 	}
-	if v.Has("big") || len(v.TempFiles()) != 0 {
+	if v.Has("big") || len(v.Reserved()) != 0 {
 		t.Fatal("oversized materialize left state")
 	}
 }
@@ -294,13 +294,18 @@ func TestRecoveryAdoptsFilesAndSweepsTemps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Simulate a crash mid-spill: a stray temp file.
-	stray := filepath.Join(dir, "tmp", "ds-c.99")
-	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
+	// Simulate a crash mid-spill: a spill that wrote but never reached
+	// its commit record.
+	stray, err := v.NewSpill("ds-c")
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := stray.Write([]byte("partial")); err != nil {
+		t.Fatal(err)
+	}
+	path, off, size, _ := v.Locate("ds/b")
 
-	// Reopen: replicas adopted, temp swept.
+	// Reopen: replicas adopted, the spill's bytes cut off the pack.
 	v2, err := NewDiskVolume(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -312,8 +317,15 @@ func TestRecoveryAdoptsFilesAndSweepsTemps(t *testing.T) {
 	if got := readAll(t, v2, "ds/b"); !bytes.Equal(got, pattern("ds/b", 512)) {
 		t.Fatal("adopted bytes diverge")
 	}
-	if _, err := os.Stat(stray); !os.IsNotExist(err) {
-		t.Fatal("stray temp survived recovery")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != off+size {
+		t.Fatalf("pack is %d bytes after recovery, want the cut-off spill truncated to %d", fi.Size(), off+size)
+	}
+	if v2.Has("ds-c") || len(v2.Reserved()) != 0 {
+		t.Fatal("cut-off spill adopted after recovery")
 	}
 	if st := v2.Stats(); st.UsedBytes != 1024 {
 		t.Fatalf("recovered usage = %d, want 1024", st.UsedBytes)
@@ -358,7 +370,7 @@ func TestMaterializeSingleFlight(t *testing.T) {
 // TestConcurrentMaterializeReadEvict hammers every mutating and reading
 // path at once under a tight quota; run with -race. At the end the
 // volume must satisfy its invariants: usage within quota, every indexed
-// replica intact on disk, no temp litter.
+// replica intact on disk, no reserved extent left.
 func TestConcurrentMaterializeReadEvict(t *testing.T) {
 	const (
 		workers  = 8
@@ -425,8 +437,8 @@ func TestConcurrentMaterializeReadEvict(t *testing.T) {
 			t.Fatalf("surviving replica %q corrupt", id)
 		}
 	}
-	if temps := v.TempFiles(); len(temps) != 0 {
-		t.Fatalf("temp litter after churn: %v", temps)
+	if res := v.Reserved(); len(res) != 0 {
+		t.Fatalf("reserved extents after churn: %v", res)
 	}
 }
 

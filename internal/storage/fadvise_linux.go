@@ -24,18 +24,21 @@ func fadvise(f *os.File, off, length int64, advice int) bool {
 	return errno == 0
 }
 
-// FadviseSequential hints that f will be read sequentially, letting
-// the kernel widen its readahead window for the descriptor. Reports
-// whether the advice was applied.
-func FadviseSequential(f *os.File) bool {
-	return fadvise(f, 0, 0, fadvSequential)
+// FadviseSequential hints that h's descriptor will be read
+// sequentially, letting the kernel widen its readahead window for it.
+// Reports whether the advice was applied.
+func FadviseSequential(h *Handle) bool {
+	return fadvise(h.f, 0, 0, fadvSequential)
 }
 
-// FadviseDontNeed drops the file's cached pages over [off, off+length)
-// (length 0 meaning to end of file) — page-cache hygiene behind a
-// completed sequential serve, so one giant transfer stops evicting the
-// warm small-object working set. Reports whether the advice was
-// applied.
-func FadviseDontNeed(f *os.File, off, length int64) bool {
-	return fadvise(f, off, length, fadvDontNeed)
+// FadviseDontNeed drops the cached pages of h's extent, and only of
+// that extent — the rest of the pack belongs to other entries.
+// Page-cache hygiene behind a completed sequential serve, so one giant
+// transfer stops evicting the warm small-object working set. Reports
+// whether the advice was applied.
+func FadviseDontNeed(h *Handle) bool {
+	if h.e.size == 0 {
+		return false // length 0 would mean the whole pack
+	}
+	return fadvise(h.f, h.e.off, h.e.size, fadvDontNeed)
 }

@@ -2,15 +2,13 @@
 
 package storage
 
-import "os"
-
 // posix_fadvise is Linux-only; elsewhere the hints are no-ops and
 // report not-applied so callers' counters stay honest.
 
 // FadviseSequential hints sequential access on platforms that support
 // it. No-op here.
-func FadviseSequential(*os.File) bool { return false }
+func FadviseSequential(*Handle) bool { return false }
 
 // FadviseDontNeed drops cached pages on platforms that support it.
 // No-op here.
-func FadviseDontNeed(*os.File, int64, int64) bool { return false }
+func FadviseDontNeed(*Handle) bool { return false }

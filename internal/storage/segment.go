@@ -2,14 +2,13 @@ package storage
 
 import (
 	"io"
-	"os"
 	"strconv"
 	"strings"
 )
 
 // Segmented large-object layout (ROADMAP item 4, the GiB half of raw
 // speed). Datasets above a serving-plane threshold are not stored as
-// one flat file: their bytes live as fixed-size segment files, each an
+// one flat extent: their bytes live as fixed-size segments, each an
 // independent DiskVolume entry with its own LRU recency. That turns
 // quota pressure from all-or-nothing (a 10 GiB dataset either fits or
 // is unservable) into partial residency — the hot prefix of a giant
@@ -103,19 +102,19 @@ func (v *DiskVolume) segmentKey(id DatasetID, i int64) DatasetID {
 	return k
 }
 
-// OpenSegment returns a positioned read handle on segment i of the
-// dataset, exactly like Open but keyed per segment. fresh reports that
-// the handle came from open(2) rather than the FD pool — the caller
-// applies sequential readahead advice once per descriptor, not per
-// serve.
-func (v *DiskVolume) OpenSegment(id DatasetID, i int64) (f *os.File, size int64, fresh, ok bool) {
+// OpenSegment returns a read handle on segment i of the dataset,
+// exactly like Open but keyed per segment. fresh reports that the
+// handle's descriptor came from open(2) rather than the pack's pool —
+// the caller applies sequential readahead advice once per descriptor,
+// not per serve.
+func (v *DiskVolume) OpenSegment(id DatasetID, i int64) (h *Handle, size int64, fresh, ok bool) {
 	return v.open(v.segmentKey(id, i))
 }
 
 // ReleaseSegment returns a handle obtained from OpenSegment to the
-// segment's FD pool.
-func (v *DiskVolume) ReleaseSegment(id DatasetID, i int64, f *os.File) {
-	v.Release(v.segmentKey(id, i), f)
+// pool of the segment's pack.
+func (v *DiskVolume) ReleaseSegment(id DatasetID, i int64, h *Handle) {
+	v.Release(v.segmentKey(id, i), h)
 }
 
 // HasSegment reports whether segment i of the dataset is resident.

@@ -189,8 +189,8 @@ func TestSegmentSpillAdoption(t *testing.T) {
 	if vol.HasSegment(id, 3) {
 		t.Fatal("aborted segment spill became resident")
 	}
-	if tmp := vol.TempFiles(); len(tmp) != 0 {
-		t.Fatalf("aborted spill leaked temp files: %v", tmp)
+	if res := vol.Reserved(); len(res) != 0 {
+		t.Fatalf("aborted spill left reserved extents: %v", res)
 	}
 }
 
@@ -232,7 +232,7 @@ func TestFadviseOnRealFile(t *testing.T) {
 		t.Fatal("open")
 	}
 	seq := FadviseSequential(f)
-	drop := FadviseDontNeed(f, 0, 0)
+	drop := FadviseDontNeed(f)
 	t.Logf("fadvise sequential=%v dontneed=%v", seq, drop)
 	got, err := io.ReadAll(f)
 	if err != nil || len(got) != 1024 {
