@@ -11,7 +11,6 @@ package allocation
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"scdn/internal/storage"
@@ -45,15 +44,10 @@ type entry struct {
 	origin   NodeID
 	bytes    int64
 	replicas map[NodeID]*Replica
-	accesses atomic.Uint64 // demand counter since last maintenance sweep
+	accesses uint64 // demand counter since last maintenance sweep
 }
 
-// Server is one allocation server. Not safe for concurrent use, with
-// one exception: Resolve may run concurrently with other Resolve,
-// MaintenanceSweep and AckSweep calls — it only reads the catalog, and
-// the demand and lookup counters it bumps are atomic — so a caller can
-// guard the server with a read-write lock and resolve under the read
-// side.
+// Server is one allocation server. Not safe for concurrent use.
 type Server struct {
 	ID      int
 	dir     Directory
@@ -64,9 +58,9 @@ type Server struct {
 	// re-replication.
 	DemandThreshold uint64
 	// Lookups / Resolved / Unresolved are server statistics.
-	Lookups    atomic.Uint64
-	Resolved   atomic.Uint64
-	Unresolved atomic.Uint64
+	Lookups    uint64
+	Resolved   uint64
+	Unresolved uint64
 }
 
 // NewServer creates a server backed by dir.
@@ -183,8 +177,8 @@ func (s *Server) Resolve(id storage.DatasetID, requester NodeID) (Replica, bool,
 	if !okE {
 		return Replica{}, false, fmt.Errorf("allocation: unknown dataset %q", id)
 	}
-	s.Lookups.Add(1)
-	e.accesses.Add(1)
+	s.Lookups++
+	e.accesses++
 	reqSite, okS := s.dir.SiteOf(requester)
 	if !okS {
 		return Replica{}, false, fmt.Errorf("allocation: requester %d has no site", requester)
@@ -212,9 +206,9 @@ func (s *Server) Resolve(id storage.DatasetID, requester NodeID) (Replica, bool,
 		}
 	}
 	if found {
-		s.Resolved.Add(1)
+		s.Resolved++
 	} else {
-		s.Unresolved.Add(1)
+		s.Unresolved++
 	}
 	return best, found, nil
 }
@@ -223,7 +217,7 @@ func (s *Server) Resolve(id storage.DatasetID, requester NodeID) (Replica, bool,
 // replicate demand counters to members that did not answer the lookup.
 func (s *Server) noteAccess(id storage.DatasetID) {
 	if e, ok := s.catalog[id]; ok {
-		e.accesses.Add(1)
+		e.accesses++
 	}
 }
 
@@ -251,8 +245,8 @@ func (s *Server) MaintenanceSweep() []HotDataset {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		e := s.catalog[id]
-		if n := e.accesses.Load(); n >= s.DemandThreshold && len(e.replicas) < s.MaxReplicas {
-			hot = append(hot, HotDataset{ID: id, Accesses: n, Replicas: len(e.replicas)})
+		if e.accesses >= s.DemandThreshold && len(e.replicas) < s.MaxReplicas {
+			hot = append(hot, HotDataset{ID: id, Accesses: e.accesses, Replicas: len(e.replicas)})
 		}
 	}
 	return hot
@@ -260,20 +254,18 @@ func (s *Server) MaintenanceSweep() []HotDataset {
 
 // AckSweep acknowledges handled sweep recommendations: each entry's
 // observed demand is subtracted from the dataset's counter, so accesses
-// that arrived between the sweep and the acknowledgment are not lost —
-// not even ones a concurrent Resolve adds mid-subtraction. Unknown
-// datasets are skipped.
+// that arrived between the sweep and the acknowledgment are not lost.
+// Unknown datasets are skipped.
 func (s *Server) AckSweep(hot []HotDataset) {
 	for _, h := range hot {
 		e, ok := s.catalog[h.ID]
 		if !ok {
 			continue
 		}
-		for {
-			n := e.accesses.Load()
-			if e.accesses.CompareAndSwap(n, n-min(n, h.Accesses)) {
-				break
-			}
+		if e.accesses >= h.Accesses {
+			e.accesses -= h.Accesses
+		} else {
+			e.accesses = 0
 		}
 	}
 }

@@ -133,8 +133,8 @@ func TestResolvePicksNearestOnline(t *testing.T) {
 	if err != nil || ok {
 		t.Fatal("offline holders should leave request unresolved")
 	}
-	if s.Lookups.Load() != 3 || s.Resolved.Load() != 2 || s.Unresolved.Load() != 1 {
-		t.Fatalf("stats = %d/%d/%d", s.Lookups.Load(), s.Resolved.Load(), s.Unresolved.Load())
+	if s.Lookups != 3 || s.Resolved != 2 || s.Unresolved != 1 {
+		t.Fatalf("stats = %d/%d/%d", s.Lookups, s.Resolved, s.Unresolved)
 	}
 }
 

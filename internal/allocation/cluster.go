@@ -66,9 +66,8 @@ func (c *Cluster) firstLive(excluding int) *Server {
 func cloneCatalog(in map[storage.DatasetID]*entry) map[storage.DatasetID]*entry {
 	out := make(map[storage.DatasetID]*entry, len(in))
 	for id, e := range in {
-		ce := &entry{origin: e.origin, bytes: e.bytes,
+		ce := &entry{origin: e.origin, bytes: e.bytes, accesses: e.accesses,
 			replicas: make(map[NodeID]*Replica, len(e.replicas))}
-		ce.accesses.Store(e.accesses.Load())
 		for n, r := range e.replicas {
 			cr := *r
 			ce.replicas[n] = &cr
@@ -227,9 +226,9 @@ func (c *Cluster) SetPolicy(maxReplicas int, demandThreshold uint64) {
 // Stats aggregates lookup statistics across all members.
 func (c *Cluster) Stats() (lookups, resolved, unresolved uint64) {
 	for _, s := range c.servers {
-		lookups += s.Lookups.Load()
-		resolved += s.Resolved.Load()
-		unresolved += s.Unresolved.Load()
+		lookups += s.Lookups
+		resolved += s.Resolved
+		unresolved += s.Unresolved
 	}
 	return
 }

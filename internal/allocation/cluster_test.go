@@ -63,8 +63,8 @@ func TestClusterReadsRoundRobin(t *testing.T) {
 		}
 	}
 	for i, s := range c.servers {
-		if got := s.Lookups.Load(); got != 3 {
-			t.Fatalf("server %d lookups = %d, want 3 (round robin)", i, got)
+		if s.Lookups != 3 {
+			t.Fatalf("server %d lookups = %d, want 3 (round robin)", i, s.Lookups)
 		}
 	}
 }

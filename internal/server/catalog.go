@@ -15,10 +15,10 @@ import (
 const catalogShardCount = 16
 
 // catalogShard is one lock domain of the catalog: an allocation server
-// owning the datasets that hash into this shard. Catalog mutations take
-// the write lock; Resolve (its demand and lookup counters are atomic)
-// and the pure reads (Replicas, DatasetBytes, Origin, Datasets,
-// ReplicaCount, MaintenanceSweep) share the RLock.
+// owning the datasets that hash into this shard. Resolve mutates demand
+// counters and lookup statistics inside the allocation package, so it
+// takes the write lock; the pure reads (Replicas, DatasetBytes, Origin,
+// Datasets, ReplicaCount, MaintenanceSweep) share an RLock.
 type catalogShard struct {
 	mu  sync.RWMutex
 	srv *allocation.Server
@@ -95,12 +95,12 @@ func (c *Catalog) RemoveReplica(id storage.DatasetID, node allocation.NodeID) er
 	return s.srv.RemoveReplica(id, node)
 }
 
-// Resolve picks the best online replica for a requester under the
-// shard's read lock: the demand it records is atomic.
+// Resolve picks the best online replica for a requester. It takes the
+// shard's write lock: resolution records demand.
 func (c *Catalog) Resolve(id storage.DatasetID, requester allocation.NodeID) (allocation.Replica, bool, error) {
 	s := c.shard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.srv.Resolve(id, requester)
 }
 

@@ -311,9 +311,8 @@ func TestCatalogDemandSweep(t *testing.T) {
 	}
 }
 
-// TestCatalogConcurrentResolveDemand runs resolves, which share the
-// shard's read lock, against a sweeper that acknowledges what it sees
-// under the write lock; run with -race. No access may be lost or
+// TestCatalogConcurrentResolveDemand runs resolves against a sweeper
+// that acknowledges what it sees; run with -race. No access may be lost or
 // counted twice: what the sweeper acknowledged plus what the last
 // sweep still lists is exactly the number of resolves.
 func TestCatalogConcurrentResolveDemand(t *testing.T) {
@@ -366,7 +365,7 @@ func TestCatalogConcurrentResolveDemand(t *testing.T) {
 	}
 	var lookups uint64
 	for _, s := range cat.shards {
-		lookups += s.srv.Lookups.Load()
+		lookups += s.srv.Lookups
 	}
 	if lookups != workers*perWorker {
 		t.Fatalf("lookups = %d, want %d", lookups, workers*perWorker)

@@ -383,7 +383,11 @@ func TestOpaqueRepairByCopy(t *testing.T) {
 		if !ok {
 			t.Fatalf("holder %d has no volume file", rep.Node)
 		}
-		got, rerr := io.ReadAll(f)
+		var got []byte
+		pf, rerr := f.FileAt(0)
+		if rerr == nil {
+			got, rerr = io.ReadAll(io.LimitReader(pf, size))
+		}
 		node.Volume().Release(id, f)
 		if rerr != nil || size != int64(len(data)) || !bytes.Equal(got, data) {
 			t.Fatalf("holder %d copy diverges (size %d, err %v)", rep.Node, size, rerr)

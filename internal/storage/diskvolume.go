@@ -63,10 +63,12 @@ type DiskVolume struct {
 	segKeys map[DatasetID][]DatasetID
 }
 
-// maxPooledFDs caps the idle read handles kept per pack. Every entry of
-// a pack shares its pool, so it covers the edge's concurrent serves of
-// that pack, not one dataset's fan-in.
-const maxPooledFDs = 16
+// maxPooledFDs caps the idle read handles kept per pack; every entry of
+// the pack shares them. Under the benchmark workloads (small_read,
+// large_stream, ingest_mixed on a 2-core host) at most 2 handles on one
+// pack were out at once, so four never forces a fresh open on a warm
+// serve.
+const maxPooledFDs = 4
 
 type diskEntry struct {
 	id     DatasetID
@@ -75,7 +77,7 @@ type diskEntry struct {
 	off    int64 // extent base within the pack
 	refs   int   // handles out
 	pinned bool  // never evicted (origin/user-partition copies)
-	dead   bool  // removed from the index; its bytes wait for the last handle
+	dead   bool  // removal logged; its bytes wait for the last handle
 }
 
 // DiskVolumeStats is a point-in-time usage snapshot.
@@ -189,14 +191,12 @@ func (v *DiskVolume) Reserved() []DatasetID {
 }
 
 // Handle is a read handle on one entry's extent: a descriptor of the
-// entry's pack plus the extent's base and size. Read, Seek and ReadAt
-// address the extent, never the rest of the pack. It is exclusively its
+// entry's pack plus the extent's base and size. It is exclusively its
 // holder's until Release, so FileAt may move the descriptor's position.
 type Handle struct {
-	f   *os.File
-	pk  *pack
-	e   *diskEntry // the entry read; nil while pooled
-	pos int64      // Read/Seek position within the extent
+	f  *os.File
+	pk *pack
+	e  *diskEntry // the entry read; nil while pooled
 }
 
 // Size returns the extent's length.
@@ -207,51 +207,6 @@ func (h *Handle) Size() int64 { return h.e.size }
 func (h *Handle) FileAt(off int64) (*os.File, error) {
 	_, err := h.f.Seek(h.e.off+off, io.SeekStart)
 	return h.f, err
-}
-
-// ReadAt reads the extent at offset off (io.ReaderAt).
-func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("storage: negative read offset %d", off)
-	}
-	size := h.e.size
-	if off >= size {
-		return 0, io.EOF
-	}
-	short := int64(len(p)) > size-off
-	if short {
-		p = p[:size-off]
-	}
-	n, err := h.f.ReadAt(p, h.e.off+off)
-	if err == nil && short {
-		err = io.EOF
-	}
-	return n, err
-}
-
-// Read reads the extent from the handle's position (io.Reader).
-func (h *Handle) Read(p []byte) (int, error) {
-	n, err := h.ReadAt(p, h.pos)
-	h.pos += int64(n)
-	if err == io.EOF && n > 0 {
-		err = nil
-	}
-	return n, err
-}
-
-// Seek sets the position Read continues from (io.Seeker).
-func (h *Handle) Seek(off int64, whence int) (int64, error) {
-	switch whence {
-	case io.SeekCurrent:
-		off += h.pos
-	case io.SeekEnd:
-		off += h.e.size
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("storage: negative seek position %d", off)
-	}
-	h.pos = off
-	return off, nil
 }
 
 // Open returns a read handle on the dataset's replica and its size,
@@ -304,7 +259,7 @@ func (v *DiskVolume) Release(_ DatasetID, h *Handle) {
 	var c cleanup
 	v.mu.Lock()
 	e, pk := h.e, h.pk
-	h.e, h.pos = nil, 0
+	h.e = nil
 	if e.refs--; e.dead && e.refs == 0 {
 		v.dropExtentLocked(e, &c)
 	}
@@ -360,10 +315,10 @@ func (v *DiskVolume) Close() error {
 // records to log, extents to free, idle descriptors to close and packs
 // to unlink once the index lock is released.
 type cleanup struct {
-	dels   []DatasetID
-	punch  []extent
-	fds    []*os.File
-	unlink []*pack
+	removed []*diskEntry
+	punch   []extent
+	fds     []*os.File
+	unlink  []*pack
 }
 
 // extent is a byte range of a pack.
@@ -372,24 +327,32 @@ type extent struct {
 	off, size int64
 }
 
-// reap performs deferred cleanups. Callers must have released v.mu, and
-// hold fsMu whenever c names removals to log. A removal whose record
-// cannot be logged keeps its bytes: replay will adopt the entry again,
-// and must find it intact.
+// reap logs the removals c queues and performs the deferred I/O.
+// Callers must have released v.mu, and hold fsMu whenever c queues
+// removals. A removed entry is marked dead — its extent dropped now, or
+// by the Release of the last handle still reading it — only once its
+// remove record is logged. A removal whose record cannot be logged keeps
+// its bytes for good: replay will adopt the entry again, and must find
+// it intact.
 func (v *DiskVolume) reap(c *cleanup) {
-	logged := true
-	if len(c.dels) > 0 {
-		recs := make([]logRec, len(c.dels))
-		for i, id := range c.dels {
-			recs[i] = logRec{kind: recDel, id: id}
+	if len(c.removed) > 0 {
+		recs := make([]logRec, len(c.removed))
+		for i, e := range c.removed {
+			recs[i] = logRec{kind: recDel, id: e.id}
 		}
-		logged = v.appendLog(recs...) == nil
+		if v.appendLog(recs...) == nil {
+			v.mu.Lock()
+			for _, e := range c.removed {
+				e.dead = true
+				if e.refs == 0 {
+					v.dropExtentLocked(e, c)
+				}
+			}
+			v.mu.Unlock()
+		}
 	}
 	for _, f := range c.fds {
 		_ = f.Close()
-	}
-	if !logged {
-		return
 	}
 	for _, x := range c.punch {
 		punchHole(x.pk.w, x.off, x.size)
@@ -440,18 +403,13 @@ func (v *DiskVolume) Pin(id DatasetID) bool {
 }
 
 // removeLocked drops an entry from the index and queues its remove
-// record. Its bytes are freed now, or by the Release of the last handle
-// still reading them.
+// record; reap retires the entry's bytes once that record is logged.
 func (v *DiskVolume) removeLocked(el *list.Element, c *cleanup) {
 	e := el.Value.(*diskEntry)
 	v.ll.Remove(el)
 	delete(v.items, e.id)
 	v.used -= e.size
-	e.dead = true
-	c.dels = append(c.dels, e.id)
-	if e.refs == 0 {
-		v.dropExtentLocked(e, c)
-	}
+	c.removed = append(c.removed, e)
 }
 
 // dropExtentLocked retires a dead entry's extent once no handle reads

@@ -53,7 +53,8 @@ type pack struct {
 	rolled bool      // tail reached packRoll: takes no more spills
 	gone   bool      // unlinked
 	// extents counts the pack's entries: live ones, and removed ones
-	// whose bytes a handle still reads.
+	// whose bytes are not retired yet (a handle still reads them, or
+	// their remove record is not logged).
 	extents int
 	idle    []*Handle // pooled read handles, LIFO
 }
@@ -206,7 +207,6 @@ func (v *DiskVolume) recover() error {
 			r.off < 0 || r.size < 0 || r.off%extentAlign != 0 || r.off+r.size > sizes[pk.n] {
 			continue
 		}
-		pk.extents++
 		v.items[r.id] = v.ll.PushFront(&diskEntry{id: r.id, size: r.size, pk: pk, off: r.off})
 		v.used += r.size
 	}
@@ -229,6 +229,7 @@ func (v *DiskVolume) recover() error {
 			delete(v.packs, pk.n)
 			continue
 		}
+		pk.extents = len(es)
 		sort.Slice(es, func(i, j int) bool { return es[i].off < es[j].off })
 		var end int64
 		for _, e := range es {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -141,9 +140,8 @@ func TestEvictedEntryKeepsBytesUntilRelease(t *testing.T) {
 	if v.Has("old") {
 		t.Fatal("old was not evicted")
 	}
-	got, err := io.ReadAll(h)
-	if err != nil || !bytes.Equal(got, pattern("old", k)) {
-		t.Fatalf("evicted entry's bytes changed under an open handle (err %v)", err)
+	if got := extentBytes(t, h); !bytes.Equal(got, pattern("old", k)) {
+		t.Fatal("evicted entry's bytes changed under an open handle")
 	}
 	if a := allocated(t, path); a < 3*k {
 		t.Fatalf("pack holds %d allocated bytes with the handle out, want >= %d", a, 3*k)
@@ -151,5 +149,38 @@ func TestEvictedEntryKeepsBytesUntilRelease(t *testing.T) {
 	v.Release("old", h)
 	if a := allocated(t, path); a > 2*k {
 		t.Fatalf("pack holds %d allocated bytes after Release, want <= %d", a, 2*k)
+	}
+}
+
+// TestEvictionFreesBytes: an entry evicted with no handle out leaves the
+// disk at once — its extent is punched out of the pack.
+func TestEvictionFreesBytes(t *testing.T) {
+	const k = 64 << 10
+	dir := filepath.Join(t.TempDir(), "vol")
+	v, err := NewDiskVolume(dir, 2*k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requirePunch(t, dir)
+	for _, id := range []DatasetID{"old", "new1"} {
+		if _, err := v.Materialize(id, k, fillBytes(pattern(id, k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path, _, _, _ := v.Locate("old")
+	if a := allocated(t, path); a < 2*k {
+		t.Fatalf("set-up: pack holds %d allocated bytes, want >= %d", a, 2*k)
+	}
+	if _, err := v.Materialize("new2", k, fillBytes(pattern("new2", k))); err != nil {
+		t.Fatal(err)
+	}
+	if v.Has("old") {
+		t.Fatal("old was not evicted")
+	}
+	if p, _, _, _ := v.Locate("new2"); p != path {
+		t.Fatalf("new2 landed in %s, want the evicted entry's pack %s", p, path)
+	}
+	if a := allocated(t, path); a > 2*k {
+		t.Fatalf("pack holds %d allocated bytes after the eviction, want <= %d (the two live extents)", a, 2*k)
 	}
 }

@@ -142,9 +142,8 @@ func TestOpenSegmentFreshAndPooled(t *testing.T) {
 	if !fresh {
 		t.Fatal("first open of a segment must be a fresh descriptor")
 	}
-	got, err := io.ReadAll(f)
-	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'c'}, 64)) {
-		t.Fatalf("segment bytes = %q err=%v", got, err)
+	if got := extentBytes(t, f); !bytes.Equal(got, bytes.Repeat([]byte{'c'}, 64)) {
+		t.Fatalf("segment bytes = %q", got)
 	}
 	vol.ReleaseSegment(id, 2, f)
 	f, _, fresh, ok = vol.OpenSegment(id, 2)
@@ -234,9 +233,8 @@ func TestFadviseOnRealFile(t *testing.T) {
 	seq := FadviseSequential(f)
 	drop := FadviseDontNeed(f)
 	t.Logf("fadvise sequential=%v dontneed=%v", seq, drop)
-	got, err := io.ReadAll(f)
-	if err != nil || len(got) != 1024 {
-		t.Fatalf("read after advice: %d bytes, err %v", len(got), err)
+	if got := extentBytes(t, f); len(got) != 1024 {
+		t.Fatalf("read after advice: %d bytes", len(got))
 	}
 	vol.ReleaseSegment(id, 0, f)
 }
