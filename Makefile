@@ -49,6 +49,8 @@
 #                  BENCH_large.json's sustained MB/s (the byte axis).
 #   make largebench — the byte-throughput measurement run whose record
 #                  is checked in as BENCH_large.json.
+#   make loc     — non-test Go line counts of internal/server and
+#                  internal/storage (ROADMAP item 8's size target).
 
 GO ?= go
 
@@ -56,7 +58,7 @@ SMOKE_ROWS = delivery churn ingest large
 
 .PHONY: check test lint race vet bench benchsmoke fuzzsmoke \
 	ci fmtcheck modverify smoke $(addprefix smoke-,$(SMOKE_ROWS)) perfgate largebench \
-	perfbenchcheck flake
+	perfbenchcheck flake loc
 
 check: vet lint test race fuzzsmoke benchsmoke smoke perfbenchcheck
 
@@ -188,3 +190,12 @@ largebench:
 	$(GO) run ./cmd/scdn-loadgen -scenario large -nodes 2 -datasets 2 -bytes 33554432 \
 		-segment-size 4194304 -rates 4,8,16 -openloop-duration 2s -seed 42 \
 		-bench-out BENCH_large.json
+
+# LOC_DIRS are the packages whose non-test size `make loc` reports.
+LOC_DIRS = internal/server internal/storage
+
+loc:
+	@for d in $(LOC_DIRS); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%s\t%d\n' "$$d" "$$n"; \
+	done

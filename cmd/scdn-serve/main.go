@@ -50,7 +50,7 @@ func main() {
 		pullThrough = flag.Bool("pull-through", false, "cache proxied datasets as local replicas")
 		group       = flag.String("group", "live-collab", "collaboration group scoping all datasets")
 		storeDir    = flag.String("store-dir", "", "root directory for the replica volumes (empty: temp dir, removed on shutdown)")
-		storeQuota  = flag.Int64("store-quota", 0, "per-node replica volume byte quota (0: replica reserve)")
+		storeQuota  = flag.Int64("store-quota", 0, "per-node replica volume byte quota (0: 512 MiB)")
 		churnFile   = flag.String("churn-script", "", "churn script file: one '<offset> <action> <node>' per line (kill/stop/restart)")
 		noSeed      = flag.Bool("no-seed", false, "start with zero datasets; publish via PUT /v1/datasets")
 		segSize     = flag.Int64("segment-size", 0, "segmented large-object layout: segment bytes, a multiple of the 64 KiB ingest block (0: default 4 MiB)")

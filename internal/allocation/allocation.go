@@ -103,6 +103,16 @@ func (s *Server) Registered(id storage.DatasetID) bool {
 	return ok
 }
 
+// Holds reports whether node is a recorded holder of the dataset.
+func (s *Server) Holds(id storage.DatasetID, node NodeID) bool {
+	e, ok := s.catalog[id]
+	if !ok {
+		return false
+	}
+	_, ok = e.replicas[node]
+	return ok
+}
+
 // DatasetBytes returns a dataset's size.
 func (s *Server) DatasetBytes(id storage.DatasetID) (int64, error) {
 	e, ok := s.catalog[id]

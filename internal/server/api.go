@@ -29,7 +29,7 @@ package server
 // declared digest are rejected with 422 and leave no state.
 
 // peerHeader marks a fetch as an edge-to-edge hop: the receiving node
-// serves only from its local repository and never fans out again, which
+// serves only what it holds itself and never fans out again, which
 // bounds a fallback chain at one hop and makes proxy loops impossible.
 // Written in canonical form, so the lookup every fetch makes does not
 // allocate a canonicalized copy of the key.

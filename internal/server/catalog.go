@@ -17,8 +17,8 @@ const catalogShardCount = 16
 // catalogShard is one lock domain of the catalog: an allocation server
 // owning the datasets that hash into this shard. Resolve mutates demand
 // counters and lookup statistics inside the allocation package, so it
-// takes the write lock; the pure reads (Replicas, DatasetBytes, Origin,
-// Datasets, ReplicaCount, MaintenanceSweep) share an RLock.
+// takes the write lock; the pure reads (Holds, Replicas, DatasetBytes,
+// Origin, Datasets, ReplicaCount, MaintenanceSweep) share an RLock.
 type catalogShard struct {
 	mu  sync.RWMutex
 	srv *allocation.Server
@@ -110,6 +110,15 @@ func (c *Catalog) Replicas(id storage.DatasetID) ([]allocation.Replica, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.srv.Replicas(id), nil
+}
+
+// Holds reports whether node is a recorded holder of the dataset: the
+// one record of what a node holds (its volume holds only the bytes).
+func (c *Catalog) Holds(id storage.DatasetID, node allocation.NodeID) bool {
+	s := c.shard(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.srv.Holds(id, node)
 }
 
 // DatasetBytes returns a dataset's size.

@@ -33,10 +33,6 @@ type ClusterConfig struct {
 	// NoSeedDatasets starts the cluster with zero published datasets
 	// (ingest-driven runs: every dataset enters through an upload).
 	NoSeedDatasets bool
-	// RepoCapacity / ReplicaReserve size each edge repository
-	// (defaults 1 GiB / 512 MiB).
-	RepoCapacity   int64
-	ReplicaReserve int64
 	// StoreMode accepts only "" or StoreModeDir ("dir"), which mean the
 	// same thing: every edge stores replicas on a disk-backed volume.
 	// Any other value is an error. It selects nothing; it remains only
@@ -46,8 +42,7 @@ type ClusterConfig struct {
 	// (<StoreDir>/node-<id>/...). Empty means a fresh temp directory
 	// that Shutdown removes.
 	StoreDir string
-	// StoreQuota bounds each node's replica volume (default
-	// ReplicaReserve).
+	// StoreQuota bounds each node's replica volume (default 512 MiB).
 	StoreQuota int64
 	// SegmentSize / SegmentThreshold configure every node's segmented
 	// large-object layout (see Config). Zeros take the storage package
@@ -88,14 +83,8 @@ func (c *ClusterConfig) applyDefaults() {
 	if c.DatasetBytes <= 0 {
 		c.DatasetBytes = 64 << 10
 	}
-	if c.RepoCapacity <= 0 {
-		c.RepoCapacity = 1 << 30
-	}
-	if c.ReplicaReserve <= 0 {
-		c.ReplicaReserve = c.RepoCapacity / 2
-	}
 	if c.StoreQuota <= 0 {
-		c.StoreQuota = c.ReplicaReserve
+		c.StoreQuota = 512 << 20
 	}
 	if c.Group == "" {
 		c.Group = "live-collab"
@@ -169,8 +158,7 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 	}
 
 	// Edge nodes are researchers contributing repositories (Section V-A):
-	// platform users, group members, registry members, one repo each.
-	repos := make([]*storage.Repository, cfg.Nodes)
+	// platform users, group members, registry members, one volume each.
 	for i := 0; i < cfg.Nodes; i++ {
 		nodeID := allocation.NodeID(i + 1)
 		site := i % cfg.Sites
@@ -183,11 +171,6 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 			return fail(err)
 		}
 		reg.Register(Member{Node: nodeID, Site: site})
-		repo, err := storage.NewRepository(nodeID, site, cfg.RepoCapacity, cfg.ReplicaReserve)
-		if err != nil {
-			return fail(err)
-		}
-		repos[i] = repo
 		vol, err := storage.NewDiskVolume(
 			filepath.Join(lc.StoreRoot, fmt.Sprintf("node-%d", nodeID)), cfg.StoreQuota)
 		if err != nil {
@@ -204,7 +187,7 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 			SegmentThreshold: cfg.SegmentThreshold,
 			KeepSegmentPages: cfg.KeepSegmentPages,
 			Clock:            clock,
-		}, repo, mw, catalog, reg)
+		}, mw, catalog, reg)
 		if err != nil {
 			return fail(err)
 		}
@@ -228,22 +211,19 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 	}
 
 	// Datasets: group-scoped, owned round-robin by the edges; the
-	// owner's repository holds the origin copy. Each seeded dataset gets
-	// a content manifest computed from its deterministic payload
-	// (opaque=false — it stays regenerable), so digest verification on
-	// peer transfers works uniformly for seeded and uploaded data.
+	// catalog records the owner as the origin holder. Each seeded
+	// dataset gets a content manifest computed from its deterministic
+	// payload (opaque=false — it stays regenerable), so digest
+	// verification on peer transfers works uniformly for seeded and
+	// uploaded data.
 	if !cfg.NoSeedDatasets {
 		for d := 0; d < cfg.Datasets; d++ {
 			id := storage.DatasetID(fmt.Sprintf("ds-%03d", d+1))
-			originIdx := d % cfg.Nodes
-			origin := allocation.NodeID(originIdx + 1)
+			origin := allocation.NodeID(d%cfg.Nodes + 1)
 			if err := mw.RegisterDataset(id, cfg.Group); err != nil {
 				return fail(err)
 			}
 			if err := catalog.RegisterDataset(id, origin, cfg.DatasetBytes); err != nil {
-				return fail(err)
-			}
-			if err := repos[originIdx].StoreUser(id, cfg.DatasetBytes, 0); err != nil {
 				return fail(err)
 			}
 			man, err := ingest.HashAt(payloadBlock(id), cfg.DatasetBytes, id, false)

@@ -211,15 +211,15 @@ func TestClusterShutdownUnderLoad(t *testing.T) {
 func TestClusterStartupErrors(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	// Dataset bigger than the repository cannot seed the origin copy.
+	// A segment size off the ingest block grid fails the first node's
+	// construction, after the store root exists.
 	_, err := StartLocalCluster(ClusterConfig{
-		Nodes: 1, Users: 1, Datasets: 1,
-		RepoCapacity: 1024, ReplicaReserve: 512, DatasetBytes: 4096,
+		Nodes: 1, Users: 1, Datasets: 1, SegmentSize: 1000,
 	})
 	if err == nil {
-		t.Fatal("oversized dataset accepted")
+		t.Fatal("segment size off the block grid accepted")
 	}
-	if !strings.Contains(err.Error(), "storage") {
+	if !strings.Contains(err.Error(), "segment size") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	left, err := os.ReadDir(tmp)

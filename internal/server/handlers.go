@@ -228,11 +228,8 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	bytes, berr := n.catalog.DatasetBytes(id)
-	local := n.hasLocal(id)
 	if berr != nil {
-		if local {
-			fail(http.StatusInternalServerError, berr)
-		} else if fromPeer {
+		if fromPeer {
 			// Peer hops never fan out again: a fallback chain is one hop.
 			fail(http.StatusNotFound, fmt.Errorf("server: node %d does not hold %q", n.cfg.Node, id))
 		} else {
@@ -251,15 +248,16 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusRequestedRangeNotSatisfiable, rerr)
 		return
 	}
-	if local {
+	if n.hasLocal(id) {
 		if n.serveLocal(w, r, id, rngs, isRange, bytes) {
 			return
 		}
 		// The local claim was a lie: an opaque dataset whose volume file
-		// is gone cannot be regenerated. Withdraw the stale records so
-		// resolution stops routing here, then fall through to the peer
-		// path — a surviving holder still has the real bytes.
-		n.dropLocal(id)
+		// is gone cannot be regenerated. Withdraw the stale record so
+		// resolution stops routing here (best effort: the catalog never
+		// deregisters an origin), then fall through to the peer path —
+		// a surviving holder still has the real bytes.
+		_ = n.catalog.RemoveReplica(id, n.cfg.Node)
 	}
 	if fromPeer {
 		fail(http.StatusNotFound, fmt.Errorf("server: node %d does not hold %q", n.cfg.Node, id))
@@ -292,9 +290,10 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 	// failed is still a holder — its bytes are materialized from the
 	// generator on the next local hit — but an opaque dataset has no
 	// generator, so its record exists only when digest-verified bytes
-	// committed as one whole file.
+	// committed as one whole file. A refusal (a racing fetch already
+	// registered us) is an expected outcome.
 	if ok && adopt && (flat || !n.opaque(id)) {
-		n.cachePulled(id, bytes)
+		_ = n.catalog.AddReplica(id, n.cfg.Node, n.now())
 	}
 }
 

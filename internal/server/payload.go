@@ -31,8 +31,8 @@ func copyBuffered(dst io.Writer, src io.Reader) (int64, error) {
 	return io.CopyBuffer(struct{ io.Writer }{dst}, src, *bp)
 }
 
-// The repositories track dataset *metadata* (sizes, partitions, recency);
-// the serving plane still has to put real bytes on the wire. Payload
+// The catalog tracks dataset *metadata* (sizes, holders); the serving
+// plane still has to put real bytes on the wire. Payload
 // bytes are derived deterministically from the dataset ID, so any edge
 // holding a dataset serves the identical stream and clients can verify
 // integrity without the cluster shipping content around out of band.

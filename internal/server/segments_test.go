@@ -335,7 +335,7 @@ func TestSegmentPeerPull(t *testing.T) {
 	// Holding one piece must not mint a replica record: the catalog
 	// would route whole-object fetches to an edge that cannot serve them
 	// locally in full.
-	if holdsReplica(lc, id, 2) {
+	if lc.Catalog.Holds(id, 2) {
 		t.Fatal("segment adoption minted a whole-dataset replica record")
 	}
 
@@ -380,7 +380,7 @@ func TestSegmentedPullThroughWholeFetch(t *testing.T) {
 	}
 	// Regenerable dataset: the adopted edge becomes a real replica
 	// holder (it can always re-derive evicted segments).
-	if !holdsReplica(lc, id, 2) {
+	if !lc.Catalog.Holds(id, 2) {
 		t.Fatal("pull-through of a regenerable segmented dataset did not register a replica")
 	}
 

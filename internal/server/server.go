@@ -1,10 +1,12 @@
 // Package server is the S-CDN's live delivery plane: a network-facing
 // HTTP allocation/edge server wrapping the simulator's building blocks —
 // the allocation catalog (Section V-B), researcher-contributed storage
-// repositories (Section V-A), and the social middleware's authentication
-// and group-scoped authorization (Section V-C) — behind a concurrent API.
-// Each Node is simultaneously an allocation endpoint (it resolves
-// requests against the shared catalog) and an edge repository (it serves
+// (Section V-A, one disk volume per edge), and the social middleware's
+// authentication and group-scoped authorization (Section V-C) — behind a
+// concurrent API. The catalog is the one record of which node holds a
+// dataset; the node's volume holds the bytes. Each Node is
+// simultaneously an allocation endpoint (it resolves requests against
+// the shared catalog) and an edge repository (it serves
 // dataset bytes, falling back to a peer edge with bounded retry and
 // exponential backoff when it does not hold the data locally).
 //
@@ -40,9 +42,9 @@ type Config struct {
 	// ListenAddr is the TCP address to bind ("127.0.0.1:0" for an
 	// ephemeral port).
 	ListenAddr string
-	// PullThrough caches successfully proxied datasets in the local
-	// replica partition and registers the new replica in the catalog, so
-	// demand migrates data toward where it is requested.
+	// PullThrough spills successfully proxied datasets into the local
+	// volume and registers the new replica in the catalog, so demand
+	// migrates data toward where it is requested.
 	PullThrough bool
 	// Volume is the node's disk-backed replica volume (required):
 	// locally held datasets are materialized as real files (once, via
@@ -72,8 +74,8 @@ type Config struct {
 	// serves. Set it when the box is dedicated to serving one hot large
 	// object and the pages are worth keeping.
 	KeepSegmentPages bool
-	// Clock supplies the node's notion of elapsed time (repository
-	// recency, token expiry). Nil means wall time since Start.
+	// Clock supplies the node's notion of elapsed time (replica
+	// placement times). Nil means wall time since Start.
 	Clock func() time.Duration
 }
 
@@ -108,11 +110,6 @@ type Node struct {
 	// registry has deregistered them (sweeper.go).
 	suspects suspectTable
 
-	// repoMu serializes access to the repository, which is
-	// single-threaded by design (the simulator owns it elsewhere).
-	repoMu sync.Mutex
-	repo   *storage.Repository
-
 	// client carries the health probes, replicate calls and repair byte
 	// copies; fetch hops ride relay (relay.go).
 	client *http.Client
@@ -135,9 +132,9 @@ type Node struct {
 
 // NewNode wires a node over shared serving-plane state. All
 // collaborators, and cfg.Volume, are required.
-func NewNode(cfg Config, repo *storage.Repository, auth *middleware.Middleware,
+func NewNode(cfg Config, auth *middleware.Middleware,
 	catalog *Catalog, registry *Registry) (*Node, error) {
-	if repo == nil || auth == nil || catalog == nil || registry == nil || cfg.Volume == nil {
+	if auth == nil || catalog == nil || registry == nil || cfg.Volume == nil {
 		return nil, errors.New("server: missing collaborator")
 	}
 	if cfg.ListenAddr == "" {
@@ -159,7 +156,6 @@ func NewNode(cfg Config, repo *storage.Repository, auth *middleware.Middleware,
 	}
 	n := &Node{
 		cfg:       cfg,
-		repo:      repo,
 		auth:      auth,
 		catalog:   catalog,
 		registry:  registry,
@@ -192,8 +188,8 @@ func (n *Node) now() time.Duration {
 // publishes the node's endpoint and liveness in the registry, and (when
 // enabled) launches the repair sweeper. Starting again after Stop or
 // Crash restarts the node on a fresh ephemeral port: the member rejoins
-// the registry and re-adopts any replicas its disk volume or repository
-// still holds.
+// the registry and re-adopts the whole replicas its disk volume still
+// holds.
 func (n *Node) Start() error {
 	// Claim the started state first, then bind outside the mutex: a slow
 	// or hanging listen must not block BaseURL/Stop callers.
@@ -239,9 +235,9 @@ func (n *Node) Start() error {
 	n.registry.SetBaseURL(n.cfg.Node, baseURL)
 	n.registry.SetOnline(n.cfg.Node, true)
 	if restart {
-		// A restarted member still holds whatever its volume and
-		// repository committed before the crash: re-announce those
-		// replicas so the catalog converges without re-transferring.
+		// A restarted member still holds whatever its volume committed
+		// before the crash: re-announce those replicas so the catalog
+		// converges without re-transferring.
 		n.readoptReplicas()
 	}
 	go func() {
@@ -401,49 +397,20 @@ func reapSweeper(cancel context.CancelFunc, done chan struct{}) {
 	<-done
 }
 
-// readoptReplicas re-registers the datasets this node still holds after
-// a restart: committed disk-volume files and repository records survive
-// a crash (the simulator's Node object persists; on a real machine the
-// volume's recovery scan plays this role), but the catalog may have
-// been repaired around the dead member in the meantime. AddReplica
-// failures (most commonly "already replicates", e.g. the origin copy
-// that is never deregistered) are expected outcomes.
+// readoptReplicas re-registers the whole replicas this node's volume
+// still holds after a restart — the volume's index is the only record
+// that survives a crash — since the catalog may have been repaired
+// around the dead member in the meantime. AddReplica failures (most
+// commonly "already replicates", e.g. the origin copy that is never
+// deregistered) are expected outcomes.
 func (n *Node) readoptReplicas() {
-	seen := make(map[storage.DatasetID]bool)
-	var ids []storage.DatasetID
+	now := n.now()
 	for _, id := range n.vol.IDs() {
 		// Segment entries are pieces, not replicas: holding some
 		// segments of a dataset is never a catalog claim to hold it.
 		if _, _, isSeg := storage.ParseSegmentKey(id); isSeg {
 			continue
 		}
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
-	}
-	n.repoMu.Lock()
-	held := append(n.repo.ReplicaIDs(), n.repo.UserIDs()...)
-	n.repoMu.Unlock()
-	for _, id := range held {
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
-	}
-	now := n.now()
-	for _, id := range ids {
-		bytes, err := n.catalog.DatasetBytes(id)
-		if err != nil {
-			continue // not catalogued (anymore): nothing to re-adopt
-		}
-		n.repoMu.Lock()
-		if !n.repo.HasLocal(id) {
-			// A volume file without a repository record (the record was
-			// evicted, the file survived): restore the accounting.
-			_ = n.repo.StoreReplica(id, bytes, now)
-		}
-		n.repoMu.Unlock()
 		if err := n.catalog.AddReplica(id, n.cfg.Node, now); err == nil {
 			n.Metrics.RepairReadoptedReplicas.Inc()
 		}
@@ -458,52 +425,9 @@ func (n *Node) Manifest(id storage.DatasetID) (*ingest.Manifest, bool) {
 	return n.manifests.Get(id)
 }
 
-// dropLocal withdraws this node's claim to hold the dataset: repository
-// record and catalog announcement both go (best effort — an origin copy
-// the allocation layer refuses to deregister stays announced). Used
-// when a local copy turns out to be unservable, e.g. an opaque
-// dataset's volume file is gone and regeneration is impossible.
-func (n *Node) dropLocal(id storage.DatasetID) {
-	n.repoMu.Lock()
-	_ = n.repo.DropReplica(id)
-	n.repoMu.Unlock()
-	_ = n.catalog.RemoveReplica(id, n.cfg.Node)
-}
-
-// RepoStats snapshots the node's repository statistics.
-func (n *Node) RepoStats() storage.Stats {
-	n.repoMu.Lock()
-	defer n.repoMu.Unlock()
-	return n.repo.Stats()
-}
-
-// hasLocal reports whether the repository holds the dataset, refreshing
-// recency on hit.
-func (n *Node) hasLocal(id storage.DatasetID) bool {
-	n.repoMu.Lock()
-	defer n.repoMu.Unlock()
-	_, ok := n.repo.Read(id, n.now())
-	return ok
-}
-
-// cachePulled stores a successfully proxied dataset in the replica
-// partition and registers the replica in the catalog. Failures (partition
-// full, concurrent duplicate) are expected outcomes, not errors.
-func (n *Node) cachePulled(id storage.DatasetID, bytes int64) {
-	n.repoMu.Lock()
-	err := n.repo.StoreReplica(id, bytes, n.now())
-	n.repoMu.Unlock()
-	if err != nil {
-		return
-	}
-	if err := n.catalog.AddReplica(id, n.cfg.Node, n.now()); err != nil {
-		// Catalog refused (e.g. racing fetch already registered us):
-		// drop the local copy so repository and catalog stay consistent.
-		n.repoMu.Lock()
-		_ = n.repo.DropReplica(id)
-		n.repoMu.Unlock()
-	}
-}
+// hasLocal reports whether the catalog records this node as a holder of
+// the dataset.
+func (n *Node) hasLocal(id storage.DatasetID) bool { return n.catalog.Holds(id, n.cfg.Node) }
 
 // suspectTable tracks consecutive failed health probes per member. A
 // member with any recent failure is "suspect" (skipped by the fetch
@@ -551,7 +475,3 @@ func (s *suspectTable) count() int {
 	defer s.mu.Unlock()
 	return len(s.fails)
 }
-
-// Suspect reports whether this node's failure detector currently
-// suspects the member (test and inspection hook).
-func (n *Node) Suspect(node allocation.NodeID) bool { return n.suspects.isSuspect(node) }

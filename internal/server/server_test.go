@@ -325,15 +325,39 @@ func TestPullThroughCachesReplica(t *testing.T) {
 	if got := lc.Catalog.ReplicaCount("ds-001"); got != 2 {
 		t.Fatalf("replica count after pull-through = %d, want 2", got)
 	}
-	st := lc.Nodes[1].RepoStats()
-	if st.ReplicaObjects != 1 {
-		t.Fatalf("node2 replica objects = %d, want 1", st.ReplicaObjects)
+	if !lc.Nodes[1].Volume().Has("ds-001") {
+		t.Fatal("node2 volume does not hold the pulled replica")
 	}
 	// ...so the second access is a local hit on node 2.
 	fetchDataset(t, client, base2, tok, "ds-001", lc.Config.DatasetBytes)
 	quiesce(t, lc)
 	if lc.Nodes[1].Metrics.LocalHits.Value() != 1 {
 		t.Fatalf("local hits on node2 = %d, want 1", lc.Nodes[1].Metrics.LocalHits.Value())
+	}
+}
+
+// TestOriginServesEveryOwnDataset: an edge that owns more seeded bytes
+// than its volume quota still answers every dataset it is the catalogued
+// origin of — holding is the catalog's record, and the segmented layout
+// serves a range of a dataset bigger than the volume.
+func TestOriginServesEveryOwnDataset(t *testing.T) {
+	lc := startCluster(t, ClusterConfig{
+		Nodes: 1, Datasets: 3, DatasetBytes: 384 << 20, Sweep: SweeperConfig{Disabled: true},
+	})
+	client := &http.Client{Timeout: 5 * time.Second}
+	tok := string(login(t, lc))
+	want := make([]byte, 1024)
+	for _, id := range lc.DatasetIDs {
+		resp, body := rangeGet(t, client, lc.Nodes[0].BaseURL(), tok, string(id), "bytes=0-1023")
+		if resp.StatusCode != http.StatusPartialContent {
+			t.Fatalf("%s from its origin: status %s, want 206", id, resp.Status)
+		}
+		if _, err := payloadBlock(id).ReadAt(want, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("%s from its origin: body diverges from the payload", id)
+		}
 	}
 }
 
@@ -384,17 +408,13 @@ func TestStopIgnoresUnusedConnection(t *testing.T) {
 }
 
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := NewNode(Config{Node: 1}, nil, nil, nil, nil); err == nil {
+	if _, err := NewNode(Config{Node: 1}, nil, nil, nil); err == nil {
 		t.Fatal("missing collaborators accepted")
 	}
 	// Every collaborator present but no replica volume: the volume is
 	// the node's only store, so it is required too.
 	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, Sweep: SweeperConfig{Disabled: true}})
-	repo, err := storage.NewRepository(9, 0, 1<<20, 1<<19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewNode(Config{Node: 9}, repo, lc.Middleware, lc.Catalog, lc.Registry); err == nil {
+	if _, err := NewNode(Config{Node: 9}, lc.Middleware, lc.Catalog, lc.Registry); err == nil {
 		t.Fatal("node without a replica volume accepted")
 	}
 }

@@ -279,16 +279,6 @@ func (n *Node) replicateLocal(ctx context.Context, id storage.DatasetID) bool {
 	if err != nil {
 		return false
 	}
-	n.repoMu.Lock()
-	held := n.repo.HasLocal(id)
-	if !held {
-		err = n.repo.StoreReplica(id, size, n.now())
-	}
-	n.repoMu.Unlock()
-	if err != nil {
-		n.Metrics.RepairFailures.Inc()
-		return false
-	}
 	// Best effort: if the disk is full the generator fallback still
 	// serves the bytes, so the replica is real either way.
 	_ = n.materialize(id, size)
@@ -350,16 +340,6 @@ func (n *Node) replicateByCopy(ctx context.Context, id storage.DatasetID, man *i
 	// coverage check covers every byte the stripes actually produced.
 	if err := sp.CommitVerified(man.Size, nil, false); err != nil {
 		n.Metrics.RepairFailures.Inc()
-		return false
-	}
-	n.repoMu.Lock()
-	if !n.repo.HasLocal(id) {
-		err = n.repo.StoreReplica(id, man.Size, n.now())
-	}
-	n.repoMu.Unlock()
-	if err != nil {
-		n.Metrics.RepairFailures.Inc()
-		n.vol.Remove(id)
 		return false
 	}
 	n.Metrics.IngestRepairCopies.Inc()

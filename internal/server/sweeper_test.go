@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"scdn/internal/allocation"
 	"scdn/internal/storage"
 )
 
@@ -50,20 +49,6 @@ func replicationMet(lc *LocalCluster, target int) bool {
 		}
 	}
 	return true
-}
-
-// holdsReplica reports whether the catalog lists node as a holder of id.
-func holdsReplica(lc *LocalCluster, id storage.DatasetID, node allocation.NodeID) bool {
-	reps, err := lc.Catalog.Replicas(id)
-	if err != nil {
-		return false
-	}
-	for _, r := range reps {
-		if r.Node == node {
-			return true
-		}
-	}
-	return false
 }
 
 // TestSweeperDetectsDeadRepairsAndReadmits walks the full repair story:
@@ -113,6 +98,35 @@ func TestSweeperDetectsDeadRepairsAndReadmits(t *testing.T) {
 	fetchDataset(t, client, lc.Nodes[0].BaseURL(), tok, "ds-001", lc.Config.DatasetBytes)
 }
 
+// crashHolder makes node 1 a disk holder of ds (origin node 2, so node
+// 1's record is purgeable), crashes it, runs lost while it is down, and
+// waits until its peers have purged its record and repaired ds back to
+// the floor without it — so no peer asks the restarted node to adopt ds.
+func crashHolder(t *testing.T, lc *LocalCluster, ds storage.DatasetID, lost func()) {
+	t.Helper()
+	client := &http.Client{Timeout: 5 * time.Second}
+	node1 := lc.Nodes[0]
+	// Make node 1 a holder via the replication endpoint (idempotent if a
+	// sweeper already volunteered it).
+	var rr ReplicateResponse
+	if code := doJSON(t, client, http.MethodPost, node1.BaseURL()+"/v1/replicate", login(t, lc),
+		ReplicateRequest{Dataset: string(ds)}, &rr); code != http.StatusOK {
+		t.Fatalf("replicate = %d", code)
+	}
+	if !rr.Adopted && !rr.Already {
+		t.Fatalf("replicate response = %+v", rr)
+	}
+	waitFor(t, 10*time.Second, "replica materialized on disk", func() bool {
+		return node1.Volume().Has(ds) && lc.Catalog.Holds(ds, 1)
+	})
+
+	node1.Crash()
+	lost()
+	waitFor(t, 15*time.Second, "dead member purged and repaired around", func() bool {
+		return !lc.Registry.Online(1) && !lc.Catalog.Holds(ds, 1) && replicationMet(lc, 2)
+	})
+}
+
 // TestCrashRestartReadoptsDiskReplica checks the disk-mode crash story:
 // a node adopts a replica onto its DiskVolume, crashes, is purged from
 // the catalog by its peers, and on restart re-announces the file it
@@ -121,29 +135,9 @@ func TestCrashRestartReadoptsDiskReplica(t *testing.T) {
 	lc := startCluster(t, ClusterConfig{
 		Nodes: 3, Users: 1, Datasets: 4, Sweep: fastSweep(),
 	})
-	client := &http.Client{Timeout: 5 * time.Second}
-	tok := login(t, lc)
 	node1 := lc.Nodes[0]
-	const ds = "ds-002" // origin node 2: node 1's record is purgeable
-
-	// Make node 1 a holder via the replication endpoint (idempotent if a
-	// sweeper already volunteered it).
-	var rr ReplicateResponse
-	if code := doJSON(t, client, http.MethodPost, node1.BaseURL()+"/v1/replicate", tok,
-		ReplicateRequest{Dataset: ds}, &rr); code != http.StatusOK {
-		t.Fatalf("replicate = %d", code)
-	}
-	if !rr.Adopted && !rr.Already {
-		t.Fatalf("replicate response = %+v", rr)
-	}
-	waitFor(t, 10*time.Second, "replica materialized on disk", func() bool {
-		return node1.Volume().Has(ds) && holdsReplica(lc, ds, 1)
-	})
-
-	node1.Crash()
-	waitFor(t, 15*time.Second, "dead member purged from catalog", func() bool {
-		return !lc.Registry.Online(1) && !holdsReplica(lc, ds, 1)
-	})
+	const ds = "ds-002"
+	crashHolder(t, lc, ds, func() {})
 
 	// Restart: the file survived the crash, so Start re-announces it.
 	if err := node1.Start(); err != nil {
@@ -152,7 +146,7 @@ func TestCrashRestartReadoptsDiskReplica(t *testing.T) {
 	if !lc.Registry.Online(1) {
 		t.Fatal("restarted node did not rejoin the registry")
 	}
-	if !holdsReplica(lc, ds, 1) {
+	if !lc.Catalog.Holds(ds, 1) {
 		t.Fatalf("restarted node did not re-adopt %s in the catalog", ds)
 	}
 	if got := node1.Metrics.RepairReadoptedReplicas.Value(); got < 1 {
@@ -163,7 +157,32 @@ func TestCrashRestartReadoptsDiskReplica(t *testing.T) {
 	}
 
 	// And it serves the readopted bytes itself.
-	fetchDataset(t, client, node1.BaseURL(), tok, ds, lc.Config.DatasetBytes)
+	client := &http.Client{Timeout: 5 * time.Second}
+	fetchDataset(t, client, node1.BaseURL(), login(t, lc), ds, lc.Config.DatasetBytes)
+}
+
+// TestCrashRestartSkipsReplicaGoneFromVolume: a restart re-announces
+// only what the volume holds. A regenerable replica whose bytes left
+// the volume while the node was down is not re-adopted — the sweeper's
+// floor, not the restart, decides whether it comes back.
+func TestCrashRestartSkipsReplicaGoneFromVolume(t *testing.T) {
+	lc := startCluster(t, ClusterConfig{
+		Nodes: 3, Users: 1, Datasets: 4, Sweep: fastSweep(),
+	})
+	node1 := lc.Nodes[0]
+	const ds = "ds-002"
+	crashHolder(t, lc, ds, func() { node1.Volume().Remove(ds) })
+
+	// Start re-adopts synchronously, before its sweeper goroutine runs.
+	if err := node1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if lc.Catalog.Holds(ds, 1) {
+		t.Fatalf("restarted node re-announced %s with no bytes in its volume", ds)
+	}
+	if node1.Volume().Has(ds) {
+		t.Fatal("removed replica came back across restart")
+	}
 }
 
 // TestChurnConcurrentSweepAndFetch runs scripted churn, the repair

@@ -18,8 +18,9 @@ import (
 // into the receiving edge's disk volume through a spill,
 // verifies them against the digest the client declared up front, and —
 // only then, atomically — publishes the dataset: manifest in the shared
-// store, group scope in the middleware, origin record in the catalog,
-// user-partition record in the repository. A digest mismatch, short
+// store, group scope in the middleware, origin record in the catalog.
+// The committed bytes are pinned in the volume, which is the user
+// partition of Section V-A. A digest mismatch, short
 // stream, or crashed client leaves no state at all: no reserved
 // extent, no catalog entry, no manifest.
 //
@@ -256,13 +257,6 @@ func (n *Node) finalizeUpload(w http.ResponseWriter, id storage.DatasetID, sess 
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	// The uploaded bytes land in the user partition (Section V-A: the
-	// researcher-managed half of the member repository). Best effort —
-	// the catalog record above is what makes the dataset servable.
-	n.repoMu.Lock()
-	_ = n.repo.StoreUser(id, sess.total, n.now())
-	n.repoMu.Unlock()
-
 	n.Metrics.IngestUploads.Inc()
 	n.Metrics.IngestUploadBytes.Add(uint64(sess.total))
 

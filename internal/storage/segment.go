@@ -149,14 +149,3 @@ func (v *DiskVolume) MaterializeSegment(id DatasetID, i, size int64, fill func(i
 func (v *DiskVolume) NewSegmentSpill(id DatasetID, i int64) (*Spill, error) {
 	return v.NewSpill(v.segmentKey(id, i))
 }
-
-// RemoveSegments deletes the dataset's segments [0, count) — the
-// segment-granular analog of Remove for dataset teardown.
-func (v *DiskVolume) RemoveSegments(id DatasetID, count int64) {
-	for i := int64(0); i < count; i++ {
-		v.Remove(SegmentKey(id, i))
-	}
-	v.segMu.Lock()
-	delete(v.segKeys, id)
-	v.segMu.Unlock()
-}

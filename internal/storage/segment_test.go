@@ -193,26 +193,6 @@ func TestSegmentSpillAdoption(t *testing.T) {
 	}
 }
 
-func TestRemoveSegments(t *testing.T) {
-	vol, err := NewDiskVolume(t.TempDir(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const id = DatasetID("gone")
-	for i := int64(0); i < 5; i++ {
-		if _, err := vol.MaterializeSegment(id, i, 128, fillSeq(i, 128)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	vol.RemoveSegments(id, 5)
-	if got := vol.ResidentSegments(id, 5); got != 0 {
-		t.Fatalf("resident after RemoveSegments = %d, want 0", got)
-	}
-	if vol.Len() != 0 {
-		t.Fatalf("volume still holds %d entries", vol.Len())
-	}
-}
-
 func TestFadviseOnRealFile(t *testing.T) {
 	// The advice calls must never error a serve: they return a boolean
 	// (for counters) and are otherwise fire-and-forget. On Linux both

@@ -45,10 +45,6 @@ var shared = &http.Transport{
 	IdleConnTimeout:     IdleConnTimeout,
 }
 
-// Shared returns the process-wide tuned transport. Callers must not
-// mutate it.
-func Shared() *http.Transport { return shared }
-
 // NewClient returns an HTTP client over the shared transport.
 // timeout <= 0 means no client-level timeout.
 func NewClient(timeout time.Duration) *http.Client {
