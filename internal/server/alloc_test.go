@@ -29,6 +29,10 @@ const (
 	// window of a whole-file replica.
 	allocBudgetSegEndpointSegment = 0
 	allocBudgetSegEndpointFile    = 0
+	// The fetch handler itself, auth, catalog and Range parsing included:
+	// the parsed parts live in the handler's stack array.
+	allocBudgetFetchHandlerFull  = 0
+	allocBudgetFetchHandlerRange = 0
 	// A multipart answer allocates its random boundary (one string the
 	// Content-Type value and the framing share), the Content-Length
 	// string, and the two header-value slices: net/http may read a HEAD's
@@ -51,7 +55,7 @@ func serveAllocs(t *testing.T, n *Node, total int64, rangeHdr string) float64 {
 	if rangeHdr != "" {
 		req.Header.Set("Range", rangeHdr)
 	}
-	rngs, isRange, err := parseRanges(rangeHdr, total)
+	rngs, isRange, err := parseRanges(nil, rangeHdr, total)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func serveAllocs(t *testing.T, n *Node, total int64, rangeHdr string) float64 {
 	serve := func() {
 		w.n = 0
 		before := n.Metrics.BytesServed.Value()
-		if !n.serveLocal(w, req, id, rngs, isRange, total) {
+		if !n.serveLocal(w, req, id, rngs, isRange, total, true) {
 			t.Fatal("serveLocal failed")
 		}
 		if w.n != payload+framing {
@@ -84,21 +88,24 @@ func serveAllocs(t *testing.T, n *Node, total int64, rangeHdr string) float64 {
 	return testing.AllocsPerRun(200, serve)
 }
 
-// segmentEndpointAllocs measures steady-state allocs/op of the segment
-// endpoint handler answering segment 1 of the cluster's one dataset
-// locally, auth and catalog lookups included.
-func segmentEndpointAllocs(t *testing.T, lc *LocalCluster) float64 {
+// handlerAllocs measures steady-state allocs/op of a fetch route's
+// handler answering path on the cluster's one node locally, auth and
+// catalog lookups included; want is the body length.
+func handlerAllocs(t *testing.T, lc *LocalCluster, handle http.HandlerFunc,
+	path, rangeHdr string, want int64) float64 {
 	t.Helper()
 	n, id := lc.Nodes[0], lc.DatasetIDs[0]
-	req := httptest.NewRequest(http.MethodGet, "/v1/fetch/"+string(id)+"/segments/1", nil)
+	req := httptest.NewRequest(http.MethodGet, path, nil)
 	req.SetPathValue("dataset", string(id))
 	req.SetPathValue("n", "1")
 	req.Header.Set("Authorization", "Bearer "+string(login(t, lc)))
-	want := storage.SegmentExtent(lc.Config.DatasetBytes, lc.Config.SegmentSize, 1)
+	if rangeHdr != "" {
+		req.Header.Set("Range", rangeHdr)
+	}
 	w := &benchRW{h: make(http.Header)}
 	serve := func() {
 		w.n = 0
-		n.handleFetchSegment(w, req)
+		handle(w, req)
 		if w.n != want {
 			t.Fatalf("served %d bytes, want %d", w.n, want)
 		}
@@ -107,7 +114,7 @@ func segmentEndpointAllocs(t *testing.T, lc *LocalCluster) float64 {
 		serve()
 	}
 	if n.Metrics.LocalHits.Value() != 3 {
-		t.Fatal("segment endpoint did not serve locally")
+		t.Fatalf("%s did not serve locally", path)
 	}
 	return testing.AllocsPerRun(200, serve)
 }
@@ -162,32 +169,44 @@ func TestServeAllocBudgets(t *testing.T) {
 		})
 	}
 
-	// The segment endpoint runs on a one-node cluster (the handler needs
-	// auth and the catalog) with the sweeper off, so no background
-	// goroutine allocates while the budget is measured.
-	segCluster := func(t *testing.T) *LocalCluster {
+	// The handlers run on a one-node cluster (they need auth and the
+	// catalog) with the sweeper off, so no background goroutine
+	// allocates while the budget is measured.
+	cluster := func(t *testing.T, segThreshold int64) *LocalCluster {
 		return startCluster(t, ClusterConfig{
 			Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: total,
-			SegmentSize: 64 << 10, SegmentThreshold: 64 << 10, Sweep: SweeperConfig{Disabled: true},
+			SegmentSize: 64 << 10, SegmentThreshold: segThreshold, Sweep: SweeperConfig{Disabled: true},
 		})
 	}
-	segCases := []struct {
-		name   string
-		lc     func(*testing.T) *LocalCluster
-		budget float64
+	segCluster := func(t *testing.T) *LocalCluster { return cluster(t, 64<<10) }
+	flatCluster := func(t *testing.T) *LocalCluster { return cluster(t, 0) }
+	handlerCases := []struct {
+		name     string
+		lc       func(*testing.T) *LocalCluster
+		segment  bool
+		rangeHdr string
+		want     int64
+		budget   float64
 	}{
-		{"segment-endpoint/segment-file", segCluster, allocBudgetSegEndpointSegment},
+		{"segment-endpoint/segment-file", segCluster, true, "", 64 << 10, allocBudgetSegEndpointSegment},
 		{"segment-endpoint/whole-file", func(t *testing.T) *LocalCluster {
 			lc := segCluster(t)
-			if !lc.Nodes[0].materialize(lc.DatasetIDs[0], total) {
+			if id := lc.DatasetIDs[0]; !lc.Nodes[0].materialize(id, id, 0, total) {
 				t.Fatal("materialize failed")
 			}
 			return lc
-		}, allocBudgetSegEndpointFile},
+		}, true, "", 64 << 10, allocBudgetSegEndpointFile},
+		{"fetch-handler/full", flatCluster, false, "", total, allocBudgetFetchHandlerFull},
+		{"fetch-handler/range", flatCluster, false, rangeHdr, 65536, allocBudgetFetchHandlerRange},
 	}
-	for _, tc := range segCases {
+	for _, tc := range handlerCases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := segmentEndpointAllocs(t, tc.lc(t))
+			lc := tc.lc(t)
+			handle, path := lc.Nodes[0].handleFetch, "/v1/fetch/ds-001"
+			if tc.segment {
+				handle, path = lc.Nodes[0].handleFetchSegment, path+"/segments/1"
+			}
+			got := handlerAllocs(t, lc, handle, path, tc.rangeHdr, tc.want)
 			if got > tc.budget {
 				t.Errorf("warm %s = %.1f allocs/op, budget %.0f — the hot path re-inflated", tc.name, got, tc.budget)
 			}

@@ -13,10 +13,14 @@ package server
 //	GET  /metrics     → text exposition
 //	GET  /healthz     → "ok"
 //
-// Fetch honors single-part HTTP range requests (Range: bytes=a-b, a-,
-// -k) with 206 + Content-Range; full responses advertise
-// Accept-Ranges: bytes. Malformed or unsatisfiable ranges are answered
-// with 416, never with a silent full body.
+// Fetch honors HTTP range requests (Range: bytes=a-b, a-, -k): one
+// part is answered 206 + Content-Range, up to 16 parts (overlapping and
+// adjacent ones merged) as 206 multipart/byteranges; full responses
+// advertise Accept-Ranges: bytes. Malformed or unsatisfiable ranges are
+// answered with 416, never with a silent full body. The segment route
+// is the fetch route over one segment's window of a segmented dataset:
+// a plain 200 of that window, 404 when the dataset is unsegmented or
+// the ordinal out of range.
 //
 // Upload (upload.go) publishes a new dataset: the body is raw bytes,
 // X-SCDN-Digest declares their dataset digest (ingest.Manifest.Digest:

@@ -206,52 +206,79 @@ func (n *Node) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
+func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) { n.serveFetch(w, r, false) }
+
+func (n *Node) handleFetchSegment(w http.ResponseWriter, r *http.Request) { n.serveFetch(w, r, true) }
+
+// serveFetch answers both fetch routes: GET /v1/fetch/{dataset}, whole
+// or as the windows of a Range header, and
+// GET /v1/fetch/{dataset}/segments/{n}, one segment's window as a plain
+// 200 (the HLS-style chunk surface). segment selects only the route's
+// metrics, how the window is named, and the peer hop's path; one rule
+// set serves the window after that.
+func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) {
 	start := time.Now()
+	m := n.Metrics
+	requests, peerRequests, failures, latency := &m.FetchRequests, &m.PeerFetchRequests, &m.FetchFailures, &m.FetchLatency
+	if segment {
+		requests, peerRequests, failures, latency = &m.SegmentFetchRequests, &m.PeerSegmentFetchRequests,
+			&m.SegmentFetchFailures, &m.SegmentFetchLatency
+	}
 	id := storage.DatasetID(r.PathValue("dataset"))
 	fromPeer := r.Header.Get(peerHeader) != ""
 	if fromPeer {
-		n.Metrics.PeerFetchRequests.Inc()
+		peerRequests.Inc()
 	} else {
-		n.Metrics.FetchRequests.Inc()
-		defer func() { n.Metrics.FetchLatency.Observe(time.Since(start).Seconds()) }()
+		requests.Inc()
+		defer func() { latency.Observe(time.Since(start).Seconds()) }()
 	}
 	fail := func(status int, err error) {
 		if !fromPeer {
-			n.Metrics.FetchFailures.Inc()
+			failures.Inc()
 		}
 		writeError(w, status, err)
 	}
 	if _, err := n.auth.Authorize(bearerToken(r), id); err != nil {
-		n.Metrics.AuthDenied.Inc()
+		m.AuthDenied.Inc()
 		fail(http.StatusForbidden, err)
 		return
 	}
-	bytes, berr := n.catalog.DatasetBytes(id)
-	if berr != nil {
-		if fromPeer {
-			// Peer hops never fan out again: a fallback chain is one hop.
-			fail(http.StatusNotFound, fmt.Errorf("server: node %d does not hold %q", n.cfg.Node, id))
-		} else {
-			fail(http.StatusNotFound, berr)
-		}
+	total, err := n.catalog.DatasetBytes(id)
+	if err != nil {
+		fail(http.StatusNotFound, err)
 		return
 	}
-	// Parse the range set before deciding how to serve: malformed or
-	// unsatisfiable ranges (any part of a multipart spec) are rejected
-	// here with 416 — never silently answered with the full body — and
-	// never forwarded to a peer.
-	rngs, isRange, rerr := parseRanges(r.Header.Get("Range"), bytes)
-	if rerr != nil {
-		n.Metrics.RangeNotSatisfiable.Inc()
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", bytes))
-		fail(http.StatusRequestedRangeNotSatisfiable, rerr)
-		return
-	}
-	if n.hasLocal(id) {
-		if n.serveLocal(w, r, id, rngs, isRange, bytes) {
+	var buf [maxRangeParts]byteRange
+	var rngs []byteRange
+	var isRange bool
+	var seg int64
+	if segment {
+		if !n.segmented(total) {
+			fail(http.StatusNotFound, fmt.Errorf("server: dataset %q is not segmented", id))
 			return
 		}
+		count := storage.SegmentCount(total, n.cfg.SegmentSize)
+		if seg, err = strconv.ParseInt(r.PathValue("n"), 10, 64); err != nil || seg < 0 || seg >= count {
+			fail(http.StatusNotFound,
+				fmt.Errorf("server: segment %q of %q outside [0, %d)", r.PathValue("n"), id, count))
+			return
+		}
+		rngs = append(buf[:0], byteRange{off: seg * n.cfg.SegmentSize,
+			n: storage.SegmentExtent(total, n.cfg.SegmentSize, seg)})
+	} else if rngs, isRange, err = parseRanges(buf[:0], r.Header.Get("Range"), total); err != nil {
+		// Malformed or unsatisfiable ranges (any part of a multipart
+		// spec) are rejected here with 416 — never silently answered
+		// with the full body — and never forwarded to a peer.
+		m.RangeNotSatisfiable.Inc()
+		w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", total))
+		fail(http.StatusRequestedRangeNotSatisfiable, err)
+		return
+	}
+	held := n.hasLocal(id)
+	if n.serveLocal(w, r, id, rngs, isRange, total, held) {
+		return
+	}
+	if held {
 		// The local claim was a lie: an opaque dataset whose volume file
 		// is gone cannot be regenerated. Withdraw the stale record so
 		// resolution stops routing here (best effort: the catalog never
@@ -260,16 +287,22 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 		_ = n.catalog.RemoveReplica(id, n.cfg.Node)
 	}
 	if fromPeer {
+		// Peer hops never fan out again: a fallback chain is one hop.
 		fail(http.StatusNotFound, fmt.Errorf("server: node %d does not hold %q", n.cfg.Node, id))
 		return
 	}
-	// Range requests are forwarded to the peer as ranges, so a proxied
-	// stripe moves only its own bytes; a multipart set is relayed as the
-	// peer framed it, so its length is the peer's.
+	// Built only now, so a local serve allocates nothing. A segment hop
+	// keeps its route; ranges are forwarded as ranges, so a proxied
+	// stripe moves only its own bytes, and a multipart set is relayed as
+	// the peer framed it, so its length is the peer's.
+	win := rngs[0]
 	pull := peerPull{path: "/v1/fetch/" + url.PathEscape(string(id)),
-		status: http.StatusOK, length: bytes, failures: &n.Metrics.FetchFailures}
-	if isRange {
-		pull.rangeHdr, pull.status, pull.length = rangesHeader(rngs), http.StatusPartialContent, rngs[0].n
+		status: http.StatusOK, length: win.n, failures: failures}
+	switch {
+	case segment:
+		pull.path += "/segments/" + strconv.FormatInt(seg, 10)
+	case isRange:
+		pull.rangeHdr, pull.status = rangesHeader(rngs), http.StatusPartialContent
 		if len(rngs) > 1 {
 			pull.length = -1
 			for _, rng := range rngs {
@@ -277,22 +310,23 @@ func (n *Node) handleFetch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	// Pull-through only on full-body GETs: a stripe proves nothing about
-	// the rest of the dataset, so partial transfers never adopt bytes or
-	// mint a replica record, and a HEAD moves no bytes at all.
+	// Pull-through adopts only a named window, the whole dataset or one
+	// segment: a stripe proves nothing about the rest of its segments,
+	// and a HEAD moves no bytes at all.
 	adopt := n.cfg.PullThrough && !isRange && r.Method != http.MethodHead
 	if adopt {
-		pull.sink = n.pullSink(id, bytes, 0, bytes)
+		pull.sink = n.pullSink(id, total, win.off, win.off+win.n)
 	}
 	ok := n.pullFromPeers(w, r, id, &pull, fail)
 	flat := pull.sink.finish()
-	// The replica record announces the copy. A seeded dataset whose spill
-	// failed is still a holder — its bytes are materialized from the
-	// generator on the next local hit — but an opaque dataset has no
-	// generator, so its record exists only when digest-verified bytes
-	// committed as one whole file. A refusal (a racing fetch already
-	// registered us) is an expected outcome.
-	if ok && adopt && (flat || !n.opaque(id)) {
+	// The replica record announces a copy of the whole dataset, so a
+	// segment never mints one. A seeded dataset whose spill failed is
+	// still a holder — its bytes are materialized from the generator on
+	// the next local hit — but an opaque dataset has no generator, so
+	// its record exists only when digest-verified bytes committed as
+	// one whole file. A refusal (a racing fetch already registered us)
+	// is an expected outcome.
+	if ok && adopt && win.n == total && (flat || !n.opaque(id)) {
 		_ = n.catalog.AddReplica(id, n.cfg.Node, n.now())
 	}
 }
@@ -308,26 +342,26 @@ func (n *Node) opaque(id storage.DatasetID) bool {
 // picked before any header is written. Exactly one form is set: a whole
 // replica's extent (seek + sendfile), the segment extents of the
 // segmented layout (walked by copySegmentRange), or — when the volume
-// cannot hold the piece — the deterministic generator. A struct
-// rather than an interface or closure so the warm serve path allocates
-// nothing.
+// cannot hold the piece — the deterministic generator. derive allows
+// the walk to re-materialize an evicted segment. A struct rather than
+// an interface or closure so the warm serve path allocates nothing.
 type fetchSource struct {
-	id    storage.DatasetID
-	total int64
-	file  *storage.Handle
-	seg   bool
-	gen   payload
+	id          storage.DatasetID
+	total       int64
+	file        *storage.Handle
+	seg, derive bool
+	gen         payload
 }
 
-// serveLocal streams the dataset (or the requested ranges of it) from
-// this edge, which the caller has established holds it. Returns false,
-// before any header is written, when no local source can produce the
-// bytes: an opaque dataset whose volume file is gone — the caller must
-// treat the local copy as lost.
+// serveLocal streams the requested windows of the dataset from this
+// edge, a catalogued holder when held. Returns false, before any header
+// is written, when no local source can produce the bytes: a non-holder
+// without them resident, or a holder of an opaque dataset whose volume
+// file is gone — the caller must treat that local copy as lost.
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
-	rngs []byteRange, isRange bool, total int64) bool {
+	rngs []byteRange, isRange bool, total int64, held bool) bool {
 	last := rngs[len(rngs)-1]
-	src, ok := n.localSource(id, total, rngs[0].off, last.off+last.n, true)
+	src, ok := n.localSource(id, total, rngs[0].off, last.off+last.n, held)
 	if !ok {
 		return false
 	}
@@ -350,10 +384,10 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, id storage.Dat
 // full.
 func (n *Node) localSource(id storage.DatasetID, total, off, end int64, held bool) (fetchSource, bool) {
 	derive := held && !n.opaque(id)
-	src := fetchSource{id: id, total: total}
+	src := fetchSource{id: id, total: total, derive: derive}
 	segmented := n.segmented(total)
 	f, size, ok := n.vol.Open(id)
-	if !ok && derive && !segmented && n.materialize(id, total) {
+	if !ok && derive && !segmented && n.materialize(id, id, 0, total) {
 		f, size, ok = n.vol.Open(id)
 	}
 	if ok {
@@ -368,11 +402,11 @@ func (n *Node) localSource(id storage.DatasetID, total, off, end int64, held boo
 		n.vol.Remove(id)
 	}
 	if segmented {
-		// The walk materializes every segment past the first, so a
-		// non-holder serves only a window inside one resident segment.
+		// Only a deriving walk materializes segments, so anyone else
+		// serves only a window inside one resident segment.
 		seg := off / n.cfg.SegmentSize
 		oneSeg := end <= (seg+1)*n.cfg.SegmentSize
-		if (derive || oneSeg && n.vol.HasSegment(id, seg)) && n.ensureSegment(id, seg, total) {
+		if derive && n.ensureSegment(id, seg, total) || !derive && oneSeg && n.vol.HasSegment(id, seg) {
 			src.seg = true
 			return src, true
 		}
@@ -395,20 +429,27 @@ func (n *Node) releaseSource(src *fetchSource) { n.vol.Release(src.id, src.file)
 func (n *Node) copyRange(dst io.Writer, sc *fetchScratch, src *fetchSource, off, length int64) (int64, error) {
 	switch {
 	case src.file != nil:
-		f, err := src.file.FileAt(off)
-		if err != nil {
-			return 0, err
-		}
-		if sc == nil {
-			return io.CopyN(dst, f, length)
-		}
-		sc.lr = io.LimitedReader{R: f, N: length}
-		return io.Copy(dst, &sc.lr)
+		return copyExtent(dst, sc, src.file, off, length)
 	case src.seg:
-		return n.copySegmentRange(dst, sc, src.id, src.total, off, length)
+		return n.copySegmentRange(dst, sc, src, off, length)
 	default:
 		return copyBuffered(dst, io.NewSectionReader(src.gen, off, length))
 	}
+}
+
+// copyExtent writes length bytes of the volume entry behind h, from its
+// offset off, to dst, through the scratch's LimitedReader when given
+// (see copyRange).
+func copyExtent(dst io.Writer, sc *fetchScratch, h *storage.Handle, off, length int64) (int64, error) {
+	f, err := h.FileAt(off)
+	if err != nil {
+		return 0, err
+	}
+	if sc == nil {
+		return io.CopyN(dst, f, length)
+	}
+	sc.lr = io.LimitedReader{R: f, N: length}
+	return io.Copy(dst, &sc.lr)
 }
 
 // Constant header values shared across requests. The keys they are
@@ -484,12 +525,13 @@ func (n *Node) writeRanges(w http.ResponseWriter, r *http.Request, src *fetchSou
 	n.Metrics.BytesServed.Add(uint64(served))
 }
 
-// materialize writes the dataset's deterministic bytes into the replica
-// volume (single-flight across concurrent fetches) and reports whether a
-// committed replica now exists.
-func (n *Node) materialize(id storage.DatasetID, total int64) bool {
-	did, err := n.vol.Materialize(id, total, func(w io.Writer) error {
-		_, err := copyBuffered(w, io.NewSectionReader(payloadBlock(id), 0, total))
+// materialize writes the dataset's deterministic bytes [off, off+size)
+// into the replica volume as entry key — the whole replica or one
+// segment — single-flight across concurrent fetches, counted per
+// entry, and reports whether a committed entry now exists.
+func (n *Node) materialize(key, id storage.DatasetID, off, size int64) bool {
+	did, err := n.vol.Materialize(key, size, func(w io.Writer) error {
+		_, err := copyBuffered(w, io.NewSectionReader(payloadBlock(id), off, size))
 		return err
 	})
 	if err != nil {
@@ -498,7 +540,7 @@ func (n *Node) materialize(id storage.DatasetID, total int64) bool {
 	}
 	if did {
 		n.Metrics.StoreMaterializations.Inc()
-		n.Metrics.StoreMaterializedBytes.Add(uint64(total))
+		n.Metrics.StoreMaterializedBytes.Add(uint64(size))
 	}
 	return true
 }

@@ -24,8 +24,8 @@ type Metrics struct {
 	FetchRequests     metrics.Counter
 	FetchFailures     metrics.Counter
 	PeerFetchRequests metrics.Counter
-	// LocalHits: served by a catalogued holder from its own volume (or
-	// the generator for a regenerable dataset). PeerHits: proxied
+	// LocalHits: served from this edge's own volume (or, by a catalogued
+	// holder, the generator for a regenerable dataset). PeerHits: proxied
 	// from another edge's replica. OriginFetches: proxied from the
 	// dataset's origin because no other replica was reachable.
 	LocalHits     metrics.Counter

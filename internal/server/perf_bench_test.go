@@ -246,7 +246,7 @@ func benchServeLocal(b *testing.B, n *Node, total int64, rangeHdr string) {
 	if rangeHdr != "" {
 		req.Header.Set("Range", rangeHdr)
 	}
-	rngs, isRange, err := parseRanges(rangeHdr, total)
+	rngs, isRange, err := parseRanges(nil, rangeHdr, total)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -255,13 +255,13 @@ func benchServeLocal(b *testing.B, n *Node, total int64, rangeHdr string) {
 		want += rng.n
 	}
 	w := &benchRW{h: make(http.Header)}
-	n.serveLocal(w, req, id, rngs, isRange, total) // warm: materialize + prime pools
+	n.serveLocal(w, req, id, rngs, isRange, total, true) // warm: materialize + prime pools
 	b.SetBytes(want)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.n = 0
-		n.serveLocal(w, req, id, rngs, isRange, total)
+		n.serveLocal(w, req, id, rngs, isRange, total, true)
 		if len(rngs) == 1 && w.n != want {
 			b.Fatalf("served %d bytes, want %d", w.n, want)
 		}
@@ -309,7 +309,7 @@ func BenchmarkMaterializeCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vol.Remove(id)
-		if !n.materialize(id, total) {
+		if !n.materialize(id, id, 0, total) {
 			b.Fatal("materialize failed")
 		}
 	}

@@ -1,8 +1,9 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -44,7 +45,7 @@ func rangesHeader(rngs []byteRange) string {
 }
 
 // maxRangeParts caps how many parts one multipart Range request may ask
-// for (counted after merging). Each part costs a seek plus MIME framing;
+// for (counted before merging). Each part costs a seek plus MIME framing;
 // an unbounded list would let one request turn a sendfile stream into
 // thousands of tiny scattered reads. GridFTP-style striping needs a
 // handful of parts, not hundreds; past the cap the request is rejected
@@ -52,9 +53,11 @@ func rangesHeader(rngs []byteRange) string {
 const maxRangeParts = 16
 
 // parseRanges interprets a Range request header against a body of total
-// bytes. It returns (parts, true, nil) for a valid range set — sorted by
-// offset, with overlapping and adjacent parts merged, so callers always
-// see a minimal ascending sequence — ([full], false, nil) when no Range
+// bytes, writing the parts into dst's storage (a caller's stack array of
+// maxRangeParts keeps a warm fetch allocation-free). It returns
+// (parts, true, nil) for a valid range set — sorted by offset, with
+// overlapping and adjacent parts merged, so callers always see a
+// minimal ascending sequence — ([full], false, nil) when no Range
 // header is present, and an error when the header is malformed or any
 // part is unsatisfiable. The delivery plane answers errors with 416
 // rather than silently serving the full body, so a striped client can
@@ -63,21 +66,23 @@ const maxRangeParts = 16
 // and covers every part of a multipart spec, not just the set as a
 // whole. A multipart spec that merges down to one part is served as a
 // plain single-range 206.
-func parseRanges(h string, total int64) ([]byteRange, bool, error) {
+func parseRanges(dst []byteRange, h string, total int64) ([]byteRange, bool, error) {
+	parts := dst[:0]
 	if h == "" {
-		return []byteRange{{off: 0, n: total}}, false, nil
+		return append(parts, byteRange{off: 0, n: total}), false, nil
 	}
 	const prefix = "bytes="
 	if !strings.HasPrefix(h, prefix) {
 		return nil, false, fmt.Errorf("server: unsupported range unit in %q", h)
 	}
-	spec := strings.TrimSpace(h[len(prefix):])
-	specs := strings.Split(spec, ",")
-	if len(specs) > maxRangeParts {
-		return nil, false, fmt.Errorf("server: %d range parts exceeds the %d-part cap", len(specs), maxRangeParts)
-	}
-	parts := make([]byteRange, 0, len(specs))
-	for _, s := range specs {
+	rest := strings.TrimSpace(h[len(prefix):])
+	for more := true; more; {
+		if len(parts) == maxRangeParts {
+			return nil, false, fmt.Errorf("server: %d range parts exceeds the %d-part cap",
+				len(parts)+1+strings.Count(rest, ","), maxRangeParts)
+		}
+		var s string
+		s, rest, more = strings.Cut(rest, ",")
 		r, err := parseOneRange(strings.TrimSpace(s), total)
 		if err != nil {
 			return nil, false, err
@@ -94,7 +99,7 @@ func parseRange(h string, total int64) (byteRange, bool, error) {
 	if strings.Contains(h, ",") {
 		return byteRange{}, false, fmt.Errorf("server: multipart range where a single range is required: %q", h)
 	}
-	rngs, isRange, err := parseRanges(h, total)
+	rngs, isRange, err := parseRanges(nil, h, total)
 	if err != nil {
 		return byteRange{}, false, err
 	}
@@ -152,7 +157,7 @@ func coalesceRanges(parts []byteRange) []byteRange {
 	if len(parts) <= 1 {
 		return parts
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].off < parts[j].off })
+	slices.SortFunc(parts, func(a, b byteRange) int { return cmp.Compare(a.off, b.off) })
 	out := parts[:1]
 	for _, r := range parts[1:] {
 		last := &out[len(out)-1]

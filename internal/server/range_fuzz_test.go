@@ -42,7 +42,7 @@ func FuzzParseRange(f *testing.F) {
 		if total < 0 {
 			t.Skip("dataset sizes are non-negative by construction")
 		}
-		rngs, partial, err := parseRanges(h, total)
+		rngs, partial, err := parseRanges(nil, h, total)
 		if err != nil {
 			return // rejected headers carry no further obligations
 		}
@@ -71,7 +71,7 @@ func FuzzParseRange(f *testing.F) {
 		}
 		// Fixed point: rendering the set and reparsing returns it verbatim.
 		rendered := rangesHeader(rngs)
-		rngs2, partial2, err2 := parseRanges(rendered, total)
+		rngs2, partial2, err2 := parseRanges(nil, rendered, total)
 		if err2 != nil || !partial2 || len(rngs2) != len(rngs) {
 			t.Fatalf("parseRanges(%q, %d) = %+v, but reparsing its header %q gave (%+v, %v, %v)",
 				h, total, rngs, rendered, rngs2, partial2, err2)
@@ -120,13 +120,13 @@ func FuzzMultipartFraming(f *testing.F) {
 	ref := whole.Bytes()
 	serve := func(t *testing.T, method string, rngs []byteRange) *http.Response {
 		rec := httptest.NewRecorder()
-		if !n.serveLocal(rec, httptest.NewRequest(method, "/v1/fetch/"+string(id), nil), id, rngs, true, total) {
+		if !n.serveLocal(rec, httptest.NewRequest(method, "/v1/fetch/"+string(id), nil), id, rngs, true, total, true) {
 			t.Fatal("serveLocal failed")
 		}
 		return rec.Result()
 	}
 	f.Fuzz(func(t *testing.T, h string) {
-		rngs, _, err := parseRanges(h, total)
+		rngs, _, err := parseRanges(nil, h, total)
 		if err != nil || len(rngs) < 2 {
 			return // single windows and rejected sets carry no framing
 		}

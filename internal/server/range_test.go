@@ -87,7 +87,7 @@ func TestParseRanges(t *testing.T) {
 		{"bytes=0-99,,200-299", nil, false, true},
 	}
 	for _, tc := range cases {
-		got, isRange, err := parseRanges(tc.h, total)
+		got, isRange, err := parseRanges(nil, tc.h, total)
 		if tc.wantErr {
 			if err == nil {
 				t.Errorf("parseRanges(%q): want error, got %+v", tc.h, got)
@@ -116,11 +116,11 @@ func TestParseRangesPartCap(t *testing.T) {
 	for i := 1; i < maxRangeParts; i++ {
 		h += fmt.Sprintf(",%d-%d", i*10, i*10)
 	}
-	if got, _, err := parseRanges(h, total); err != nil || len(got) != maxRangeParts {
+	if got, _, err := parseRanges(nil, h, total); err != nil || len(got) != maxRangeParts {
 		t.Fatalf("at-cap spec rejected: %v (%d parts)", err, len(got))
 	}
 	h += fmt.Sprintf(",%d-%d", maxRangeParts*10, maxRangeParts*10)
-	if _, _, err := parseRanges(h, total); err == nil {
+	if _, _, err := parseRanges(nil, h, total); err == nil {
 		t.Fatal("over-cap spec accepted")
 	}
 }

@@ -501,3 +501,129 @@ func TestOpaqueSegmentWindow(t *testing.T) {
 		t.Fatal("opaque tail window bytes wrong")
 	}
 }
+
+// TestAdoptedSegmentServesFetchWindow: a non-holder that adopted one
+// segment answers a whole-object Range request inside that segment from
+// its own volume — no peer hop, and still no replica record.
+func TestAdoptedSegmentServesFetchWindow(t *testing.T) {
+	lc := segCluster(t, ClusterConfig{Nodes: 2, Users: 1, Datasets: 2, PullThrough: true,
+		Sweep: SweeperConfig{Disabled: true}})
+	client := &http.Client{Timeout: 10 * time.Second}
+	owner, other := lc.Nodes[0], lc.Nodes[1] // ds-001's origin is node 1
+	tok := login(t, lc)
+	const id = storage.DatasetID("ds-001")
+	const seg = int64(2)
+
+	resp := fetchSegment(t, client, other.BaseURL(), tok, id, seg)
+	_, err := VerifyPayloadRange(resp.Body, id, seg*segTestSize, segTestSize)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, lc)
+	if !other.Volume().HasSegment(id, seg) {
+		t.Fatal("pulled segment not adopted into the volume")
+	}
+
+	hops := owner.Metrics.PeerFetchRequests.Value()
+	off := seg*segTestSize + 100
+	req, err := http.NewRequest(http.MethodGet, other.BaseURL()+"/v1/fetch/"+string(id), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+string(tok))
+	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, off+999))
+	resp, err = client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusPartialContent {
+		t.Fatalf("window inside the adopted segment: %s", resp.Status)
+	}
+	if src := resp.Header.Get("X-SCDN-Source"); src != "2" {
+		t.Fatalf("served by %q, want this edge (2)", src)
+	}
+	if _, err := VerifyPayloadRange(resp.Body, id, off, 1000); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, lc)
+	if got := owner.Metrics.PeerFetchRequests.Value(); got != hops {
+		t.Fatalf("owner saw %d peer fetches for a resident window", got-hops)
+	}
+	if lc.Catalog.Holds(id, 2) {
+		t.Fatal("a local window serve minted a replica record")
+	}
+}
+
+// TestSegmentRouteWithdrawsLostOpaqueClaim: a catalogued holder of an
+// opaque dataset whose volume lost the bytes answers a segment from a
+// surviving holder and withdraws its stale claim, the same as the
+// whole-object route.
+func TestSegmentRouteWithdrawsLostOpaqueClaim(t *testing.T) {
+	lc := startCluster(t, ClusterConfig{
+		Nodes: 2, Users: 1, NoSeedDatasets: true,
+		SegmentSize: segTestSize, SegmentThreshold: segTestSize,
+		Sweep: SweeperConfig{Disabled: true},
+	})
+	client := &http.Client{Timeout: 10 * time.Second}
+	holder := lc.Nodes[1]
+	tok := login(t, lc)
+	data := opaqueBytes(11, int(segTestBytes))
+	const id = storage.DatasetID("up-lost")
+
+	if _, err := cdnclient.Upload(context.Background(), cdnclient.TransferOptions{
+		Endpoints: []string{lc.Nodes[0].BaseURL()}, Token: string(tok),
+	}, id, lc.Config.Group, bytes.NewReader(data), int64(len(data))); err != nil {
+		t.Fatal(err)
+	}
+	var rr ReplicateResponse
+	if code := doJSON(t, client, http.MethodPost, holder.BaseURL()+"/v1/replicate", tok,
+		ReplicateRequest{Dataset: string(id)}, &rr); code != http.StatusOK || !rr.Adopted {
+		t.Fatalf("replicate = %d %+v", code, rr)
+	}
+	holder.Volume().Remove(id)
+
+	resp := fetchSegment(t, client, holder.BaseURL(), tok, id, 1)
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("segment of a lost replica: %s err=%v", resp.Status, err)
+	}
+	if !bytes.Equal(got, data[segTestSize:2*segTestSize]) {
+		t.Fatalf("segment of a lost replica served %d wrong bytes", len(got))
+	}
+	quiesce(t, lc)
+	if lc.Catalog.Holds(id, 2) {
+		t.Fatal("the lost claim stayed in the catalog")
+	}
+}
+
+// TestNonDerivingSegmentWalk: only a source that may derive bytes (a
+// holder of a regenerable dataset) re-materializes an evicted segment
+// mid-walk; any other walk fails there rather than write generator
+// bytes in place of, say, an opaque upload's.
+func TestNonDerivingSegmentWalk(t *testing.T) {
+	vol, err := storage.NewDiskVolume(t.TempDir(), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := benchNode(vol)
+	n.cfg.SegmentSize, n.cfg.SegmentThreshold = segTestSize, segTestSize
+	const id = storage.DatasetID("walk")
+	src := fetchSource{id: id, total: segTestBytes, seg: true}
+	if _, err := n.copySegmentRange(io.Discard, nil, &src, 0, segTestSize); err == nil {
+		t.Fatal("a non-deriving walk served an absent segment")
+	}
+	if vol.HasSegment(id, 0) || n.Metrics.StoreMaterializations.Value() != 0 {
+		t.Fatal("a non-deriving walk materialized a segment")
+	}
+	src.derive = true
+	var buf bytes.Buffer
+	if m, err := n.copySegmentRange(&buf, nil, &src, 0, segTestSize); err != nil || m != segTestSize {
+		t.Fatalf("deriving walk = %d bytes, %v", m, err)
+	}
+	if _, err := VerifyPayloadRange(&buf, id, 0, segTestSize); err != nil || !vol.HasSegment(id, 0) {
+		t.Fatalf("deriving walk: resident=%v, %v", vol.HasSegment(id, 0), err)
+	}
+}

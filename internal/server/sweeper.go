@@ -281,7 +281,7 @@ func (n *Node) replicateLocal(ctx context.Context, id storage.DatasetID) bool {
 	}
 	// Best effort: if the disk is full the generator fallback still
 	// serves the bytes, so the replica is real either way.
-	_ = n.materialize(id, size)
+	_ = n.materialize(id, id, 0, size)
 	if err := n.catalog.AddReplica(id, n.cfg.Node, n.now()); err != nil {
 		return false // already announced (origin copy or racing repairer)
 	}
@@ -291,20 +291,18 @@ func (n *Node) replicateLocal(ctx context.Context, id storage.DatasetID) bool {
 }
 
 // replicateByCopy restores an opaque dataset's replica by moving real
-// bytes: a parallel range download from the surviving holders, each
-// stripe digest-verified against the manifest in-stream, spilled to the
-// replica volume, size-checked, and only then committed and announced.
-// A corrupt or short transfer leaves no state.
+// bytes: a parallel range download from the surviving holders, nearest
+// first (orderCandidates), each stripe digest-verified against the
+// manifest in-stream, spilled to the replica volume, size-checked, and
+// only then committed and announced. A corrupt or short transfer
+// leaves no state.
 func (n *Node) replicateByCopy(ctx context.Context, id storage.DatasetID, man *ingest.Manifest) bool {
 	reps, err := n.catalog.Replicas(id)
 	if err != nil {
 		return false
 	}
 	var eps []string
-	for _, rep := range reps {
-		if rep.Node == n.cfg.Node || !n.registry.Online(rep.Node) || n.suspects.isSuspect(rep.Node) {
-			continue
-		}
+	for _, rep := range n.orderCandidates(reps) {
 		if u, ok := n.registry.BaseURL(rep.Node); ok {
 			eps = append(eps, u)
 		}

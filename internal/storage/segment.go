@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"io"
 	"strconv"
 	"strings"
 )
@@ -134,14 +133,6 @@ func (v *DiskVolume) ResidentSegments(id DatasetID, count int64) int64 {
 	}
 	v.mu.Unlock()
 	return n
-}
-
-// MaterializeSegment ensures segment i exists on disk, producing it
-// with fill (which must write exactly size bytes) when absent.
-// Single-flight per segment, so concurrent rangers over the same cold
-// segment do the disk work once.
-func (v *DiskVolume) MaterializeSegment(id DatasetID, i, size int64, fill func(io.Writer) error) (bool, error) {
-	return v.Materialize(v.segmentKey(id, i), size, fill)
 }
 
 // NewSegmentSpill opens a spill that commits as segment i of the

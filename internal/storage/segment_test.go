@@ -91,7 +91,7 @@ func TestSegmentPartialResidency(t *testing.T) {
 	}
 	const id = DatasetID("big")
 	for i := int64(0); i < segs; i++ {
-		did, err := vol.MaterializeSegment(id, i, segSize, fillSeq(i, segSize))
+		did, err := vol.Materialize(SegmentKey(id, i), segSize, fillSeq(i, segSize))
 		if err != nil {
 			t.Fatalf("materialize segment %d: %v", i, err)
 		}
@@ -111,7 +111,7 @@ func TestSegmentPartialResidency(t *testing.T) {
 		}
 	}
 	// An evicted segment re-materializes on demand, evicting LRU again.
-	if did, err := vol.MaterializeSegment(id, 0, segSize, fillSeq(0, segSize)); err != nil || !did {
+	if did, err := vol.Materialize(SegmentKey(id, 0), segSize, fillSeq(0, segSize)); err != nil || !did {
 		t.Fatalf("re-materialize segment 0: did=%v err=%v", did, err)
 	}
 	if !vol.HasSegment(id, 0) {
@@ -132,7 +132,7 @@ func TestOpenSegmentFreshAndPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	const id = DatasetID("ds")
-	if _, err := vol.MaterializeSegment(id, 2, 64, fillSeq(2, 64)); err != nil {
+	if _, err := vol.Materialize(SegmentKey(id, 2), 64, fillSeq(2, 64)); err != nil {
 		t.Fatal(err)
 	}
 	f, size, fresh, ok := vol.OpenSegment(id, 2)
@@ -203,7 +203,7 @@ func TestFadviseOnRealFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	const id = DatasetID("adv")
-	if _, err := vol.MaterializeSegment(id, 0, 1024, fillSeq(0, 1024)); err != nil {
+	if _, err := vol.Materialize(SegmentKey(id, 0), 1024, fillSeq(0, 1024)); err != nil {
 		t.Fatal(err)
 	}
 	f, _, _, ok := vol.OpenSegment(id, 0)
@@ -226,7 +226,7 @@ func BenchmarkOpenSegmentWarm(b *testing.B) {
 	}
 	const id = DatasetID("warm")
 	for i := int64(0); i < 16; i++ {
-		if _, err := vol.MaterializeSegment(id, i, 4096, fillSeq(i, 4096)); err != nil {
+		if _, err := vol.Materialize(SegmentKey(id, i), 4096, fillSeq(i, 4096)); err != nil {
 			b.Fatal(err)
 		}
 		// Prime the FD pool so the loop measures the pooled path.
