@@ -93,3 +93,90 @@ func TestHashAtReadErrors(t *testing.T) {
 		t.Fatal("negative size hashed")
 	}
 }
+
+// repeatingReaderAt is unit repeated without end, read by offset.
+type repeatingReaderAt []byte
+
+func (u repeatingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	pos := off % int64(len(u))
+	for n := 0; n < len(p); pos = 0 {
+		n += copy(p[n:], u[pos:])
+	}
+	return len(p), nil
+}
+
+// TestHashRepeatingMatchesHashAt checks that the one-block hash of a
+// repeating stream builds HashAt's and the streaming Hasher's manifest
+// exactly, around the unit and block boundaries and at sizes where
+// every block but the tail is skipped.
+func TestHashRepeatingMatchesHashAt(t *testing.T) {
+	const mib = 1 << 20
+	sizes := []int64{0, 1, 4095, 4096, 4097, 65535, 65536, 65537,
+		3*DefaultBlockSize + 17, 4 * mib, 64*mib + 4095}
+	for _, unitLen := range []int{4096, 32, 1} {
+		unit := repeatingReaderAt(testPayload(int64(unitLen), unitLen))
+		for _, size := range sizes {
+			if unitLen != 4096 && size > 4*mib {
+				continue
+			}
+			got, err := HashRepeating(unit, size, "ds", false)
+			if err != nil {
+				t.Fatalf("unit=%d size=%d: %v", unitLen, size, err)
+			}
+			want, err := HashAt(unit, size, "ds", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("unit=%d size=%d: manifest diverges from HashAt's", unitLen, size)
+			}
+			h := NewHasher(DefaultBlockSize)
+			if _, err := io.Copy(h, io.NewSectionReader(unit, 0, size)); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, h.Manifest("ds", false)) {
+				t.Fatalf("unit=%d size=%d: manifest diverges from Hasher's", unitLen, size)
+			}
+		}
+	}
+}
+
+// TestHashRepeatingRejectsNonDividingUnit: a unit whose length does not
+// divide the block would start each block at a different byte, so the
+// hash refuses it rather than fall back to hashing every block.
+func TestHashRepeatingRejectsNonDividingUnit(t *testing.T) {
+	for _, n := range []int{0, 3, 4095, 4097, 2 * DefaultBlockSize} {
+		if _, err := HashRepeating(make([]byte, n), DefaultBlockSize+1, "ds", false); err == nil {
+			t.Fatalf("a %d-byte unit hashed", n)
+		}
+	}
+	if _, err := HashRepeating(make([]byte, 4096), -1, "ds", false); err == nil {
+		t.Fatal("negative size hashed")
+	}
+}
+
+// TestParallelRunsEveryIndexOnce checks that Parallel calls fn once per
+// index, and that of several failing indexes it reports the lowest.
+func TestParallelRunsEveryIndexOnce(t *testing.T) {
+	const n = 1000
+	var calls [n]atomic.Int32
+	if err := Parallel(n, func(i int64) error {
+		calls[i].Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("index %d ran %d times", i, c)
+		}
+	}
+
+	errs := map[int64]error{500: errors.New("at 500"), 501: errors.New("at 501"), 700: errors.New("at 700")}
+	if err := Parallel(n, func(i int64) error { return errs[i] }); err != errs[500] {
+		t.Fatalf("err = %v, want the lowest failing index's", err)
+	}
+	if err := Parallel(0, func(int64) error { return errors.New("ran") }); err != nil {
+		t.Fatal("fn ran for n = 0")
+	}
+}

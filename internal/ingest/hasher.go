@@ -21,10 +21,11 @@ import (
 // the dataset is.
 //
 // Hasher is for streams that cannot be re-read by offset; an input
-// that can — a file, a spilled upload, the deterministic generator —
-// goes through HashAt, which hashes blocks on every core and yields the
-// identical manifest. Hasher stays the sequential reference the tests
-// compare HashAt against.
+// that can — a file, a spilled upload — goes through HashAt, which
+// hashes blocks on every core, and a generated input that repeats one
+// unit goes through HashRepeating, which hashes one block. Both yield
+// the identical manifest; Hasher stays the sequential reference the
+// tests compare them against.
 type Hasher struct {
 	blockSize int64
 	block     hash.Hash
@@ -95,8 +96,8 @@ func (h *Hasher) Manifest(id storage.DatasetID, opaque bool) *Manifest {
 }
 
 // blockBufPool holds the DefaultBlockSize read buffers of HashAt's
-// workers, so hashing a small upload on a busy edge allocates no
-// payload-sized scratch per call.
+// workers and HashRepeating's one block, so hashing a small upload on a
+// busy edge allocates no payload-sized scratch per call.
 var blockBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, DefaultBlockSize)
@@ -113,13 +114,56 @@ func HashAt(src io.ReaderAt, size int64, id storage.DatasetID, opaque bool) (*Ma
 	return hashAt(src, size, DefaultBlockSize, id, opaque)
 }
 
+// HashRepeating computes the manifest of the first size bytes of unit
+// repeated without end — byte i is unit[i mod len(unit)] — at
+// DefaultBlockSize. unit's length must divide DefaultBlockSize, so every
+// full block starts at unit[0] and holds the same bytes: one full block
+// and the short tail block are hashed, however large size is. The
+// manifest is identical to HashAt's over the same bytes. HashRepeating
+// is for generated input only; real input bytes go through HashAt.
+func HashRepeating(unit []byte, size int64, id storage.DatasetID, opaque bool) (*Manifest, error) {
+	if len(unit) == 0 || DefaultBlockSize%len(unit) != 0 {
+		return nil, fmt.Errorf("ingest: hash %q: repeating unit of %d bytes does not divide the %d-byte block",
+			id, len(unit), DefaultBlockSize)
+	}
+	if size < 0 {
+		return nil, fmt.Errorf("ingest: hash %q: negative size %d", id, size)
+	}
+	count := BlockCount(size, DefaultBlockSize)
+	var blocks [][sha256.Size]byte
+	if count > 0 {
+		bp := blockBufPool.Get().(*[]byte)
+		defer blockBufPool.Put(bp)
+		block := (*bp)[:min(size, DefaultBlockSize)]
+		for n := 0; n < len(block); {
+			n += copy(block[n:], unit)
+		}
+		blocks = make([][sha256.Size]byte, count)
+		full := size / DefaultBlockSize
+		if full > 0 {
+			d := sha256.Sum256(block)
+			for i := range full {
+				blocks[i] = d
+			}
+		}
+		if tail := size % DefaultBlockSize; tail > 0 {
+			blocks[count-1] = sha256.Sum256(block[:tail])
+		}
+	}
+	return &Manifest{
+		Dataset:   id,
+		Size:      size,
+		BlockSize: DefaultBlockSize,
+		Opaque:    opaque,
+		Digest:    rollUp(blocks),
+		Blocks:    blocks,
+	}, nil
+}
+
 // hashAt is HashAt at any block size. Blocks are independent — the
-// roll-up needs only their digests, in order — so up to GOMAXPROCS
-// workers, the caller among them, claim block indexes from one atomic
-// counter, each ReadAt-ing its block into its own buffer and writing
-// its digest into that block's slot. A one-block input hashes on the
-// caller with no goroutine. After the first failure workers stop
-// claiming blocks; every worker has returned before hashAt does.
+// roll-up needs only their digests, in order — so they hash through
+// Parallel, each ReadAt into a pooled buffer and its digest written
+// into its block's slot.
 func hashAt(src io.ReaderAt, size, blockSize int64, id storage.DatasetID, opaque bool) (*Manifest, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("ingest: hash %q: negative size %d", id, size)
@@ -129,49 +173,25 @@ func hashAt(src io.ReaderAt, size, blockSize int64, id storage.DatasetID, opaque
 	if count > 0 {
 		blocks = make([][sha256.Size]byte, count)
 	}
-	var next atomic.Int64
-	var failed atomic.Bool
-	work := func() error {
+	err := Parallel(count, func(i int64) error {
 		bp := blockBufPool.Get().(*[]byte)
 		defer blockBufPool.Put(bp)
 		if int64(len(*bp)) < blockSize {
 			*bp = make([]byte, blockSize)
 		}
-		for !failed.Load() {
-			i := next.Add(1) - 1
-			if i >= count {
-				return nil
+		off := i * blockSize
+		buf := (*bp)[:min(blockSize, size-off)]
+		if n, err := src.ReadAt(buf, off); n < len(buf) {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
-			off := i * blockSize
-			buf := (*bp)[:min(blockSize, size-off)]
-			if n, err := src.ReadAt(buf, off); n < len(buf) {
-				if err == nil || err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				failed.Store(true)
-				return fmt.Errorf("ingest: hash %q: block %d at offset %d: %w", id, i, off, err)
-			}
-			blocks[i] = sha256.Sum256(buf)
+			return fmt.Errorf("ingest: hash %q: block %d at offset %d: %w", id, i, off, err)
 		}
+		blocks[i] = sha256.Sum256(buf)
 		return nil
-	}
-
-	workers := int(min(int64(runtime.GOMAXPROCS(0)), count))
-	errs := make([]error, max(workers, 1))
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = work()
-		}(w)
-	}
-	errs[0] = work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Manifest{
 		Dataset:   id,
@@ -181,4 +201,45 @@ func hashAt(src io.ReaderAt, size, blockSize int64, id storage.DatasetID, opaque
 		Digest:    rollUp(blocks),
 		Blocks:    blocks,
 	}, nil
+}
+
+// Parallel calls fn(i) for every i in [0, n) on up to GOMAXPROCS
+// workers, the caller among them, which claim indexes from one atomic
+// counter; a single index runs on the caller with no goroutine. After
+// the first failure workers stop claiming indexes, and every worker
+// has returned before Parallel does. Indexes are claimed in order, so
+// every index below a failed one has run: the error returned is the
+// lowest failing index's.
+func Parallel(n int64, fn func(i int64) error) error {
+	var next atomic.Int64
+	var failed atomic.Bool
+	var mu sync.Mutex
+	firstBad, firstErr := n, error(nil)
+	work := func() {
+		for !failed.Load() {
+			i := next.Add(1) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if i < firstBad {
+					firstBad, firstErr = i, err
+				}
+				mu.Unlock()
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := int64(1); w < min(int64(runtime.GOMAXPROCS(0)), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return firstErr
 }

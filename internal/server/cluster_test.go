@@ -2,15 +2,19 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"scdn/internal/ingest"
 	"scdn/internal/socialnet"
+	"scdn/internal/storage"
 )
 
 // TestClusterConcurrentEndToEnd drives a 3-node cluster over loopback
@@ -228,5 +232,33 @@ func TestClusterStartupErrors(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Fatalf("failed start left %d entries in the temp dir, first %q", len(left), left[0].Name())
+	}
+}
+
+// TestSeededManifestsMatchGeneratedBytes: every seeded manifest, built
+// from one block of the repeating payload, equals the manifest of the
+// generated bytes themselves — at a size that ends in a short block.
+func TestSeededManifestsMatchGeneratedBytes(t *testing.T) {
+	const size = 3*ingest.DefaultBlockSize + 4097
+	lc := startCluster(t, ClusterConfig{Nodes: 2, Datasets: 5, DatasetBytes: size,
+		Sweep: SweeperConfig{Disabled: true}})
+	if len(lc.DatasetIDs) != 5 {
+		t.Fatalf("seeded %d datasets, want 5", len(lc.DatasetIDs))
+	}
+	for d, id := range lc.DatasetIDs {
+		if want := storage.DatasetID(fmt.Sprintf("ds-%03d", d+1)); id != want {
+			t.Fatalf("DatasetIDs[%d] = %s, want %s", d, id, want)
+		}
+		got, ok := lc.Manifests.Get(id)
+		if !ok {
+			t.Fatalf("%s has no manifest", id)
+		}
+		want, err := ingest.HashAt(payloadBlock(id), size, id, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: seeded manifest diverges from the hash of its generated bytes", id)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 
+	"scdn/internal/ingest"
 	"scdn/internal/storage"
 )
 
@@ -40,14 +41,19 @@ func copyBuffered(dst io.Writer, src io.Reader) (int64, error) {
 // payloadBlockSize is the repetition unit of a dataset's byte stream.
 const payloadBlockSize = 4096
 
+// The unit must divide the manifest block, so every full block of a
+// payload holds the same bytes and a seeded manifest hashes one block
+// (ingest.HashRepeating). This line does not compile otherwise.
+const _ uint = -(ingest.DefaultBlockSize % payloadBlockSize)
+
 // payload is a dataset's deterministic byte stream as an io.ReaderAt:
 // byte i is the repetition block's byte i mod payloadBlockSize, for
-// every i ≥ 0. Every producer of generated bytes reads it by offset:
-// the seeded manifests' block-parallel hash (ingest.HashAt) directly,
-// and range writes, replica and segment materialization and the serve
-// fallback through an io.SectionReader and copyBuffered, so they emit
-// pooled 64 KiB writes — a syscall count that does not scale with
-// payload size, and no buffer allocated per request.
+// every i ≥ 0. Range writes, replica and segment materialization and
+// the serve fallback read it by offset through an io.SectionReader and
+// copyBuffered, so they emit pooled 64 KiB writes — a syscall count
+// that does not scale with payload size, and no buffer allocated per
+// request. A seeded manifest never reads the stream: it hashes one
+// block of the repetition block (seedManifests).
 type payload []byte
 
 // errNegativeOffset is payload.ReadAt's one failure.
@@ -70,9 +76,9 @@ func (p payload) ReadAt(b []byte, off int64) (int, error) {
 
 // payloadBlock builds a dataset's payload by chaining SHA-256 over the
 // dataset ID into its repetition block. The serving plane calls it only
-// to seed a manifest, to materialize a replica or segment into the
-// volume, or as the fallback when the volume cannot hold one — never on
-// the warm serve path.
+// to seed a manifest (from the block alone), to materialize a replica
+// or segment into the volume, or as the fallback when the volume cannot
+// hold one — never on the warm serve path.
 func payloadBlock(id storage.DatasetID) payload {
 	block := make([]byte, 0, payloadBlockSize)
 	sum := sha256.Sum256([]byte(id))

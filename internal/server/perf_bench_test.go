@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -312,5 +313,28 @@ func BenchmarkMaterializeCold(b *testing.B) {
 		if !n.materialize(id, id, 0, total) {
 			b.Fatal("materialize failed")
 		}
+	}
+}
+
+// BenchmarkSeedCluster measures cluster start-up with two 256 MiB
+// seeded datasets — the large_stream set-up. Each seeded manifest hashes
+// one block of its repeating payload, so the cost does not grow with
+// the seeded bytes.
+func BenchmarkSeedCluster(b *testing.B) {
+	cfg := ClusterConfig{Nodes: 2, Datasets: 2, DatasetBytes: 256 << 20,
+		Sweep: SweeperConfig{Disabled: true}}
+	for i := 0; i < b.N; i++ {
+		lc, err := StartLocalCluster(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err = lc.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

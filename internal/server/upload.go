@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -26,9 +28,10 @@ import (
 //
 // Large uploads arrive as parallel Content-Range stripes (the upload
 // mirror of the striped fetch). Stripes of one dataset share an
-// uploadSession; the stripe whose bytes complete the session performs
-// the verify-and-publish and answers 201 with the accepted manifest,
-// the others answer 204.
+// uploadSession and claim disjoint byte ranges of it: a stripe that
+// overlaps a claimed range is refused with 409. The stripe whose bytes
+// complete the session performs the verify-and-publish and answers 201
+// with the accepted manifest, the others answer 204.
 
 // uploadSession is one in-flight (possibly striped) upload.
 type uploadSession struct {
@@ -44,6 +47,7 @@ type uploadSession struct {
 	failed   bool  // a stripe failed; last one out aborts the spill
 	aborted  bool
 	touched  time.Time
+	claims   []byteRange // ranges claimed by stripes, sorted and disjoint
 }
 
 // touch refreshes the session's idle clock. Caller holds sess.mu.
@@ -98,7 +102,8 @@ func (n *Node) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sess, status, err := n.uploadSessionFor(id, user, r.Header.Get(ingest.GroupHeader), total, digest)
+	sess, status, err := n.uploadSessionFor(id, user, r.Header.Get(ingest.GroupHeader),
+		byteRange{off, length}, total, digest)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -130,10 +135,14 @@ func (n *Node) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 // uploadSessionFor joins the dataset's in-flight session or opens a new
-// one (creating the spill and checking group membership). The returned
-// session has this stripe registered as in flight.
+// one (creating the spill and checking group membership), claiming the
+// stripe's byte range. The returned session has this stripe registered
+// as in flight. Since claims are disjoint and within [0, total), got
+// reaching total means every byte is written and no stripe still holds
+// a claim it has not finished — so nothing writes into the spill once
+// it is verified.
 func (n *Node) uploadSessionFor(id storage.DatasetID, user socialnet.UserID,
-	group string, total int64, digest [sha256.Size]byte) (*uploadSession, int, error) {
+	group string, stripe byteRange, total int64, digest [sha256.Size]byte) (*uploadSession, int, error) {
 	n.upMu.Lock()
 	defer n.upMu.Unlock()
 	if sess, ok := n.uploads[id]; ok {
@@ -143,9 +152,13 @@ func (n *Node) uploadSessionFor(id storage.DatasetID, user socialnet.UserID,
 				fmt.Errorf("server: upload %q: stripe disagrees with session (size/digest)", id)
 		}
 		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		if !sess.claimLocked(stripe) {
+			return nil, http.StatusConflict,
+				fmt.Errorf("server: upload %q: stripe %s overlaps a claimed range", id, stripe.contentRange(total))
+		}
 		sess.inflight++
 		sess.touchLocked()
-		sess.mu.Unlock()
 		return sess, 0, nil
 	}
 	if group == "" {
@@ -165,10 +178,22 @@ func (n *Node) uploadSessionFor(id storage.DatasetID, user socialnet.UserID,
 	sess := &uploadSession{
 		spill: spill, user: user, group: group,
 		total: total, digest: digest, inflight: 1,
+		claims: []byteRange{stripe},
 	}
 	sess.touchLocked()
 	n.uploads[id] = sess
 	return sess, 0, nil
+}
+
+// claimLocked claims r for a stripe unless it overlaps a claimed range.
+// Caller holds s.mu.
+func (s *uploadSession) claimLocked(r byteRange) bool {
+	i := sort.Search(len(s.claims), func(i int) bool { return s.claims[i].off+s.claims[i].n > r.off })
+	if i < len(s.claims) && s.claims[i].off < r.off+r.n {
+		return false
+	}
+	s.claims = slices.Insert(s.claims, i, r)
+	return true
 }
 
 // uploadStripeDone deregisters an in-flight stripe; the last stripe out
@@ -204,7 +229,7 @@ func (n *Node) failUpload(id storage.DatasetID, sess *uploadSession) {
 // finalizeUpload verifies the completed spill against the declared
 // digest and publishes the dataset. Runs on the stripe that completed
 // the byte count; every other stripe has finished writing (each adds to
-// got only after its copy returned).
+// got only after its copy returned, and claims are disjoint).
 func (n *Node) finalizeUpload(w http.ResponseWriter, id storage.DatasetID, sess *uploadSession) {
 	n.upMu.Lock()
 	if n.uploads[id] == sess {

@@ -335,6 +335,97 @@ func TestUploadSessionExpiry(t *testing.T) {
 	}
 }
 
+// TestOverlappingStripeCannotRewriteCommittedUpload: a stripe that
+// overlaps bytes another stripe of the same upload already claimed is
+// refused, so a straggling stripe can never write into the extent the
+// upload committed. Stripe B claims every byte and stalls; stripe A
+// carries the true bytes over the same range; then B sends different
+// bytes. The origin must serve the true bytes.
+func TestOverlappingStripeCannotRewriteCommittedUpload(t *testing.T) {
+	lc := ingestCluster(t, ClusterConfig{Nodes: 1, Users: 1, Sweep: SweeperConfig{Disabled: true}})
+	tok := string(login(t, lc))
+	node := lc.Nodes[0]
+	data := opaqueBytes(21, 128<<10)
+	straggler := opaqueBytes(22, len(data))
+	id := "up-overlap"
+	hdrs := map[string]string{
+		ingest.DigestHeader: digestOf(data),
+		ingest.GroupHeader:  lc.Config.Group,
+		"Content-Range":     fmt.Sprintf("bytes 0-%d/%d", len(data)-1, len(data)),
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	put := func(body io.Reader) int {
+		resp := rawPut(t, client, node.BaseURL(), id, tok, body, int64(len(data)), hdrs)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// Stripe B opens the session, claiming every byte, and stalls.
+	pr, pw := io.Pipe()
+	bStatus := make(chan int, 1)
+	go func() {
+		req, err := http.NewRequest(http.MethodPut, node.BaseURL()+"/v1/datasets/"+id, pr)
+		if err != nil {
+			bStatus <- 0
+			return
+		}
+		req.ContentLength = int64(len(data))
+		req.Header.Set("Authorization", "Bearer "+tok)
+		for k, v := range hdrs {
+			req.Header.Set(k, v)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			bStatus <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		bStatus <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		node.upMu.Lock()
+		_, open := node.uploads[storage.DatasetID(id)]
+		node.upMu.Unlock()
+		if open {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("stripe B never opened the upload session")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	aStatus := put(bytes.NewReader(data))
+	if _, err := pw.Write(straggler); err != nil {
+		t.Fatalf("stripe B's bytes: %v", err)
+	}
+	pw.Close()
+	if got := <-bStatus; aStatus == http.StatusCreated {
+		t.Errorf("stripe A was published (201) while stripe B held an overlapping claim")
+	} else {
+		if aStatus != http.StatusConflict {
+			t.Fatalf("stripe A: status %d, want 409", aStatus)
+		}
+		if got != http.StatusUnprocessableEntity {
+			t.Fatalf("stripe B (wrong bytes): status %d, want 422", got)
+		}
+		if _, err := lc.Catalog.DatasetBytes(storage.DatasetID(id)); err == nil || node.Volume().Has(storage.DatasetID(id)) {
+			t.Fatal("the rejected upload left state")
+		}
+		if got := put(bytes.NewReader(data)); got != http.StatusCreated {
+			t.Fatalf("stripe A retried: status %d, want 201", got)
+		}
+	}
+
+	resp, body := rangeGet(t, client, node.BaseURL(), tok, id, "")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, data) {
+		t.Fatalf("origin GET: status %d, body diverges from the upload; equals straggler: %v",
+			resp.StatusCode, bytes.Equal(body, straggler))
+	}
+}
+
 // TestOpaqueRepairByCopy: the sweeper restores an opaque dataset's
 // replication floor by copying verified bytes from surviving holders —
 // never by regeneration — and the copies are byte-identical.

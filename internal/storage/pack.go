@@ -287,9 +287,11 @@ func (v *DiskVolume) compactLog() error {
 // the tail of a pack the spill holds as that pack's only appender, which
 // becomes a committed extent only when Commit appends its record to the
 // index log. Sequential Write/Commit/Abort are single-goroutine; WriteAt
-// may be called from many goroutines at once (striped transfers),
-// provided Commit/CommitVerified/Abort happen only after every writer
-// has returned. The volume itself stays concurrent around spills.
+// may be called from many goroutines at once (striped transfers).
+// Commit/CommitVerified/Abort wait for writes in flight, and every
+// write after them fails, so no byte lands in a committed extent or a
+// pack handed to the next spill. The volume itself stays concurrent
+// around spills.
 //
 // A spill writes at most the volume's quota — no larger entry can ever
 // commit — so a write past that bound fails and poisons the spill, and
@@ -300,12 +302,15 @@ type Spill struct {
 	pk   *pack
 	base int64 // the pack's tail when the spill took it: the spill's offset 0
 	n    int64 // sequential Write's cursor
-	done bool
+
+	// writes counts the WriteAt calls in flight; a finish waits for them.
+	writes sync.WaitGroup
 
 	// mu guards the state shared by concurrent WriteAt callers.
 	mu    sync.Mutex
 	err   error  // the first write failure: the spill is poisoned
 	spans []span // byte ranges written, sorted and merged
+	done  bool   // committed or aborted: every later write fails
 }
 
 // span is a written byte range [off, end) of a spill.
@@ -313,6 +318,10 @@ type span struct{ off, end int64 }
 
 // errSpillBound poisons a spill that writes past the volume's quota.
 var errSpillBound = errors.New("storage: spill write past the volume quota")
+
+// errSpillFinished fails a write to a spill already committed or
+// aborted.
+var errSpillFinished = errors.New("storage: write to a finished spill")
 
 // NewSpill takes an idle pack for the dataset's bytes — creating a pack
 // file only when every pack is held or rolled. The caller must finish
@@ -354,17 +363,24 @@ func (s *Spill) Write(p []byte) (int, error) {
 // WriteAt writes p at offset off of the spill (pwrite). Safe for
 // concurrent use by the stripes of one parallel transfer; after the
 // first failure the spill is poisoned the same as Write. Every written
-// range is recorded, so a commit can tell a hole from a byte.
+// range is recorded, so a commit can tell a hole from a byte. A write
+// after Commit or Abort fails.
 func (s *Spill) WriteAt(p []byte, off int64) (int, error) {
 	s.mu.Lock()
 	err := s.err
-	if err == nil && (off < 0 || off+int64(len(p)) > s.v.quota) {
+	if s.done {
+		err = errSpillFinished
+	} else if err == nil && (off < 0 || off+int64(len(p)) > s.v.quota) {
 		s.err, err = errSpillBound, errSpillBound
+	}
+	if err == nil {
+		s.writes.Add(1)
 	}
 	s.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
+	defer s.writes.Done()
 	n, err := s.pk.w.WriteAt(p, s.base+off)
 	s.mu.Lock()
 	if n > 0 {
@@ -388,14 +404,23 @@ func (s *Spill) coverLocked(off, end int64) {
 	s.spans = slices.Replace(s.spans, i, j, span{off, end})
 }
 
+// finish marks the spill committed or aborted once no write is in
+// flight, reporting whether it already was.
+func (s *Spill) finish() (already bool) {
+	s.mu.Lock()
+	already, s.done = s.done, true
+	s.mu.Unlock()
+	s.writes.Wait()
+	return already
+}
+
 // Abort discards the spill: the pack is cut back to its tail and goes
 // back to the idle set, and no replica appears. Abort after Commit is a
 // no-op.
 func (s *Spill) Abort() {
-	if s.done {
+	if s.finish() {
 		return
 	}
-	s.done = true
 	s.v.putBack(s.pk)
 }
 
@@ -427,10 +452,9 @@ func (s *Spill) Commit(want int64) error { return s.CommitVerified(want, nil, fa
 // failure, a verify error included, the pack is cut back and no
 // replica appears.
 func (s *Spill) CommitVerified(want int64, verify func(io.Reader) error, pin bool) error {
-	if s.done {
+	if s.finish() {
 		return fmt.Errorf("storage: spill %q already finished", s.id)
 	}
-	s.done = true
 	s.mu.Lock()
 	err := s.err
 	whole := len(s.spans) == 0 && want == 0 || len(s.spans) == 1 && s.spans[0] == span{0, want}

@@ -103,6 +103,82 @@ func TestSpillWritePastBoundPoisons(t *testing.T) {
 	}
 }
 
+// TestSpillWriteAfterFinishFails: once a spill is committed or
+// aborted, a straggling write fails instead of landing in the committed
+// extent or in a pack the next spill takes.
+func TestSpillWriteAfterFinishFails(t *testing.T) {
+	v := newVolume(t, 1<<20)
+	want := bytes.Repeat([]byte{1}, 4096)
+	sp, err := v.NewSpill("done")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Commit(int64(len(want))); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := sp.WriteAt(bytes.Repeat([]byte{2}, 4096), 0); err == nil || n != 0 {
+		t.Fatalf("write after commit: n=%d err=%v, want a failure", n, err)
+	}
+	if got := readAll(t, v, "done"); !bytes.Equal(got, want) {
+		t.Fatal("a write after commit changed the committed bytes")
+	}
+
+	// Writers racing a commit: each write lands before the commit reads
+	// the bytes back, or fails.
+	sp, err = v.NewSpill("raced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = bytes.Repeat([]byte{1}, 512<<10)
+	other := bytes.Repeat([]byte{3}, len(want))
+	if _, err := sp.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; ; i++ {
+				b := want
+				if i%2 == 1 {
+					b = other
+				}
+				if _, err := sp.WriteAt(b, 0); err != nil {
+					return
+				}
+			}
+		}()
+	}
+	var seen []byte
+	err = sp.CommitVerified(int64(len(want)), func(r io.Reader) (err error) {
+		seen, err = io.ReadAll(r)
+		return err
+	}, false)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, v, "raced"); !bytes.Equal(got, seen) {
+		t.Fatal("a write landed after the commit read its bytes")
+	}
+
+	sp, err = v.NewSpill("gone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Abort()
+	if _, err := sp.Write(want); err == nil {
+		t.Fatal("write after abort accepted")
+	}
+	if len(v.Reserved()) != 0 {
+		t.Fatalf("aborted spill left reserved extents: %v", v.Reserved())
+	}
+}
+
 // TestRolledDeadPackUnlinked: a pack whose tail reaches the roll size
 // takes no more spills, and once its last extent dies its file goes.
 func TestRolledDeadPackUnlinked(t *testing.T) {
