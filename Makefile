@@ -33,7 +33,8 @@
 #   make ci      — what .github/workflows/check.yml runs: gofmt
 #                  cleanliness of every Go file in the tree (root
 #                  package, cmd, internal, examples, perfbench), module
-#                  verification, then the full check gate.
+#                  verification, the full check gate, then `make loc`,
+#                  so every CI log shows the size of the plane.
 #   make smoke   — the scenario smoke table: one fixed-seed, CI-sized
 #                  scdn-loadgen run per scenario (delivery, churn,
 #                  ingest, large), each of which must reconcile against
@@ -62,7 +63,7 @@ SMOKE_ROWS = delivery churn ingest large
 
 check: vet lint test race fuzzsmoke benchsmoke smoke perfbenchcheck
 
-ci: fmtcheck modverify check
+ci: fmtcheck modverify check loc
 
 # gofmt -l prints nothing when the tree is clean; any output fails the
 # gate. It walks the whole tree, so the root package, examples/ and the

@@ -9,7 +9,6 @@ package server
 //	GET  /v1/fetch/{dataset}/segments/{n}  → one segment (Bearer token)
 //	PUT  /v1/datasets/{dataset}  octet-stream → manifest (Bearer token)
 //	POST /v1/report   ReportRequest → 204                (Bearer token)
-//	POST /v1/replicate  ReplicateRequest → ReplicateResponse (Bearer token)
 //	GET  /metrics     → text exposition
 //	GET  /healthz     → "ok"
 //
@@ -97,24 +96,6 @@ type ReportRequest struct {
 	Client    int64             `json:"client"`
 	Accesses  uint64            `json:"accesses"`
 	ByOutcome map[string]uint64 `json:"by_outcome,omitempty"`
-}
-
-// ReplicateRequest asks an edge to adopt a replica of a dataset (the
-// repair sweeper's peer-to-peer re-replication, POST /v1/replicate).
-// The caller authenticates like any client; the receiving edge pulls
-// the bytes itself (deterministic re-materialization), so the request
-// carries no payload.
-type ReplicateRequest struct {
-	Dataset string `json:"dataset"`
-}
-
-// ReplicateResponse reports the adoption outcome: Adopted when the edge
-// newly holds and announced the replica, Already when it was a holder
-// before the request.
-type ReplicateResponse struct {
-	Dataset string `json:"dataset"`
-	Adopted bool   `json:"adopted"`
-	Already bool   `json:"already"`
 }
 
 // errorResponse is the JSON error envelope.

@@ -28,7 +28,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/fetch/{dataset}/segments/{n}", n.handleFetchSegment)
 	mux.HandleFunc("PUT /v1/datasets/{dataset}", n.handleUpload)
 	mux.HandleFunc("POST /v1/report", n.handleReport)
-	mux.HandleFunc("POST /v1/replicate", n.handleReplicate)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
 	return mux
@@ -65,40 +64,6 @@ func (n *Node) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	up := time.Since(n.started)
 	n.mu.Unlock()
 	_ = n.Metrics.WriteExposition(w, up)
-}
-
-// handleReplicate adopts a replica on request (the repair sweeper's
-// peer-to-peer re-replication). Authorization is the same group check
-// any fetch pays; the bytes are re-derived locally, never shipped.
-func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	var req ReplicateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: bad replicate body: %w", err))
-		return
-	}
-	id := storage.DatasetID(req.Dataset)
-	if _, err := n.auth.Authorize(bearerToken(r), id); err != nil {
-		n.Metrics.AuthDenied.Inc()
-		writeError(w, http.StatusForbidden, err)
-		return
-	}
-	n.Metrics.ReplicateRequests.Inc()
-	if _, err := n.catalog.DatasetBytes(id); err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	if n.hasLocal(id) {
-		writeJSON(w, http.StatusOK, ReplicateResponse{Dataset: req.Dataset, Already: true})
-		return
-	}
-	if !n.replicateLocal(r.Context(), id) {
-		// Not adopted here and now (partition full, or a racing repairer
-		// beat us to the announcement): either way this edge is not a new
-		// holder.
-		writeJSON(w, http.StatusOK, ReplicateResponse{Dataset: req.Dataset, Already: n.hasLocal(id)})
-		return
-	}
-	writeJSON(w, http.StatusOK, ReplicateResponse{Dataset: req.Dataset, Adopted: true})
 }
 
 func (n *Node) handleLogin(w http.ResponseWriter, r *http.Request) {
@@ -160,7 +125,7 @@ func (n *Node) handleResolve(w http.ResponseWriter, r *http.Request) {
 	var holders []ReplicaInfo
 	if all, err := n.catalog.Replicas(id); err == nil {
 		for _, hr := range all {
-			if !n.registry.Online(hr.Node) || n.suspects.isSuspect(hr.Node) {
+			if !n.isLive(hr.Node) {
 				continue
 			}
 			hu, _ := n.registry.BaseURL(hr.Node)
@@ -656,7 +621,7 @@ func (n *Node) orderCandidates(reps []allocation.Replica) []allocation.Replica {
 		// Suspects — members whose last health probe failed but that the
 		// sweeper has not yet declared dead — are skipped the same as
 		// offline members: don't burn retry budget on a likely corpse.
-		if rep.Node == n.cfg.Node || !n.registry.Online(rep.Node) || n.suspects.isSuspect(rep.Node) {
+		if rep.Node == n.cfg.Node || !n.isLive(rep.Node) {
 			continue
 		}
 		if _, ok := n.registry.BaseURL(rep.Node); !ok {

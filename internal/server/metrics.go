@@ -90,8 +90,7 @@ type Metrics struct {
 	// RepairReplicasRestored counts replicas this node adopted to close
 	// an under-replication or demand gap; RepairReadoptedReplicas counts
 	// surviving local copies re-announced to the catalog after a
-	// restart; RepairFailures counts repair actions that errored;
-	// ReplicateRequests counts POST /v1/replicate calls received.
+	// restart; RepairFailures counts repair actions that errored.
 	ProbeFailures           metrics.Counter
 	RepairSweeps            metrics.Counter
 	RepairDeadMembers       metrics.Counter
@@ -99,7 +98,6 @@ type Metrics struct {
 	RepairReplicasRestored  metrics.Counter
 	RepairReadoptedReplicas metrics.Counter
 	RepairFailures          metrics.Counter
-	ReplicateRequests       metrics.Counter
 	// Churn instrumentation. ChurnKills counts hard Crash calls on this
 	// node; ChurnRestarts counts re-Starts after the first;
 	// ChurnUnavailable counts fetches answered 503 + Retry-After because
@@ -187,7 +185,6 @@ func (m *Metrics) WriteExposition(w io.Writer, up time.Duration) error {
 		{"scdn_repair_replicas_restored_total", &m.RepairReplicasRestored},
 		{"scdn_repair_readopted_replicas_total", &m.RepairReadoptedReplicas},
 		{"scdn_repair_failures_total", &m.RepairFailures},
-		{"scdn_replicate_requests_total", &m.ReplicateRequests},
 		{"scdn_churn_kills_total", &m.ChurnKills},
 		{"scdn_churn_restarts_total", &m.ChurnRestarts},
 		{"scdn_churn_unavailable_total", &m.ChurnUnavailable},

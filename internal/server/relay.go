@@ -20,8 +20,8 @@ import (
 // the request head itself, reads the response head with
 // http.ReadResponse, and moves a known-length body off the raw socket
 // with io.Copy, which net/http's ResponseWriter turns into splice(2).
-// Health probes, replicate calls and repair byte copies keep the
-// shared transport (Node.client).
+// Health probes and repair byte copies keep the shared transport
+// (Node.client).
 
 // peerTimeout bounds one peer request end to end — head and body — on
 // the relay and on Node.client alike.

@@ -577,10 +577,8 @@ func TestSegmentRouteWithdrawsLostOpaqueClaim(t *testing.T) {
 	}, id, lc.Config.Group, bytes.NewReader(data), int64(len(data))); err != nil {
 		t.Fatal(err)
 	}
-	var rr ReplicateResponse
-	if code := doJSON(t, client, http.MethodPost, holder.BaseURL()+"/v1/replicate", tok,
-		ReplicateRequest{Dataset: string(id)}, &rr); code != http.StatusOK || !rr.Adopted {
-		t.Fatalf("replicate = %d %+v", code, rr)
+	if !holder.replicateLocal(context.Background(), id) {
+		t.Fatalf("node 2 did not adopt %s", id)
 	}
 	holder.Volume().Remove(id)
 

@@ -13,9 +13,11 @@
 // Nodes are member-contributed and carry no uptime SLA: they can be
 // stopped (graceful drain), crashed (hard close, no goodbye), and
 // started again. A background repair sweeper per node (sweeper.go)
-// detects dead members by failed health probes, deregisters them, and
-// re-replicates under-replicated datasets onto survivors; churn.go
-// injects scripted failures so the loop is testable end to end.
+// detects dead members by failed health probes and deregisters them.
+// Each missing copy of an under-replicated dataset is pulled by the one
+// live non-holder that rendezvous hashing elects, onto itself; no node
+// asks another to take a copy. Scripted churn (internal/loadharness)
+// kills and restarts nodes so the loop is testable end to end.
 package server
 
 import (
@@ -110,8 +112,8 @@ type Node struct {
 	// registry has deregistered them (sweeper.go).
 	suspects suspectTable
 
-	// client carries the health probes, replicate calls and repair byte
-	// copies; fetch hops ride relay (relay.go).
+	// client carries the health probes and repair byte copies; fetch
+	// hops ride relay (relay.go).
 	client *http.Client
 	relay  relayPool
 

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -61,12 +59,15 @@ func (c *SweeperConfig) applyDefaults() {
 
 // runSweeper is the node's repair loop. It exits when ctx is canceled
 // (Stop/Crash) and signals done so teardown can wait for it — a stopped
-// node must not keep probing peers from the grave.
+// node must not keep probing peers from the grave. below, owned by this
+// goroutine alone, counts the consecutive sweeps each dataset has been
+// seen under its floor (repairDataset's fallback).
 func (n *Node) runSweeper(ctx context.Context, done chan struct{}) {
 	defer close(done)
 	// Deterministic per-node jitter: nodes de-phase from each other, runs
 	// stay reproducible.
 	rng := rand.New(rand.NewSource(int64(n.cfg.Node)))
+	below := make(map[storage.DatasetID]int)
 	for {
 		jitter := time.Duration(rng.Int63n(int64(n.cfg.Sweep.Interval)/2 + 1))
 		select {
@@ -74,20 +75,20 @@ func (n *Node) runSweeper(ctx context.Context, done chan struct{}) {
 			return
 		case <-time.After(n.cfg.Sweep.Interval + jitter):
 		}
-		n.sweepOnce(ctx)
+		n.sweepOnce(ctx, below)
 	}
 }
 
 // sweepOnce runs one repair cycle: probe membership, expire abandoned
 // upload sessions, repair replication, publish detector state.
-func (n *Node) sweepOnce(ctx context.Context) {
+func (n *Node) sweepOnce(ctx context.Context, below map[storage.DatasetID]int) {
 	n.Metrics.RepairSweeps.Inc()
 	n.probeMembers(ctx)
 	if ctx.Err() != nil {
 		return
 	}
 	n.expireUploads()
-	n.repairReplication(ctx)
+	n.repairReplication(ctx, below)
 	n.Metrics.SuspectNodes.Set(float64(n.suspects.count()))
 }
 
@@ -139,16 +140,9 @@ func (n *Node) purgeDeadMember(dead allocation.NodeID) {
 		return
 	}
 	for _, id := range ids {
-		reps, err := n.catalog.Replicas(id)
-		if err != nil {
-			continue
-		}
-		for _, r := range reps {
-			if r.Node == dead {
-				// Errors (origin copy, racing purge) are expected outcomes.
-				_ = n.catalog.RemoveReplica(id, dead)
-				break
-			}
+		if n.catalog.Holds(id, dead) {
+			// Errors (origin copy, racing purge) are expected outcomes.
+			_ = n.catalog.RemoveReplica(id, dead)
 		}
 	}
 }
@@ -176,18 +170,15 @@ func (n *Node) probe(ctx context.Context, base string) error {
 // repairReplication restores every dataset's live-copy floor after
 // members die, and acts on the catalog's demand recommendations
 // (two-phase: sweep, place, then acknowledge — a sweeper that dies
-// mid-repair drops no work, the next cycle sees the same demand). Each
-// node repairs onto itself first — no coordination needed, AddReplica
-// deduplicates racing repairers — and asks one surviving non-holder
-// peer (POST /v1/replicate) when it already holds the data.
-func (n *Node) repairReplication(ctx context.Context) {
-	peers := n.livePeers()
+// mid-repair drops no work, the next cycle sees the same demand). A
+// node only ever copies onto itself: each missing copy goes to the
+// live non-holder that rendezvous hashing elects (designated), whose
+// own sweeper makes it, so racing sweepers do not overshoot.
+func (n *Node) repairReplication(ctx context.Context, below map[storage.DatasetID]int) {
+	view := n.liveView()
 	// Live copies can't exceed live members; don't chase an impossible
 	// floor while most of the cluster is down.
-	target := n.cfg.Sweep.ReplicationTarget
-	if alive := len(peers) + 1; alive < target { // +1: this node
-		target = alive
-	}
+	target := min(n.cfg.Sweep.ReplicationTarget, len(view))
 	ids, err := n.catalog.Datasets()
 	if err != nil {
 		return
@@ -196,7 +187,7 @@ func (n *Node) repairReplication(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		n.repairDataset(ctx, id, target, peers)
+		n.repairDataset(ctx, id, target, view, below)
 	}
 	// Demand-driven placement rides the same loop: hot datasets get one
 	// more replica here (this node volunteering), then the observed
@@ -214,53 +205,109 @@ func (n *Node) repairReplication(ctx context.Context) {
 	n.catalog.AckSweep(handled)
 }
 
-// livePeers lists fellow edges currently believed alive: online in the
-// registry, not suspect, with an endpoint.
-func (n *Node) livePeers() []Member {
-	var out []Member
-	for _, m := range n.registry.Members() {
-		if m.Node == n.cfg.Node || m.BaseURL == "" || !m.Online || n.suspects.isSuspect(m.Node) {
-			continue
-		}
-		out = append(out, m)
-	}
-	return out
+// isLive reports whether this node believes a member alive: online in
+// the registry and not suspect. The fetch path, resolve and repair all
+// read membership through it.
+func (n *Node) isLive(node allocation.NodeID) bool {
+	return n.registry.Online(node) && !n.suspects.isSuspect(node)
 }
 
-// repairDataset brings one dataset back to the live-copy floor.
-func (n *Node) repairDataset(ctx context.Context, id storage.DatasetID, target int, peers []Member) {
+// liveView lists the members this node believes alive: itself, then
+// every fellow edge that isLive and has an endpoint.
+func (n *Node) liveView() []allocation.NodeID {
+	view := []allocation.NodeID{n.cfg.Node}
+	for _, m := range n.registry.Members() {
+		if m.Node != n.cfg.Node && m.BaseURL != "" && n.isLive(m.Node) {
+			view = append(view, m.Node)
+		}
+	}
+	return view
+}
+
+// repairDataset copies one dataset onto this node when it is below the
+// floor and this node is designated to close the gap. A dataset at its
+// floor costs its replica list and one count of its live holders: no
+// ranking, no holder map.
+func (n *Node) repairDataset(ctx context.Context, id storage.DatasetID, target int,
+	view []allocation.NodeID, below map[storage.DatasetID]int) {
 	reps, err := n.catalog.Replicas(id)
 	if err != nil {
 		return
 	}
-	holders := make(map[allocation.NodeID]bool, len(reps))
 	live := 0
 	for _, r := range reps {
-		holders[r.Node] = true
-		if n.registry.Online(r.Node) && !n.suspects.isSuspect(r.Node) {
+		if n.isLive(r.Node) {
 			live++
 		}
 	}
 	if live >= target {
+		delete(below, id)
 		return
 	}
-	need := target - live
-	if !holders[n.cfg.Node] {
-		if n.replicateLocal(ctx, id) {
-			need--
+	below[id]++
+	// The fallback's patience is the failure detector's: a designee
+	// that has not closed the gap in FailThreshold sweeps is treated
+	// like a member that failed as many probes.
+	if designated(id, n.cfg.Node, view, reps, target, below[id], n.cfg.Sweep.FailThreshold) {
+		n.replicateLocal(ctx, id)
+	}
+}
+
+// designated reports whether node self should copy dataset id onto
+// itself. view is self's live membership (self included), reps the
+// catalog's holders, target the live-copy floor. Every member of view
+// is ranked by hrwScore; walking that order and skipping the holders in
+// view, the first target−live non-holders are designated, so members
+// that share a view agree on who copies without talking. Views differ
+// while suspicion converges and a designee can fail to copy, so once
+// self has seen the dataset under its floor for more than patience
+// consecutive sweeps (belowFor), any live non-holder copies.
+func designated(id storage.DatasetID, self allocation.NodeID, view []allocation.NodeID,
+	reps []allocation.Replica, target, belowFor, patience int) bool {
+	holds := func(node allocation.NodeID) bool {
+		for _, r := range reps {
+			if r.Node == node {
+				return true
+			}
+		}
+		return false
+	}
+	if holds(self) {
+		return false
+	}
+	live, ahead := 0, 0
+	mine := hrwScore(id, self)
+	for _, m := range view {
+		switch s := hrwScore(id, m); {
+		case holds(m):
+			live++
+		case m != self && (s > mine || s == mine && m < self):
+			ahead++ // a non-holder that outranks self
 		}
 	}
-	for _, m := range peers {
-		if need <= 0 {
-			return
-		}
-		if holders[m.Node] {
-			continue
-		}
-		if n.requestPeerReplica(ctx, m.BaseURL, id) {
-			need--
-		}
+	return live < target && (ahead < target-live || belowFor > patience)
+}
+
+// hrwScore is a member's rendezvous (highest-random-weight) score for a
+// dataset: FNV-1a-64 over the dataset ID and the node's eight
+// little-endian bytes, then murmur3's 64-bit finaliser so that members
+// with neighbouring IDs do not rank in step. It is a fixed function —
+// unlike hash/maphash, whose seed differs per process — so every node
+// ranks alike.
+func hrwScore(id storage.DatasetID, node allocation.NodeID) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037) // FNV-1a-64 offset basis
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint64(id[i])) * prime
 	}
+	for v, i := uint64(node), 0; i < 8; v, i = v>>8, i+1 {
+		h = (h ^ v&0xff) * prime
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
 // replicateLocal restores a copy of the dataset on this node and
@@ -351,46 +398,3 @@ func (n *Node) replicateByCopy(ctx context.Context, id storage.DatasetID, man *i
 
 // repairCopyStripes caps the parallel range fan-out of one repair copy.
 const repairCopyStripes = 4
-
-// requestPeerReplica asks a surviving peer to adopt a replica. The
-// sweeper authenticates as its node's own platform user, so the peer
-// authorizes the request exactly like any client's.
-func (n *Node) requestPeerReplica(ctx context.Context, base string, id storage.DatasetID) bool {
-	tok, err := n.auth.Login(socialnet.UserID(n.cfg.Node))
-	if err != nil {
-		n.Metrics.RepairFailures.Inc()
-		return false
-	}
-	body, err := json.Marshal(ReplicateRequest{Dataset: string(id)})
-	if err != nil {
-		return false
-	}
-	rctx, cancel := context.WithTimeout(ctx, n.cfg.Sweep.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost,
-		base+"/v1/replicate", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Authorization", "Bearer "+string(tok))
-	resp, err := n.client.Do(req)
-	if err != nil {
-		if ctx.Err() == nil {
-			n.Metrics.RepairFailures.Inc()
-		}
-		return false
-	}
-	defer resp.Body.Close()
-	var rr ReplicateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil || resp.StatusCode != http.StatusOK {
-		drainBody(resp.Body)
-		if ctx.Err() == nil {
-			n.Metrics.RepairFailures.Inc()
-		}
-		return false
-	}
-	// The adopting peer counts the restore in its own metrics
-	// (replicateLocal); here only success matters.
-	return rr.Adopted || rr.Already
-}

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"scdn/internal/allocation"
 	"scdn/internal/storage"
 )
 
@@ -98,23 +100,153 @@ func TestSweeperDetectsDeadRepairsAndReadmits(t *testing.T) {
 	fetchDataset(t, client, lc.Nodes[0].BaseURL(), tok, "ds-001", lc.Config.DatasetBytes)
 }
 
+// TestRepairMakesEachMissingCopyOnce: only the elected repairer copies
+// a dataset below its floor, so racing sweepers make each missing copy
+// once. After the first fan-out and after each of two crashes, every
+// dataset has exactly min(target, live) live copies, and the cluster
+// restored exactly as many replicas as were missing. Datasets are 1 MiB
+// so that one copy outlasts the gap between two sweepers that start
+// together: repair without an election overshoots on every such pair.
+func TestRepairMakesEachMissingCopyOnce(t *testing.T) {
+	const datasets = 20
+	sweep := fastSweep()
+	lc := startCluster(t, ClusterConfig{
+		Nodes: 5, Users: 1, Datasets: datasets, DatasetBytes: 1 << 20, Sweep: sweep,
+	})
+	restored := func() uint64 {
+		var sum uint64
+		for _, n := range lc.Nodes {
+			sum += n.Metrics.RepairReplicasRestored.Value()
+		}
+		return sum
+	}
+	// settle waits for the floor, then gives every sweeper several more
+	// cycles in which a racing copy would land, and checks the counts.
+	settle := func(what string, before, missing uint64) {
+		t.Helper()
+		waitFor(t, 15*time.Second, what, func() bool {
+			return replicationMet(lc, sweep.ReplicationTarget)
+		})
+		time.Sleep(8 * sweep.Interval)
+		want := min(sweep.ReplicationTarget, lc.LiveNodes())
+		for _, st := range lc.ReplicationStatus() {
+			if st.Live != want {
+				t.Errorf("%s: %s has %d live copies, want exactly %d", what, st.ID, st.Live, want)
+			}
+		}
+		if got := restored() - before; got != missing {
+			t.Errorf("%s: %d copies made for %d missing", what, got, missing)
+		}
+	}
+	settle("first fan-out", 0, datasets)
+
+	for _, victim := range []*Node{lc.Nodes[0], lc.Nodes[3]} {
+		var missing uint64
+		for _, id := range lc.DatasetIDs {
+			if lc.Catalog.Holds(id, victim.ID()) {
+				missing++
+			}
+		}
+		before := restored()
+		victim.Crash()
+		waitFor(t, 15*time.Second, "dead member deregistered", func() bool {
+			return !lc.Registry.Online(victim.ID())
+		})
+		settle(fmt.Sprintf("after node %d crashed", victim.ID()), before, missing)
+	}
+}
+
+// TestDesignatedElection checks the repair election as a pure function
+// of (dataset, live view, holders, sweeps below floor): who is
+// designated, that live holders count toward the floor, that a suspect
+// dropped from the view neither counts nor copies, and the fallback.
+func TestDesignatedElection(t *testing.T) {
+	const id = storage.DatasetID("ds-007")
+	const patience = 2
+	view := []allocation.NodeID{1, 2, 3, 4, 5}
+	// r is view ranked by rendezvous score, best first.
+	r := append([]allocation.NodeID(nil), view...)
+	sort.Slice(r, func(i, j int) bool { return hrwScore(id, r[i]) > hrwScore(id, r[j]) })
+	held := func(nodes ...allocation.NodeID) []allocation.Replica {
+		var reps []allocation.Replica
+		for _, n := range nodes {
+			reps = append(reps, allocation.Replica{Node: n})
+		}
+		return reps
+	}
+	without := func(drop allocation.NodeID) []allocation.NodeID {
+		var out []allocation.NodeID
+		for _, n := range view {
+			if n != drop {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	cases := []struct {
+		name     string
+		view     []allocation.NodeID
+		reps     []allocation.Replica
+		target   int
+		belowFor int
+		want     []allocation.NodeID // in any order
+	}{
+		{"top non-holder copies", view, held(r[2]), 2, 1, []allocation.NodeID{r[0]}},
+		{"a holder's rank is skipped", view, held(r[0]), 2, 1, []allocation.NodeID{r[1]}},
+		{"two missing copies, two designees", view, held(r[2]), 3, 1, []allocation.NodeID{r[0], r[1]}},
+		{"live holders meet the floor", view, held(r[2], r[4]), 2, 1, nil},
+		{"a suspect holder does not count", without(r[4]), held(r[2], r[4]), 2, 1, []allocation.NodeID{r[0]}},
+		{"a suspect designee is passed over", without(r[0]), held(r[2]), 2, 1, []allocation.NodeID{r[1]}},
+		{"patience not yet spent", view, held(r[2]), 2, patience, []allocation.NodeID{r[0]}},
+		{"fallback: any live non-holder", view, held(r[2]), 2, patience + 1, []allocation.NodeID{r[0], r[1], r[3], r[4]}},
+		{"fallback skips the suspect", without(r[4]), held(r[2]), 2, patience + 1, []allocation.NodeID{r[0], r[1], r[3]}},
+		{"no fallback at the floor", view, held(r[2], r[3]), 2, patience + 1, nil},
+	}
+	for _, c := range cases {
+		var got []allocation.NodeID
+		for _, self := range c.view {
+			if designated(id, self, c.view, c.reps, c.target, c.belowFor, patience) {
+				got = append(got, self)
+			}
+		}
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		want := append([]allocation.NodeID(nil), c.want...)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: designated %v, want %v (rank %v)", c.name, got, want, r)
+		}
+	}
+}
+
+// TestHRWScoreIsFixed pins the rendezvous score to known values: every
+// process, and every build, must rank members alike.
+func TestHRWScoreIsFixed(t *testing.T) {
+	for _, c := range []struct {
+		id   storage.DatasetID
+		node allocation.NodeID
+		want uint64
+	}{
+		{"ds-001", 1, 0x46c9000e0b0531e6},
+		{"ds-001", 2, 0xc26cb173e9f60e},
+	} {
+		if got := hrwScore(c.id, c.node); got != c.want {
+			t.Errorf("hrwScore(%s, %d) = %#x, want %#x", c.id, c.node, got, c.want)
+		}
+	}
+}
+
 // crashHolder makes node 1 a disk holder of ds (origin node 2, so node
 // 1's record is purgeable), crashes it, runs lost while it is down, and
 // waits until its peers have purged its record and repaired ds back to
-// the floor without it — so no peer asks the restarted node to adopt ds.
+// the floor without it — so the restarted node's sweeper is not
+// designated to copy ds back.
 func crashHolder(t *testing.T, lc *LocalCluster, ds storage.DatasetID, lost func()) {
 	t.Helper()
-	client := &http.Client{Timeout: 5 * time.Second}
 	node1 := lc.Nodes[0]
-	// Make node 1 a holder via the replication endpoint (idempotent if a
-	// sweeper already volunteered it).
-	var rr ReplicateResponse
-	if code := doJSON(t, client, http.MethodPost, node1.BaseURL()+"/v1/replicate", login(t, lc),
-		ReplicateRequest{Dataset: string(ds)}, &rr); code != http.StatusOK {
-		t.Fatalf("replicate = %d", code)
-	}
-	if !rr.Adopted && !rr.Already {
-		t.Fatalf("replicate response = %+v", rr)
+	// Make node 1 a holder (a no-op if its sweeper already volunteered
+	// it).
+	if !node1.replicateLocal(context.Background(), ds) && !lc.Catalog.Holds(ds, 1) {
+		t.Fatalf("node 1 neither adopted nor held %s", ds)
 	}
 	waitFor(t, 10*time.Second, "replica materialized on disk", func() bool {
 		return node1.Volume().Has(ds) && lc.Catalog.Holds(ds, 1)

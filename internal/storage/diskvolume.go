@@ -389,19 +389,6 @@ func (v *DiskVolume) evictOverQuotaLocked(keep *list.Element, c *cleanup) {
 	}
 }
 
-// Pin marks a committed replica as non-evictable: LRU pressure skips it
-// (Remove still deletes it explicitly). Reports whether the dataset was
-// present.
-func (v *DiskVolume) Pin(id DatasetID) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	el, ok := v.items[id]
-	if ok {
-		el.Value.(*diskEntry).pinned = true
-	}
-	return ok
-}
-
 // removeLocked drops an entry from the index and queues its remove
 // record; reap retires the entry's bytes once that record is logged.
 func (v *DiskVolume) removeLocked(el *list.Element, c *cleanup) {

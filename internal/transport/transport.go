@@ -1,9 +1,9 @@
 // Package transport holds the delivery plane's process-wide tuned HTTP
 // transport. It sits below every networked package (server, cdnclient)
 // so all of them can share one connection pool without importing each
-// other: the serving plane's health probes, replicate calls and repair
-// byte copies, striped fetches, and load-generator workers all ride the
-// same warm keep-alive sockets. Edge-to-edge fetch hops do not: they
+// other: the serving plane's health probes and repair byte copies,
+// striped fetches, and load-generator workers all ride the same warm
+// keep-alive sockets. Edge-to-edge fetch hops do not: they
 // ride the serving plane's own relay (internal/server/relay.go), which
 // keeps its per-peer connections under the same limits below.
 package transport
