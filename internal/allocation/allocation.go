@@ -165,6 +165,19 @@ func (s *Server) RemoveReplica(id storage.DatasetID, node NodeID) error {
 	return nil
 }
 
+// AppendHolders appends the dataset's holder IDs to dst, in no
+// particular order, and returns the extended slice: a count or a
+// membership test needs no sorted copy, and a caller that reuses dst
+// allocates nothing.
+func (s *Server) AppendHolders(dst []NodeID, id storage.DatasetID) []NodeID {
+	if e, ok := s.catalog[id]; ok {
+		for n := range e.replicas {
+			dst = append(dst, n)
+		}
+	}
+	return dst
+}
+
 // Replicas returns the dataset's replica holders sorted by node ID.
 func (s *Server) Replicas(id storage.DatasetID) []Replica {
 	e, ok := s.catalog[id]

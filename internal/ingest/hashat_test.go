@@ -155,12 +155,12 @@ func TestHashRepeatingRejectsNonDividingUnit(t *testing.T) {
 	}
 }
 
-// TestParallelRunsEveryIndexOnce checks that Parallel calls fn once per
+// TestParallelRunsEveryIndexOnce checks that parallel calls fn once per
 // index, and that of several failing indexes it reports the lowest.
 func TestParallelRunsEveryIndexOnce(t *testing.T) {
 	const n = 1000
 	var calls [n]atomic.Int32
-	if err := Parallel(n, func(i int64) error {
+	if err := parallel(n, func(i int64) error {
 		calls[i].Add(1)
 		return nil
 	}); err != nil {
@@ -173,10 +173,10 @@ func TestParallelRunsEveryIndexOnce(t *testing.T) {
 	}
 
 	errs := map[int64]error{500: errors.New("at 500"), 501: errors.New("at 501"), 700: errors.New("at 700")}
-	if err := Parallel(n, func(i int64) error { return errs[i] }); err != errs[500] {
+	if err := parallel(n, func(i int64) error { return errs[i] }); err != errs[500] {
 		t.Fatalf("err = %v, want the lowest failing index's", err)
 	}
-	if err := Parallel(0, func(int64) error { return errors.New("ran") }); err != nil {
+	if err := parallel(0, func(int64) error { return errors.New("ran") }); err != nil {
 		t.Fatal("fn ran for n = 0")
 	}
 }

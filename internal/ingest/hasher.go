@@ -162,7 +162,7 @@ func HashRepeating(unit []byte, size int64, id storage.DatasetID, opaque bool) (
 
 // hashAt is HashAt at any block size. Blocks are independent — the
 // roll-up needs only their digests, in order — so they hash through
-// Parallel, each ReadAt into a pooled buffer and its digest written
+// parallel, each ReadAt into a pooled buffer and its digest written
 // into its block's slot.
 func hashAt(src io.ReaderAt, size, blockSize int64, id storage.DatasetID, opaque bool) (*Manifest, error) {
 	if size < 0 {
@@ -173,7 +173,7 @@ func hashAt(src io.ReaderAt, size, blockSize int64, id storage.DatasetID, opaque
 	if count > 0 {
 		blocks = make([][sha256.Size]byte, count)
 	}
-	err := Parallel(count, func(i int64) error {
+	err := parallel(count, func(i int64) error {
 		bp := blockBufPool.Get().(*[]byte)
 		defer blockBufPool.Put(bp)
 		if int64(len(*bp)) < blockSize {
@@ -203,14 +203,14 @@ func hashAt(src io.ReaderAt, size, blockSize int64, id storage.DatasetID, opaque
 	}, nil
 }
 
-// Parallel calls fn(i) for every i in [0, n) on up to GOMAXPROCS
+// parallel calls fn(i) for every i in [0, n) on up to GOMAXPROCS
 // workers, the caller among them, which claim indexes from one atomic
 // counter; a single index runs on the caller with no goroutine. After
 // the first failure workers stop claiming indexes, and every worker
-// has returned before Parallel does. Indexes are claimed in order, so
+// has returned before parallel does. Indexes are claimed in order, so
 // every index below a failed one has run: the error returned is the
 // lowest failing index's.
-func Parallel(n int64, fn func(i int64) error) error {
+func parallel(n int64, fn func(i int64) error) error {
 	var next atomic.Int64
 	var failed atomic.Bool
 	var mu sync.Mutex

@@ -6,6 +6,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"math/rand"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -271,5 +274,98 @@ func TestStoreSemantics(t *testing.T) {
 	s.Delete("ds")
 	if _, ok := s.Get("ds"); ok {
 		t.Fatal("deleted manifest still present")
+	}
+}
+
+// TestStoreDerivation: a derived entry runs its derivation once, on
+// first use, however many callers race to it; the opaque query never
+// runs it; and Put over it compares against the derived manifest.
+func TestStoreDerivation(t *testing.T) {
+	const id = "gen"
+	data := testPayload(8, 100<<10)
+	want, err := HashAt(bytes.NewReader(data), int64(len(data)), id, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int32
+	derive := func() (*Manifest, error) {
+		runs.Add(1)
+		return HashAt(bytes.NewReader(data), int64(len(data)), id, false)
+	}
+	s := NewStore()
+	if err := s.Derive(id, derive); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Derive(id, derive); err == nil {
+		t.Fatal("second derivation for one dataset accepted")
+	}
+	if _, ok := s.Opaque(id); ok || runs.Load() != 0 {
+		t.Fatalf("opaque query: ok=%v after %d derivations, want false after 0", ok, runs.Load())
+	}
+	if s.Len() != 1 || len(s.IDs()) != 1 {
+		t.Fatal("derived entry not counted")
+	}
+
+	const callers = 16
+	got := make([]*Manifest, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i], _ = s.Get(id)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("%d concurrent Gets derived %d times, want once", callers, n)
+	}
+	for i, m := range got {
+		if m != got[0] || m == nil {
+			t.Fatalf("caller %d got manifest %p, caller 0 got %p", i, m, got[0])
+		}
+	}
+	if !reflect.DeepEqual(got[0], want) {
+		t.Fatal("derived manifest diverges from the hash of the same bytes")
+	}
+
+	// Put over a derived entry derives first (a fresh store) and then
+	// compares: the identical manifest is a no-op, another one fails.
+	runs.Store(0)
+	s = NewStore()
+	if err := s.Derive(id, derive); err != nil {
+		t.Fatal(err)
+	}
+	other, err := HashAt(bytes.NewReader(testPayload(9, len(data))), int64(len(data)), id, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(other); err == nil {
+		t.Fatal("a different manifest replaced a derived one")
+	}
+	if err := s.Put(want); err != nil {
+		t.Fatalf("identical manifest over a derived one: %v", err)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("Puts derived %d times, want once", n)
+	}
+	if m, ok := s.Get(id); !ok || m.Digest != want.Digest {
+		t.Fatal("Put changed the derived manifest")
+	}
+	s.Delete(id)
+	if _, ok := s.Get(id); ok || s.Len() != 0 {
+		t.Fatal("deleted derived entry still present")
+	}
+
+	// The opaque query answers for an upload's manifest.
+	up := manifestOf(t, "ds", data, 1024)
+	if err := s.Put(up); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := s.Opaque("ds"); !ok || m != up {
+		t.Fatal("opaque query missed an uploaded manifest")
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -44,6 +45,9 @@ const (
 	// the holder-ID slice it sorts for a deterministic scan, and the
 	// boxing of that slice into sort.Slice's interface argument.
 	allocBudgetResolve = 2
+	// A sweep over datasets at their live-copy floor reads each one's
+	// holders into a reused scratch slice and counts the live ones.
+	allocBudgetRepairAtFloor = 0
 )
 
 // serveAllocs measures steady-state allocs/op of the warm local serve
@@ -243,5 +247,46 @@ func TestResolveAllocBudget(t *testing.T) {
 	})
 	if got > allocBudgetResolve {
 		t.Errorf("warm resolve = %.1f allocs/op, budget %d", got, allocBudgetResolve)
+	}
+}
+
+// TestRepairAtFloorAllocBudget pins the sweep's per-dataset cost for a
+// dataset already at its live-copy floor — every dataset of a healthy
+// cluster, every sweep, on every node — at zero allocations: the
+// holders are read into the sweep's scratch slice and only counted.
+func TestRepairAtFloorAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	lc := startCluster(t, ClusterConfig{Nodes: 3, Users: 1, Datasets: 16,
+		Sweep: SweeperConfig{Disabled: true}})
+	for d, id := range lc.DatasetIDs {
+		// A second holder beside the origin puts each dataset at a
+		// floor of two.
+		if err := lc.Catalog.AddReplica(id, allocation.NodeID((d+1)%3+1), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := lc.Nodes[0]
+	view := n.liveView()
+	st := &sweepState{below: make(map[storage.DatasetID]int)}
+	ctx := context.Background()
+	sweep := func() {
+		for _, id := range lc.DatasetIDs {
+			n.repairDataset(ctx, id, 2, view, st)
+		}
+	}
+	sweep() // grows the scratch slice once
+	if got := testing.AllocsPerRun(100, sweep); got > allocBudgetRepairAtFloor {
+		t.Errorf("at-floor sweep of %d datasets = %.1f allocs/op, budget %d",
+			len(lc.DatasetIDs), got, allocBudgetRepairAtFloor)
+	}
+	if len(st.below) != 0 {
+		t.Errorf("datasets at their floor counted as below it: %v", st.below)
+	}
+	for _, id := range lc.DatasetIDs {
+		if c := lc.Catalog.ReplicaCount(id); c != 2 {
+			t.Errorf("%s: %d holders after at-floor sweeps, want 2", id, c)
+		}
 	}
 }

@@ -17,8 +17,9 @@ const catalogShardCount = 16
 // catalogShard is one lock domain of the catalog: an allocation server
 // owning the datasets that hash into this shard. Resolve mutates demand
 // counters and lookup statistics inside the allocation package, so it
-// takes the write lock; the pure reads (Holds, Replicas, DatasetBytes,
-// Origin, Datasets, ReplicaCount, MaintenanceSweep) share an RLock.
+// takes the write lock; the pure reads (Holds, AppendHolders, Replicas,
+// DatasetBytes, Origin, Datasets, ReplicaCount, MaintenanceSweep) share
+// an RLock.
 type catalogShard struct {
 	mu  sync.RWMutex
 	srv *allocation.Server
@@ -110,6 +111,15 @@ func (c *Catalog) Replicas(id storage.DatasetID) ([]allocation.Replica, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.srv.Replicas(id), nil
+}
+
+// AppendHolders appends the dataset's holder IDs to dst, unsorted (see
+// allocation.Server.AppendHolders).
+func (c *Catalog) AppendHolders(dst []allocation.NodeID, id storage.DatasetID) []allocation.NodeID {
+	s := c.shard(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.srv.AppendHolders(dst, id)
 }
 
 // Holds reports whether node is a recorded holder of the dataset: the

@@ -108,8 +108,10 @@ type LocalCluster struct {
 	Middleware *middleware.Middleware
 	Registry   *Registry
 	Catalog    *Catalog
-	Manifests  *ingest.Store
-	Nodes      []*Node
+	// Manifests holds every upload's manifest and every seeded
+	// dataset's derivation; Get hashes a seeded manifest on first use.
+	Manifests *ingest.Store
+	Nodes     []*Node
 	// UserIDs are the client participants; DatasetIDs the published data.
 	UserIDs    []socialnet.UserID
 	DatasetIDs []storage.DatasetID
@@ -212,29 +214,24 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 
 	// Datasets: group-scoped, owned round-robin by the edges; the
 	// catalog records the owner as the origin holder. Each seeded
-	// dataset gets a content manifest of its deterministic payload
-	// (opaque=false — it stays regenerable), so digest verification on
-	// peer transfers works uniformly for seeded and uploaded data. The
-	// manifests are computed first, on every core; registration then
-	// runs in index order.
+	// dataset's content manifest (opaque=false — it stays regenerable)
+	// is recorded as a derivation from its deterministic payload, hashed
+	// on first use, so digest verification on peer transfers works
+	// uniformly for seeded and uploaded data and start-up hashes nothing.
 	if !cfg.NoSeedDatasets {
-		ids := make([]storage.DatasetID, cfg.Datasets)
-		for d := range ids {
-			ids[d] = storage.DatasetID(fmt.Sprintf("ds-%03d", d+1))
-		}
-		mans, err := seedManifests(ids, cfg.DatasetBytes)
-		if err != nil {
-			return fail(err)
-		}
-		for d, id := range ids {
+		size := cfg.DatasetBytes
+		for d := 0; d < cfg.Datasets; d++ {
+			id := storage.DatasetID(fmt.Sprintf("ds-%03d", d+1))
 			origin := allocation.NodeID(d%cfg.Nodes + 1)
 			if err := mw.RegisterDataset(id, cfg.Group); err != nil {
 				return fail(err)
 			}
-			if err := catalog.RegisterDataset(id, origin, cfg.DatasetBytes); err != nil {
+			if err := catalog.RegisterDataset(id, origin, size); err != nil {
 				return fail(err)
 			}
-			if err := manifests.Put(mans[d]); err != nil {
+			if err := manifests.Derive(id, func() (*ingest.Manifest, error) {
+				return ingest.HashRepeating(payloadBlock(id), size, id, false)
+			}); err != nil {
 				return fail(err)
 			}
 			lc.DatasetIDs = append(lc.DatasetIDs, id)
@@ -250,23 +247,6 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 		}
 	}
 	return lc, nil
-}
-
-// seedManifests computes the manifests of size-byte seeded datasets
-// ids. A payload repeats its payloadBlockSize unit, so each manifest is
-// ingest.HashRepeating's: one block hashed, however large the dataset.
-// The datasets are spread over every core by ingest.Parallel; the
-// error returned is the lowest failing index's.
-func seedManifests(ids []storage.DatasetID, size int64) ([]*ingest.Manifest, error) {
-	mans := make([]*ingest.Manifest, len(ids))
-	err := ingest.Parallel(int64(len(ids)), func(i int64) (err error) {
-		mans[i], err = ingest.HashRepeating(payloadBlock(ids[i]), size, ids[i], false)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mans, nil
 }
 
 // URLs returns the running nodes' endpoints.

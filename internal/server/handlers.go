@@ -283,24 +283,26 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) 
 		pull.sink = n.pullSink(id, total, win.off, win.off+win.n)
 	}
 	ok := n.pullFromPeers(w, r, id, &pull, fail)
-	flat := pull.sink.finish()
+	flat, rejected := pull.sink.finish()
 	// The replica record announces a copy of the whole dataset, so a
-	// segment never mints one. A seeded dataset whose spill failed is
+	// segment never mints one, and neither do peer bytes that failed
+	// their digest. A seeded dataset whose spill failed otherwise is
 	// still a holder — its bytes are materialized from the generator on
 	// the next local hit — but an opaque dataset has no generator, so
 	// its record exists only when digest-verified bytes committed as
 	// one whole file. A refusal (a racing fetch already registered us)
 	// is an expected outcome.
-	if ok && adopt && win.n == total && (flat || !n.opaque(id)) {
+	if ok && adopt && win.n == total && (flat || !rejected && !n.opaque(id)) {
 		_ = n.catalog.AddReplica(id, n.cfg.Node, n.now())
 	}
 }
 
 // opaque reports whether the dataset is an upload whose bytes exist
-// only as real files: they are never synthesized.
+// only as real files: they are never synthesized. It derives no
+// manifest.
 func (n *Node) opaque(id storage.DatasetID) bool {
-	man, ok := n.manifests.Get(id)
-	return ok && man.Opaque
+	_, ok := n.manifests.Opaque(id)
+	return ok
 }
 
 // fetchSource is where a local serve reads the dataset's bytes from,
@@ -856,11 +858,11 @@ func (s *spillWriter) write(p []byte) error {
 // inside of is aborted, every piece that committed stays adopted, and
 // the first adoption error is counted — corrupt peer bytes as a digest
 // reject, anything else as a spill failure; the client's stream already
-// went out either way. Reports whether a whole-file piece committed.
-// Nil-safe.
-func (s *spillWriter) finish() bool {
+// went out either way. Reports whether a whole-file piece committed and
+// whether peer bytes were rejected. Nil-safe.
+func (s *spillWriter) finish() (flat, rejected bool) {
 	if s == nil {
-		return false
+		return false, false
 	}
 	if s.cur != nil {
 		s.cur.Abort()
@@ -869,12 +871,12 @@ func (s *spillWriter) finish() bool {
 			s.err = errSpillCut
 		}
 	}
+	rejected = errors.Is(s.err, ingest.ErrDigestMismatch)
 	switch {
-	case s.err == nil:
-	case errors.Is(s.err, ingest.ErrDigestMismatch):
+	case rejected:
 		s.n.Metrics.IngestDigestRejects.Inc()
-	default:
+	case s.err != nil:
 		s.n.Metrics.StoreSpillFailures.Inc()
 	}
-	return s.flat
+	return s.flat, rejected
 }

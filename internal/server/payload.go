@@ -52,8 +52,9 @@ const _ uint = -(ingest.DefaultBlockSize % payloadBlockSize)
 // the serve fallback read it by offset through an io.SectionReader and
 // copyBuffered, so they emit pooled 64 KiB writes — a syscall count
 // that does not scale with payload size, and no buffer allocated per
-// request. A seeded manifest never reads the stream: it hashes one
-// block of the repetition block (seedManifests).
+// request. A seeded manifest never reads the stream: derived on its
+// first use, it hashes one block of the repetition block
+// (StartLocalCluster records the derivation).
 type payload []byte
 
 // errNegativeOffset is payload.ReadAt's one failure.
@@ -76,9 +77,10 @@ func (p payload) ReadAt(b []byte, off int64) (int, error) {
 
 // payloadBlock builds a dataset's payload by chaining SHA-256 over the
 // dataset ID into its repetition block. The serving plane calls it only
-// to seed a manifest (from the block alone), to materialize a replica
-// or segment into the volume, or as the fallback when the volume cannot
-// hold one — never on the warm serve path.
+// to derive a seeded manifest on its first use (from the block alone),
+// to materialize a replica or segment into the volume, or as the
+// fallback when the volume cannot hold one — never on the warm serve
+// path and never at start-up.
 func payloadBlock(id storage.DatasetID) payload {
 	block := make([]byte, 0, payloadBlockSize)
 	sum := sha256.Sum256([]byte(id))

@@ -58,8 +58,9 @@ type Config struct {
 	// Sweep.Disabled to run without one.
 	Sweep SweeperConfig
 	// Manifests is the cluster's shared content-address index (dataset →
-	// manifest). Nil gets a private empty store; clusters share one the
-	// same way they share the catalog.
+	// manifest: an upload's verified manifest, or a seeded dataset's
+	// derivation, hashed on first use). Nil gets a private empty store;
+	// clusters share one the same way they share the catalog.
 	Manifests *ingest.Store
 	// SegmentSize is the fixed segment size of the large-object layout
 	// (segments.go); it must be a positive multiple of the ingest block
@@ -422,7 +423,8 @@ func (n *Node) readoptReplicas() {
 // Volume returns the node's disk-backed replica volume.
 func (n *Node) Volume() *storage.DiskVolume { return n.vol }
 
-// Manifest returns the dataset's recorded content manifest, if any.
+// Manifest returns the dataset's content manifest, if any; a seeded
+// dataset's is derived on the cluster's first call.
 func (n *Node) Manifest(id storage.DatasetID) (*ingest.Manifest, bool) {
 	return n.manifests.Get(id)
 }

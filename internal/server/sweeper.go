@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"time"
 
 	"scdn/internal/allocation"
@@ -59,15 +60,13 @@ func (c *SweeperConfig) applyDefaults() {
 
 // runSweeper is the node's repair loop. It exits when ctx is canceled
 // (Stop/Crash) and signals done so teardown can wait for it — a stopped
-// node must not keep probing peers from the grave. below, owned by this
-// goroutine alone, counts the consecutive sweeps each dataset has been
-// seen under its floor (repairDataset's fallback).
+// node must not keep probing peers from the grave.
 func (n *Node) runSweeper(ctx context.Context, done chan struct{}) {
 	defer close(done)
 	// Deterministic per-node jitter: nodes de-phase from each other, runs
 	// stay reproducible.
 	rng := rand.New(rand.NewSource(int64(n.cfg.Node)))
-	below := make(map[storage.DatasetID]int)
+	st := &sweepState{below: make(map[storage.DatasetID]int)}
 	for {
 		jitter := time.Duration(rng.Int63n(int64(n.cfg.Sweep.Interval)/2 + 1))
 		select {
@@ -75,20 +74,29 @@ func (n *Node) runSweeper(ctx context.Context, done chan struct{}) {
 			return
 		case <-time.After(n.cfg.Sweep.Interval + jitter):
 		}
-		n.sweepOnce(ctx, below)
+		n.sweepOnce(ctx, st)
 	}
+}
+
+// sweepState is what one sweeper goroutine, and it alone, carries from
+// sweep to sweep: below counts the consecutive sweeps each dataset has
+// been seen under its floor (repairDataset's fallback), and holders is
+// the scratch slice each dataset's holder IDs are read into.
+type sweepState struct {
+	below   map[storage.DatasetID]int
+	holders []allocation.NodeID
 }
 
 // sweepOnce runs one repair cycle: probe membership, expire abandoned
 // upload sessions, repair replication, publish detector state.
-func (n *Node) sweepOnce(ctx context.Context, below map[storage.DatasetID]int) {
+func (n *Node) sweepOnce(ctx context.Context, st *sweepState) {
 	n.Metrics.RepairSweeps.Inc()
 	n.probeMembers(ctx)
 	if ctx.Err() != nil {
 		return
 	}
 	n.expireUploads()
-	n.repairReplication(ctx, below)
+	n.repairReplication(ctx, st)
 	n.Metrics.SuspectNodes.Set(float64(n.suspects.count()))
 }
 
@@ -174,7 +182,7 @@ func (n *Node) probe(ctx context.Context, base string) error {
 // node only ever copies onto itself: each missing copy goes to the
 // live non-holder that rendezvous hashing elects (designated), whose
 // own sweeper makes it, so racing sweepers do not overshoot.
-func (n *Node) repairReplication(ctx context.Context, below map[storage.DatasetID]int) {
+func (n *Node) repairReplication(ctx context.Context, st *sweepState) {
 	view := n.liveView()
 	// Live copies can't exceed live members; don't chase an impossible
 	// floor while most of the cluster is down.
@@ -187,7 +195,7 @@ func (n *Node) repairReplication(ctx context.Context, below map[storage.DatasetI
 		if ctx.Err() != nil {
 			return
 		}
-		n.repairDataset(ctx, id, target, view, below)
+		n.repairDataset(ctx, id, target, view, st)
 	}
 	// Demand-driven placement rides the same loop: hot datasets get one
 	// more replica here (this node volunteering), then the observed
@@ -226,60 +234,51 @@ func (n *Node) liveView() []allocation.NodeID {
 
 // repairDataset copies one dataset onto this node when it is below the
 // floor and this node is designated to close the gap. A dataset at its
-// floor costs its replica list and one count of its live holders: no
-// ranking, no holder map.
+// floor costs one read of its holders into the sweep's scratch slice
+// and one count of the live ones, after the catalog lock is released:
+// no allocation, no sort, no ranking.
 func (n *Node) repairDataset(ctx context.Context, id storage.DatasetID, target int,
-	view []allocation.NodeID, below map[storage.DatasetID]int) {
-	reps, err := n.catalog.Replicas(id)
-	if err != nil {
-		return
-	}
+	view []allocation.NodeID, st *sweepState) {
+	st.holders = n.catalog.AppendHolders(st.holders[:0], id)
 	live := 0
-	for _, r := range reps {
-		if n.isLive(r.Node) {
+	for _, h := range st.holders {
+		if n.isLive(h) {
 			live++
 		}
 	}
 	if live >= target {
-		delete(below, id)
+		delete(st.below, id)
 		return
 	}
-	below[id]++
+	st.below[id]++
 	// The fallback's patience is the failure detector's: a designee
 	// that has not closed the gap in FailThreshold sweeps is treated
 	// like a member that failed as many probes.
-	if designated(id, n.cfg.Node, view, reps, target, below[id], n.cfg.Sweep.FailThreshold) {
+	if designated(id, n.cfg.Node, view, st.holders, target, st.below[id], n.cfg.Sweep.FailThreshold) {
 		n.replicateLocal(ctx, id)
 	}
 }
 
 // designated reports whether node self should copy dataset id onto
-// itself. view is self's live membership (self included), reps the
-// catalog's holders, target the live-copy floor. Every member of view
-// is ranked by hrwScore; walking that order and skipping the holders in
-// view, the first target−live non-holders are designated, so members
-// that share a view agree on who copies without talking. Views differ
-// while suspicion converges and a designee can fail to copy, so once
-// self has seen the dataset under its floor for more than patience
-// consecutive sweeps (belowFor), any live non-holder copies.
+// itself. view is self's live membership (self included), holders the
+// catalog's holders in any order, target the live-copy floor. Every
+// member of view is ranked by hrwScore; walking that order and skipping
+// the holders in view, the first target−live non-holders are
+// designated, so members that share a view agree on who copies without
+// talking. Views differ while suspicion converges and a designee can
+// fail to copy, so once self has seen the dataset under its floor for
+// more than patience consecutive sweeps (belowFor), any live non-holder
+// copies.
 func designated(id storage.DatasetID, self allocation.NodeID, view []allocation.NodeID,
-	reps []allocation.Replica, target, belowFor, patience int) bool {
-	holds := func(node allocation.NodeID) bool {
-		for _, r := range reps {
-			if r.Node == node {
-				return true
-			}
-		}
-		return false
-	}
-	if holds(self) {
+	holders []allocation.NodeID, target, belowFor, patience int) bool {
+	if slices.Contains(holders, self) {
 		return false
 	}
 	live, ahead := 0, 0
 	mine := hrwScore(id, self)
 	for _, m := range view {
 		switch s := hrwScore(id, m); {
-		case holds(m):
+		case slices.Contains(holders, m):
 			live++
 		case m != self && (s > mine || s == mine && m < self):
 			ahead++ // a non-holder that outranks self
@@ -319,7 +318,7 @@ func hrwScore(id storage.DatasetID, node allocation.NodeID) uint64 {
 // holder; losing the AddReplica race to another repairer is a normal
 // outcome, not a failure.
 func (n *Node) replicateLocal(ctx context.Context, id storage.DatasetID) bool {
-	if man, ok := n.manifests.Get(id); ok && man.Opaque {
+	if man, ok := n.manifests.Opaque(id); ok {
 		return n.replicateByCopy(ctx, id, man)
 	}
 	size, err := n.catalog.DatasetBytes(id)

@@ -167,13 +167,7 @@ func TestDesignatedElection(t *testing.T) {
 	// r is view ranked by rendezvous score, best first.
 	r := append([]allocation.NodeID(nil), view...)
 	sort.Slice(r, func(i, j int) bool { return hrwScore(id, r[i]) > hrwScore(id, r[j]) })
-	held := func(nodes ...allocation.NodeID) []allocation.Replica {
-		var reps []allocation.Replica
-		for _, n := range nodes {
-			reps = append(reps, allocation.Replica{Node: n})
-		}
-		return reps
-	}
+	held := func(nodes ...allocation.NodeID) []allocation.NodeID { return nodes }
 	without := func(drop allocation.NodeID) []allocation.NodeID {
 		var out []allocation.NodeID
 		for _, n := range view {
@@ -186,7 +180,7 @@ func TestDesignatedElection(t *testing.T) {
 	cases := []struct {
 		name     string
 		view     []allocation.NodeID
-		reps     []allocation.Replica
+		holders  []allocation.NodeID
 		target   int
 		belowFor int
 		want     []allocation.NodeID // in any order
@@ -205,7 +199,7 @@ func TestDesignatedElection(t *testing.T) {
 	for _, c := range cases {
 		var got []allocation.NodeID
 		for _, self := range c.view {
-			if designated(id, self, c.view, c.reps, c.target, c.belowFor, patience) {
+			if designated(id, self, c.view, c.holders, c.target, c.belowFor, patience) {
 				got = append(got, self)
 			}
 		}

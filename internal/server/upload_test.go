@@ -604,6 +604,68 @@ func TestCorruptReplicaNeverAdopted(t *testing.T) {
 	}
 }
 
+// TestCorruptSeededReplicaNeverAdopted: a seeded dataset's manifest is
+// derived, not uploaded, yet pull-through still verifies against it — a
+// corrupt materialized replica at the holder spreads neither its bytes
+// nor a replica record.
+func TestCorruptSeededReplicaNeverAdopted(t *testing.T) {
+	const size = 96 << 10
+	lc := startCluster(t, ClusterConfig{Nodes: 2, Users: 1, Datasets: 1, DatasetBytes: size,
+		PullThrough: true, Sweep: SweeperConfig{Disabled: true}})
+	tok := login(t, lc)
+	id := lc.DatasetIDs[0]
+	holder, edge := lc.Nodes[0], lc.Nodes[1]
+	if !holder.materialize(id, id, 0, size) {
+		t.Fatal("holder could not materialize its replica")
+	}
+
+	// Flip one byte of the holder's materialized replica (bit rot).
+	path, off, n, ok := holder.Volume().Locate(id)
+	if !ok || n != size {
+		t.Fatalf("holder holds no whole extent of %s: %v, %d bytes", id, ok, n)
+	}
+	pf, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := pf.ReadAt(b, off+n/2); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	_, werr := pf.WriteAt(b, off+n/2)
+	pf.Close()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+
+	req, err := http.NewRequest(http.MethodGet, edge.BaseURL()+"/v1/fetch/"+string(id), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+string(tok))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, verr := VerifyPayload(resp.Body, id, size)
+	drainBody(resp.Body)
+	resp.Body.Close()
+	quiesce(t, lc)
+	if verr == nil {
+		t.Fatal("corruption did not propagate through the proxy — test setup broken")
+	}
+	if edge.Volume().Has(id) {
+		t.Fatal("pull-through adopted a corrupt replica of a seeded dataset")
+	}
+	if reps, err := lc.Catalog.Replicas(id); err != nil || len(reps) != 1 {
+		t.Fatalf("corrupt pull minted a replica record: %v, %v", reps, err)
+	}
+	if edge.Metrics.IngestDigestRejects.Value() == 0 {
+		t.Fatal("corrupt pull-through not counted as digest reject")
+	}
+}
+
 // TestConcurrentUploadFetchChurn drives uploads, verified fetches, and
 // node churn at once — the -race exercise for the ingest data plane.
 func TestConcurrentUploadFetchChurn(t *testing.T) {
