@@ -268,12 +268,18 @@ func TestStoreSemantics(t *testing.T) {
 	if !ok || got.Digest != a.Digest {
 		t.Fatal("stored manifest not returned")
 	}
-	if s.Len() != 1 || len(s.IDs()) != 1 {
-		t.Fatal("store accounting wrong")
+	if m, ok := s.Opaque("ds"); !ok || m != got {
+		t.Fatal("the opaque query disagrees with Get")
+	}
+	if _, ok := s.Get("other"); ok {
+		t.Fatal("a dataset never put has a manifest")
 	}
 	s.Delete("ds")
 	if _, ok := s.Get("ds"); ok {
 		t.Fatal("deleted manifest still present")
+	}
+	if _, ok := s.Opaque("ds"); ok {
+		t.Fatal("deleted manifest still opaque")
 	}
 }
 
@@ -301,9 +307,6 @@ func TestStoreDerivation(t *testing.T) {
 	}
 	if _, ok := s.Opaque(id); ok || runs.Load() != 0 {
 		t.Fatalf("opaque query: ok=%v after %d derivations, want false after 0", ok, runs.Load())
-	}
-	if s.Len() != 1 || len(s.IDs()) != 1 {
-		t.Fatal("derived entry not counted")
 	}
 
 	const callers = 16
@@ -356,7 +359,7 @@ func TestStoreDerivation(t *testing.T) {
 		t.Fatal("Put changed the derived manifest")
 	}
 	s.Delete(id)
-	if _, ok := s.Get(id); ok || s.Len() != 0 {
+	if _, ok := s.Get(id); ok || runs.Load() != 1 {
 		t.Fatal("deleted derived entry still present")
 	}
 

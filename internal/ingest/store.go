@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"scdn/internal/storage"
@@ -121,23 +120,4 @@ func (s *Store) Delete(id storage.DatasetID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.m, id)
-}
-
-// Len returns how many datasets have an entry.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
-// IDs returns the recorded dataset IDs sorted ascending.
-func (s *Store) IDs() []storage.DatasetID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]storage.DatasetID, 0, len(s.m))
-	for id := range s.m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

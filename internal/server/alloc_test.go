@@ -18,7 +18,10 @@ import (
 // 4 allocs). Lower them when the paths get leaner; never raise one
 // without a comment explaining what the new allocation buys.
 const (
-	allocBudgetDiskFull  = 0 // sendfile + pooled scratch: nothing left to allocate
+	// The fetch handler itself, auth, catalog and Range parsing included:
+	// the parsed parts live in the handler's stack array, and a warm
+	// serve is sendfile through the pooled scratch.
+	allocBudgetDiskFull  = 0
 	allocBudgetDiskRange = 0
 	// The warm segmented path crosses segment boundaries (pooled FDs,
 	// interned segment keys) and must stay as lean as the whole-file
@@ -30,10 +33,6 @@ const (
 	// window of a whole-file replica.
 	allocBudgetSegEndpointSegment = 0
 	allocBudgetSegEndpointFile    = 0
-	// The fetch handler itself, auth, catalog and Range parsing included:
-	// the parsed parts live in the handler's stack array.
-	allocBudgetFetchHandlerFull  = 0
-	allocBudgetFetchHandlerRange = 0
 	// A multipart answer allocates its random boundary (one string the
 	// Content-Type value and the framing share), the Content-Length
 	// string, and the two header-value slices: net/http may read a HEAD's
@@ -50,55 +49,19 @@ const (
 	allocBudgetRepairAtFloor = 0
 )
 
-// serveAllocs measures steady-state allocs/op of the warm local serve
-// path for the given node layout and Range header.
-func serveAllocs(t *testing.T, n *Node, total int64, rangeHdr string) float64 {
-	t.Helper()
-	const id = storage.DatasetID("alloc-serve")
-	req := httptest.NewRequest(http.MethodGet, "/v1/fetch/alloc-serve", nil)
-	if rangeHdr != "" {
-		req.Header.Set("Range", rangeHdr)
-	}
-	rngs, isRange, err := parseRanges(nil, rangeHdr, total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The body is the payload, plus the framing of a multipart answer;
-	// the served-bytes counter sees the payload alone.
-	var payload, framing int64
-	for _, rng := range rngs {
-		payload += rng.n
-	}
-	if len(rngs) > 1 {
-		framing = multipartLength(rngs, total) - payload
-	}
-	w := &benchRW{h: make(http.Header)}
-	serve := func() {
-		w.n = 0
-		before := n.Metrics.BytesServed.Value()
-		if !n.serveLocal(w, req, id, rngs, isRange, total, true) {
-			t.Fatal("serveLocal failed")
-		}
-		if w.n != payload+framing {
-			t.Fatalf("wrote %d bytes, want %d payload + %d framing", w.n, payload, framing)
-		}
-		if got := int64(n.Metrics.BytesServed.Value() - before); got != payload {
-			t.Fatalf("counted %d served bytes, want %d", got, payload)
-		}
-	}
-	for i := 0; i < 3; i++ { // warm: materialize replica, prime scratch pools
-		serve()
-	}
-	return testing.AllocsPerRun(200, serve)
-}
-
 // handlerAllocs measures steady-state allocs/op of a fetch route's
 // handler answering path on the cluster's one node locally, auth and
-// catalog lookups included; want is the body length.
-func handlerAllocs(t *testing.T, lc *LocalCluster, handle http.HandlerFunc,
-	path, rangeHdr string, want int64) float64 {
+// catalog lookups included. The body must be the windows of rangeHdr
+// (the whole dataset, or the one segment of a segment route), plus the
+// framing of a multipart answer; the served-bytes counter must see the
+// payload alone.
+func handlerAllocs(t *testing.T, lc *LocalCluster, segment bool, rangeHdr string) float64 {
 	t.Helper()
 	n, id := lc.Nodes[0], lc.DatasetIDs[0]
+	handle, path := n.handleFetch, "/v1/fetch/"+string(id)
+	if segment {
+		handle, path = n.handleFetchSegment, path+"/segments/1"
+	}
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	req.SetPathValue("dataset", string(id))
 	req.SetPathValue("n", "1")
@@ -106,12 +69,31 @@ func handlerAllocs(t *testing.T, lc *LocalCluster, handle http.HandlerFunc,
 	if rangeHdr != "" {
 		req.Header.Set("Range", rangeHdr)
 	}
+	total := lc.Config.DatasetBytes
+	rngs, _, err := parseRanges(nil, rangeHdr, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload, framing int64
+	for _, rng := range rngs {
+		payload += rng.n
+	}
+	if len(rngs) > 1 {
+		framing = multipartLength(rngs, total) - payload
+	}
+	if segment {
+		payload = storage.SegmentExtent(total, lc.Config.SegmentSize, 1)
+	}
 	w := &benchRW{h: make(http.Header)}
 	serve := func() {
 		w.n = 0
+		before := n.Metrics.BytesServed.Value()
 		handle(w, req)
-		if w.n != want {
-			t.Fatalf("served %d bytes, want %d", w.n, want)
+		if w.n != payload+framing {
+			t.Fatalf("wrote %d bytes, want %d payload + %d framing", w.n, payload, framing)
+		}
+		if got := int64(n.Metrics.BytesServed.Value() - before); got != payload {
+			t.Fatalf("counted %d served bytes, want %d", got, payload)
 		}
 	}
 	for i := 0; i < 3; i++ { // warm: materialize, prime scratch pools
@@ -123,9 +105,11 @@ func handlerAllocs(t *testing.T, lc *LocalCluster, handle http.HandlerFunc,
 	return testing.AllocsPerRun(200, serve)
 }
 
-// TestServeAllocBudgets pins the warm-path allocation budgets. Skipped
-// under -race: detector instrumentation allocates where production
-// builds do not.
+// TestServeAllocBudgets pins the warm-path allocation budgets. Each case
+// drives a fetch route's handler on a one-node cluster with the sweeper
+// off, so no background goroutine allocates while the budget is
+// measured. Skipped under -race: detector instrumentation allocates
+// where production builds do not.
 func TestServeAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are meaningless under the race detector")
@@ -135,47 +119,9 @@ func TestServeAllocBudgets(t *testing.T) {
 	// Three parts: a head, a window across the first segment boundary,
 	// and a tail.
 	const multipartHdr = "bytes=0-1023,60000-70535,-4096"
-	newDiskNode := func(t *testing.T) *Node {
-		vol, err := storage.NewDiskVolume(t.TempDir(), 1<<30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return benchNode(vol)
-	}
-	// Segmented node: 64 KiB segments with the threshold at one segment,
-	// so the 256 KiB test dataset takes the segmented layout (4 segments;
-	// the range below crosses the 0-1 boundary).
-	newSegNode := func(t *testing.T) *Node {
-		n := newDiskNode(t)
-		n.cfg.SegmentSize = 64 << 10
-		n.cfg.SegmentThreshold = 64 << 10
-		return n
-	}
-	cases := []struct {
-		name     string
-		node     func(*testing.T) *Node
-		rangeHdr string
-		budget   float64
-	}{
-		{"disk/full", newDiskNode, "", allocBudgetDiskFull},
-		{"disk/range", newDiskNode, rangeHdr, allocBudgetDiskRange},
-		{"segment/full", newSegNode, "", allocBudgetSegFull},
-		{"segment/range", newSegNode, rangeHdr, allocBudgetSegRange},
-		{"disk/multipart", newDiskNode, multipartHdr, allocBudgetDiskMultipart},
-		{"segment/multipart", newSegNode, multipartHdr, allocBudgetSegMultipart},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := serveAllocs(t, tc.node(t), total, tc.rangeHdr)
-			if got > tc.budget {
-				t.Errorf("warm %s = %.1f allocs/op, budget %.0f — the hot path re-inflated", tc.name, got, tc.budget)
-			}
-		})
-	}
-
-	// The handlers run on a one-node cluster (they need auth and the
-	// catalog) with the sweeper off, so no background goroutine
-	// allocates while the budget is measured.
+	// The segmented cluster's 64 KiB segments with the threshold at one
+	// segment put the 256 KiB dataset in the segmented layout (4
+	// segments; the range above crosses the 0-1 boundary).
 	cluster := func(t *testing.T, segThreshold int64) *LocalCluster {
 		return startCluster(t, ClusterConfig{
 			Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: total,
@@ -184,33 +130,31 @@ func TestServeAllocBudgets(t *testing.T) {
 	}
 	segCluster := func(t *testing.T) *LocalCluster { return cluster(t, 64<<10) }
 	flatCluster := func(t *testing.T) *LocalCluster { return cluster(t, 0) }
-	handlerCases := []struct {
+	cases := []struct {
 		name     string
 		lc       func(*testing.T) *LocalCluster
 		segment  bool
 		rangeHdr string
-		want     int64
 		budget   float64
 	}{
-		{"segment-endpoint/segment-file", segCluster, true, "", 64 << 10, allocBudgetSegEndpointSegment},
+		{"disk/full", flatCluster, false, "", allocBudgetDiskFull},
+		{"disk/range", flatCluster, false, rangeHdr, allocBudgetDiskRange},
+		{"segment/full", segCluster, false, "", allocBudgetSegFull},
+		{"segment/range", segCluster, false, rangeHdr, allocBudgetSegRange},
+		{"disk/multipart", flatCluster, false, multipartHdr, allocBudgetDiskMultipart},
+		{"segment/multipart", segCluster, false, multipartHdr, allocBudgetSegMultipart},
+		{"segment-endpoint/segment-file", segCluster, true, "", allocBudgetSegEndpointSegment},
 		{"segment-endpoint/whole-file", func(t *testing.T) *LocalCluster {
 			lc := segCluster(t)
 			if id := lc.DatasetIDs[0]; !lc.Nodes[0].materialize(id, id, 0, total) {
 				t.Fatal("materialize failed")
 			}
 			return lc
-		}, true, "", 64 << 10, allocBudgetSegEndpointFile},
-		{"fetch-handler/full", flatCluster, false, "", total, allocBudgetFetchHandlerFull},
-		{"fetch-handler/range", flatCluster, false, rangeHdr, 65536, allocBudgetFetchHandlerRange},
+		}, true, "", allocBudgetSegEndpointFile},
 	}
-	for _, tc := range handlerCases {
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lc := tc.lc(t)
-			handle, path := lc.Nodes[0].handleFetch, "/v1/fetch/ds-001"
-			if tc.segment {
-				handle, path = lc.Nodes[0].handleFetchSegment, path+"/segments/1"
-			}
-			got := handlerAllocs(t, lc, handle, path, tc.rangeHdr, tc.want)
+			got := handlerAllocs(t, tc.lc(t), tc.segment, tc.rangeHdr)
 			if got > tc.budget {
 				t.Errorf("warm %s = %.1f allocs/op, budget %.0f — the hot path re-inflated", tc.name, got, tc.budget)
 			}

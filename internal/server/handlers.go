@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +15,6 @@ import (
 
 	"scdn/internal/allocation"
 	"scdn/internal/ingest"
-	"scdn/internal/metrics"
 	"scdn/internal/socialnet"
 	"scdn/internal/storage"
 )
@@ -240,7 +240,10 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) 
 		return
 	}
 	held := n.hasLocal(id)
-	if n.serveLocal(w, r, id, rngs, isRange, total, held) {
+	last := rngs[len(rngs)-1]
+	if src, ok := n.localSource(id, total, rngs[0].off, last.off+last.n, held); ok {
+		n.writeRanges(w, r, &src, rngs, isRange, total)
+		n.vol.Release(id, src.file)
 		return
 	}
 	if held {
@@ -256,22 +259,29 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) 
 		fail(http.StatusNotFound, fmt.Errorf("server: node %d does not hold %q", n.cfg.Node, id))
 		return
 	}
+	origin, err := n.catalog.Origin(id)
+	if err != nil {
+		fail(http.StatusInternalServerError, err)
+		return
+	}
 	// Built only now, so a local serve allocates nothing. A segment hop
 	// keeps its route; ranges are forwarded as ranges, so a proxied
 	// stripe moves only its own bytes, and a multipart set is relayed as
-	// the peer framed it, so its length is the peer's.
+	// the peer framed it, so its length is the peer's and payload counts
+	// the windows inside that framing.
 	win := rngs[0]
-	pull := peerPull{path: "/v1/fetch/" + url.PathEscape(string(id)),
-		status: http.StatusOK, length: win.n, failures: failures}
+	pull := peerPull{relayRequest: relayRequest{method: r.Method, path: fetchPath(id),
+		auth: r.Header.Get("Authorization"), peer: n.srcID}, status: http.StatusOK, length: win.n}
+	payload := win.n
 	switch {
 	case segment:
 		pull.path += "/segments/" + strconv.FormatInt(seg, 10)
 	case isRange:
 		pull.rangeHdr, pull.status = rangesHeader(rngs), http.StatusPartialContent
 		if len(rngs) > 1 {
-			pull.length = -1
+			pull.length, payload = -1, 0
 			for _, rng := range rngs {
-				pull.payload += rng.n
+				payload += rng.n
 			}
 		}
 	}
@@ -279,11 +289,62 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) 
 	// segment: a stripe proves nothing about the rest of its segments,
 	// and a HEAD moves no bytes at all.
 	adopt := n.cfg.PullThrough && !isRange && r.Method != http.MethodHead
+	var sink *spillWriter
 	if adopt {
-		pull.sink = n.pullSink(id, total, win.off, win.off+win.n)
+		sink = n.pullSink(id, total, win.off, win.off+win.n)
 	}
-	ok := n.pullFromPeers(w, r, id, &pull, fail)
-	flat, rejected := pull.sink.finish()
+	// The first good answer goes out to the client as the holder framed
+	// it, naming the holder; once its head is written there is no
+	// retrying.
+	done, err := n.pullFromPeers(r.Context(), id, &pull, func(holder allocation.NodeID, rc *relayConn, resp *http.Response) (bool, error) {
+		h := w.Header()
+		for _, k := range relayHeaders {
+			if v := resp.Header[k]; v != nil {
+				h[k] = v
+			}
+		}
+		h["X-Scdn-Source"] = []string{strconv.FormatInt(int64(holder), 10)}
+		w.WriteHeader(pull.status)
+		head := r.Method == http.MethodHead
+		var written int64
+		var err error
+		switch {
+		case head:
+		case sink == nil && resp.ContentLength >= 0:
+			written, err = rc.relayBody(w, resp.ContentLength)
+		case sink == nil:
+			written, err = copyBuffered(w, resp.Body)
+		default:
+			written, err = copyBuffered(io.MultiWriter(w, sink), resp.Body)
+		}
+		// BytesServed counts payload, as the holder does: a relayed
+		// multipart answer's framing is left out.
+		served := written
+		if resp.ContentLength >= 0 {
+			served = max(0, written-(resp.ContentLength-payload))
+		}
+		n.Metrics.BytesServed.Add(uint64(served))
+		if err == nil && !head && resp.ContentLength >= 0 && written != resp.ContentLength {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			failures.Inc()
+			return true, err
+		}
+		if holder == origin {
+			n.Metrics.OriginFetches.Inc()
+		} else {
+			n.Metrics.PeerHits.Inc()
+		}
+		return true, nil
+	})
+	switch {
+	case errors.Is(err, errNoLiveHolder):
+		n.serveUnavailable(w, id)
+	case !done:
+		fail(http.StatusBadGateway, err)
+	}
+	flat, rejected := sink.finish()
 	// The replica record announces a copy of the whole dataset, so a
 	// segment never mints one, and neither do peer bytes that failed
 	// their digest. A seeded dataset whose spill failed otherwise is
@@ -292,10 +353,13 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) 
 	// its record exists only when digest-verified bytes committed as
 	// one whole file. A refusal (a racing fetch already registered us)
 	// is an expected outcome.
-	if ok && adopt && win.n == total && (flat || !rejected && !n.opaque(id)) {
+	if done && err == nil && adopt && win.n == total && (flat || !rejected && !n.opaque(id)) {
 		_ = n.catalog.AddReplica(id, n.cfg.Node, n.now())
 	}
 }
+
+// fetchPath is the dataset's fetch route on a peer.
+func fetchPath(id storage.DatasetID) string { return "/v1/fetch/" + url.PathEscape(string(id)) }
 
 // opaque reports whether the dataset is an upload whose bytes exist
 // only as real files: they are never synthesized. It derives no
@@ -318,23 +382,6 @@ type fetchSource struct {
 	file        *storage.Handle
 	seg, derive bool
 	gen         payload
-}
-
-// serveLocal streams the requested windows of the dataset from this
-// edge, a catalogued holder when held. Returns false, before any header
-// is written, when no local source can produce the bytes: a non-holder
-// without them resident, or a holder of an opaque dataset whose volume
-// file is gone — the caller must treat that local copy as lost.
-func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
-	rngs []byteRange, isRange bool, total int64, held bool) bool {
-	last := rngs[len(rngs)-1]
-	src, ok := n.localSource(id, total, rngs[0].off, last.off+last.n, held)
-	if !ok {
-		return false
-	}
-	n.writeRanges(w, r, &src, rngs, isRange, total)
-	n.releaseSource(&src)
-	return true
 }
 
 // localSource picks the source for the dataset window [off, end). held
@@ -384,10 +431,6 @@ func (n *Node) localSource(id storage.DatasetID, total, off, end int64, held boo
 	src.gen = payloadBlock(id)
 	return src, true
 }
-
-// releaseSource returns a whole-replica source's handle to its pack's
-// pool (a nil handle is a no-op).
-func (n *Node) releaseSource(src *fetchSource) { n.vol.Release(src.id, src.file) }
 
 // copyRange writes the dataset window [off, off+length) from src to
 // dst. A scratch, when given, lends its LimitedReader, which net/http
@@ -512,21 +555,14 @@ func (n *Node) materialize(key, id storage.DatasetID, off, size int64) bool {
 	return true
 }
 
-// peerPull is one proxied request, the same for every attempt: the path
-// on the peer, the Range header to forward ("" for a whole body), the
-// status a good peer answers with, the body length that answer must
-// carry (-1: the peer's own, for relayed multipart framing) and, for
-// multipart, the payload bytes inside that framing, the sink adopting
-// the bytes (nil: none), and the failure counter of the client-facing
-// endpoint.
+// peerPull is one request to a dataset's holders, the same for every
+// attempt: the relay request (path, forwarded Range, Authorization), the
+// status a good holder answers with, and the body length that answer
+// must carry (-1: the holder's own, for relayed multipart framing).
 type peerPull struct {
-	path     string
-	rangeHdr string
-	status   int
-	length   int64
-	payload  int64
-	sink     *spillWriter
-	failures *metrics.Counter
+	relayRequest
+	status int
+	length int64
 }
 
 // The peer fallback makes fetchAttempts attempts in all, across the
@@ -538,63 +574,49 @@ const (
 	retryMax      = 250 * time.Millisecond
 )
 
-// pullFromPeers realizes the edge fallback: resolve the dataset's
-// replica holders, order them by estimated RTT from this edge's site,
-// and try them with bounded retry and exponential backoff, streaming
-// the first good response to the client. Reports whether a response
-// was streamed in full.
-func (n *Node) pullFromPeers(w http.ResponseWriter, r *http.Request, id storage.DatasetID,
-	pull *peerPull, fail func(int, error)) bool {
+// errNoLiveHolder reports a pull left with no live holder to try: churn
+// (the holders died, repair is working the gap), not a broken peer.
+var errNoLiveHolder = errors.New("server: no live replica holder")
+
+// pullFromPeers is the node's one way to move a dataset's bytes from
+// another edge: a client fetch's fallback and a repair copy alike. It
+// resolves the dataset's replica holders, orders them by estimated RTT
+// from this edge's site, and tries them with bounded retry and
+// exponential backoff, each attempt one relay exchange (tryPeer). take
+// reads a good answer's body and reports whether the pull is done: the
+// bytes were delivered, or a client-facing response started and cannot
+// be retried. Returns errNoLiveHolder when no live holder is left.
+func (n *Node) pullFromPeers(ctx context.Context, id storage.DatasetID, pull *peerPull,
+	take func(allocation.NodeID, *relayConn, *http.Response) (bool, error)) (done bool, err error) {
 	reps, err := n.catalog.Replicas(id)
 	if err != nil {
-		fail(http.StatusBadGateway, err)
-		return false
-	}
-	origin, err := n.catalog.Origin(id)
-	if err != nil {
-		fail(http.StatusInternalServerError, err)
-		return false
+		return false, err
 	}
 	cands := n.orderCandidates(reps)
 	if len(cands) == 0 {
-		// Zero live holders is churn, not a client error: the dataset is
-		// catalogued, its members are just (momentarily) dead and the
-		// repair sweeper is already working the gap. Tell the client when
-		// to come back instead of counting a fetch failure.
-		n.serveUnavailable(w, id)
-		return false
+		return false, errNoLiveHolder
 	}
 	backoff := retryBase
-	var lastErr error
 	for attempt := 0; attempt < fetchAttempts; attempt++ {
 		if attempt > 0 {
 			n.Metrics.PeerRetries.Inc()
 			select {
-			case <-r.Context().Done():
-				fail(http.StatusBadGateway, r.Context().Err())
-				return false
+			case <-ctx.Done():
+				return false, ctx.Err()
 			case <-time.After(backoff):
 			}
-			backoff *= 2
-			if backoff > retryMax {
-				backoff = retryMax
-			}
+			backoff = min(2*backoff, retryMax)
 		}
-		committed, err := n.tryPeer(w, r, cands[attempt%len(cands)], origin, pull)
-		if committed {
-			return err == nil
+		if done, err = n.tryPeer(ctx, cands[attempt%len(cands)].Node, pull, take); done {
+			return true, err
 		}
-		lastErr = err
 	}
 	// If everything we tried has since been declared dead or suspect, the
 	// failure is churn (the holders died under us), not a broken peer.
 	if len(n.orderCandidates(cands)) == 0 {
-		n.serveUnavailable(w, id)
-		return false
+		return false, errNoLiveHolder
 	}
-	fail(http.StatusBadGateway,
-		fmt.Errorf("server: all %d attempts to pull %s failed: %w", fetchAttempts, pull.path, lastErr))
-	return false
+	return false, fmt.Errorf("server: all %d attempts to pull %s failed: %w", fetchAttempts, pull.path, err)
 }
 
 // retryAfterHeader is the Retry-After value on churn 503s: one second is
@@ -647,74 +669,28 @@ func (n *Node) orderCandidates(reps []allocation.Replica) []allocation.Replica {
 // same range writer, and a multipart boundary lives in its Content-Type.
 var relayHeaders = []string{"Accept-Ranges", "Content-Type", "Content-Length", "Content-Range"}
 
-// tryPeer makes one attempt of a pull against one candidate holder over
-// the node's relay (relay.go) and, on a good answer, streams it to the
-// client and through pull.sink. A HEAD is forwarded as a HEAD: the
-// holder's headers are relayed and no byte is counted or adopted.
-// committed reports whether a response was written (successfully or
-// not) — once headers are on the wire there is no retrying.
-func (n *Node) tryPeer(w http.ResponseWriter, r *http.Request, cand allocation.Replica,
-	origin allocation.NodeID, pull *peerPull) (committed bool, _ error) {
-	base, ok := n.registry.BaseURL(cand.Node)
+// tryPeer makes one attempt of a pull against one holder over the
+// node's relay (relay.go). An answer with the wanted status and length
+// goes to take; any other is drained. The connection returns to the pool
+// only when the exchange ended cleanly. A HEAD is forwarded as a HEAD.
+func (n *Node) tryPeer(ctx context.Context, holder allocation.NodeID, pull *peerPull,
+	take func(allocation.NodeID, *relayConn, *http.Response) (bool, error)) (done bool, err error) {
+	base, ok := n.registry.BaseURL(holder)
 	if !ok {
 		return false, ErrNoEndpoint
 	}
-	q := relayRequest{method: r.Method, path: pull.path, auth: r.Header.Get("Authorization"),
-		peer: n.srcID, rangeHdr: pull.rangeHdr}
-	rc, resp, err := n.relay.roundTrip(r.Context(), strings.TrimPrefix(base, "http://"), &q)
+	rc, resp, err := n.relay.roundTrip(ctx, strings.TrimPrefix(base, "http://"), &pull.relayRequest)
 	if err != nil {
 		return false, err
 	}
-	keep := false
-	defer func() { rc.release(keep && !resp.Close) }()
 	if resp.StatusCode != pull.status || pull.length >= 0 && resp.ContentLength != pull.length {
-		keep = drainBody(resp.Body)
+		rc.release(drainBody(resp.Body) && !resp.Close)
 		return false, fmt.Errorf("server: peer %d answered %s with %s (%d bytes)",
-			cand.Node, pull.path, resp.Status, resp.ContentLength)
+			holder, pull.path, resp.Status, resp.ContentLength)
 	}
-	h := w.Header()
-	for _, k := range relayHeaders {
-		if v := resp.Header[k]; v != nil {
-			h[k] = v
-		}
-	}
-	h["X-Scdn-Source"] = []string{strconv.FormatInt(int64(cand.Node), 10)}
-	w.WriteHeader(pull.status)
-	head := r.Method == http.MethodHead
-	var written int64
-	var copyErr error
-	switch {
-	case head:
-	case pull.sink == nil && resp.ContentLength >= 0:
-		written, copyErr = rc.relayBody(w, resp.ContentLength)
-	default:
-		dst := io.Writer(w)
-		if pull.sink != nil {
-			dst = io.MultiWriter(w, pull.sink)
-		}
-		written, copyErr = copyBuffered(dst, resp.Body)
-	}
-	// BytesServed counts payload, as the holder does: a relayed
-	// multipart answer's framing is left out.
-	served := written
-	if pull.length < 0 && resp.ContentLength >= 0 {
-		served = max(0, written-(resp.ContentLength-pull.payload))
-	}
-	n.Metrics.BytesServed.Add(uint64(served))
-	if copyErr == nil && !head && resp.ContentLength >= 0 && written != resp.ContentLength {
-		copyErr = io.ErrUnexpectedEOF
-	}
-	if copyErr != nil {
-		pull.failures.Inc()
-		return true, copyErr
-	}
-	keep = true
-	if cand.Node == origin {
-		n.Metrics.OriginFetches.Inc()
-	} else {
-		n.Metrics.PeerHits.Inc()
-	}
-	return true, nil
+	done, err = take(holder, rc, resp)
+	rc.release(err == nil && !resp.Close)
+	return done, err
 }
 
 // drainBodyLimit bounds how much of a failed peer response gets read
@@ -742,9 +718,6 @@ func drainBody(body io.Reader) bool {
 // hot prefix. Every piece is verified against the manifest, so without
 // one (whose block size divides the segment size) nothing is adopted.
 func (n *Node) pullSink(id storage.DatasetID, total, off, end int64) *spillWriter {
-	if !n.cfg.PullThrough {
-		return nil
-	}
 	man, ok := n.manifests.Get(id)
 	if !ok {
 		return nil
@@ -768,12 +741,14 @@ var errSpillCut = errors.New("server: pulled stream ended mid-piece")
 // piece — a whole flat dataset (NewSpill) or one segment
 // (NewSegmentSpill) — each verified against the manifest's block
 // digests for exactly its window and committed the moment its last
-// byte arrives. Peer bytes are never adopted on faith: a mismatch
-// discards the piece (and, for opaque datasets, the would-be replica
-// record); the client's own stream is already on the wire by then and
-// end-to-end client verification catches that side. Write never fails:
-// the client response must not fail because the secondary sink did, so
-// the first error poisons the sink and later bytes are dropped.
+// byte arrives. It is the one way peer bytes enter a volume:
+// pull-through and repair copies alike. Peer bytes are never adopted on
+// faith: a mismatch discards the piece (and, for opaque datasets, the
+// would-be replica record); a proxied client's own stream is already on
+// the wire by then and end-to-end client verification catches that
+// side. Write never fails: the client response must not fail because
+// the secondary sink did, so the first error poisons the sink, later
+// bytes are dropped, and finish reports the outcome.
 type spillWriter struct {
 	n        *Node
 	id       storage.DatasetID

@@ -20,7 +20,7 @@ type Metrics struct {
 	ResolveMisses   metrics.Counter
 	// FetchRequests / FetchFailures count client-facing GET /v1/fetch
 	// calls; PeerFetchRequests counts fetches arriving from another edge
-	// (the internal hop of a fallback).
+	// (the internal hop of a fallback, or a repair copy).
 	FetchRequests     metrics.Counter
 	FetchFailures     metrics.Counter
 	PeerFetchRequests metrics.Counter
@@ -52,7 +52,8 @@ type Metrics struct {
 	// fetches served from the replica volume via sendfile;
 	// StoreMaterializations / StoreMaterializedBytes count datasets (and
 	// their bytes) written to disk from the deterministic generator;
-	// StoreSpills counts pull-through streams committed to disk, and
+	// StoreSpills counts peer streams committed to disk as whole files
+	// (pull-through and repair copies), and
 	// StoreSpillFailures the volume spills that could not start or
 	// commit (the serve falls back to the generator, the fetch itself
 	// still succeeds).
@@ -114,7 +115,7 @@ type Metrics struct {
 	// streams refused for disagreeing with their declared or recorded
 	// digest (failed uploads and corrupt peer pulls alike);
 	// IngestRepairCopies / IngestRepairCopyBytes count re-replications
-	// satisfied by a verified byte transfer from surviving holders, and
+	// satisfied by a verified byte transfer from a surviving holder, and
 	// IngestRepairRegenerated those satisfied by the deterministic
 	// generator — for opaque datasets the latter must stay zero.
 	IngestUploads           metrics.Counter

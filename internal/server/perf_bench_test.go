@@ -238,44 +238,11 @@ func benchNode(vol *storage.DiskVolume) *Node {
 	}
 }
 
-// benchServeLocal drives the local serve path with a warm start: the
-// replica file exists before the timer runs.
-func benchServeLocal(b *testing.B, n *Node, total int64, rangeHdr string) {
-	b.Helper()
-	const id = storage.DatasetID("bench-serve")
-	req := httptest.NewRequest(http.MethodGet, "/v1/fetch/bench-serve", nil)
-	if rangeHdr != "" {
-		req.Header.Set("Range", rangeHdr)
-	}
-	rngs, isRange, err := parseRanges(nil, rangeHdr, total)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var want int64
-	for _, rng := range rngs {
-		want += rng.n
-	}
-	w := &benchRW{h: make(http.Header)}
-	n.serveLocal(w, req, id, rngs, isRange, total, true) // warm: materialize + prime pools
-	b.SetBytes(want)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.n = 0
-		n.serveLocal(w, req, id, rngs, isRange, total, true)
-		if len(rngs) == 1 && w.n != want {
-			b.Fatalf("served %d bytes, want %d", w.n, want)
-		}
-	}
-	b.StopTimer()
-	if n.Metrics.StoreDiskHits.Value() == 0 {
-		b.Fatal("benchmark never hit the volume")
-	}
-}
-
-// BenchmarkServeLocal measures the warm per-fetch cost of the
-// disk-backed serve path: full bodies and single-part ranges (sendfile)
-// and a three-part multipart answer (one pooled send buffer).
+// BenchmarkServeLocal measures the warm per-fetch cost of the fetch
+// handler serving a disk-backed replica it holds, on a one-node cluster
+// (auth, catalog and Range parsing included): full bodies and
+// single-part ranges (sendfile) and a three-part multipart answer (one
+// pooled send buffer). The replica exists before the timer runs.
 func BenchmarkServeLocal(b *testing.B) {
 	const total = int64(256 << 10)
 	const rangeHdr = "bytes=5000-70535" // 64 KiB, mid-block offset
@@ -285,11 +252,39 @@ func BenchmarkServeLocal(b *testing.B) {
 		{"warm-multipart", "bytes=0-1023,60000-70535,-4096"},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			vol, err := storage.NewDiskVolume(b.TempDir(), 1<<30)
+			lc := startCluster(b, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: total,
+				Sweep: SweeperConfig{Disabled: true}})
+			n, id := lc.Nodes[0], lc.DatasetIDs[0]
+			req := httptest.NewRequest(http.MethodGet, "/v1/fetch/"+string(id), nil)
+			req.SetPathValue("dataset", string(id))
+			req.Header.Set("Authorization", "Bearer "+string(login(b, lc)))
+			if tc.rangeHdr != "" {
+				req.Header.Set("Range", tc.rangeHdr)
+			}
+			rngs, _, err := parseRanges(nil, tc.rangeHdr, total)
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchServeLocal(b, benchNode(vol), total, tc.rangeHdr)
+			var want int64
+			for _, rng := range rngs {
+				want += rng.n
+			}
+			w := &benchRW{h: make(http.Header)}
+			n.handleFetch(w, req) // warm: materialize + prime pools
+			b.SetBytes(want)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.n = 0
+				n.handleFetch(w, req)
+				if len(rngs) == 1 && w.n != want {
+					b.Fatalf("served %d bytes, want %d", w.n, want)
+				}
+			}
+			b.StopTimer()
+			if n.Metrics.StoreDiskHits.Value() == 0 {
+				b.Fatal("benchmark never hit the volume")
+			}
 		})
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
-
-	"scdn/internal/storage"
 )
 
 // FuzzParseRange holds parseRanges to its contract under arbitrary Range
@@ -104,25 +102,23 @@ func FuzzMultipartFraming(f *testing.F) {
 	f.Add("bytes=4098-,0-0")
 	f.Add("bytes=10-20,30-40,50-60,70-80,90-100,110-120,130-140,150-160,170-180,190-200,210-220,230-240,250-260,270-280,290-300,310-320")
 	f.Add("bytes=100-,0-50")
-	const (
-		id    = storage.DatasetID("fuzz-multipart")
-		total = int64(4099) // one byte past a payload block
-	)
-	vol, err := storage.NewDiskVolume(f.TempDir(), 1<<30)
-	if err != nil {
-		f.Fatal(err)
-	}
-	n := benchNode(vol)
+	const total = int64(4099) // one byte past a payload block
+	lc := startCluster(f, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: total,
+		Sweep: SweeperConfig{Disabled: true}})
+	n, id := lc.Nodes[0], lc.DatasetIDs[0]
+	auth := "Bearer " + string(login(f, lc))
 	var whole bytes.Buffer
 	if _, err := WritePayload(&whole, id, total); err != nil {
 		f.Fatal(err)
 	}
 	ref := whole.Bytes()
-	serve := func(t *testing.T, method string, rngs []byteRange) *http.Response {
+	serve := func(method, h string) *http.Response {
+		req := httptest.NewRequest(method, "/v1/fetch/"+string(id), nil)
+		req.SetPathValue("dataset", string(id))
+		req.Header.Set("Authorization", auth)
+		req.Header.Set("Range", h)
 		rec := httptest.NewRecorder()
-		if !n.serveLocal(rec, httptest.NewRequest(method, "/v1/fetch/"+string(id), nil), id, rngs, true, total, true) {
-			t.Fatal("serveLocal failed")
-		}
+		n.handleFetch(rec, req)
 		return rec.Result()
 	}
 	f.Fuzz(func(t *testing.T, h string) {
@@ -130,7 +126,7 @@ func FuzzMultipartFraming(f *testing.F) {
 		if err != nil || len(rngs) < 2 {
 			return // single windows and rejected sets carry no framing
 		}
-		get := serve(t, http.MethodGet, rngs)
+		get := serve(http.MethodGet, h)
 		body, err := io.ReadAll(get.Body)
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +162,7 @@ func FuzzMultipartFraming(f *testing.F) {
 			t.Fatalf("%q: %d parts expected, then %v (%v)", h, len(rngs), p, err)
 		}
 
-		head := serve(t, http.MethodHead, rngs)
+		head := serve(http.MethodHead, h)
 		if b, _ := io.ReadAll(head.Body); len(b) != 0 {
 			t.Fatalf("%q: HEAD wrote %d body bytes", h, len(b))
 		}

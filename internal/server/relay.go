@@ -12,19 +12,18 @@ import (
 	"scdn/internal/transport"
 )
 
-// Edge-to-edge fetch hops ride a lean HTTP/1.1 relay instead of
-// http.Transport. A hop is one GET (or HEAD) whose answer is streamed
-// straight back to the client, so the transport's per-request
-// goroutine hand-offs and allocations are pure overhead here. The
-// relay keeps a few kept-alive connections per peer address, writes
-// the request head itself, reads the response head with
-// http.ReadResponse, and moves a known-length body off the raw socket
-// with io.Copy, which net/http's ResponseWriter turns into splice(2).
-// Health probes and repair byte copies keep the shared transport
-// (Node.client).
+// The relay is the node's one client for its peers. Every exchange
+// with another edge — a client fetch's hop, a repair copy, a health
+// probe — is one GET (or HEAD) over it, not over http.Transport: a hop's
+// answer is streamed straight back to the client, so the transport's
+// per-request goroutine hand-offs and allocations are pure overhead. The
+// relay keeps a few kept-alive connections per peer address, writes the
+// request head itself, reads the response head with http.ReadResponse,
+// and moves a known-length body off the raw socket with io.Copy, which
+// net/http's ResponseWriter turns into splice(2).
 
-// peerTimeout bounds one peer request end to end — head and body — on
-// the relay and on Node.client alike.
+// peerTimeout bounds one relay exchange end to end, head and body; a
+// health probe's context bounds it tighter (ProbeTimeout).
 const peerTimeout = 30 * time.Second
 
 // pastDeadline, set as a connection's deadline, fails its pending and

@@ -321,3 +321,94 @@ func TestRelayConcurrentHops(t *testing.T) {
 		t.Fatalf("idle relay connections = %d, want 1..%d", got, workers)
 	}
 }
+
+// TestProbeReusesRelayConnection: health probes ride the relay, so
+// repeated probes of a healthy peer share one pooled connection — the
+// peer sees one dial, not one per probe.
+func TestProbeReusesRelayConnection(t *testing.T) {
+	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, Sweep: SweeperConfig{Disabled: true}})
+	n := lc.Nodes[0]
+	var dials atomic.Int64
+	peer := httptest.NewUnstartedServer(http.HandlerFunc(n.handleHealthz))
+	peer.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	peer.Start()
+	defer peer.Close()
+	for i := 0; i < 5; i++ {
+		if err := n.probe(context.Background(), peer.URL); err != nil {
+			t.Fatalf("probe %d: %v", i, err)
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("5 probes dialed %d connections, want 1", got)
+	}
+	if got := n.relay.idleCount(); got != 1 {
+		t.Fatalf("idle relay connections after the probes = %d, want 1", got)
+	}
+}
+
+// TestProbeSilentPeerTimesOut: a peer that accepts the connection but
+// never answers fails the probe once ProbeTimeout passes, and the
+// half-used connection is closed, never pooled.
+func TestProbeSilentPeerTimesOut(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	closed := make(chan struct{})
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		_, _ = io.Copy(io.Discard, c) // read the probe, answer nothing
+		c.Close()
+		close(closed)
+	}()
+	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1,
+		Sweep: SweeperConfig{Disabled: true, ProbeTimeout: timeout}})
+	n := lc.Nodes[0]
+	start := time.Now()
+	if err := n.probe(context.Background(), "http://"+ln.Addr().String()); err == nil {
+		t.Fatal("a peer that never answered passed the probe")
+	}
+	if took := time.Since(start); took < timeout || took > timeout+time.Second {
+		t.Fatalf("the probe failed after %v, want about ProbeTimeout (%v)", took, timeout)
+	}
+	if got := n.relay.idleCount(); got != 0 {
+		t.Fatalf("idle relay connections = %d, want 0: a timed-out probe's connection was pooled", got)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the node kept the timed-out probe's connection open")
+	}
+}
+
+// TestProbeStoppedPeerFails: once a peer stops, probing it fails — the
+// pooled connection its last good probe left is dead, and the redial
+// finds no listener.
+func TestProbeStoppedPeerFails(t *testing.T) {
+	lc := startCluster(t, ClusterConfig{Nodes: 2, Users: 1, Datasets: 2, Sweep: SweeperConfig{Disabled: true}})
+	prober, peer := lc.Nodes[0], lc.Nodes[1]
+	base := peer.BaseURL()
+	if err := prober.probe(context.Background(), base); err != nil {
+		t.Fatalf("probe of a live peer: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := peer.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := prober.probe(context.Background(), base); err == nil {
+		t.Fatal("a stopped peer passed the probe")
+	}
+	if got := prober.relay.idleCount(); got != 0 {
+		t.Fatalf("idle relay connections = %d, want 0 after probing a stopped peer", got)
+	}
+}

@@ -18,6 +18,11 @@
 // live non-holder that rendezvous hashing elects, onto itself; no node
 // asks another to take a copy. Scripted churn (internal/loadharness)
 // kills and restarts nodes so the loop is testable end to end.
+//
+// A node reaches its peers one way: its relay (relay.go). Fetch hops,
+// repair copies and health probes are all requests over it, and every
+// byte a node adopts from a peer — pull-through or repair — goes
+// through one verifying sink (spillWriter) before it commits.
 package server
 
 import (
@@ -34,7 +39,6 @@ import (
 	"scdn/internal/ingest"
 	"scdn/internal/middleware"
 	"scdn/internal/storage"
-	"scdn/internal/transport"
 )
 
 // Config parameterizes one node.
@@ -113,10 +117,9 @@ type Node struct {
 	// registry has deregistered them (sweeper.go).
 	suspects suspectTable
 
-	// client carries the health probes and repair byte copies; fetch
-	// hops ride relay (relay.go).
-	client *http.Client
-	relay  relayPool
+	// relay is the node's one client for its peers: fetch hops, repair
+	// copies and health probes (relay.go).
+	relay relayPool
 
 	// inflight tracks the requests the node's connections are serving
 	// (Quiesce).
@@ -168,7 +171,6 @@ func NewNode(cfg Config, auth *middleware.Middleware,
 		Metrics:   &Metrics{},
 		manifests: cfg.Manifests,
 		uploads:   make(map[storage.DatasetID]*uploadSession),
-		client:    transport.NewClient(peerTimeout),
 	}
 	return n, nil
 }
@@ -422,12 +424,6 @@ func (n *Node) readoptReplicas() {
 
 // Volume returns the node's disk-backed replica volume.
 func (n *Node) Volume() *storage.DiskVolume { return n.vol }
-
-// Manifest returns the dataset's content manifest, if any; a seeded
-// dataset's is derived on the cluster's first call.
-func (n *Node) Manifest(id storage.DatasetID) (*ingest.Manifest, bool) {
-	return n.manifests.Get(id)
-}
 
 // hasLocal reports whether the catalog records this node as a holder of
 // the dataset.

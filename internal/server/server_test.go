@@ -17,7 +17,7 @@ import (
 )
 
 // startCluster spins up an in-process cluster and registers cleanup.
-func startCluster(t *testing.T, cfg ClusterConfig) *LocalCluster {
+func startCluster(t testing.TB, cfg ClusterConfig) *LocalCluster {
 	t.Helper()
 	lc, err := StartLocalCluster(cfg)
 	if err != nil {
@@ -31,7 +31,7 @@ func startCluster(t *testing.T, cfg ClusterConfig) *LocalCluster {
 	return lc
 }
 
-func login(t *testing.T, lc *LocalCluster) socialnet.Token {
+func login(t testing.TB, lc *LocalCluster) socialnet.Token {
 	t.Helper()
 	tok, err := lc.Login(lc.UserIDs[0])
 	if err != nil {

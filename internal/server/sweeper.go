@@ -2,14 +2,15 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"slices"
+	"strings"
 	"time"
 
 	"scdn/internal/allocation"
-	"scdn/internal/cdnclient"
 	"scdn/internal/ingest"
 	"scdn/internal/socialnet"
 	"scdn/internal/storage"
@@ -155,20 +156,18 @@ func (n *Node) purgeDeadMember(dead allocation.NodeID) {
 	}
 }
 
-// probe issues one bounded /healthz request.
+// probe sends one GET /healthz to the member at base over the relay,
+// bounded by ProbeTimeout, and pools the connection the way a fetch hop
+// does: only an answer read cleanly to its end returns it to the pool.
 func (n *Node) probe(ctx context.Context, base string) error {
 	pctx, cancel := context.WithTimeout(ctx, n.cfg.Sweep.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, base+"/healthz", nil)
+	q := relayRequest{method: http.MethodGet, path: "/healthz", peer: n.srcID}
+	rc, resp, err := n.relay.roundTrip(pctx, strings.TrimPrefix(base, "http://"), &q)
 	if err != nil {
 		return err
 	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return err
-	}
-	drainBody(resp.Body)
-	resp.Body.Close()
+	rc.release(drainBody(resp.Body) && !resp.Close)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("server: healthz returned %s", resp.Status)
 	}
@@ -312,11 +311,10 @@ func hrwScore(id storage.DatasetID, node allocation.NodeID) uint64 {
 // replicateLocal restores a copy of the dataset on this node and
 // announces it to the catalog. Seeded datasets re-materialize through
 // the deterministic generator; opaque (uploaded) datasets have no
-// generator, so their repair is a real byte transfer — a striped,
-// manifest-verified range download from surviving holders
-// (replicateByCopy). Reports whether this node now newly counts as a
-// holder; losing the AddReplica race to another repairer is a normal
-// outcome, not a failure.
+// generator, so their repair is a real byte transfer from a surviving
+// holder (replicateByCopy). Reports whether this node now newly counts
+// as a holder; losing the AddReplica race to another repairer is a
+// normal outcome, not a failure.
 func (n *Node) replicateLocal(ctx context.Context, id storage.DatasetID) bool {
 	if man, ok := n.manifests.Opaque(id); ok {
 		return n.replicateByCopy(ctx, id, man)
@@ -337,63 +335,46 @@ func (n *Node) replicateLocal(ctx context.Context, id storage.DatasetID) bool {
 }
 
 // replicateByCopy restores an opaque dataset's replica by moving real
-// bytes: a parallel range download from the surviving holders, nearest
-// first (orderCandidates), each stripe digest-verified against the
-// manifest in-stream, spilled to the replica volume, size-checked, and
-// only then committed and announced. A corrupt or short transfer
-// leaves no state.
+// bytes: the whole dataset, pulled as a peer hop from the nearest live
+// holder through the fetch path's own candidate loop and relay
+// (pullFromPeers), into a flat spill verified block by block against
+// the manifest. Only a complete, verified file commits and is
+// announced; a cut or corrupt stream aborts its spill, and the next
+// candidate or the next sweep retries.
 func (n *Node) replicateByCopy(ctx context.Context, id storage.DatasetID, man *ingest.Manifest) bool {
-	reps, err := n.catalog.Replicas(id)
-	if err != nil {
-		return false
-	}
-	var eps []string
-	for _, rep := range n.orderCandidates(reps) {
-		if u, ok := n.registry.BaseURL(rep.Node); ok {
-			eps = append(eps, u)
-		}
-	}
-	if len(eps) == 0 {
-		return false // nobody alive to copy from; next sweep retries
+	// Every login leaves a session behind, so a dataset with no live
+	// holder to copy from costs none.
+	if reps, err := n.catalog.Replicas(id); err != nil || len(n.orderCandidates(reps)) == 0 {
+		return false // the next sweep retries
 	}
 	tok, err := n.auth.Login(socialnet.UserID(n.cfg.Node))
 	if err != nil {
 		n.Metrics.RepairFailures.Inc()
 		return false
 	}
-	sp, err := n.vol.NewSpill(id)
+	pull := peerPull{relayRequest: relayRequest{method: http.MethodGet, path: fetchPath(id),
+		auth: "Bearer " + string(tok), peer: n.srcID}, status: http.StatusOK, length: man.Size}
+	_, err = n.pullFromPeers(ctx, id, &pull, func(_ allocation.NodeID, _ *relayConn, resp *http.Response) (bool, error) {
+		sink := &spillWriter{n: n, id: id, man: man, total: man.Size, piece: man.Size, end: man.Size}
+		_, err := copyBuffered(sink, resp.Body)
+		if flat, _ := sink.finish(); !flat && err == nil {
+			err = sink.err
+		}
+		return err == nil, err
+	})
 	if err != nil {
-		n.Metrics.StoreSpillFailures.Inc()
-		return false
-	}
-	stripes := len(eps)
-	if stripes > repairCopyStripes {
-		stripes = repairCopyStripes
-	}
-	res, err := cdnclient.Download(ctx, cdnclient.TransferOptions{
-		Client: n.client, Endpoints: eps, Token: string(tok), Stripes: stripes,
-	}, man, sp)
-	if err != nil {
-		sp.Abort()
-		if ctx.Err() == nil {
+		// No live holder to copy from is not a failure: the next sweep
+		// retries.
+		if ctx.Err() == nil && !errors.Is(err, errNoLiveHolder) {
 			n.Metrics.RepairFailures.Inc()
 		}
 		return false
 	}
-	// In-stream verification covered the wire; CommitVerified's
-	// coverage check covers every byte the stripes actually produced.
-	if err := sp.CommitVerified(man.Size, nil, false); err != nil {
-		n.Metrics.RepairFailures.Inc()
-		return false
-	}
 	n.Metrics.IngestRepairCopies.Inc()
-	n.Metrics.IngestRepairCopyBytes.Add(uint64(res.Bytes))
+	n.Metrics.IngestRepairCopyBytes.Add(uint64(man.Size))
 	if err := n.catalog.AddReplica(id, n.cfg.Node, n.now()); err != nil {
 		return false // already announced (racing repairer); the bytes stay
 	}
 	n.Metrics.RepairReplicasRestored.Inc()
 	return true
 }
-
-// repairCopyStripes caps the parallel range fan-out of one repair copy.
-const repairCopyStripes = 4

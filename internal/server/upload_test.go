@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -601,6 +603,97 @@ func TestCorruptReplicaNeverAdopted(t *testing.T) {
 	}
 	if res := lc.Nodes[1].Volume().Reserved(); len(res) != 0 {
 		t.Fatalf("repair-by-copy left reserved extents: %v", res)
+	}
+}
+
+// TestRepairCopyCutMidBody: a holder that closes its connection halfway
+// through the body leaves the repairing node with no replica, no
+// reserved extent and no replica record, and the failed copy is counted.
+func TestRepairCopyCutMidBody(t *testing.T) {
+	data := opaqueBytes(77, 128<<10)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, err := http.ReadRequest(bufio.NewReader(c)); err == nil {
+				fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", len(data))
+				_, _ = c.Write(data[:len(data)/2])
+			}
+			c.Close()
+		}
+	}()
+	lc := ingestCluster(t, ClusterConfig{Nodes: 1, Users: 1, Sweep: SweeperConfig{Disabled: true}})
+	phantomDataset(t, lc, "http://"+ln.Addr().String(), int64(len(data)))
+	man, err := ingest.HashAt(bytes.NewReader(data), int64(len(data)), "ds-phantom", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Manifests.Put(man); err != nil {
+		t.Fatal(err)
+	}
+	n := lc.Nodes[0]
+	if n.replicateByCopy(context.Background(), "ds-phantom", man) {
+		t.Fatal("a repair copy cut mid-body succeeded")
+	}
+	if n.Volume().Has("ds-phantom") {
+		t.Fatal("a cut repair copy committed a replica")
+	}
+	if res := n.Volume().Reserved(); len(res) != 0 {
+		t.Fatalf("a cut repair copy left reserved extents: %v", res)
+	}
+	if lc.Catalog.Holds("ds-phantom", n.ID()) {
+		t.Fatal("a cut repair copy minted a replica record")
+	}
+	if got := n.Metrics.RepairFailures.Value(); got != 1 {
+		t.Fatalf("repair failures = %d, want 1", got)
+	}
+}
+
+// TestRepairCopyIsPeerTraffic: a repair copy is a peer hop, so its
+// holder counts it under PeerFetchRequests, not as a client-facing
+// fetch — FetchRequests reconciles with what clients issued.
+func TestRepairCopyIsPeerTraffic(t *testing.T) {
+	lc := ingestCluster(t, ClusterConfig{Nodes: 2, Users: 1, Sweep: SweeperConfig{Disabled: true}})
+	tok := login(t, lc)
+	data := opaqueBytes(78, 96<<10+3)
+	id := storage.DatasetID("up-peer-traffic")
+	man, err := cdnclient.Upload(context.Background(), cdnclient.TransferOptions{
+		Endpoints: []string{lc.Nodes[0].BaseURL()}, Token: string(tok), Stripes: 1,
+	}, id, lc.Config.Group, bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := lc.Nodes[0].Metrics
+	fetches, peerFetches := holder.FetchRequests.Value(), holder.PeerFetchRequests.Value()
+	if !lc.Nodes[1].replicateByCopy(context.Background(), id, man) {
+		t.Fatal("repair copy failed")
+	}
+	quiesce(t, lc)
+	if got := holder.FetchRequests.Value() - fetches; got != 0 {
+		t.Fatalf("the holder counted %d client-facing fetches for a repair copy, want 0", got)
+	}
+	if got := holder.PeerFetchRequests.Value() - peerFetches; got != 1 {
+		t.Fatalf("the holder counted %d peer fetches for a repair copy, want 1", got)
+	}
+	vol := lc.Nodes[1].Volume()
+	f, size, ok := vol.Open(id)
+	if !ok {
+		t.Fatal("the repaired copy is not in the volume")
+	}
+	defer vol.Release(id, f)
+	pf, err := f.FileAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(io.LimitReader(pf, size)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("the repaired copy diverges from the upload (%v)", err)
 	}
 }
 

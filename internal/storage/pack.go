@@ -73,10 +73,13 @@ func (v *DiskVolume) logPath() string { return filepath.Join(v.dir, logName) }
 //	body = kind u8 | pack u32 | off u64 | size u64 | dataset ID
 //
 // A record cut short or failing its checksum ends the replay: appends
-// are sequential, so only the final record can tear.
+// are sequential, so only the final record can tear. A pinned put is a
+// put whose entry is never evicted; a log without one replays as it
+// always did.
 const (
-	recPut = 1
-	recDel = 2
+	recPut       = 1
+	recDel       = 2
+	recPutPinned = 3
 
 	recHeader = 8
 	recFixed  = 1 + 4 + 8 + 8
@@ -169,7 +172,7 @@ func (v *DiskVolume) recover() error {
 	for i, r := range recs {
 		v.nextPack = max(v.nextPack, r.pack+1)
 		switch r.kind {
-		case recPut:
+		case recPut, recPutPinned:
 			live[r.id] = i
 		case recDel:
 			delete(live, r.id)
@@ -203,11 +206,12 @@ func (v *DiskVolume) recover() error {
 	}
 	for i, r := range recs {
 		pk := v.packs[r.pack]
-		if at, ok := live[r.id]; !ok || at != i || r.kind != recPut || pk == nil ||
+		if at, ok := live[r.id]; !ok || at != i || pk == nil ||
 			r.off < 0 || r.size < 0 || r.off%extentAlign != 0 || r.off+r.size > sizes[pk.n] {
 			continue
 		}
-		v.items[r.id] = v.ll.PushFront(&diskEntry{id: r.id, size: r.size, pk: pk, off: r.off})
+		v.items[r.id] = v.ll.PushFront(&diskEntry{id: r.id, size: r.size, pinned: r.kind == recPutPinned,
+			pk: pk, off: r.off})
 		v.used += r.size
 	}
 	// Adopted entries may exceed the quota. The evicted ones' extents are
@@ -265,8 +269,7 @@ func (v *DiskVolume) recover() error {
 func (v *DiskVolume) compactLog() error {
 	var b []byte
 	for el := v.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*diskEntry)
-		b = appendRecord(b, logRec{kind: recPut, pack: e.pk.n, off: e.off, size: e.size, id: e.id})
+		b = appendRecord(b, el.Value.(*diskEntry).putRecord())
 	}
 	tmp := filepath.Join(v.dir, compactTemp)
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
@@ -448,7 +451,8 @@ func (s *Spill) Commit(want int64) error { return s.CommitVerified(want, nil, fa
 // after the last write, so a verifier may read it by offset
 // (io.ReaderAt) as well as in order, and the bytes it checks are the
 // bytes the commit publishes. pin marks the committed entry
-// non-evictable (the origin copy of an uploaded dataset). On any
+// non-evictable (the origin copy of an uploaded dataset), in its put
+// record too, so the pin survives a reopen of the volume. On any
 // failure, a verify error included, the pack is cut back and no
 // replica appears.
 func (s *Spill) CommitVerified(want int64, verify func(io.Reader) error, pin bool) error {
@@ -475,6 +479,16 @@ func (s *Spill) CommitVerified(want int64, verify func(io.Reader) error, pin boo
 	return s.v.commit(s, want, pin)
 }
 
+// putRecord is the log record that publishes the entry: a put, pinned
+// when the entry is.
+func (e *diskEntry) putRecord() logRec {
+	r := logRec{kind: recPut, pack: e.pk.n, off: e.off, size: e.size, id: e.id}
+	if e.pinned {
+		r.kind = recPutPinned
+	}
+	return r
+}
+
 // commit appends the extent's put record to the index log and indexes
 // it. The append and the insert happen under fsMu (not v.mu), so the
 // log's record order is the index's mutation order, while readers on
@@ -484,21 +498,31 @@ func (v *DiskVolume) commit(s *Spill, size int64, pin bool) error {
 	defer v.fsMu.Unlock()
 	v.mu.Lock()
 	el, dup := v.items[s.id]
-	if dup && pin {
-		// The racer's copy carries identical (verified) bytes; keep it and
-		// take over only the pinning obligation.
-		el.Value.(*diskEntry).pinned = true
-	}
 	v.mu.Unlock()
 	if dup {
 		// A racing spill/materialization committed first. Bytes are
 		// content-addressed per dataset, so the existing extent is
-		// identical; drop ours.
+		// identical; drop ours. A pinned commit still takes over the
+		// pinning obligation, logged so that it outlives a restart. Every
+		// index mutation holds fsMu, so the entry stays put meanwhile.
 		v.putBack(s.pk)
+		e := el.Value.(*diskEntry)
+		if !pin || e.pinned {
+			return nil
+		}
+		r := e.putRecord()
+		r.kind = recPutPinned
+		if err := v.appendLog(r); err != nil {
+			return fmt.Errorf("storage: pin %q: %w", s.id, err)
+		}
+		v.mu.Lock()
+		e.pinned = true
+		v.mu.Unlock()
 		return nil
 	}
 	pk := s.pk
-	if err := v.appendLog(logRec{kind: recPut, pack: pk.n, off: s.base, size: size, id: s.id}); err != nil {
+	e := &diskEntry{id: s.id, size: size, pinned: pin, pk: pk, off: s.base}
+	if err := v.appendLog(e.putRecord()); err != nil {
 		v.putBack(pk)
 		return fmt.Errorf("storage: commit %q: %w", s.id, err)
 	}
@@ -512,7 +536,7 @@ func (v *DiskVolume) commit(s *Spill, size int64, pin bool) error {
 	} else {
 		v.idle = append(v.idle, pk)
 	}
-	v.insertLocked(&diskEntry{id: s.id, size: size, pinned: pin, pk: pk, off: s.base}, &c)
+	v.insertLocked(e, &c)
 	v.mu.Unlock()
 	v.reap(&c)
 	return nil

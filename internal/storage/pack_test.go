@@ -450,3 +450,53 @@ func BenchmarkSpillCommit(b *testing.B) {
 		v.Remove("up")
 	}
 }
+
+// TestPinSurvivesReplay: the pin is part of the put record, so an entry
+// committed pinned — or pinned later by a duplicate pinned commit over
+// an unpinned copy — comes back pinned when the volume is reopened, and
+// again after the reopen's compaction. Quota pressure from unpinned
+// spills after the restart evicts around it, never it.
+func TestPinSurvivesReplay(t *testing.T) {
+	const quota, size = 256 << 10, 64 << 10
+	dir := filepath.Join(t.TempDir(), "vol")
+	v, err := NewDiskVolume(dir, quota)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(v *DiskVolume, id DatasetID, pin bool) {
+		t.Helper()
+		sp, err := v.NewSpill(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sp.Write(pattern(id, size)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.CommitVerified(size, nil, pin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(v, "pinned", true)
+	commit(v, "taken", false)
+	commit(v, "taken", true) // a duplicate: takes over only the pin
+	for reopen := 0; reopen < 2; reopen++ {
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if v, err = NewDiskVolume(dir, quota); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer v.Close()
+	for i := 0; i < 8; i++ { // twice the quota of unpinned spills
+		commit(v, DatasetID(fmt.Sprintf("filler-%d", i)), false)
+	}
+	for _, id := range []DatasetID{"pinned", "taken"} {
+		if !v.Has(id) {
+			t.Fatalf("%s was evicted after a restart: its pin did not survive replay", id)
+		}
+		if got := readAll(t, v, id); !bytes.Equal(got, pattern(id, size)) {
+			t.Fatalf("%s diverges after a restart", id)
+		}
+	}
+}

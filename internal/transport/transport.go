@@ -1,11 +1,11 @@
 // Package transport holds the delivery plane's process-wide tuned HTTP
-// transport. It sits below every networked package (server, cdnclient)
-// so all of them can share one connection pool without importing each
-// other: the serving plane's health probes and repair byte copies,
-// striped fetches, and load-generator workers all ride the same warm
-// keep-alive sockets. Edge-to-edge fetch hops do not: they
-// ride the serving plane's own relay (internal/server/relay.go), which
-// keeps its per-peer connections under the same limits below.
+// transport and the connection limits every peer connection keeps. It
+// sits below every networked package so they can share one connection
+// pool without importing each other: cdnclient's striped fetches and
+// uploads and the load generator's workers ride the same warm
+// keep-alive sockets. An edge reaches its peers only over its own relay
+// (internal/server/relay.go), which keeps its per-peer connections
+// under the same limits below.
 package transport
 
 import (
