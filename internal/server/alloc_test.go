@@ -18,9 +18,7 @@ import (
 // 4 allocs). Lower them when the paths get leaner; never raise one
 // without a comment explaining what the new allocation buys.
 const (
-	// The fetch handler itself, auth, catalog and Range parsing included:
-	// the parsed parts live in the handler's stack array, and a warm
-	// serve is sendfile through the pooled scratch.
+	// A warm whole-file serve is sendfile through the pooled scratch.
 	allocBudgetDiskFull  = 0
 	allocBudgetDiskRange = 0
 	// The warm segmented path crosses segment boundaries (pooled FDs,
@@ -33,6 +31,12 @@ const (
 	// window of a whole-file replica.
 	allocBudgetSegEndpointSegment = 0
 	allocBudgetSegEndpointFile    = 0
+	// The fetch handler itself, auth, catalog and Range parsing included:
+	// the parsed parts live in the handler's stack array. Since every
+	// case drives a route's handler, these measure what the disk cases
+	// measure; each pair must stay equal.
+	allocBudgetFetchHandlerFull  = 0
+	allocBudgetFetchHandlerRange = 0
 	// A multipart answer allocates its random boundary (one string the
 	// Content-Type value and the framing share), the Content-Length
 	// string, and the two header-value slices: net/http may read a HEAD's
@@ -151,6 +155,8 @@ func TestServeAllocBudgets(t *testing.T) {
 			}
 			return lc
 		}, true, "", allocBudgetSegEndpointFile},
+		{"fetch-handler/full", flatCluster, false, "", allocBudgetFetchHandlerFull},
+		{"fetch-handler/range", flatCluster, false, rangeHdr, allocBudgetFetchHandlerRange},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
