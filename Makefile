@@ -33,8 +33,9 @@
 #   make ci      — what .github/workflows/check.yml runs: gofmt
 #                  cleanliness of every Go file in the tree (root
 #                  package, cmd, internal, examples, perfbench), module
-#                  verification, the full check gate, then `make loc`,
-#                  so every CI log shows the size of the plane.
+#                  verification, the full check gate, `make worlds`,
+#                  then `make loc`, so every CI log shows the size of
+#                  the plane.
 #   make smoke   — the scenario smoke table: one fixed-seed, CI-sized
 #                  scdn-loadgen run per scenario (delivery, churn,
 #                  ingest, large), each of which must reconcile against
@@ -50,6 +51,11 @@
 #                  BENCH_large.json's sustained MB/s (the byte axis).
 #   make largebench — the byte-throughput measurement run whose record
 #                  is checked in as BENCH_large.json.
+#   make worlds  — fail if the live plane (scdn-serve, scdn-loadgen,
+#                  scdn-digest, internal/server, internal/loadharness)
+#                  imports the simulator (internal/core, internal/sim), or
+#                  if internal/cdnclient imports the simulator's social
+#                  platform or allocation cluster.
 #   make loc     — non-test Go line counts of the live-plane packages
 #                  (internal/server, storage, ingest, cdnclient; ROADMAP
 #                  items 8 and 11 shrink them).
@@ -60,11 +66,11 @@ SMOKE_ROWS = delivery churn ingest large
 
 .PHONY: check test lint race vet bench benchsmoke fuzzsmoke \
 	ci fmtcheck modverify smoke $(addprefix smoke-,$(SMOKE_ROWS)) perfgate largebench \
-	perfbenchcheck flake loc
+	perfbenchcheck flake worlds loc
 
 check: vet lint test race fuzzsmoke benchsmoke smoke perfbenchcheck
 
-ci: fmtcheck modverify check loc
+ci: fmtcheck modverify check worlds loc
 
 # gofmt -l prints nothing when the tree is clean; any output fails the
 # gate. It walks the whole tree, so the root package, examples/ and the
@@ -192,6 +198,16 @@ largebench:
 	$(GO) run ./cmd/scdn-loadgen -scenario large -nodes 2 -datasets 2 -bytes 33554432 \
 		-segment-size 4194304 -rates 4,8,16 -openloop-duration 2s -seed 42 \
 		-bench-out BENCH_large.json
+
+# The two worlds stay apart: what the edges run never links the
+# simulator, and the live client never links the simulator's models.
+LIVE_PKGS = ./cmd/scdn-serve ./cmd/scdn-loadgen ./cmd/scdn-digest ./internal/server ./internal/loadharness
+
+worlds:
+	@deps=$$($(GO) list -deps $(LIVE_PKGS)) || exit 1; \
+	if echo "$$deps" | grep -Ex 'scdn/internal/(core|sim)'; then echo "the live plane imports the simulator"; exit 1; fi
+	@deps=$$($(GO) list -deps ./internal/cdnclient) || exit 1; \
+	if echo "$$deps" | grep -Ex 'scdn/internal/(socialnet|allocation)'; then echo "internal/cdnclient imports the simulator's models"; exit 1; fi
 
 # LOC_DIRS are the packages whose non-test size `make loc` reports.
 LOC_DIRS = internal/server internal/storage internal/ingest internal/cdnclient

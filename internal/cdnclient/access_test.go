@@ -1,4 +1,9 @@
-package cdnclient
+// Tests of core.Client, the simulator's Section V-A CDN client, with
+// fakes of its collaborators (fallback_test.go shares them). It lived in
+// this package before it moved to internal/core, and its tests keep this
+// package's name in the suite.
+
+package cdnclient_test
 
 import (
 	"errors"
@@ -6,6 +11,7 @@ import (
 	"time"
 
 	"scdn/internal/allocation"
+	"scdn/internal/core"
 	"scdn/internal/socialnet"
 	"scdn/internal/storage"
 )
@@ -51,9 +57,9 @@ func (f *fakeFetcher) Fetch(src, dst allocation.NodeID, bytes int64,
 	return nil
 }
 
-func setup(t *testing.T) (*Client, *fakeAuth, *fakeResolver, *fakeFetcher, *time.Duration) {
+func setup(t *testing.T) (*core.Client, *fakeAuth, *fakeResolver, *fakeFetcher, *time.Duration) {
 	t.Helper()
-	repo, err := storage.NewRepository(1, 0, 1000, 400)
+	repo, err := core.NewRepository(1, 0, 1000, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +67,7 @@ func setup(t *testing.T) (*Client, *fakeAuth, *fakeResolver, *fakeFetcher, *time
 	res := &fakeResolver{replica: allocation.Replica{Node: 5, Site: 1}, found: true, bytes: 100, origin: 9}
 	fet := &fakeFetcher{ok: true}
 	now := new(time.Duration)
-	c, err := New(1, "tok", repo, auth, res, fet, func() time.Duration { return *now })
+	c, err := core.NewClient(1, "tok", repo, auth, res, fet, func() time.Duration { return *now })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +75,15 @@ func setup(t *testing.T) (*Client, *fakeAuth, *fakeResolver, *fakeFetcher, *time
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(1, "t", nil, &fakeAuth{}, &fakeResolver{}, &fakeFetcher{}, func() time.Duration { return 0 }); err == nil {
+	if _, err := core.NewClient(1, "t", nil, &fakeAuth{}, &fakeResolver{}, &fakeFetcher{}, func() time.Duration { return 0 }); err == nil {
 		t.Fatal("nil repo accepted")
 	}
 }
 
-func access(t *testing.T, c *Client, id storage.DatasetID) AccessResult {
+func access(t *testing.T, c *core.Client, id storage.DatasetID) core.AccessResult {
 	t.Helper()
-	var got *AccessResult
-	c.Access(id, func(r AccessResult) { got = &r })
+	var got *core.AccessResult
+	c.Access(id, func(r core.AccessResult) { got = &r })
 	if got == nil {
 		t.Fatal("done not called")
 	}
@@ -88,13 +94,13 @@ func TestAccessLocalHit(t *testing.T) {
 	c, _, _, fet, _ := setup(t)
 	c.Repo.StoreUser("d", 50, 0)
 	r := access(t, c, "d")
-	if r.Outcome != LocalHit {
+	if r.Outcome != core.LocalHit {
 		t.Fatalf("outcome = %v", r.Outcome)
 	}
 	if fet.fetches != 0 {
 		t.Fatal("local hit should not fetch")
 	}
-	if c.ByOutcome[LocalHit] != 1 || c.Accesses != 1 {
+	if c.ByOutcome[core.LocalHit] != 1 || c.Accesses != 1 {
 		t.Fatal("stats wrong")
 	}
 }
@@ -102,7 +108,7 @@ func TestAccessLocalHit(t *testing.T) {
 func TestAccessReplicaFetchStoresLocally(t *testing.T) {
 	c, _, _, _, _ := setup(t)
 	r := access(t, c, "d")
-	if r.Outcome != ReplicaFetch || r.Source != 5 {
+	if r.Outcome != core.ReplicaFetch || r.Source != 5 {
 		t.Fatalf("result = %+v", r)
 	}
 	if r.ThroughputMbps != 80 {
@@ -112,7 +118,7 @@ func TestAccessReplicaFetchStoresLocally(t *testing.T) {
 		t.Fatal("fetched data not stored")
 	}
 	// Second access is a local hit.
-	if r := access(t, c, "d"); r.Outcome != LocalHit {
+	if r := access(t, c, "d"); r.Outcome != core.LocalHit {
 		t.Fatalf("second access = %v", r.Outcome)
 	}
 }
@@ -121,7 +127,7 @@ func TestAccessOriginFetch(t *testing.T) {
 	c, _, res, _, _ := setup(t)
 	res.replica = allocation.Replica{Node: 9, Site: 2}
 	res.origin = 9
-	if r := access(t, c, "d"); r.Outcome != OriginFetch {
+	if r := access(t, c, "d"); r.Outcome != core.OriginFetch {
 		t.Fatalf("outcome = %v", r.Outcome)
 	}
 }
@@ -130,7 +136,7 @@ func TestAccessDenied(t *testing.T) {
 	c, auth, _, fet, _ := setup(t)
 	auth.deny = true
 	r := access(t, c, "d")
-	if r.Outcome != Denied || r.Err == nil {
+	if r.Outcome != core.Denied || r.Err == nil {
 		t.Fatalf("result = %+v", r)
 	}
 	if fet.fetches != 0 {
@@ -141,11 +147,11 @@ func TestAccessDenied(t *testing.T) {
 func TestAccessUnavailable(t *testing.T) {
 	c, _, res, _, _ := setup(t)
 	res.found = false
-	if r := access(t, c, "d"); r.Outcome != Unavailable {
+	if r := access(t, c, "d"); r.Outcome != core.Unavailable {
 		t.Fatalf("outcome = %v", r.Outcome)
 	}
 	res.resolveErr = errors.New("boom")
-	if r := access(t, c, "d"); r.Outcome != Unavailable || r.Err == nil {
+	if r := access(t, c, "d"); r.Outcome != core.Unavailable || r.Err == nil {
 		t.Fatalf("outcome = %v", r.Outcome)
 	}
 }
@@ -153,11 +159,11 @@ func TestAccessUnavailable(t *testing.T) {
 func TestAccessTransferFailed(t *testing.T) {
 	c, _, _, fet, _ := setup(t)
 	fet.ok = false
-	if r := access(t, c, "d"); r.Outcome != TransferFailed {
+	if r := access(t, c, "d"); r.Outcome != core.TransferFailed {
 		t.Fatalf("outcome = %v", r.Outcome)
 	}
 	fet.submitE = errors.New("submit failed")
-	if r := access(t, c, "d"); r.Outcome != TransferFailed || r.Err == nil {
+	if r := access(t, c, "d"); r.Outcome != core.TransferFailed || r.Err == nil {
 		t.Fatalf("outcome = %v", r.Outcome)
 	}
 }
@@ -166,7 +172,7 @@ func TestAccessSucceedsEvenIfStoreFails(t *testing.T) {
 	c, _, res, _, _ := setup(t)
 	res.bytes = 5000 // exceeds repo capacity: StoreUser fails
 	r := access(t, c, "d")
-	if r.Outcome != ReplicaFetch {
+	if r.Outcome != core.ReplicaFetch {
 		t.Fatalf("outcome = %v, want ReplicaFetch despite store failure", r.Outcome)
 	}
 	if r.Err == nil {
@@ -233,16 +239,16 @@ func TestHostReplicaFetchFailure(t *testing.T) {
 }
 
 func TestOutcomeStrings(t *testing.T) {
-	want := map[Outcome]string{
-		LocalHit: "local-hit", ReplicaFetch: "replica-fetch", OriginFetch: "origin-fetch",
-		Denied: "denied", Unavailable: "unavailable", TransferFailed: "transfer-failed",
+	want := map[core.Outcome]string{
+		core.LocalHit: "local-hit", core.ReplicaFetch: "replica-fetch", core.OriginFetch: "origin-fetch",
+		core.Denied: "denied", core.Unavailable: "unavailable", core.TransferFailed: "transfer-failed",
 	}
 	for o, s := range want {
 		if o.String() != s {
 			t.Errorf("%d.String() = %q, want %q", o, o.String(), s)
 		}
 	}
-	if Outcome(42).String() != "outcome(42)" {
+	if core.Outcome(42).String() != "outcome(42)" {
 		t.Error("unknown outcome String wrong")
 	}
 }

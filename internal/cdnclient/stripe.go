@@ -7,6 +7,7 @@
 // fallback), and verification runs in-stream through a caller-supplied
 // per-range verifier (deterministic payload, manifest block digests,
 // ...), so memory stays flat no matter how large the dataset is.
+
 package cdnclient
 
 import (

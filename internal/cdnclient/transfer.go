@@ -1,9 +1,11 @@
-// The live-transfer side of the CDN client: content-addressed uploads
-// into the serving plane (PUT /v1/datasets/{id}) and manifest-verified
-// striped downloads (GridFTP-style parallel ranges). This is the real
-// data plane the paper's client agent "initiates third-party transfers"
-// with — bytes genuinely move, and every transfer verifies against the
-// dataset's manifest, not against a regenerable pattern.
+// Package cdnclient is the live S-CDN client (Section V-A): Upload
+// sends a dataset into the serving plane as content-addressed stripes
+// (PUT /v1/datasets/{id}), and Download fetches one back as
+// manifest-verified parallel ranges through FetchStriped (stripe.go), the
+// paper's GridFTP-style high-performance transfer. Bytes genuinely move,
+// and every transfer verifies against the dataset's manifest, not against
+// a regenerable pattern. The simulator's model of the client agent, in
+// virtual time, lives in internal/core.
 package cdnclient
 
 import (

@@ -1,9 +1,4 @@
-// Package cdnclient implements the per-researcher CDN client of
-// Section V-A: a lightweight agent configured with the user's social
-// credentials that manages the contributed repository, resolves data
-// through the allocation servers, initiates third-party transfers into
-// the user's shared folder, and reports usage statistics.
-package cdnclient
+package core
 
 import (
 	"fmt"
@@ -13,6 +8,12 @@ import (
 	"scdn/internal/socialnet"
 	"scdn/internal/storage"
 )
+
+// The per-researcher CDN client of Section V-A: a lightweight agent
+// configured with the user's social credentials that manages the
+// contributed repository, resolves data through the allocation servers,
+// initiates third-party transfers into the user's shared folder, and
+// reports usage statistics.
 
 // Outcome classifies one data access.
 type Outcome int
@@ -93,7 +94,7 @@ type Clock func() time.Duration
 type Client struct {
 	User  allocation.NodeID
 	Token socialnet.Token
-	Repo  *storage.Repository
+	Repo  *Repository
 
 	auth    Authorizer
 	resolve Resolver
@@ -106,11 +107,11 @@ type Client struct {
 	ByOutcome map[Outcome]uint64
 }
 
-// New wires a client. All collaborators are required.
-func New(user allocation.NodeID, token socialnet.Token, repo *storage.Repository,
+// NewClient wires a client. All collaborators are required.
+func NewClient(user allocation.NodeID, token socialnet.Token, repo *Repository,
 	auth Authorizer, resolver Resolver, fetcher Fetcher, clock Clock) (*Client, error) {
 	if repo == nil || auth == nil || resolver == nil || fetcher == nil || clock == nil {
-		return nil, fmt.Errorf("cdnclient: missing collaborator")
+		return nil, fmt.Errorf("core: missing collaborator")
 	}
 	return &Client{
 		User: user, Token: token, Repo: repo,

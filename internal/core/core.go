@@ -12,7 +12,6 @@ import (
 
 	"scdn/internal/allocation"
 	"scdn/internal/availability"
-	"scdn/internal/cdnclient"
 	"scdn/internal/graph"
 	"scdn/internal/metrics"
 	"scdn/internal/middleware"
@@ -170,8 +169,8 @@ type SCDN struct {
 
 type participant struct {
 	user   User
-	repo   *storage.Repository
-	client *cdnclient.Client
+	repo   *Repository
+	client *Client
 	trace  *availability.Trace
 	token  socialnet.Token
 }
@@ -337,7 +336,7 @@ func New(cfg Config, users []User, edges []Edge) (*SCDN, error) {
 		if err := s.Platform.JoinGroup(cfg.GroupName, u.ID); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		repo, err := storage.NewRepository(int64(u.ID), u.SiteID, capBytes, reserve)
+		repo, err := NewRepository(int64(u.ID), u.SiteID, capBytes, reserve)
 		if err != nil {
 			return nil, fmt.Errorf("core: user %d: %w", u.ID, err)
 		}
@@ -375,7 +374,7 @@ func New(cfg Config, users []User, edges []Edge) (*SCDN, error) {
 			return nil, fmt.Errorf("core: login %d: %w", u.ID, err)
 		}
 		p.token = tok
-		client, err := cdnclient.New(NodeID(u.ID), tok, p.repo, s.Mw, fallbackResolver{s}, fetcher{s},
+		client, err := NewClient(NodeID(u.ID), tok, p.repo, s.Mw, fallbackResolver{s}, fetcher{s},
 			func() time.Duration { return s.Engine.Now().Duration() })
 		if err != nil {
 			return nil, fmt.Errorf("core: client %d: %w", u.ID, err)
@@ -404,7 +403,7 @@ func (s *SCDN) OnlineAt(id graph.NodeID, at time.Duration) bool {
 }
 
 // Client returns a user's CDN client.
-func (s *SCDN) Client(id graph.NodeID) (*cdnclient.Client, error) {
+func (s *SCDN) Client(id graph.NodeID) (*Client, error) {
 	p, ok := s.byID[id]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown user %d", id)
@@ -413,7 +412,7 @@ func (s *SCDN) Client(id graph.NodeID) (*cdnclient.Client, error) {
 }
 
 // Repository returns a user's repository.
-func (s *SCDN) Repository(id graph.NodeID) (*storage.Repository, error) {
+func (s *SCDN) Repository(id graph.NodeID) (*Repository, error) {
 	p, ok := s.byID[id]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown user %d", id)
@@ -540,28 +539,28 @@ func (s *SCDN) PlaceReplicas(id storage.DatasetID, k int) ([]graph.NodeID, error
 
 // RequestAccess performs one user data access, updating the CDN metrics.
 // done may be nil.
-func (s *SCDN) RequestAccess(user graph.NodeID, id storage.DatasetID, done func(cdnclient.AccessResult)) error {
+func (s *SCDN) RequestAccess(user graph.NodeID, id storage.DatasetID, done func(AccessResult)) error {
 	p, ok := s.byID[user]
 	if !ok {
 		return fmt.Errorf("core: unknown user %d", user)
 	}
-	p.client.Access(id, func(r cdnclient.AccessResult) {
+	p.client.Access(id, func(r AccessResult) {
 		switch r.Outcome {
-		case cdnclient.LocalHit:
+		case LocalHit:
 			s.CDN.RequestsServed.Inc()
 			s.CDN.LocalHits.Inc()
 			s.Provenance.RecordAccessed(id, NodeID(user), 0, s.Engine.Now().Duration())
-		case cdnclient.ReplicaFetch:
+		case ReplicaFetch:
 			s.CDN.RequestsServed.Inc()
 			s.CDN.ReplicaHits.Inc()
 			s.Social.RecordConsumption(int64(user), s.dataset[id])
 			s.Provenance.RecordAccessed(id, NodeID(user), r.Source, s.Engine.Now().Duration())
-		case cdnclient.OriginFetch:
+		case OriginFetch:
 			s.CDN.RequestsServed.Inc()
 			s.CDN.OriginFetches.Inc()
 			s.Social.RecordConsumption(int64(user), s.dataset[id])
 			s.Provenance.RecordAccessed(id, NodeID(user), r.Source, s.Engine.Now().Duration())
-		case cdnclient.Unavailable:
+		case Unavailable:
 			s.CDN.RequestsFailed.Inc()
 			s.CDN.ReplicaUnavailable.Inc()
 		default: // Denied, TransferFailed

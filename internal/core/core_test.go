@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"scdn/internal/cdnclient"
 	"scdn/internal/graph"
 	"scdn/internal/metrics"
 	"scdn/internal/sim"
@@ -122,15 +121,15 @@ func TestPlaceReplicasAndAccess(t *testing.T) {
 	}
 
 	// A far user accesses the data.
-	var result *cdnclient.AccessResult
-	if err := s.RequestAccess(6, "d1", func(r cdnclient.AccessResult) { result = &r }); err != nil {
+	var result *AccessResult
+	if err := s.RequestAccess(6, "d1", func(r AccessResult) { result = &r }); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(6 * time.Hour)
 	if result == nil {
 		t.Fatal("access never completed")
 	}
-	if result.Outcome != cdnclient.ReplicaFetch && result.Outcome != cdnclient.OriginFetch {
+	if result.Outcome != ReplicaFetch && result.Outcome != OriginFetch {
 		t.Fatalf("outcome = %v", result.Outcome)
 	}
 	if s.CDN.RequestsServed.Value() != 1 {
@@ -160,10 +159,10 @@ func TestAccessDeniedOutsideGroup(t *testing.T) {
 	s.PublishDataset(1, "d1", 1e6)
 	// Remove user 6 from the collaboration group.
 	s.Platform.LeaveGroup(s.Config.GroupName, 6)
-	var result *cdnclient.AccessResult
-	s.RequestAccess(6, "d1", func(r cdnclient.AccessResult) { result = &r })
+	var result *AccessResult
+	s.RequestAccess(6, "d1", func(r AccessResult) { result = &r })
 	s.Run(time.Hour)
-	if result == nil || result.Outcome != cdnclient.Denied {
+	if result == nil || result.Outcome != Denied {
 		t.Fatalf("result = %+v, want Denied", result)
 	}
 	if s.CDN.RequestsFailed.Value() != 1 {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"scdn/internal/cdnclient"
 	"scdn/internal/graph"
 	"scdn/internal/placement"
 	"scdn/internal/socialnet"
@@ -147,10 +146,10 @@ func TestAllocationServerOutageTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// User 4 is a leaf that never hosts replicas in this topology.
-	var result *cdnclient.AccessResult
-	s.RequestAccess(4, "d", func(r cdnclient.AccessResult) { result = &r })
+	var result *AccessResult
+	s.RequestAccess(4, "d", func(r AccessResult) { result = &r })
 	s.Run(2 * time.Hour)
-	if result == nil || (result.Outcome != cdnclient.ReplicaFetch && result.Outcome != cdnclient.OriginFetch) {
+	if result == nil || (result.Outcome != ReplicaFetch && result.Outcome != OriginFetch) {
 		t.Fatalf("access during outage = %+v", result)
 	}
 	// Publishing during the outage replicates to live members only...
@@ -161,10 +160,10 @@ func TestAllocationServerOutageTransparent(t *testing.T) {
 	if err := s.Cluster.SetDown(0, false); err != nil {
 		t.Fatal(err)
 	}
-	var r2 *cdnclient.AccessResult
-	s.RequestAccess(10, "d2", func(r cdnclient.AccessResult) { r2 = &r })
+	var r2 *AccessResult
+	s.RequestAccess(10, "d2", func(r AccessResult) { r2 = &r })
 	s.Run(4 * time.Hour)
-	if r2 == nil || r2.Outcome == cdnclient.Unavailable {
+	if r2 == nil || r2.Outcome == Unavailable {
 		t.Fatalf("post-rejoin access = %+v", r2)
 	}
 }
@@ -182,10 +181,10 @@ func TestTotalAllocationOutageFailsGracefully(t *testing.T) {
 	s.Run(time.Hour)
 	s.Cluster.SetDown(0, true)
 	s.Cluster.SetDown(1, true)
-	var result *cdnclient.AccessResult
-	s.RequestAccess(9, "d", func(r cdnclient.AccessResult) { result = &r })
+	var result *AccessResult
+	s.RequestAccess(9, "d", func(r AccessResult) { result = &r })
 	s.Run(2 * time.Hour)
-	if result == nil || result.Outcome != cdnclient.Unavailable {
+	if result == nil || result.Outcome != Unavailable {
 		t.Fatalf("access with no catalog = %+v, want Unavailable", result)
 	}
 	if s.CDN.RequestsFailed.Value() == 0 {
@@ -206,8 +205,8 @@ func TestTransferFailureStorm(t *testing.T) {
 	failures := 0
 	for _, u := range []graph.NodeID{5, 6, 7, 8, 9, 10} {
 		u := u
-		s.RequestAccess(u, "d", func(r cdnclient.AccessResult) {
-			if r.Outcome == cdnclient.TransferFailed {
+		s.RequestAccess(u, "d", func(r AccessResult) {
+			if r.Outcome == TransferFailed {
 				failures++
 			}
 		})
@@ -246,13 +245,13 @@ func TestP2PFallbackRescuesAccess(t *testing.T) {
 	// Total catalog outage.
 	s.Cluster.SetDown(0, true)
 	s.Cluster.SetDown(1, true)
-	var result *cdnclient.AccessResult
-	s.RequestAccess(10, "d", func(r cdnclient.AccessResult) { result = &r })
+	var result *AccessResult
+	s.RequestAccess(10, "d", func(r AccessResult) { result = &r })
 	s.Run(4 * time.Hour)
 	if result == nil {
 		t.Fatal("access incomplete")
 	}
-	if result.Outcome != cdnclient.ReplicaFetch && result.Outcome != cdnclient.OriginFetch {
+	if result.Outcome != ReplicaFetch && result.Outcome != OriginFetch {
 		t.Fatalf("P2P fallback outcome = %v", result.Outcome)
 	}
 	if result.Source != 9 {
@@ -276,8 +275,8 @@ func TestP2PFallbackTwoHops(t *testing.T) {
 	s.Run(time.Hour)
 	s.Cluster.SetDown(0, true)
 	s.Cluster.SetDown(1, true)
-	var result *cdnclient.AccessResult
-	s.RequestAccess(10, "d", func(r cdnclient.AccessResult) { result = &r })
+	var result *AccessResult
+	s.RequestAccess(10, "d", func(r AccessResult) { result = &r })
 	s.Run(3 * time.Hour)
 	if result == nil || result.Source != 8 {
 		t.Fatalf("2-hop P2P result = %+v, want source 8", result)
@@ -297,10 +296,10 @@ func TestP2PFallbackDisabled(t *testing.T) {
 	s.Run(time.Hour)
 	s.Cluster.SetDown(0, true)
 	s.Cluster.SetDown(1, true)
-	var result *cdnclient.AccessResult
-	s.RequestAccess(9, "d", func(r cdnclient.AccessResult) { result = &r })
+	var result *AccessResult
+	s.RequestAccess(9, "d", func(r AccessResult) { result = &r })
 	s.Run(2 * time.Hour)
-	if result == nil || result.Outcome != cdnclient.Unavailable {
+	if result == nil || result.Outcome != Unavailable {
 		t.Fatalf("disabled fallback result = %+v, want Unavailable", result)
 	}
 	if s.P2PLookups != 0 {
@@ -321,10 +320,10 @@ func TestP2PFallbackBeyondTwoHopsFails(t *testing.T) {
 	s.Run(time.Hour)
 	s.Cluster.SetDown(0, true)
 	s.Cluster.SetDown(1, true)
-	var result *cdnclient.AccessResult
-	s.RequestAccess(2, "d", func(r cdnclient.AccessResult) { result = &r })
+	var result *AccessResult
+	s.RequestAccess(2, "d", func(r AccessResult) { result = &r })
 	s.Run(2 * time.Hour)
-	if result == nil || result.Outcome != cdnclient.Unavailable {
+	if result == nil || result.Outcome != Unavailable {
 		t.Fatalf("distant P2P result = %+v, want Unavailable (beyond gossip horizon)", result)
 	}
 }

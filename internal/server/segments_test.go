@@ -133,6 +133,43 @@ func TestSegmentedWholeFetch(t *testing.T) {
 	}
 }
 
+// TestRepairKeepsSegmentedLayout: a repair of a segmented seeded
+// dataset announces the new holder without laying the dataset out as
+// one flat entry; the holder's first fetch derives the segments, as the
+// origin's does.
+func TestRepairKeepsSegmentedLayout(t *testing.T) {
+	lc := segCluster(t, ClusterConfig{Nodes: 2, Users: 1, Datasets: 1,
+		Sweep: SweeperConfig{Disabled: true}})
+	client := &http.Client{Timeout: 10 * time.Second}
+	holder := lc.Nodes[1] // ds-001's origin is node 1
+	tok := login(t, lc)
+
+	if !holder.replicateLocal(context.Background(), "ds-001") {
+		t.Fatal("node 2 did not adopt ds-001")
+	}
+	if holder.Volume().Has("ds-001") {
+		t.Fatal("repair committed a whole-file replica of a segmented dataset")
+	}
+	if got := holder.Metrics.RepairReplicasRestored.Value(); got != 1 {
+		t.Fatalf("replicas restored = %d, want 1", got)
+	}
+	if got := holder.Metrics.IngestRepairRegenerated.Value(); got != 1 {
+		t.Fatalf("repair regenerated = %d, want 1", got)
+	}
+
+	fetchDataset(t, client, holder.BaseURL(), tok, "ds-001", segTestBytes)
+	quiesce(t, lc)
+	if got := holder.Metrics.SegmentedServes.Value(); got != 1 {
+		t.Fatalf("segmented serves = %d, want 1", got)
+	}
+	if got := holder.Volume().ResidentSegments("ds-001", segTestCount); got != segTestCount {
+		t.Fatalf("resident segments = %d, want %d", got, segTestCount)
+	}
+	if holder.Volume().Has("ds-001") || holder.Metrics.StoreSpillFailures.Value() != 0 {
+		t.Fatal("the fetch laid the dataset out flat or failed a spill")
+	}
+}
+
 // TestSegmentedQuotaResidency is the partial-residency contract: a
 // volume whose quota holds a fraction of one dataset still serves the
 // whole thing, keeps the hot tail resident, and a later ranged fetch

@@ -324,8 +324,11 @@ func (n *Node) replicateLocal(ctx context.Context, id storage.DatasetID) bool {
 		return false
 	}
 	// Best effort: if the disk is full the generator fallback still
-	// serves the bytes, so the replica is real either way.
-	_ = n.materialize(id, id, 0, size)
+	// serves the bytes, so the replica is real either way. A segmented
+	// dataset derives its segments on first fetch, as at its origin.
+	if !n.segmented(size) {
+		_ = n.materialize(id, id, 0, size)
+	}
 	if err := n.catalog.AddReplica(id, n.cfg.Node, n.now()); err != nil {
 		return false // already announced (origin copy or racing repairer)
 	}

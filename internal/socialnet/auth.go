@@ -22,7 +22,14 @@ type AuthService struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	sessions map[Token]session
+	// pruneAt is the session count at which Issue next drops expired
+	// sessions: twice what its last prune left, and never below
+	// minPruneAt, so each Issue stays amortised O(1).
+	pruneAt int
 }
+
+// minPruneAt is the smallest session map Issue prunes.
+const minPruneAt = 1024
 
 type session struct {
 	user    UserID
@@ -35,11 +42,15 @@ func NewAuthService(seed int64) *AuthService {
 	return &AuthService{
 		rng:      rand.New(rand.NewSource(seed)),
 		sessions: make(map[Token]session),
+		pruneAt:  minPruneAt,
 	}
 }
 
 // Issue creates a token for user valid until now+ttl on the caller's
-// clock. A non-positive ttl yields an error.
+// clock. A non-positive ttl yields an error. Once the session map has
+// doubled since its last prune, Issue first drops every session expired
+// at now, so a long-lived service does not keep one entry per login
+// forever; a dropped token validates as unknown.
 func (a *AuthService) Issue(user UserID, now, ttl time.Duration) (Token, error) {
 	if ttl <= 0 {
 		return "", fmt.Errorf("socialnet: non-positive token ttl %v", ttl)
@@ -52,6 +63,14 @@ func (a *AuthService) Issue(user UserID, now, ttl time.Duration) (Token, error) 
 	}
 	sum := sha256.Sum256(append(raw, []byte(fmt.Sprintf("%d@%d", user, now))...))
 	tok := Token(hex.EncodeToString(sum[:16]))
+	if len(a.sessions) >= a.pruneAt {
+		for t, s := range a.sessions {
+			if now >= s.expires {
+				delete(a.sessions, t)
+			}
+		}
+		a.pruneAt = max(2*len(a.sessions), minPruneAt)
+	}
 	a.sessions[tok] = session{user: user, expires: now + ttl}
 	return tok, nil
 }

@@ -210,3 +210,29 @@ func TestAuthTokensUnique(t *testing.T) {
 		seen[tok] = true
 	}
 }
+
+// TestAuthPrunesExpiredSessions issues a login a second for 10,000
+// seconds, each valid for one: the session map must stay bounded by the
+// live sessions, not grow by one entry per Issue. A session that outlives
+// the churn still validates, and a pruned one fails as unknown.
+func TestAuthPrunesExpiredSessions(t *testing.T) {
+	a := NewAuthService(1)
+	keep, _ := a.Issue(1, 0, 24*time.Hour)
+	first, _ := a.Issue(2, 0, time.Second)
+	now := time.Duration(0)
+	for i := 0; i < 10000; i++ {
+		now += time.Second
+		if _, err := a.Issue(3, now, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if n, live := len(a.sessions), a.ActiveSessions(now); n > 2*live+1024 {
+			t.Fatalf("after %d issues: %d sessions held for %d live", i+1, n, live)
+		}
+	}
+	if u, err := a.Validate(keep, now); err != nil || u != 1 {
+		t.Fatalf("live token after pruning = %d, %v", u, err)
+	}
+	if _, err := a.Validate(first, now); err == nil || err.Error() != "socialnet: unknown token" {
+		t.Fatalf("pruned token = %v, want unknown", err)
+	}
+}

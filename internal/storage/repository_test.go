@@ -1,14 +1,21 @@
-package storage
+// Tests of core.Repository, the simulator's model of a researcher's
+// shared folder. It lived in this package before it moved to
+// internal/core, and its tests keep this package's name in the suite.
+
+package storage_test
 
 import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"scdn/internal/core"
+	"scdn/internal/storage"
 )
 
-func newRepo(t *testing.T, capacity, reserve int64) *Repository {
+func newRepo(t *testing.T, capacity, reserve int64) *core.Repository {
 	t.Helper()
-	r, err := NewRepository(1, 0, capacity, reserve)
+	r, err := core.NewRepository(1, 0, capacity, reserve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,13 +23,13 @@ func newRepo(t *testing.T, capacity, reserve int64) *Repository {
 }
 
 func TestNewRepositoryValidation(t *testing.T) {
-	if _, err := NewRepository(1, 0, 0, 0); err == nil {
+	if _, err := core.NewRepository(1, 0, 0, 0); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
-	if _, err := NewRepository(1, 0, 100, 200); err == nil {
+	if _, err := core.NewRepository(1, 0, 100, 200); err == nil {
 		t.Fatal("reserve > capacity accepted")
 	}
-	if _, err := NewRepository(1, 0, 100, -1); err == nil {
+	if _, err := core.NewRepository(1, 0, 100, -1); err == nil {
 		t.Fatal("negative reserve accepted")
 	}
 }
@@ -173,15 +180,15 @@ func TestPropertyAccountingInvariant(t *testing.T) {
 		Bytes uint8
 	}
 	f := func(ops []op) bool {
-		r, _ := NewRepository(1, 0, 500, 200)
+		r, _ := core.NewRepository(1, 0, 500, 200)
 		now := time.Duration(0)
 		for _, o := range ops {
 			now += time.Second
 			bytes := int64(o.Bytes%60) + 1
 			// Disjoint ID ranges per partition so the partition-sum check
 			// below can attribute sizes unambiguously.
-			repID := DatasetID(string(rune('a' + o.ID%4)))
-			usrID := DatasetID(string(rune('e' + o.ID%4)))
+			repID := storage.DatasetID(string(rune('a' + o.ID%4)))
+			usrID := storage.DatasetID(string(rune('e' + o.ID%4)))
 			switch o.Kind % 4 {
 			case 0:
 				r.StoreReplica(repID, bytes, now) //nolint:errcheck // errors expected

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"scdn/internal/cdnclient"
 	"scdn/internal/core"
 	"scdn/internal/graph"
 	"scdn/internal/metrics"
@@ -215,16 +214,16 @@ func (n *Network) Replicate(id DatasetID, k int) ([]ResearcherID, error) {
 }
 
 // AccessResult re-exports the client access outcome.
-type AccessResult = cdnclient.AccessResult
+type AccessResult = core.AccessResult
 
 // Access outcomes re-exported for result inspection.
 const (
-	LocalHit       = cdnclient.LocalHit
-	ReplicaFetch   = cdnclient.ReplicaFetch
-	OriginFetch    = cdnclient.OriginFetch
-	Denied         = cdnclient.Denied
-	Unavailable    = cdnclient.Unavailable
-	TransferFailed = cdnclient.TransferFailed
+	LocalHit       = core.LocalHit
+	ReplicaFetch   = core.ReplicaFetch
+	OriginFetch    = core.OriginFetch
+	Denied         = core.Denied
+	Unavailable    = core.Unavailable
+	TransferFailed = core.TransferFailed
 )
 
 // Request performs one data access for a researcher; done (optional)
