@@ -34,8 +34,8 @@
 #                  cleanliness of every Go file in the tree (root
 #                  package, cmd, internal, examples, perfbench), module
 #                  verification, the full check gate, `make worlds`,
-#                  then `make loc`, so every CI log shows the size of
-#                  the plane.
+#                  `make repro`, then `make loc`, so every CI log shows
+#                  the size of the plane.
 #   make smoke   — the scenario smoke table: one fixed-seed, CI-sized
 #                  scdn-loadgen run per scenario (delivery, churn,
 #                  ingest, large), each of which must reconcile against
@@ -56,6 +56,8 @@
 #                  imports the simulator (internal/core, internal/sim), or
 #                  if internal/cdnclient imports the simulator's social
 #                  platform or allocation cluster.
+#   make repro   — the reproduction stays byte-reproducible: two runs of
+#                  scdn-casestudy at one seed must print identical JSON.
 #   make loc     — non-test Go line counts of the live-plane packages
 #                  (internal/server, storage, ingest, cdnclient; ROADMAP
 #                  items 8 and 11 shrink them).
@@ -66,11 +68,11 @@ SMOKE_ROWS = delivery churn ingest large
 
 .PHONY: check test lint race vet bench benchsmoke fuzzsmoke \
 	ci fmtcheck modverify smoke $(addprefix smoke-,$(SMOKE_ROWS)) perfgate largebench \
-	perfbenchcheck flake worlds loc
+	perfbenchcheck flake worlds repro loc
 
 check: vet lint test race fuzzsmoke benchsmoke smoke perfbenchcheck
 
-ci: fmtcheck modverify check worlds loc
+ci: fmtcheck modverify check worlds repro loc
 
 # gofmt -l prints nothing when the tree is clean; any output fails the
 # gate. It walks the whole tree, so the root package, examples/ and the
@@ -208,6 +210,15 @@ worlds:
 	if echo "$$deps" | grep -Ex 'scdn/internal/(core|sim)'; then echo "the live plane imports the simulator"; exit 1; fi
 	@deps=$$($(GO) list -deps ./internal/cdnclient) || exit 1; \
 	if echo "$$deps" | grep -Ex 'scdn/internal/(socialnet|allocation)'; then echo "internal/cdnclient imports the simulator's models"; exit 1; fi
+
+# A fixed seed fixes every figure of the case study, so two runs print
+# the same bytes; any difference is order-dependent arithmetic.
+repro:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/scdn-casestudy" ./cmd/scdn-casestudy && \
+	"$$dir/scdn-casestudy" -seed 42 -runs 2 -json > "$$dir/a.json" && \
+	"$$dir/scdn-casestudy" -seed 42 -runs 2 -json > "$$dir/b.json" && \
+	cmp "$$dir/a.json" "$$dir/b.json" && echo "scdn-casestudy -seed 42 -runs 2 -json: byte-identical"
 
 # LOC_DIRS are the packages whose non-test size `make loc` reports.
 LOC_DIRS = internal/server internal/storage internal/ingest internal/cdnclient

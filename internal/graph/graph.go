@@ -296,13 +296,14 @@ func (g *Graph) ClusteringCoefficient(u NodeID) float64 {
 }
 
 // AverageClustering returns the mean local clustering coefficient over all
-// nodes, or 0 for an empty graph.
+// nodes, or 0 for an empty graph. It sums in ascending node order, so the
+// float result is the same on every call.
 func (g *Graph) AverageClustering() float64 {
 	if len(g.adj) == 0 {
 		return 0
 	}
 	sum := 0.0
-	for u := range g.adj {
+	for _, u := range g.Nodes() {
 		sum += g.ClusteringCoefficient(u)
 	}
 	return sum / float64(len(g.adj))

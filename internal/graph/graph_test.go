@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -302,6 +303,23 @@ func TestAverageClustering(t *testing.T) {
 	}
 	if c := New().AverageClustering(); c != 0 {
 		t.Fatalf("empty avg clustering = %v, want 0", c)
+	}
+}
+
+// TestAverageClusteringIsReproducible: the mean is summed in ascending
+// node order, so repeated calls agree to the bit (a sum in map order
+// differs in the last digits from call to call).
+func TestAverageClusteringIsReproducible(t *testing.T) {
+	g := randomGraph(200, 0.06, 42)
+	sum := 0.0
+	for _, u := range g.Nodes() {
+		sum += g.ClusteringCoefficient(u)
+	}
+	want := sum / float64(g.NumNodes())
+	for i := 0; i < 20; i++ {
+		if got := g.AverageClustering(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: avg clustering = %v, want %v (the sorted-order sum)", i, got, want)
+		}
 	}
 }
 

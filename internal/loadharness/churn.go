@@ -25,7 +25,7 @@ import (
 const (
 	ChurnKill    = "kill"    // hard Crash: connections die mid-flight, no goodbye
 	ChurnStop    = "stop"    // graceful Stop: drain, deregister, then close
-	ChurnRestart = "restart" // Start the node again (fresh port, re-adoption)
+	ChurnRestart = "restart" // Start the node again: fresh port, volume replayed from disk
 )
 
 // ChurnEvent is one scripted membership change.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -173,16 +172,12 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 			return fail(err)
 		}
 		reg.Register(Member{Node: nodeID, Site: site})
-		vol, err := storage.NewDiskVolume(
-			filepath.Join(lc.StoreRoot, fmt.Sprintf("node-%d", nodeID)), cfg.StoreQuota)
-		if err != nil {
-			return fail(err)
-		}
 		node, err := NewNode(Config{
 			Node:             nodeID,
 			ListenAddr:       cfg.ListenHost + ":0",
 			PullThrough:      cfg.PullThrough,
-			Volume:           vol,
+			StoreDir:         filepath.Join(lc.StoreRoot, fmt.Sprintf("node-%d", nodeID)),
+			StoreQuota:       cfg.StoreQuota,
 			Sweep:            cfg.Sweep,
 			Manifests:        manifests,
 			SegmentSize:      cfg.SegmentSize,
@@ -316,13 +311,13 @@ func (lc *LocalCluster) Quiesce(ctx context.Context) error {
 	return nil
 }
 
-// Shutdown gracefully stops every node and closes its volume, returning
-// the first error. A temp store root created by StartLocalCluster is
-// removed; an explicit StoreDir is left in place.
+// Shutdown gracefully stops every node (Stop closes its volume),
+// returning the first error. A temp store root created by
+// StartLocalCluster is removed; an explicit StoreDir is left in place.
 func (lc *LocalCluster) Shutdown(ctx context.Context) error {
 	var firstErr error
 	for _, n := range lc.Nodes {
-		if err := errors.Join(n.Stop(ctx), n.vol.Close()); err != nil && firstErr == nil {
+		if err := n.Stop(ctx); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

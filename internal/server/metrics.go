@@ -90,8 +90,8 @@ type Metrics struct {
 	// this node re-admitted after a successful probe;
 	// RepairReplicasRestored counts replicas this node adopted to close
 	// an under-replication or demand gap; RepairReadoptedReplicas counts
-	// surviving local copies re-announced to the catalog after a
-	// restart; RepairFailures counts repair actions that errored.
+	// replicas Start re-announced after replaying the volume;
+	// RepairFailures counts repair actions that errored.
 	ProbeFailures           metrics.Counter
 	RepairSweeps            metrics.Counter
 	RepairDeadMembers       metrics.Counter

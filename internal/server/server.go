@@ -12,8 +12,10 @@
 //
 // Nodes are member-contributed and carry no uptime SLA: they can be
 // stopped (graceful drain), crashed (hard close, no goodbye), and
-// started again. A background repair sweeper per node (sweeper.go)
-// detects dead members by failed health probes and deregisters them.
+// started again. Every start replays the node's volume from disk, so
+// a restarted member holds what its disk recorded. A background repair
+// sweeper per node (sweeper.go) detects dead members by failed health
+// probes and deregisters them.
 // Each missing copy of an under-replicated dataset is pulled by the one
 // live non-holder that rendezvous hashing elects, onto itself; no node
 // asks another to take a copy. Scripted churn (internal/loadharness)
@@ -52,11 +54,12 @@ type Config struct {
 	// volume and registers the new replica in the catalog, so demand
 	// migrates data toward where it is requested.
 	PullThrough bool
-	// Volume is the node's disk-backed replica volume (required):
-	// locally held datasets are materialized as real files (once, via
-	// the deterministic generator) and served by seek + sendfile, and
-	// pull-through caching spills the proxied stream straight to disk.
-	Volume *storage.DiskVolume
+	// StoreDir and StoreQuota name the node's disk-backed replica
+	// volume (both required). Every Start opens it from StoreDir and
+	// replays its log; Stop and Crash close it. Held datasets are
+	// served by seek + sendfile, and pull-through spills to it.
+	StoreDir   string
+	StoreQuota int64
 	// Sweep configures the node's background repair sweeper
 	// (sweeper.go). The zero value enables it with defaults; set
 	// Sweep.Disabled to run without one.
@@ -92,7 +95,6 @@ type Node struct {
 	auth     *middleware.Middleware
 	catalog  *Catalog
 	registry *Registry
-	vol      *storage.DiskVolume
 	srcID    string   // X-SCDN-Source value, rendered once
 	srcHdr   []string // the same value as a sharable header slice
 	Metrics  *Metrics
@@ -125,6 +127,14 @@ type Node struct {
 	// (Quiesce).
 	inflight inflight
 
+	// life serializes Start with the teardown, so at most one volume
+	// over StoreDir is open at a time. No handler or sweeper takes it,
+	// so the teardown may wait for them while holding it. vol is the
+	// volume Start opened: only Start writes it, before it serves, and
+	// the teardown closes it only after the last handler has returned,
+	// so the fetch path reads it as a plain field.
+	life        sync.Mutex
+	vol         *storage.DiskVolume
 	mu          sync.Mutex
 	httpSrv     *http.Server // fresh per Start: a shut-down http.Server cannot serve again
 	ln          net.Listener
@@ -137,11 +147,15 @@ type Node struct {
 }
 
 // NewNode wires a node over shared serving-plane state. All
-// collaborators, and cfg.Volume, are required.
+// collaborators, cfg.StoreDir and a positive cfg.StoreQuota are
+// required.
 func NewNode(cfg Config, auth *middleware.Middleware,
 	catalog *Catalog, registry *Registry) (*Node, error) {
-	if auth == nil || catalog == nil || registry == nil || cfg.Volume == nil {
+	if auth == nil || catalog == nil || registry == nil {
 		return nil, errors.New("server: missing collaborator")
+	}
+	if cfg.StoreDir == "" || cfg.StoreQuota <= 0 {
+		return nil, fmt.Errorf("server: node %d needs a store directory and a positive quota", cfg.Node)
 	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
@@ -165,7 +179,6 @@ func NewNode(cfg Config, auth *middleware.Middleware,
 		auth:      auth,
 		catalog:   catalog,
 		registry:  registry,
-		vol:       cfg.Volume,
 		srcID:     strconv.FormatInt(int64(cfg.Node), 10),
 		srcHdr:    []string{strconv.FormatInt(int64(cfg.Node), 10)},
 		Metrics:   &Metrics{},
@@ -189,30 +202,31 @@ func (n *Node) now() time.Duration {
 	return time.Since(s)
 }
 
-// Start binds the listener, begins serving in a background goroutine,
-// publishes the node's endpoint and liveness in the registry, and (when
-// enabled) launches the repair sweeper. Starting again after Stop or
-// Crash restarts the node on a fresh ephemeral port: the member rejoins
-// the registry and re-adopts the whole replicas its disk volume still
-// holds.
+// Start binds the listener, opens the node's volume from its
+// directory (replaying its log), serves in a background goroutine,
+// publishes the node's endpoint and liveness in the registry,
+// re-announces the whole replicas replay adopted, and (when enabled)
+// launches the repair sweeper. Every start takes this one path: a
+// first start over an empty directory adopts nothing, and a start
+// after Stop or Crash comes back on a fresh ephemeral port with what
+// the disk recorded, as a contributor's machine does.
 func (n *Node) Start() error {
-	// Claim the started state first, then bind outside the mutex: a slow
-	// or hanging listen must not block BaseURL/Stop callers.
-	n.mu.Lock()
-	if n.running {
-		n.mu.Unlock()
-		return errors.New("server: already started")
-	}
-	n.running = true
-	n.mu.Unlock()
 	ln, err := net.Listen("tcp", n.cfg.ListenAddr)
 	if err != nil {
-		n.mu.Lock()
-		n.running = false
-		n.mu.Unlock()
 		return fmt.Errorf("server: listen %s: %w", n.cfg.ListenAddr, err)
 	}
-	// A shut-down or closed http.Server is spent; every (re)start gets a
+	n.life.Lock()
+	defer n.life.Unlock()
+	var vol *storage.DiskVolume
+	if n.Running() {
+		err = errors.New("server: already started")
+	} else {
+		vol, err = storage.NewDiskVolume(n.cfg.StoreDir, n.cfg.StoreQuota)
+	}
+	if err != nil {
+		return errors.Join(err, ln.Close())
+	}
+	// A shut-down or closed http.Server is spent; every start gets a
 	// fresh one over the node's handler.
 	srv := &http.Server{
 		Handler:           n.Handler(),
@@ -223,7 +237,8 @@ func (n *Node) Start() error {
 	var sweepCtx context.Context
 	n.mu.Lock()
 	restart := n.everStarted
-	n.everStarted = true
+	n.everStarted, n.running = true, true
+	n.vol = vol
 	n.httpSrv = srv
 	n.ln = ln
 	n.started = time.Now()
@@ -239,12 +254,7 @@ func (n *Node) Start() error {
 	}
 	n.registry.SetBaseURL(n.cfg.Node, baseURL)
 	n.registry.SetOnline(n.cfg.Node, true)
-	if restart {
-		// A restarted member still holds whatever its volume committed
-		// before the crash: re-announce those replicas so the catalog
-		// converges without re-transferring.
-		n.readoptReplicas()
-	}
+	n.readoptReplicas()
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			// The listener died outside a graceful shutdown: withdraw
@@ -272,48 +282,66 @@ func (n *Node) Running() bool {
 	return n.running
 }
 
-// stopLocked claims the stopped state and returns the server to tear
-// down plus the sweeper handles to reap. ok is false when the node was
-// not running.
-func (n *Node) stopLocked() (srv *http.Server, cancel context.CancelFunc, done chan struct{}, ok bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.running {
-		return nil, nil, nil, false
-	}
-	n.running = false
-	srv = n.httpSrv
-	cancel, done = n.sweepCancel, n.sweepDone
-	n.sweepCancel, n.sweepDone = nil, nil
-	return srv, cancel, done, true
-}
-
 // Stop gracefully drains the node: it withdraws from the membership,
 // stops the repair sweeper, and lets in-flight requests finish until
-// ctx expires. The node can Start again later.
-func (n *Node) Stop(ctx context.Context) error {
-	srv, cancel, done, ok := n.stopLocked()
-	if !ok {
+// ctx expires, then closes its volume. The node can Start again later.
+func (n *Node) Stop(ctx context.Context) error { return n.halt(ctx, true) }
+
+// Crash kills the node the way a failing member dies: the listener and
+// every active connection close immediately, and nothing is announced —
+// the registry still lists the member online until a peer's failure
+// detector notices. The node can Start again later and replays its
+// volume, as a contributor's machine comes back.
+func (n *Node) Crash() { _ = n.halt(context.Background(), false) }
+
+// halt is the one teardown behind Stop and Crash, which differ only in
+// whether the member withdraws from the registry and whether in-flight
+// requests drain or are cut. Either way it returns only after every
+// handler has returned; then it aborts the upload sessions and closes
+// the volume. Close writes nothing, so an uncommitted spill is lost
+// just as a killed process loses it.
+func (n *Node) halt(ctx context.Context, graceful bool) error {
+	n.life.Lock()
+	defer n.life.Unlock()
+	n.mu.Lock()
+	srv, cancel, done, running := n.httpSrv, n.sweepCancel, n.sweepDone, n.running
+	n.running = false
+	n.sweepCancel, n.sweepDone = nil, nil
+	n.mu.Unlock()
+	if !running {
 		return nil
 	}
-	n.registry.SetOnline(n.cfg.Node, false)
-	reapSweeper(cancel, done)
-	// Shutdown under an expired context only starts the drain: it closes
-	// the listener and the idle keep-alive connections and turns
-	// keep-alives off, so each in-flight request's connection closes
-	// once its response is flushed. Quiesce does the waiting; Shutdown
-	// would also wait 5 s on every dialed but never-used connection.
-	expired, expire := context.WithCancel(ctx)
-	expire()
-	_ = srv.Shutdown(expired)
-	err := n.Quiesce(ctx)
+	if graceful {
+		n.registry.SetOnline(n.cfg.Node, false)
+	} else {
+		n.Metrics.ChurnKills.Inc()
+	}
+	if cancel != nil {
+		cancel()
+		<-done // no prober left dialing peers
+	}
+	var err error
+	if graceful {
+		// Shutdown under an expired context only starts the drain: it
+		// closes the listener and the idle keep-alive connections and
+		// turns keep-alives off, so each in-flight request's connection
+		// closes once its response is flushed. Quiesce does the
+		// waiting; Shutdown would also wait 5 s on every dialed but
+		// never-used connection.
+		expired, expire := context.WithCancel(ctx)
+		expire()
+		_ = srv.Shutdown(expired)
+		err = n.Quiesce(ctx)
+	}
 	_ = srv.Close()
+	// Every connection is closed, so a handler still running fails its
+	// next read or write and returns: this wait is bounded.
+	_ = n.Quiesce(context.Background())
 	n.relay.closeIdle()
-	// With the listener drained no new stripes can arrive: whatever
-	// upload sessions remain are half-finished and must not leave temp
-	// files behind.
+	// No stripe can arrive any more: the sessions left are
+	// half-finished and must not leave temp extents behind.
 	n.abortUploads()
-	return err
+	return errors.Join(err, n.vol.Close())
 }
 
 // Quiesce waits until the node has no request in flight, or ctx
@@ -373,40 +401,11 @@ func (t *inflight) wait(ctx context.Context) error {
 	}
 }
 
-// Crash kills the node the way a failing member dies: the listener and
-// every active connection close immediately, and nothing is announced —
-// the registry still lists the member online until a peer's failure
-// detector notices. The node can Start again later, as a contributor's
-// machine comes back.
-func (n *Node) Crash() {
-	srv, cancel, done, ok := n.stopLocked()
-	if !ok {
-		return
-	}
-	n.Metrics.ChurnKills.Inc()
-	reapSweeper(cancel, done)
-	_ = srv.Close()
-	n.relay.closeIdle()
-	// Connections are dead; in-flight stripes error out on their own and
-	// the rest of the session state is garbage now.
-	n.abortUploads()
-}
-
-// reapSweeper cancels a node's sweeper goroutine and waits for it to
-// exit, so Stop/Crash never leak a prober still dialing peers.
-func reapSweeper(cancel context.CancelFunc, done chan struct{}) {
-	if cancel == nil {
-		return
-	}
-	cancel()
-	<-done
-}
-
-// readoptReplicas re-registers the whole replicas this node's volume
-// still holds after a restart — the volume's index is the only record
-// that survives a crash — since the catalog may have been repaired
-// around the dead member in the meantime. AddReplica failures (most
-// commonly "already replicates", e.g. the origin copy that is never
+// readoptReplicas re-registers the whole replicas that replaying this
+// node's volume adopted — the volume's log is the only record that
+// survives a crash — since the catalog may have been repaired around
+// the dead member in the meantime. AddReplica failures (most commonly
+// "already replicates", e.g. the origin copy that is never
 // deregistered) are expected outcomes.
 func (n *Node) readoptReplicas() {
 	now := n.now()
@@ -422,8 +421,13 @@ func (n *Node) readoptReplicas() {
 	}
 }
 
-// Volume returns the node's disk-backed replica volume.
-func (n *Node) Volume() *storage.DiskVolume { return n.vol }
+// Volume returns the volume the node's last Start opened (closed once
+// the node stops or crashes; nil before the first Start).
+func (n *Node) Volume() *storage.DiskVolume {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.vol
+}
 
 // hasLocal reports whether the catalog records this node as a holder of
 // the dataset.

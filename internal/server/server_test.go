@@ -411,11 +411,13 @@ func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(Config{Node: 1}, nil, nil, nil); err == nil {
 		t.Fatal("missing collaborators accepted")
 	}
-	// Every collaborator present but no replica volume: the volume is
-	// the node's only store, so it is required too.
+	// Every collaborator present but no store directory or no quota:
+	// the volume is the node's only store, so both are required too.
 	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, Sweep: SweeperConfig{Disabled: true}})
-	if _, err := NewNode(Config{Node: 9}, lc.Middleware, lc.Catalog, lc.Registry); err == nil {
-		t.Fatal("node without a replica volume accepted")
+	for _, cfg := range []Config{{Node: 9, StoreQuota: 1 << 20}, {Node: 9, StoreDir: t.TempDir()}} {
+		if _, err := NewNode(cfg, lc.Middleware, lc.Catalog, lc.Registry); err == nil {
+			t.Fatalf("node without a store directory or quota accepted: %+v", cfg)
+		}
 	}
 }
 

@@ -142,7 +142,7 @@ func (n *Node) probeMembers(ctx context.Context) {
 // with corpses). Origin records survive — the allocation layer refuses
 // to remove an owner's copy — which is exactly right: the owner's data
 // comes back with the owner, and readoptReplicas re-announces whatever
-// a restarted member still holds on disk.
+// a restarted member's volume replays from disk.
 func (n *Node) purgeDeadMember(dead allocation.NodeID) {
 	ids, err := n.catalog.Datasets()
 	if err != nil {

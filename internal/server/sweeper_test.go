@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -253,21 +255,26 @@ func crashHolder(t *testing.T, lc *LocalCluster, ds storage.DatasetID, lost func
 	})
 }
 
-// TestCrashRestartReadoptsDiskReplica checks the disk-mode crash story:
-// a node adopts a replica onto its DiskVolume, crashes, is purged from
-// the catalog by its peers, and on restart re-announces the file it
-// still holds on disk — re-adoption without re-transfer.
+// TestCrashRestartReadoptsDiskReplica checks the crash story: a node
+// adopts a replica onto its volume, crashes, is purged from the catalog
+// by its peers, and on restart replays its volume from disk and
+// re-announces the replica — re-adoption without re-transfer.
 func TestCrashRestartReadoptsDiskReplica(t *testing.T) {
 	lc := startCluster(t, ClusterConfig{
 		Nodes: 3, Users: 1, Datasets: 4, Sweep: fastSweep(),
 	})
 	node1 := lc.Nodes[0]
 	const ds = "ds-002"
+	before := node1.Volume()
 	crashHolder(t, lc, ds, func() {})
 
-	// Restart: the file survived the crash, so Start re-announces it.
+	// Restart: the replica survived the crash on disk, so the volume
+	// Start opens replays it and Start re-announces it.
 	if err := node1.Start(); err != nil {
 		t.Fatal(err)
+	}
+	if node1.Volume() == before {
+		t.Fatal("restart kept the volume it crashed with instead of replaying the disk")
 	}
 	if !lc.Registry.Online(1) {
 		t.Fatal("restarted node did not rejoin the registry")
@@ -288,27 +295,34 @@ func TestCrashRestartReadoptsDiskReplica(t *testing.T) {
 }
 
 // TestCrashRestartSkipsReplicaGoneFromVolume: a restart re-announces
-// only what the volume holds. A regenerable replica whose bytes left
-// the volume while the node was down is not re-adopted — the sweeper's
-// floor, not the restart, decides whether it comes back.
+// only what replaying the volume adopts. A member whose disk was wiped
+// while it was down comes back empty — the sweeper's floor, not the
+// restart, decides whether the replica comes back — and still serves
+// the dataset through a peer.
 func TestCrashRestartSkipsReplicaGoneFromVolume(t *testing.T) {
 	lc := startCluster(t, ClusterConfig{
 		Nodes: 3, Users: 1, Datasets: 4, Sweep: fastSweep(),
 	})
 	node1 := lc.Nodes[0]
 	const ds = "ds-002"
-	crashHolder(t, lc, ds, func() { node1.Volume().Remove(ds) })
+	crashHolder(t, lc, ds, func() {
+		if err := os.RemoveAll(filepath.Join(lc.StoreRoot, "node-1")); err != nil {
+			t.Error(err)
+		}
+	})
 
 	// Start re-adopts synchronously, before its sweeper goroutine runs.
 	if err := node1.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if lc.Catalog.Holds(ds, 1) {
-		t.Fatalf("restarted node re-announced %s with no bytes in its volume", ds)
+		t.Fatalf("restarted node re-announced %s with no bytes on its disk", ds)
 	}
 	if node1.Volume().Has(ds) {
-		t.Fatal("removed replica came back across restart")
+		t.Fatal("wiped replica came back across restart")
 	}
+	client := &http.Client{Timeout: 5 * time.Second}
+	fetchDataset(t, client, node1.BaseURL(), login(t, lc), ds, lc.Config.DatasetBytes)
 }
 
 // TestChurnConcurrentSweepAndFetch runs scripted churn, the repair
