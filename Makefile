@@ -60,7 +60,8 @@
 #                  scdn-casestudy at one seed must print identical JSON.
 #   make loc     — non-test Go line counts of the live-plane packages
 #                  (internal/server, storage, ingest, cdnclient; ROADMAP
-#                  items 8 and 11 shrink them).
+#                  items 8 and 11 shrink them) and of the load generator
+#                  (internal/loadharness).
 
 GO ?= go
 
@@ -221,7 +222,7 @@ repro:
 	cmp "$$dir/a.json" "$$dir/b.json" && echo "scdn-casestudy -seed 42 -runs 2 -json: byte-identical"
 
 # LOC_DIRS are the packages whose non-test size `make loc` reports.
-LOC_DIRS = internal/server internal/storage internal/ingest internal/cdnclient
+LOC_DIRS = internal/server internal/storage internal/ingest internal/cdnclient internal/loadharness
 
 loc:
 	@for d in $(LOC_DIRS); do \

@@ -2,9 +2,12 @@
 // sends a dataset into the serving plane as content-addressed stripes
 // (PUT /v1/datasets/{id}), and Download fetches one back as
 // manifest-verified parallel ranges through FetchStriped (stripe.go), the
-// paper's GridFTP-style high-performance transfer. Bytes genuinely move,
-// and every transfer verifies against the dataset's manifest, not against
-// a regenerable pattern. The simulator's model of the client agent, in
+// paper's GridFTP-style high-performance transfer. Stripes align to the
+// manifest's blocks, so each one verifies against the block digests as
+// it streams; that is the one integrity record, for segmented datasets
+// too. Bytes genuinely move, and every transfer verifies against the
+// dataset's manifest, not against a regenerable pattern. The
+// simulator's model of the client agent, in
 // virtual time, lives in internal/core.
 package cdnclient
 
@@ -40,13 +43,6 @@ type TransferOptions struct {
 	Token string
 	// Stripes is the parallel range count (values < 1 mean 1).
 	Stripes int
-	// SegmentSize, when positive, aligns download stripe boundaries to
-	// the serving plane's segment size (as advertised by /v1/resolve for
-	// segmented large objects) instead of the manifest block size. A
-	// segment-aligned stripe never straddles two segment files on the
-	// edge, so each stripe is one sequential segment walk there. It must
-	// be a multiple of the manifest block size or it is ignored.
-	SegmentSize int64
 }
 
 func (o *TransferOptions) client() *http.Client {
@@ -175,18 +171,12 @@ func putStripe(ctx context.Context, opts TransferOptions, base string, id storag
 // trusted. Endpoints should list replica holders (from a resolve).
 func Download(ctx context.Context, opts TransferOptions, man *ingest.Manifest,
 	dst io.WriterAt) (StripeResult, error) {
-	align := man.BlockSize
-	if opts.SegmentSize > 0 && man.BlockSize > 0 && opts.SegmentSize%man.BlockSize == 0 {
-		// Segment-aligned stripes stay block-aligned (segments are whole
-		// blocks), so in-stream range verification is unaffected.
-		align = opts.SegmentSize
-	}
 	return FetchStriped(ctx, StripeOptions{
 		Client:    opts.Client,
 		Endpoints: opts.Endpoints,
 		Token:     opts.Token,
 		Stripes:   opts.Stripes,
-		Align:     align,
+		Align:     man.BlockSize,
 		NewVerifier: func(off, length int64) (io.WriteCloser, error) {
 			return man.NewRangeVerifier(off, length)
 		},

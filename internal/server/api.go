@@ -62,24 +62,21 @@ type ResolveRequest struct {
 // them (the GridFTP-style parallel transfer of Section V-A).
 //
 // For datasets the serving plane stores segmented (large objects at or
-// above the node's segment threshold), SegmentSize and Segments
-// describe the HLS-style segment index behind
-// GET /v1/fetch/{dataset}/segments/{n}: segment i covers bytes
-// [i*SegmentSize, min((i+1)*SegmentSize, Bytes)). SegmentDigests, when
-// present, carries the per-segment roll-up of the manifest's block
-// digests (hex SHA-256), so a client can spot-check any piece without
-// the full manifest. All three are absent for unsegmented datasets.
+// above the node's segment threshold), SegmentSize and Segments give
+// the geometry behind GET /v1/fetch/{dataset}/segments/{n}: segment i
+// covers bytes [i*SegmentSize, min((i+1)*SegmentSize, Bytes)). Both are
+// absent for unsegmented datasets. Integrity is the manifest's block
+// digests, which every segment boundary aligns to.
 type ResolveResponse struct {
-	Dataset        string        `json:"dataset"`
-	Node           int64         `json:"node"`
-	Site           int           `json:"site"`
-	URL            string        `json:"url,omitempty"`
-	Origin         bool          `json:"origin"`
-	Bytes          int64         `json:"bytes"`
-	Replicas       []ReplicaInfo `json:"replicas,omitempty"`
-	SegmentSize    int64         `json:"segment_size,omitempty"`
-	Segments       int64         `json:"segments,omitempty"`
-	SegmentDigests []string      `json:"segment_digests,omitempty"`
+	Dataset     string        `json:"dataset"`
+	Node        int64         `json:"node"`
+	Site        int           `json:"site"`
+	URL         string        `json:"url,omitempty"`
+	Origin      bool          `json:"origin"`
+	Bytes       int64         `json:"bytes"`
+	Replicas    []ReplicaInfo `json:"replicas,omitempty"`
+	SegmentSize int64         `json:"segment_size,omitempty"`
+	Segments    int64         `json:"segments,omitempty"`
 }
 
 // ReplicaInfo is one online replica holder in a ResolveResponse.

@@ -143,14 +143,11 @@ func (n *Node) handleResolve(w http.ResponseWriter, r *http.Request) {
 		Bytes:    bytes,
 		Replicas: holders,
 	}
-	// Segmented datasets publish their segment index (an HLS-style
-	// manifest): size, count, and the rolled-up per-segment digests, so
-	// clients can plan stripes on segment boundaries and spot-check
-	// pieces without the full block manifest.
+	// Segmented datasets publish their segment geometry, which is what a
+	// client needs to address GET /v1/fetch/{dataset}/segments/{n}.
 	if n.segmented(bytes) {
 		resp.SegmentSize = n.cfg.SegmentSize
 		resp.Segments = storage.SegmentCount(bytes, n.cfg.SegmentSize)
-		resp.SegmentDigests = n.segmentDigestIndex(id, bytes)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -310,21 +307,15 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) 
 		var err error
 		switch {
 		case head:
-		case sink == nil && resp.ContentLength >= 0:
-			written, err = rc.relayBody(w, resp.ContentLength)
 		case sink == nil:
-			written, err = copyBuffered(w, resp.Body)
+			written, err = rc.relayBody(w, resp.ContentLength)
 		default:
 			written, err = copyBuffered(io.MultiWriter(w, sink), resp.Body)
 		}
 		// BytesServed counts payload, as the holder does: a relayed
 		// multipart answer's framing is left out.
-		served := written
-		if resp.ContentLength >= 0 {
-			served = max(0, written-(resp.ContentLength-payload))
-		}
-		n.Metrics.BytesServed.Add(uint64(served))
-		if err == nil && !head && resp.ContentLength >= 0 && written != resp.ContentLength {
+		n.Metrics.BytesServed.Add(uint64(max(0, written-(resp.ContentLength-payload))))
+		if err == nil && !head && written != resp.ContentLength {
 			err = io.ErrUnexpectedEOF
 		}
 		if err != nil {
@@ -400,20 +391,15 @@ func (n *Node) localSource(id storage.DatasetID, total, off, end int64, held boo
 	derive := held && !n.opaque(id)
 	src := fetchSource{id: id, total: total, derive: derive}
 	segmented := n.segmented(total)
-	f, size, ok := n.vol.Open(id)
+	// Every entry has its catalog size: Start drops any other
+	// (reconcileVolume), and every writer commits exact extents.
+	f, _, ok := n.vol.Open(id)
 	if !ok && derive && !segmented && n.materialize(id, id, 0, total) {
-		f, size, ok = n.vol.Open(id)
+		f, _, ok = n.vol.Open(id)
 	}
 	if ok {
-		if size == total {
-			src.file = f
-			return src, true
-		}
-		// Stale replica (catalog size changed): drop it and
-		// re-materialize on the next access rather than serving
-		// wrong bytes now.
-		n.vol.Release(id, f)
-		n.vol.Remove(id)
+		src.file = f
+		return src, true
 	}
 	if segmented {
 		// Only a deriving walk materializes segments, so anyone else
@@ -671,8 +657,10 @@ var relayHeaders = []string{"Accept-Ranges", "Content-Type", "Content-Length", "
 
 // tryPeer makes one attempt of a pull against one holder over the
 // node's relay (relay.go). An answer with the wanted status and length
-// goes to take; any other is drained. The connection returns to the pool
-// only when the exchange ended cleanly. A HEAD is forwarded as a HEAD.
+// goes to take; any other is drained. Every fetch answer this server
+// writes carries a Content-Length, so one without is a failed attempt.
+// The connection returns to the pool only when the exchange ended
+// cleanly. A HEAD is forwarded as a HEAD.
 func (n *Node) tryPeer(ctx context.Context, holder allocation.NodeID, pull *peerPull,
 	take func(allocation.NodeID, *relayConn, *http.Response) (bool, error)) (done bool, err error) {
 	base, ok := n.registry.BaseURL(holder)
@@ -683,7 +671,8 @@ func (n *Node) tryPeer(ctx context.Context, holder allocation.NodeID, pull *peer
 	if err != nil {
 		return false, err
 	}
-	if resp.StatusCode != pull.status || pull.length >= 0 && resp.ContentLength != pull.length {
+	if resp.StatusCode != pull.status || resp.ContentLength < 0 ||
+		pull.length >= 0 && resp.ContentLength != pull.length {
 		rc.release(drainBody(resp.Body) && !resp.Close)
 		return false, fmt.Errorf("server: peer %d answered %s with %s (%d bytes)",
 			holder, pull.path, resp.Status, resp.ContentLength)

@@ -94,20 +94,10 @@ func payloadBlock(id storage.DatasetID) payload {
 // WritePayload streams a dataset's first n bytes to w and returns the
 // bytes written.
 func WritePayload(w io.Writer, id storage.DatasetID, n int64) (int64, error) {
-	return WritePayloadRange(w, id, 0, n)
-}
-
-// WritePayloadRange streams the dataset's bytes [off, off+n) to w — the
-// server side of an HTTP range request. An empty range (n == 0) writes
-// nothing and succeeds.
-func WritePayloadRange(w io.Writer, id storage.DatasetID, off, n int64) (int64, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("server: negative payload offset %d", off)
-	}
 	if n < 0 {
 		return 0, fmt.Errorf("server: negative payload size %d", n)
 	}
-	return copyBuffered(w, io.NewSectionReader(payloadBlock(id), off, n))
+	return copyBuffered(w, io.NewSectionReader(payloadBlock(id), 0, n))
 }
 
 // RangeVerifier incrementally checks that a byte stream equals the

@@ -22,11 +22,6 @@ func (r byteRange) contentRange(total int64) string {
 	return fmt.Sprintf("bytes %d-%d/%d", r.off, r.end(), total)
 }
 
-// header renders the client-side Range header value for this range.
-func (r byteRange) header() string {
-	return fmt.Sprintf("bytes=%d-%d", r.off, r.end())
-}
-
 // rangesHeader renders the client-side Range header for a set of parts
 // ("bytes=a-b,c-d"), the form forwarded to a peer on a proxied
 // multipart fetch.
@@ -90,20 +85,6 @@ func parseRanges(dst []byteRange, h string, total int64) ([]byteRange, bool, err
 		parts = append(parts, r)
 	}
 	return coalesceRanges(parts), true, nil
-}
-
-// parseRange is the single-range form used by stripe planning and the
-// benchmark harness: identical to parseRanges but rejecting multipart
-// specs, because a stripe is one range by construction.
-func parseRange(h string, total int64) (byteRange, bool, error) {
-	if strings.Contains(h, ",") {
-		return byteRange{}, false, fmt.Errorf("server: multipart range where a single range is required: %q", h)
-	}
-	rngs, isRange, err := parseRanges(nil, h, total)
-	if err != nil {
-		return byteRange{}, false, err
-	}
-	return rngs[0], isRange, nil
 }
 
 // parseOneRange interprets one range-spec element ("a-b", "a-", "-k")

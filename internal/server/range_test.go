@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -30,27 +31,26 @@ func TestParseRange(t *testing.T) {
 		{"bytes=5", 0, 0, false, true},
 		{"bytes=9-5", 0, 0, false, true},
 		{"bytes=-0", 0, 0, false, true},
-		{"bytes=0-10,20-30", 0, 0, false, true}, // multipart where a single range is required
-		{"items=0-5", 0, 0, false, true},        // unknown unit
+		{"items=0-5", 0, 0, false, true}, // unknown unit
 		// Unsatisfiable.
 		{"bytes=10000-", 0, 0, false, true},
 		{"bytes=10001-10005", 0, 0, false, true},
 	}
 	for _, tc := range cases {
-		rng, isRange, err := parseRange(tc.h, total)
+		rngs, isRange, err := parseRanges(nil, tc.h, total)
 		if tc.wantErr {
 			if err == nil {
-				t.Errorf("parseRange(%q): want error, got %+v", tc.h, rng)
+				t.Errorf("parseRanges(%q): want error, got %+v", tc.h, rngs)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("parseRange(%q): %v", tc.h, err)
+			t.Errorf("parseRanges(%q): %v", tc.h, err)
 			continue
 		}
-		if rng.off != tc.off || rng.n != tc.n || isRange != tc.isRange {
-			t.Errorf("parseRange(%q) = {off %d, n %d} range=%v, want {off %d, n %d} range=%v",
-				tc.h, rng.off, rng.n, isRange, tc.off, tc.n, tc.isRange)
+		if len(rngs) != 1 || rngs[0].off != tc.off || rngs[0].n != tc.n || isRange != tc.isRange {
+			t.Errorf("parseRanges(%q) = %+v range=%v, want [{off %d, n %d}] range=%v",
+				tc.h, rngs, isRange, tc.off, tc.n, tc.isRange)
 		}
 	}
 }
@@ -125,8 +125,8 @@ func TestParseRangesPartCap(t *testing.T) {
 	}
 }
 
-// TestWritePayloadRangeBoundaries checks range writes at every block
-// boundary case: offset 0, mid-block, across blocks, the last byte, and
+// TestWritePayloadRangeBoundaries checks range copies out of the
+// payload block at every block boundary case: offset 0, mid-block, across blocks, the last byte, and
 // the empty range.
 func TestWritePayloadRangeBoundaries(t *testing.T) {
 	const id = "ds-range"
@@ -136,6 +136,7 @@ func TestWritePayloadRangeBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := whole.Bytes()
+	block := payloadBlock(id)
 
 	cases := []struct{ off, n int64 }{
 		{0, total},                           // full body as a range
@@ -151,7 +152,7 @@ func TestWritePayloadRangeBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer
-		written, err := WritePayloadRange(&buf, id, tc.off, tc.n)
+		written, err := copyBuffered(&buf, io.NewSectionReader(block, tc.off, tc.n))
 		if err != nil {
 			t.Fatalf("range %d+%d: %v", tc.off, tc.n, err)
 		}
@@ -162,20 +163,13 @@ func TestWritePayloadRangeBoundaries(t *testing.T) {
 			t.Fatalf("range %d+%d bytes diverge from whole payload", tc.off, tc.n)
 		}
 	}
-
-	if _, err := WritePayloadRange(&bytes.Buffer{}, id, -1, 5); err == nil {
-		t.Fatal("negative offset accepted")
-	}
-	if _, err := WritePayloadRange(&bytes.Buffer{}, id, 0, -5); err == nil {
-		t.Fatal("negative length accepted")
-	}
 }
 
 func TestRangeVerifier(t *testing.T) {
 	const id = "ds-verify"
 	const off, n = 5000, 3000
 	var buf bytes.Buffer
-	if _, err := WritePayloadRange(&buf, id, off, n); err != nil {
+	if _, err := copyBuffered(&buf, io.NewSectionReader(payloadBlock(id), off, n)); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()

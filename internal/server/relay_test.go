@@ -412,3 +412,41 @@ func TestProbeStoppedPeerFails(t *testing.T) {
 		t.Fatalf("idle relay connections = %d, want 0 after probing a stopped peer", got)
 	}
 }
+
+// TestRelayRejectsAnswerWithoutLength: every fetch answer an edge
+// writes carries a Content-Length, so a holder that answers a
+// multipart range with a chunked body is a failed attempt. The edge
+// relays none of it, retries, and with no other holder answers 502.
+func TestRelayRejectsAnswerWithoutLength(t *testing.T) {
+	var hits atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Content-Type", "multipart/byteranges; boundary=stub")
+		w.WriteHeader(http.StatusPartialContent)
+		w.(http.Flusher).Flush() // no Content-Length: the body goes out chunked
+		_, _ = io.WriteString(w, "--stub\r\nContent-Range: bytes 0-9/4096\r\n\r\n0123456789\r\n--stub--\r\n")
+	}))
+	defer peer.Close()
+
+	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, Sweep: SweeperConfig{Disabled: true}})
+	phantomDataset(t, lc, peer.URL, 4096)
+	edge := lc.Nodes[0]
+	resp, body := rangeGet(t, &http.Client{Timeout: 10 * time.Second}, edge.BaseURL(),
+		string(login(t, lc)), "ds-phantom", "bytes=0-9,100-199")
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("status = %d, want 502; body %q", resp.StatusCode, body)
+	}
+	if bytes.Contains(body, []byte("0123456789")) {
+		t.Fatalf("the edge relayed the holder's unframed body: %q", body)
+	}
+	quiesce(t, lc)
+	if got := hits.Load(); got != fetchAttempts {
+		t.Fatalf("holder asked %d times, want %d", got, fetchAttempts)
+	}
+	if got := edge.Metrics.PeerRetries.Value(); got != fetchAttempts-1 {
+		t.Fatalf("peer retries = %d, want %d", got, fetchAttempts-1)
+	}
+	if got := edge.Metrics.BytesServed.Value(); got != 0 {
+		t.Fatalf("bytes served = %d, want 0", got)
+	}
+}

@@ -127,3 +127,78 @@ func TestCrashMidBodyThenRestart(t *testing.T) {
 		t.Fatalf("reserved extents after the restarted fetch: %v", res)
 	}
 }
+
+// TestStartDropsWhatTheCatalogCannotPlace: a start reconciles the
+// replayed volume with the catalog before it serves. An upload the new
+// catalog does not know, a whole replica of an old size, and segments
+// of an old segment size all leave the volume; the new sizes are then
+// served byte-exact.
+func TestStartDropsWhatTheCatalogCannotPlace(t *testing.T) {
+	client := &http.Client{Timeout: 10 * time.Second}
+	// restart shuts lc down and starts a cluster of cfg over its store.
+	restart := func(lc *LocalCluster, cfg ClusterConfig) *LocalCluster {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := lc.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cfg.StoreDir = lc.StoreRoot
+		return startCluster(t, cfg)
+	}
+	empty := func(t *testing.T, lc *LocalCluster) {
+		t.Helper()
+		if st := lc.Nodes[0].Volume().Stats(); st.Files != 0 || st.UsedBytes != 0 {
+			t.Fatalf("the restarted volume keeps %d entries, %d bytes; want none", st.Files, st.UsedBytes)
+		}
+	}
+
+	t.Run("unknown-upload", func(t *testing.T) {
+		cfg := ClusterConfig{Nodes: 1, Users: 1, NoSeedDatasets: true, StoreDir: t.TempDir(),
+			Sweep: SweeperConfig{Disabled: true}}
+		lc := startCluster(t, cfg)
+		data := opaqueBytes(5, 200<<10)
+		if _, err := cdnclient.Upload(context.Background(), cdnclient.TransferOptions{
+			Endpoints: []string{lc.Nodes[0].BaseURL()}, Token: string(login(t, lc)),
+		}, "up-old", lc.Config.Group, bytes.NewReader(data), int64(len(data))); err != nil {
+			t.Fatal(err)
+		}
+		empty(t, restart(lc, cfg))
+	})
+
+	t.Run("resized-replica", func(t *testing.T) {
+		cfg := ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: 64 << 10,
+			StoreDir: t.TempDir(), Sweep: SweeperConfig{Disabled: true}}
+		lc := startCluster(t, cfg)
+		fetchDataset(t, client, lc.Nodes[0].BaseURL(), login(t, lc), "ds-001", cfg.DatasetBytes)
+		quiesce(t, lc)
+		cfg.DatasetBytes = 100000
+		lc = restart(lc, cfg)
+		empty(t, lc)
+		fetchDataset(t, client, lc.Nodes[0].BaseURL(), login(t, lc), "ds-001", cfg.DatasetBytes)
+		quiesce(t, lc)
+		if _, _, size, ok := lc.Nodes[0].Volume().Locate("ds-001"); !ok || size != cfg.DatasetBytes {
+			t.Fatalf("re-materialized replica: %d bytes (present %v), want %d", size, ok, cfg.DatasetBytes)
+		}
+	})
+
+	t.Run("resegmented", func(t *testing.T) {
+		cfg := ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: segTestBytes,
+			SegmentSize: segTestSize, SegmentThreshold: segTestSize,
+			StoreDir: t.TempDir(), Sweep: SweeperConfig{Disabled: true}}
+		lc := startCluster(t, cfg)
+		fetchDataset(t, client, lc.Nodes[0].BaseURL(), login(t, lc), "ds-001", segTestBytes)
+		quiesce(t, lc)
+		if got := lc.Nodes[0].Volume().ResidentSegments("ds-001", segTestCount); got != segTestCount {
+			t.Fatalf("resident segments = %d, want %d", got, segTestCount)
+		}
+		cfg.SegmentSize = 2 * segTestSize
+		lc = restart(lc, cfg)
+		empty(t, lc)
+		fetchDataset(t, client, lc.Nodes[0].BaseURL(), login(t, lc), "ds-001", segTestBytes)
+		quiesce(t, lc)
+		if got := lc.Nodes[0].Volume().ResidentSegments("ds-001", 3); got != 3 {
+			t.Fatalf("resident segments at the new size = %d, want 3", got)
+		}
+	})
+}

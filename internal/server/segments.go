@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/hex"
 	"errors"
 	"io"
 
@@ -15,12 +14,12 @@ import (
 // cold tail evicted and re-materialized per segment on demand instead
 // of all-or-nothing. Segment boundaries are ingest block boundaries,
 // so every segment verifies against the manifest's block digests, and
-// the rolled-up segment digests publish through /v1/resolve as an
-// HLS-style segment index. GET /v1/fetch/{dataset}/segments/{n} is the
-// fetch route over one segment's window (serveFetch), and pull-through
-// adoption happens at segment granularity: a proxied large-object
-// stream commits each verified segment as it completes, so even an
-// interrupted pull leaves servable segments behind.
+// /v1/resolve publishes the segment size and count.
+// GET /v1/fetch/{dataset}/segments/{n} is the fetch route over one
+// segment's window (serveFetch), and pull-through adoption happens at
+// segment granularity: a proxied large-object stream commits each
+// verified segment as it completes, so even an interrupted pull leaves
+// servable segments behind.
 
 // segmented reports whether a dataset of this size takes the segmented
 // layout on this node.
@@ -28,9 +27,9 @@ func (n *Node) segmented(total int64) bool {
 	return n.cfg.SegmentThreshold > 0 && total >= n.cfg.SegmentThreshold
 }
 
-// errSegment covers segment files that vanished or went stale between
-// index lookup and serve; static so the serve loop never formats an
-// error on a path that can run per segment.
+// errSegment covers segment entries that vanished between index lookup
+// and serve; static so the serve loop never formats an error on a path
+// that can run per segment.
 var errSegment = errors.New("server: segment unavailable")
 
 // ensureSegment makes segment seg of the dataset resident, reporting
@@ -64,21 +63,14 @@ func (n *Node) copySegmentRange(dst io.Writer, sc *fetchScratch, src *fetchSourc
 		if chunk > length {
 			chunk = length
 		}
-		f, size, fresh, ok := n.vol.OpenSegment(id, seg)
+		f, _, fresh, ok := n.vol.OpenSegment(id, seg)
 		if !ok {
 			if !src.derive || !n.materialize(storage.SegmentKey(id, seg), id, seg*segSize, extent) {
 				return written, errSegment
 			}
-			if f, size, fresh, ok = n.vol.OpenSegment(id, seg); !ok {
+			if f, _, fresh, ok = n.vol.OpenSegment(id, seg); !ok {
 				return written, errSegment
 			}
-		}
-		if size != extent {
-			// Stale segment (catalog size changed under it): drop it and
-			// re-materialize on the next access, never serve wrong bytes.
-			n.vol.ReleaseSegment(id, seg, f)
-			n.vol.Remove(storage.SegmentKey(id, seg))
-			return written, errSegment
 		}
 		if fresh && storage.FadviseSequential(f) {
 			n.Metrics.StoreFadviseSequential.Inc()
@@ -100,38 +92,4 @@ func (n *Node) copySegmentRange(dst io.Writer, sc *fetchScratch, src *fetchSourc
 		length -= chunk
 	}
 	return written, nil
-}
-
-// segmentDigestIndex returns the dataset's rolled-up segment digests
-// in hex (the /v1/resolve segment index), computed once per dataset
-// and cached — the roll-up hashes 32 bytes per ingest block, never
-// payload bytes, but resolves should still not repeat it. Nil when the
-// dataset has no manifest, its size disagrees with the catalog, or its
-// block size does not divide the segment size.
-func (n *Node) segmentDigestIndex(id storage.DatasetID, total int64) []string {
-	n.segIdxMu.Lock()
-	cached, ok := n.segIdx[id]
-	n.segIdxMu.Unlock()
-	if ok {
-		return cached
-	}
-	man, hasMan := n.manifests.Get(id)
-	if !hasMan || man.Size != total || n.cfg.SegmentSize%man.BlockSize != 0 {
-		return nil
-	}
-	digests, err := man.SegmentDigests(n.cfg.SegmentSize)
-	if err != nil {
-		return nil
-	}
-	hexes := make([]string, len(digests))
-	for i, d := range digests {
-		hexes[i] = hex.EncodeToString(d[:])
-	}
-	n.segIdxMu.Lock()
-	if n.segIdx == nil {
-		n.segIdx = make(map[storage.DatasetID][]string)
-	}
-	n.segIdx[id] = hexes
-	n.segIdxMu.Unlock()
-	return hexes
 }

@@ -447,30 +447,6 @@ func TestResolveSegmentIndex(t *testing.T) {
 		t.Fatalf("resolve segment geometry = (%d, %d), want (%d, %d)",
 			res.SegmentSize, res.Segments, segTestSize, segTestCount)
 	}
-	if int64(len(res.SegmentDigests)) != segTestCount {
-		t.Fatalf("segment digest index has %d entries, want %d", len(res.SegmentDigests), segTestCount)
-	}
-	man, ok := lc.Manifests.Get("ds-001")
-	if !ok {
-		t.Fatal("no manifest for seeded dataset")
-	}
-	for i := int64(0); i < segTestCount; i++ {
-		want, err := man.SegmentDigestHex(segTestSize, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.SegmentDigests[i] != want {
-			t.Fatalf("segment digest %d mismatch", i)
-		}
-	}
-	// The index is cached: a second resolve returns the identical slice
-	// contents without error.
-	var res2 ResolveResponse
-	doJSON(t, client, http.MethodPost, lc.Nodes[0].BaseURL()+"/v1/resolve", tok,
-		ResolveRequest{Dataset: "ds-001"}, &res2)
-	if len(res2.SegmentDigests) != len(res.SegmentDigests) {
-		t.Fatal("cached resolve lost the segment index")
-	}
 }
 
 func TestResolveSmallDatasetHasNoSegmentIndex(t *testing.T) {
@@ -480,7 +456,7 @@ func TestResolveSmallDatasetHasNoSegmentIndex(t *testing.T) {
 	var res ResolveResponse
 	doJSON(t, client, http.MethodPost, lc.Nodes[0].BaseURL()+"/v1/resolve", tok,
 		ResolveRequest{Dataset: "ds-001"}, &res)
-	if res.SegmentSize != 0 || res.Segments != 0 || res.SegmentDigests != nil {
+	if res.SegmentSize != 0 || res.Segments != 0 {
 		t.Fatalf("small dataset grew a segment index: %+v", res)
 	}
 }

@@ -109,11 +109,6 @@ type Node struct {
 	upMu    sync.Mutex
 	uploads map[storage.DatasetID]*uploadSession
 
-	// segIdxMu guards segIdx, the per-dataset cache of rolled-up
-	// segment digests published on /v1/resolve (segments.go).
-	segIdxMu sync.Mutex
-	segIdx   map[storage.DatasetID][]string
-
 	// suspects is the node's local failure-detector state: members whose
 	// last health probe failed. The fetch path skips suspects before the
 	// registry has deregistered them (sweeper.go).
@@ -205,7 +200,8 @@ func (n *Node) now() time.Duration {
 // Start binds the listener, opens the node's volume from its
 // directory (replaying its log), serves in a background goroutine,
 // publishes the node's endpoint and liveness in the registry,
-// re-announces the whole replicas replay adopted, and (when enabled)
+// reconciles the replayed volume with the catalog (reconcileVolume),
+// re-announcing the whole replicas it keeps, and (when enabled)
 // launches the repair sweeper. Every start takes this one path: a
 // first start over an empty directory adopts nothing, and a start
 // after Stop or Crash comes back on a fresh ephemeral port with what
@@ -254,7 +250,7 @@ func (n *Node) Start() error {
 	}
 	n.registry.SetBaseURL(n.cfg.Node, baseURL)
 	n.registry.SetOnline(n.cfg.Node, true)
-	n.readoptReplicas()
+	n.reconcileVolume()
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			// The listener died outside a graceful shutdown: withdraw
@@ -401,23 +397,43 @@ func (t *inflight) wait(ctx context.Context) error {
 	}
 }
 
-// readoptReplicas re-registers the whole replicas that replaying this
-// node's volume adopted — the volume's log is the only record that
-// survives a crash — since the catalog may have been repaired around
-// the dead member in the meantime. AddReplica failures (most commonly
-// "already replicates", e.g. the origin copy that is never
-// deregistered) are expected outcomes.
-func (n *Node) readoptReplicas() {
+// reconcileVolume squares what replaying this node's volume adopted
+// with the catalog, before the node serves. An entry the catalog
+// cannot place is removed: its dataset is unknown (an old process's
+// upload, whose catalog record died with that process), a whole
+// replica's size differs from the catalog's, or a segment does not fit
+// this node's layout (the dataset is unsegmented here, the ordinal is
+// out of range, or the size is not the segment's extent). Every writer
+// commits exact extents, so from then on no entry has the wrong size.
+// The whole replicas left are re-registered — the volume's log is the
+// only record that survives a crash — since the catalog may have been
+// repaired around the dead member in the meantime. AddReplica failures
+// (most commonly "already replicates", e.g. the origin copy that is
+// never deregistered) are expected outcomes.
+func (n *Node) reconcileVolume() {
 	now := n.now()
-	for _, id := range n.vol.IDs() {
-		// Segment entries are pieces, not replicas: holding some
-		// segments of a dataset is never a catalog claim to hold it.
-		if _, _, isSeg := storage.ParseSegmentKey(id); isSeg {
+	for _, key := range n.vol.IDs() {
+		_, _, size, _ := n.vol.Locate(key)
+		id, seg, isSeg := storage.ParseSegmentKey(key)
+		if !isSeg {
+			id = key
+		}
+		total, err := n.catalog.DatasetBytes(id)
+		switch {
+		case err != nil:
+		case isSeg:
+			// Segment entries are pieces, not replicas: holding some
+			// segments of a dataset is never a catalog claim to hold it.
+			if n.segmented(total) && size == storage.SegmentExtent(total, n.cfg.SegmentSize, seg) {
+				continue
+			}
+		case size == total:
+			if n.catalog.AddReplica(id, n.cfg.Node, now) == nil {
+				n.Metrics.RepairReadoptedReplicas.Inc()
+			}
 			continue
 		}
-		if err := n.catalog.AddReplica(id, n.cfg.Node, now); err == nil {
-			n.Metrics.RepairReadoptedReplicas.Inc()
-		}
+		n.vol.Remove(key)
 	}
 }
 

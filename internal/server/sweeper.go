@@ -141,7 +141,7 @@ func (n *Node) probeMembers(ctx context.Context) {
 // catalog so the slots free up for repair (MaxReplicas must not fill
 // with corpses). Origin records survive — the allocation layer refuses
 // to remove an owner's copy — which is exactly right: the owner's data
-// comes back with the owner, and readoptReplicas re-announces whatever
+// comes back with the owner, and reconcileVolume re-announces whatever
 // a restarted member's volume replays from disk.
 func (n *Node) purgeDeadMember(dead allocation.NodeID) {
 	ids, err := n.catalog.Datasets()

@@ -44,8 +44,6 @@ type uploadSession struct {
 	mu       sync.Mutex
 	got      int64 // bytes acknowledged by completed stripes
 	inflight int   // stripes currently writing
-	failed   bool  // a stripe failed; last one out aborts the spill
-	aborted  bool
 	touched  time.Time
 	claims   []byteRange // ranges claimed by stripes, sorted and disjoint
 }
@@ -108,10 +106,11 @@ func (n *Node) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	defer n.uploadStripeDone(id, sess)
+	defer n.uploadStripeDone(sess)
 
 	// Stream this stripe's bytes into the shared spill at its offset.
-	// WriteAt is stripe-concurrent; a failure poisons the spill for all.
+	// WriteAt is stripe-concurrent; a failure poisons the spill for all,
+	// and a write after an abort fails.
 	written, cerr := copyBuffered(io.NewOffsetWriter(sess.spill, off), io.LimitReader(r.Body, length))
 	if cerr != nil || written != length {
 		if cerr == nil {
@@ -122,10 +121,12 @@ func (n *Node) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Claims are disjoint, so got reaches total only if no stripe of
+	// the session failed.
 	sess.mu.Lock()
 	sess.got += length
 	sess.touchLocked()
-	done := !sess.failed && sess.got == sess.total
+	done := sess.got == sess.total
 	sess.mu.Unlock()
 	if !done {
 		w.WriteHeader(http.StatusNoContent)
@@ -196,34 +197,23 @@ func (s *uploadSession) claimLocked(r byteRange) bool {
 	return true
 }
 
-// uploadStripeDone deregisters an in-flight stripe; the last stripe out
-// of a failed session aborts the spill (WriteAt must never race a
-// close).
-func (n *Node) uploadStripeDone(id storage.DatasetID, sess *uploadSession) {
+// uploadStripeDone deregisters an in-flight stripe.
+func (n *Node) uploadStripeDone(sess *uploadSession) {
 	sess.mu.Lock()
 	sess.inflight--
-	abort := sess.failed && !sess.aborted && sess.inflight == 0
-	if abort {
-		sess.aborted = true
-	}
 	sess.mu.Unlock()
-	if abort {
-		sess.spill.Abort()
-	}
 }
 
-// failUpload marks the session failed and removes it from the index so
-// no new stripe joins; the spill dies with the last in-flight stripe
-// (uploadStripeDone).
+// failUpload removes the session from the index so no new stripe
+// joins, and aborts its spill. Abort waits for the writes in flight and
+// fails every later one, so a stripe still streaming fails too.
 func (n *Node) failUpload(id storage.DatasetID, sess *uploadSession) {
-	sess.mu.Lock()
-	sess.failed = true
-	sess.mu.Unlock()
 	n.upMu.Lock()
 	if n.uploads[id] == sess {
 		delete(n.uploads, id)
 	}
 	n.upMu.Unlock()
+	sess.spill.Abort()
 }
 
 // finalizeUpload verifies the completed spill against the declared
@@ -387,12 +377,9 @@ func (n *Node) expireUploads() {
 	for id, sess := range n.uploads {
 		sess.mu.Lock()
 		idle := sess.inflight == 0 && sess.touched.Before(cutoff)
-		if idle && !sess.aborted {
-			sess.failed, sess.aborted = true, true
-			stale = append(stale, sess)
-		}
 		sess.mu.Unlock()
 		if idle {
+			stale = append(stale, sess)
 			delete(n.uploads, id)
 			n.Metrics.IngestUploadExpired.Inc()
 		}
@@ -404,21 +391,11 @@ func (n *Node) expireUploads() {
 }
 
 // abortUploads discards every upload session (node stopping or
-// crashed). Sessions with stripes still in flight are marked failed and
-// cleaned up by the last stripe's exit.
+// crashed).
 func (n *Node) abortUploads() {
-	var dead []*uploadSession
 	n.upMu.Lock()
-	for id, sess := range n.uploads {
-		sess.mu.Lock()
-		sess.failed = true
-		if sess.inflight == 0 && !sess.aborted {
-			sess.aborted = true
-			dead = append(dead, sess)
-		}
-		sess.mu.Unlock()
-		delete(n.uploads, id)
-	}
+	dead := n.uploads
+	n.uploads = make(map[storage.DatasetID]*uploadSession)
 	n.upMu.Unlock()
 	for _, sess := range dead {
 		sess.spill.Abort()

@@ -162,7 +162,7 @@ func (v *DiskVolume) IDs() []DatasetID {
 }
 
 // Locate reports where an entry's bytes live: its pack file and the
-// extent [off, off+size) within it (test and inspection hook).
+// extent [off, off+size) within it.
 func (v *DiskVolume) Locate(id DatasetID) (path string, off, size int64, ok bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
