@@ -1,12 +1,9 @@
-// Striped fetch: the client side of the paper's GridFTP-style
-// high-performance transfer (Section V-A). A dataset is split into N
-// byte ranges fetched concurrently — ideally from N different replica
-// holders — and reassembled into one verified stream. Each stripe is an
-// HTTP range request against the serving plane's GET /v1/fetch/{dataset},
-// so any edge can serve any stripe (locally or via its own peer
-// fallback), and verification runs in-stream through a caller-supplied
-// per-range verifier (deterministic payload, manifest block digests,
-// ...), so memory stays flat no matter how large the dataset is.
+// Striped transfer: the client side of the paper's GridFTP-style
+// high-performance transfer (Section V-A). A dataset is split into
+// block-aligned byte ranges moved concurrently — a download spreads them
+// over the replica holders, an upload sends them all to its origin —
+// and each range is checked against the manifest's block digests as it
+// streams, so memory stays flat no matter how large the dataset is.
 
 package cdnclient
 
@@ -17,125 +14,83 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
-	"time"
 
-	"scdn/internal/storage"
+	"scdn/internal/ingest"
 )
-
-// StripeOptions parameterizes a striped fetch.
-type StripeOptions struct {
-	// Client issues the HTTP requests. Nil means a package-default client
-	// over the delivery plane's shared tuned transport.
-	Client *http.Client
-	// Endpoints are candidate base URLs ("http://host:port"). Stripe i
-	// targets Endpoints[i mod len] — pass replica holders first (e.g.
-	// from ResolveResponse.Replicas) to realize holder-parallel transfer.
-	Endpoints []string
-	// Token is the bearer session token.
-	Token string
-	// Stripes is the parallel range count (values < 1 mean 1). Datasets
-	// smaller than the stripe count use fewer, non-empty stripes.
-	Stripes int
-	// NewVerifier, when non-nil, supplies an in-stream verifier for each
-	// planned range [off, off+length): the stripe's bytes pass through
-	// the verifier's Write as they arrive, and Close must confirm
-	// completeness — the fetch fails on the first corrupt, short, or
-	// surplus byte. A factory error fails the stripe before any byte
-	// moves.
-	NewVerifier func(off, length int64) (io.WriteCloser, error)
-	// Align, when > 1, makes every stripe boundary (except the dataset
-	// end) a multiple of Align. Block-aligned ranges are what manifest
-	// block-digest verifiers can check, so content-addressed transfers
-	// set Align to the manifest block size.
-	Align int64
-	// Dst, when non-nil, receives the reassembled payload at the correct
-	// offsets (stripes write concurrently, each to its own region).
-	Dst io.WriterAt
-}
 
 // Range is one planned byte range of a striped transfer.
 type Range struct {
 	Offset, Length int64
 }
 
-// StripeStat describes one completed (or failed) stripe.
+// StripeStat describes one completed (or failed) download stripe.
 type StripeStat struct {
 	Range
 	Bytes    int64
 	Endpoint string
-	Source   string // serving edge, from X-SCDN-Source
-	Elapsed  time.Duration
 	Err      error
 }
 
-// StripeResult summarizes a striped fetch.
+// StripeResult summarizes a download.
 type StripeResult struct {
 	// Bytes is the total payload bytes received across stripes.
 	Bytes int64
 	// Stripes holds per-stripe accounting, ordered by offset.
 	Stripes []StripeStat
-	// Elapsed is the wall-clock time of the whole fan-out.
-	Elapsed time.Duration
 }
 
-// FetchStriped retrieves the dataset's total bytes as opts.Stripes
-// concurrent range requests and returns per-stripe accounting. It fails
-// if any stripe errors, returns a wrong status, or moves the wrong byte
-// count — a short stripe can never masquerade as success.
-func FetchStriped(ctx context.Context, opts StripeOptions, id storage.DatasetID, total int64) (StripeResult, error) {
-	if opts.Client == nil {
-		opts.Client = defaultTransferClient
-	}
+// Download retrieves the manifest's dataset into dst as opts.Stripes
+// concurrent range requests; stripe i targets Endpoints[i mod len], so
+// Endpoints should list replica holders (from a resolve). Stripes are
+// aligned to the manifest's blocks and every one is verified against
+// the block digests as it streams into dst: the download fails on the
+// first wrong status, corrupt, short or surplus byte, and a stripe from
+// a corrupt or lying holder fails it before dst is trusted.
+func Download(ctx context.Context, opts TransferOptions, man *ingest.Manifest,
+	dst io.WriterAt) (StripeResult, error) {
 	if len(opts.Endpoints) == 0 {
-		return StripeResult{}, fmt.Errorf("cdnclient: striped fetch: no endpoints")
+		return StripeResult{}, fmt.Errorf("cdnclient: download %q: no endpoints", man.Dataset)
 	}
-	if total <= 0 {
-		return StripeResult{}, fmt.Errorf("cdnclient: striped fetch: non-positive dataset size %d", total)
-	}
-	plan := planStripesAligned(total, opts.Stripes, opts.Align)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	start := time.Now()
-	stats := make([]StripeStat, len(plan))
-	for i, p := range plan {
-		stats[i] = StripeStat{Range: p}
-	}
-	var wg sync.WaitGroup
-	for i := range stats {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st := &stats[i]
-			st.Endpoint = opts.Endpoints[i%len(opts.Endpoints)]
-			t0 := time.Now()
-			st.Bytes, st.Source, st.Err = fetchOne(ctx, opts, id, st.Endpoint, st.Offset, st.Length, total)
-			st.Elapsed = time.Since(t0)
-			if st.Err != nil {
-				cancel() // abort sibling stripes; the fetch already failed
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	res := StripeResult{Stripes: stats, Elapsed: time.Since(start)}
-	var firstErr error
-	for i := range stats {
-		res.Bytes += stats[i].Bytes
-		if stats[i].Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cdnclient: striped fetch: range %d-%d of %q from %s: %w",
-				stats[i].Offset, stats[i].Offset+stats[i].Length-1, id,
-				stats[i].Endpoint, stats[i].Err)
+	plan := planStripesAligned(man.Size, opts.Stripes, man.BlockSize)
+	res := StripeResult{Stripes: make([]StripeStat, len(plan))}
+	err := fanOut(ctx, plan, func(ctx context.Context, i int, p Range) error {
+		st := &res.Stripes[i]
+		st.Range, st.Endpoint = p, opts.Endpoints[i%len(opts.Endpoints)]
+		st.Bytes, st.Err = fetchStripe(ctx, opts, man, st.Endpoint, p, dst)
+		if st.Err != nil {
+			return fmt.Errorf("range %d-%d from %s: %w", p.Offset, p.Offset+p.Length-1, st.Endpoint, st.Err)
 		}
+		return nil
+	})
+	for _, st := range res.Stripes {
+		res.Bytes += st.Bytes
 	}
-	if firstErr != nil {
-		return res, firstErr
-	}
-	if res.Bytes != total {
-		return res, fmt.Errorf("cdnclient: striped fetch: reassembled %d of %d bytes of %q", res.Bytes, total, id)
+	if err != nil {
+		return res, fmt.Errorf("cdnclient: download %q: %w", man.Dataset, err)
 	}
 	return res, nil
+}
+
+// fanOut runs fn for every range of plan concurrently and returns the
+// first error any of them reports. That error cancels the context the
+// others run under: the transfer has already failed.
+func fanOut(ctx context.Context, plan []Range, fn func(ctx context.Context, i int, p Range) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	var once sync.Once
+	var first error
+	for i, p := range plan {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fn(ctx, i, p); err != nil {
+				once.Do(func() { first = err; cancel() })
+			}
+		}()
+	}
+	wg.Wait()
+	return first
 }
 
 // maxStripes caps the fan-out no matter what the caller asks for: past
@@ -187,61 +142,43 @@ func planStripesAligned(total int64, n int, align int64) []Range {
 // before close; enough for any error payload the serving plane emits.
 const drainLimit = 1 << 20
 
-// fetchOne moves a single stripe, verifying and/or writing it as it
-// streams.
-func fetchOne(ctx context.Context, opts StripeOptions, id storage.DatasetID,
-	base string, off, length, total int64) (int64, string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		base+"/v1/fetch/"+url.PathEscape(string(id)), nil)
+// fetchStripe moves one download stripe from base into dst, verifying
+// it against the manifest's block digests as it streams.
+func fetchStripe(ctx context.Context, opts TransferOptions, man *ingest.Manifest,
+	base string, p Range, dst io.WriterAt) (int64, error) {
+	verifier, err := man.NewRangeVerifier(p.Offset, p.Length)
 	if err != nil {
-		return 0, "", err
+		return 0, fmt.Errorf("verifier: %w", err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		base+"/v1/fetch/"+url.PathEscape(string(man.Dataset)), nil)
+	if err != nil {
+		return 0, err
 	}
 	req.Header.Set("Authorization", "Bearer "+opts.Token)
-	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, off+length-1))
-	resp, err := opts.Client.Do(req)
+	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", p.Offset, p.Offset+p.Length-1))
+	resp, err := opts.client().Do(req)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	src := resp.Header.Get("X-SCDN-Source")
 	if resp.StatusCode != http.StatusPartialContent {
 		// Drain the unwanted body to EOF (bounded) before close so the
 		// transport can return the connection to its idle pool instead of
 		// tearing it down — error bodies here are small (JSON or a 416).
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
-		return 0, src, fmt.Errorf("status %s, want 206", resp.Status)
+		return 0, fmt.Errorf("status %s, want 206", resp.Status)
 	}
-	wantCR := fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, total)
+	wantCR := fmt.Sprintf("bytes %d-%d/%d", p.Offset, p.Offset+p.Length-1, man.Size)
 	if cr := resp.Header.Get("Content-Range"); cr != wantCR {
 		// Same reasoning as above: drain before bailing so the connection
 		// survives for the retry this error will trigger.
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
-		return 0, src, fmt.Errorf("Content-Range %q, want %q", cr, wantCR)
+		return 0, fmt.Errorf("Content-Range %q, want %q", cr, wantCR)
 	}
-
-	var w io.Writer = io.Discard
-	var verifier io.WriteCloser
-	if opts.NewVerifier != nil {
-		verifier, err = opts.NewVerifier(off, length)
-		if err != nil {
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
-			return 0, src, fmt.Errorf("verifier: %w", err)
-		}
-		w = verifier
-	}
-	if opts.Dst != nil {
-		w = io.MultiWriter(w, io.NewOffsetWriter(opts.Dst, off))
-	}
-	n, err := io.Copy(w, resp.Body)
+	n, err := io.Copy(io.MultiWriter(verifier, io.NewOffsetWriter(dst, p.Offset)), resp.Body)
 	if err != nil {
-		return n, src, err
+		return n, err
 	}
-	if verifier != nil {
-		if err := verifier.Close(); err != nil {
-			return n, src, err
-		}
-	} else if n != length {
-		return n, src, fmt.Errorf("read %d bytes, want %d", n, length)
-	}
-	return n, src, nil
+	return n, verifier.Close()
 }

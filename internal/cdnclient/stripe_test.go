@@ -3,12 +3,12 @@ package cdnclient_test
 import (
 	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"testing"
 	"time"
 
 	"scdn/internal/cdnclient"
+	"scdn/internal/ingest"
 	"scdn/internal/server"
 	"scdn/internal/storage"
 )
@@ -23,12 +23,14 @@ func (w *bufferAt) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// payloadVerifier adapts the serving plane's deterministic payload
-// verifier to the striped fetch's injected-verifier contract.
-func payloadVerifier(id storage.DatasetID) func(off, length int64) (io.WriteCloser, error) {
-	return func(off, length int64) (io.WriteCloser, error) {
-		return server.NewRangeVerifier(id, off, length), nil
+// seededManifest is the cluster's manifest for a seeded dataset.
+func seededManifest(t *testing.T, lc *server.LocalCluster, id storage.DatasetID) *ingest.Manifest {
+	t.Helper()
+	man, ok := lc.Manifests.Get(id)
+	if !ok {
+		t.Fatalf("no manifest for %s", id)
 	}
+	return man
 }
 
 func startCluster(t *testing.T, cfg server.ClusterConfig) (*server.LocalCluster, string) {
@@ -50,15 +52,16 @@ func startCluster(t *testing.T, cfg server.ClusterConfig) (*server.LocalCluster,
 }
 
 func TestStripedFetchVerifiesAndReassembles(t *testing.T) {
-	lc, tok := startCluster(t, server.ClusterConfig{Nodes: 3, Users: 1, Datasets: 3})
+	// Four blocks, so four block-aligned stripes.
+	lc, tok := startCluster(t, server.ClusterConfig{Nodes: 3, Users: 1, Datasets: 3,
+		DatasetBytes: 4 * ingest.DefaultBlockSize})
 	client := &http.Client{Timeout: 10 * time.Second}
 	total := lc.Config.DatasetBytes
 	dst := &bufferAt{b: make([]byte, total)}
 
-	res, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
-		Client: client, Endpoints: lc.URLs(), Token: tok,
-		Stripes: 4, NewVerifier: payloadVerifier("ds-001"), Dst: dst,
-	}, "ds-001", total)
+	res, err := cdnclient.Download(context.Background(), cdnclient.TransferOptions{
+		Client: client, Endpoints: lc.URLs(), Token: tok, Stripes: 4,
+	}, seededManifest(t, lc, "ds-001"), dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,31 +100,37 @@ func TestStripedFetchVerifiesAndReassembles(t *testing.T) {
 }
 
 func TestStripedFetchClipsSmallDatasets(t *testing.T) {
+	// Three blocks asked for in eight stripes: a stripe never splits a
+	// block, so three are planned.
+	total := int64(3 * ingest.DefaultBlockSize)
 	lc, tok := startCluster(t, server.ClusterConfig{
-		Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: 3,
+		Nodes: 1, Users: 1, Datasets: 1, DatasetBytes: total,
 	})
 	client := &http.Client{Timeout: 10 * time.Second}
-	res, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
-		Client: client, Endpoints: lc.URLs(), Token: tok,
-		Stripes: 8, NewVerifier: payloadVerifier("ds-001"),
-	}, "ds-001", 3)
+	res, err := cdnclient.Download(context.Background(), cdnclient.TransferOptions{
+		Client: client, Endpoints: lc.URLs(), Token: tok, Stripes: 8,
+	}, seededManifest(t, lc, "ds-001"), cdnclient.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Bytes != 3 || len(res.Stripes) != 3 {
-		t.Fatalf("result = %d bytes over %d stripes, want 3 over 3", res.Bytes, len(res.Stripes))
+	if res.Bytes != total || len(res.Stripes) != 3 {
+		t.Fatalf("result = %d bytes over %d stripes, want %d over 3", res.Bytes, len(res.Stripes), total)
 	}
 }
 
 func TestStripedFetchDetectsWrongSize(t *testing.T) {
 	lc, tok := startCluster(t, server.ClusterConfig{Nodes: 1, Users: 1, Datasets: 1})
 	client := &http.Client{Timeout: 10 * time.Second}
-	// Claim the dataset is larger than it is: the stripe past the real
-	// end must fail with 416, and the fetch must fail loudly.
-	if _, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
-		Client: client, Endpoints: lc.URLs(), Token: tok,
-		Stripes: 4, NewVerifier: payloadVerifier("ds-001"),
-	}, "ds-001", lc.Config.DatasetBytes*2); err == nil {
+	// Claim the dataset is larger than it is, with a manifest hashed over
+	// twice the payload: the stripe past the real end must fail with 416,
+	// and the fetch must fail loudly.
+	h := ingest.NewHasher(ingest.DefaultBlockSize)
+	if _, err := server.WritePayload(h, "ds-001", lc.Config.DatasetBytes*2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cdnclient.Download(context.Background(), cdnclient.TransferOptions{
+		Client: client, Endpoints: lc.URLs(), Token: tok, Stripes: 4,
+	}, h.Manifest("ds-001", false), cdnclient.Discard); err == nil {
 		t.Fatal("oversized fetch succeeded")
 	}
 }
@@ -129,39 +138,35 @@ func TestStripedFetchDetectsWrongSize(t *testing.T) {
 func TestStripedFetchAuthRequired(t *testing.T) {
 	lc, _ := startCluster(t, server.ClusterConfig{Nodes: 1, Users: 1, Datasets: 1})
 	client := &http.Client{Timeout: 10 * time.Second}
-	if _, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
-		Client: client, Endpoints: lc.URLs(), Token: "bogus",
-		Stripes: 2, NewVerifier: payloadVerifier("ds-001"),
-	}, "ds-001", lc.Config.DatasetBytes); err == nil {
+	if _, err := cdnclient.Download(context.Background(), cdnclient.TransferOptions{
+		Client: client, Endpoints: lc.URLs(), Token: "bogus", Stripes: 2,
+	}, seededManifest(t, lc, "ds-001"), cdnclient.Discard); err == nil {
 		t.Fatal("unauthenticated striped fetch succeeded")
 	}
 }
 
 func TestFetchValidation(t *testing.T) {
-	client := &http.Client{}
-	if _, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{Client: client}, "d", 1); err == nil {
+	h := ingest.NewHasher(ingest.DefaultBlockSize)
+	_, _ = h.Write([]byte("d"))
+	if _, err := cdnclient.Download(context.Background(), cdnclient.TransferOptions{
+		Client: &http.Client{},
+	}, h.Manifest("d", true), cdnclient.Discard); err == nil {
 		t.Fatal("no endpoints accepted")
-	}
-	if _, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
-		Client: client, Endpoints: []string{"x"},
-	}, "d", 0); err == nil {
-		t.Fatal("zero size accepted")
 	}
 }
 
 func TestStripedFetchDiskStore(t *testing.T) {
 	lc, tok := startCluster(t, server.ClusterConfig{
-		Nodes: 3, Users: 1, Datasets: 3,
+		Nodes: 3, Users: 1, Datasets: 3, DatasetBytes: 4 * ingest.DefaultBlockSize,
 	})
 	total := lc.Config.DatasetBytes
 	dst := &bufferAt{b: make([]byte, total)}
 
 	// Nil client: the package-default shared-transport client drives the
 	// stripes; every stripe rides the disk-backed sendfile path.
-	res, err := cdnclient.FetchStriped(context.Background(), cdnclient.StripeOptions{
-		Endpoints: lc.URLs(), Token: tok,
-		Stripes: 4, NewVerifier: payloadVerifier("ds-001"), Dst: dst,
-	}, "ds-001", total)
+	res, err := cdnclient.Download(context.Background(), cdnclient.TransferOptions{
+		Endpoints: lc.URLs(), Token: tok, Stripes: 4,
+	}, seededManifest(t, lc, "ds-001"), dst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,14 @@
 // Package cdnclient is the live S-CDN client (Section V-A): Upload
 // sends a dataset into the serving plane as content-addressed stripes
-// (PUT /v1/datasets/{id}), and Download fetches one back as
-// manifest-verified parallel ranges through FetchStriped (stripe.go), the
-// paper's GridFTP-style high-performance transfer. Stripes align to the
-// manifest's blocks, so each one verifies against the block digests as
-// it streams; that is the one integrity record, for segmented datasets
-// too. Bytes genuinely move, and every transfer verifies against the
-// dataset's manifest, not against a regenerable pattern. The
-// simulator's model of the client agent, in
-// virtual time, lives in internal/core.
+// (PUT /v1/datasets/{id}), and Download fetches one back as parallel
+// range requests (stripe.go), the paper's GridFTP-style
+// high-performance transfer. Download is the client's one fetch: its
+// stripes align to the manifest's blocks, and each one verifies against
+// the block digests as it streams into the destination; that is the one
+// integrity record, for segmented datasets too. Bytes genuinely move,
+// and every transfer verifies against the dataset's manifest, not
+// against a regenerable pattern. The simulator's model of the client
+// agent, in virtual time, lives in internal/core.
 package cdnclient
 
 import (
@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
 	"time"
 
 	"scdn/internal/ingest"
@@ -80,36 +79,23 @@ func Upload(ctx context.Context, opts TransferOptions, id storage.DatasetID,
 	}
 
 	plan := planStripesAligned(size, opts.Stripes, ingest.DefaultBlockSize)
-	base := opts.Endpoints[0]
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type stripeResult struct {
-		manifest []byte // 201 body (the finalizing stripe)
-		err      error
-	}
-	results := make([]stripeResult, len(plan))
-	var wg sync.WaitGroup
-	for i, p := range plan {
-		wg.Add(1)
-		go func(i int, p Range) {
-			defer wg.Done()
-			body, err := putStripe(ctx, opts, base, id, group, local, src, p, size, len(plan) == 1)
-			results[i] = stripeResult{manifest: body, err: err}
-			if err != nil {
-				cancel() // the upload already failed; stop sibling stripes
-			}
-		}(i, p)
-	}
-	wg.Wait()
-
-	var accepted []byte
-	for i := range results {
-		if results[i].err != nil {
-			return nil, fmt.Errorf("cdnclient: upload %q: stripe %d: %w", id, i, results[i].err)
+	// bodies[i] is stripe i's 201 body: the server's manifest, sent by
+	// the stripe that completed the upload.
+	bodies := make([][]byte, len(plan))
+	err = fanOut(ctx, plan, func(ctx context.Context, i int, p Range) (err error) {
+		bodies[i], err = putStripe(ctx, opts, group, local, src, p)
+		if err != nil {
+			return fmt.Errorf("stripe %d: %w", i, err)
 		}
-		if results[i].manifest != nil {
-			accepted = results[i].manifest
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cdnclient: upload %q: %w", id, err)
+	}
+	var accepted []byte
+	for _, body := range bodies {
+		if body != nil {
+			accepted = body
 		}
 	}
 	if accepted == nil {
@@ -125,16 +111,15 @@ func Upload(ctx context.Context, opts TransferOptions, id storage.DatasetID,
 	return remote, nil
 }
 
-// putStripe PUTs one byte range of an upload. whole suppresses the
-// Content-Range header (single-body upload). It returns the response
-// body for 201 (the server's manifest, emitted by the stripe that
-// completed the upload) and nil for 204 (stripe accepted, more
-// outstanding).
-func putStripe(ctx context.Context, opts TransferOptions, base string, id storage.DatasetID,
-	group string, man *ingest.Manifest, src io.ReaderAt, p Range, total int64,
-	whole bool) ([]byte, error) {
+// putStripe PUTs one byte range of man's dataset to Endpoints[0]; a
+// range covering the whole dataset goes as a plain body, any other with
+// a Content-Range header. It returns the response body for 201 (the
+// server's manifest, emitted by the stripe that completed the upload)
+// and nil for 204 (stripe accepted, more outstanding).
+func putStripe(ctx context.Context, opts TransferOptions, group string,
+	man *ingest.Manifest, src io.ReaderAt, p Range) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		base+"/v1/datasets/"+url.PathEscape(string(id)),
+		opts.Endpoints[0]+"/v1/datasets/"+url.PathEscape(string(man.Dataset)),
 		io.NewSectionReader(src, p.Offset, p.Length))
 	if err != nil {
 		return nil, err
@@ -144,9 +129,9 @@ func putStripe(ctx context.Context, opts TransferOptions, base string, id storag
 	req.Header.Set("Authorization", "Bearer "+opts.Token)
 	req.Header.Set(ingest.DigestHeader, man.DigestHex())
 	req.Header.Set(ingest.GroupHeader, group)
-	if !whole {
+	if p.Length != man.Size {
 		req.Header.Set("Content-Range",
-			fmt.Sprintf("bytes %d-%d/%d", p.Offset, p.Offset+p.Length-1, total))
+			fmt.Sprintf("bytes %d-%d/%d", p.Offset, p.Offset+p.Length-1, man.Size))
 	}
 	resp, err := opts.client().Do(req)
 	if err != nil {
@@ -162,26 +147,6 @@ func putStripe(ctx context.Context, opts TransferOptions, base string, id storag
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, drainLimit))
 		return nil, fmt.Errorf("status %s: %s", resp.Status, body)
 	}
-}
-
-// Download retrieves the manifest's dataset as parallel verified range
-// fetches into dst: stripes are block-aligned so each one checks its
-// bytes against the manifest's block digests in-stream, and a stripe
-// from a corrupt or lying holder fails the transfer before dst is
-// trusted. Endpoints should list replica holders (from a resolve).
-func Download(ctx context.Context, opts TransferOptions, man *ingest.Manifest,
-	dst io.WriterAt) (StripeResult, error) {
-	return FetchStriped(ctx, StripeOptions{
-		Client:    opts.Client,
-		Endpoints: opts.Endpoints,
-		Token:     opts.Token,
-		Stripes:   opts.Stripes,
-		Align:     man.BlockSize,
-		NewVerifier: func(off, length int64) (io.WriteCloser, error) {
-			return man.NewRangeVerifier(off, length)
-		},
-		Dst: dst,
-	}, man.Dataset, man.Size)
 }
 
 // discardAt swallows positioned writes (digest-reconciliation

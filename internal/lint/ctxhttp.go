@@ -8,7 +8,7 @@ import (
 
 // DefaultCtxHTTPPackages are the packages whose outbound HTTP requests
 // and raw dials must carry a context: the serving plane's peer hops, the
-// CDN client (striped fetches and uploads), and the load drivers. A peer
+// CDN client (downloads and uploads), and the load drivers. A peer
 // hop without a context cannot be canceled when the client goes away, so
 // a dead request keeps streaming between edges; the peer relay dials its
 // own connections, so a context-less dial would lose cancellation just
@@ -17,6 +17,7 @@ import (
 var DefaultCtxHTTPPackages = []string{
 	"scdn/internal/server",
 	"scdn/internal/cdnclient",
+	"scdn/internal/loadharness",
 	"scdn/cmd/scdn-loadgen",
 	"scdn/cmd/scdn-serve",
 }

@@ -38,19 +38,18 @@ type Member struct {
 type Registry struct {
 	writeMu sync.Mutex // serializes writers; readers never take it
 	members atomic.Pointer[map[allocation.NodeID]Member]
-	// RTTFloor and RTTStep parameterize the inter-site latency estimate
-	// used for replica selection: floor + step × |siteA − siteB|. Set
-	// them before the registry is shared; they are read without locking.
-	RTTFloor time.Duration
-	RTTStep  time.Duration
 }
 
-// NewRegistry returns an empty registry with default RTT parameters.
+// rttFloor and rttStep parameterize the inter-site latency estimate
+// used for replica selection: floor + step × |siteA − siteB|.
+const (
+	rttFloor = time.Millisecond
+	rttStep  = 2 * time.Millisecond
+)
+
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
-		RTTFloor: time.Millisecond,
-		RTTStep:  2 * time.Millisecond,
-	}
+	r := &Registry{}
 	empty := make(map[allocation.NodeID]Member)
 	r.members.Store(&empty)
 	return r
@@ -142,7 +141,7 @@ func (r *Registry) RTT(siteA, siteB int) (time.Duration, error) {
 	if d < 0 {
 		d = -d
 	}
-	return r.RTTFloor + time.Duration(d)*r.RTTStep, nil
+	return rttFloor + time.Duration(d)*rttStep, nil
 }
 
 // interface check

@@ -66,8 +66,8 @@ type Config struct {
 	Sweep SweeperConfig
 	// Manifests is the cluster's shared content-address index (dataset →
 	// manifest: an upload's verified manifest, or a seeded dataset's
-	// derivation, hashed on first use). Nil gets a private empty store;
-	// clusters share one the same way they share the catalog.
+	// derivation, hashed on first use). Required: clusters share one the
+	// same way they share the catalog, so every node sees every upload.
 	Manifests *ingest.Store
 	// SegmentSize is the fixed segment size of the large-object layout
 	// (segments.go); it must be a positive multiple of the ingest block
@@ -142,11 +142,11 @@ type Node struct {
 }
 
 // NewNode wires a node over shared serving-plane state. All
-// collaborators, cfg.StoreDir and a positive cfg.StoreQuota are
-// required.
+// collaborators (cfg.Manifests among them), cfg.StoreDir and a positive
+// cfg.StoreQuota are required.
 func NewNode(cfg Config, auth *middleware.Middleware,
 	catalog *Catalog, registry *Registry) (*Node, error) {
-	if auth == nil || catalog == nil || registry == nil {
+	if auth == nil || catalog == nil || registry == nil || cfg.Manifests == nil {
 		return nil, errors.New("server: missing collaborator")
 	}
 	if cfg.StoreDir == "" || cfg.StoreQuota <= 0 {
@@ -156,9 +156,6 @@ func NewNode(cfg Config, auth *middleware.Middleware,
 		cfg.ListenAddr = "127.0.0.1:0"
 	}
 	cfg.Sweep.applyDefaults()
-	if cfg.Manifests == nil {
-		cfg.Manifests = ingest.NewStore()
-	}
 	if cfg.SegmentSize == 0 {
 		cfg.SegmentSize = storage.DefaultSegmentSize
 	}

@@ -414,10 +414,19 @@ func TestNewNodeValidation(t *testing.T) {
 	// Every collaborator present but no store directory or no quota:
 	// the volume is the node's only store, so both are required too.
 	lc := startCluster(t, ClusterConfig{Nodes: 1, Users: 1, Datasets: 1, Sweep: SweeperConfig{Disabled: true}})
-	for _, cfg := range []Config{{Node: 9, StoreQuota: 1 << 20}, {Node: 9, StoreDir: t.TempDir()}} {
+	for _, cfg := range []Config{
+		{Node: 9, StoreQuota: 1 << 20, Manifests: lc.Manifests},
+		{Node: 9, StoreDir: t.TempDir(), Manifests: lc.Manifests},
+	} {
 		if _, err := NewNode(cfg, lc.Middleware, lc.Catalog, lc.Registry); err == nil {
 			t.Fatalf("node without a store directory or quota accepted: %+v", cfg)
 		}
+	}
+	// The manifest store is a collaborator too: a private one would hide
+	// the node's uploads from its peers.
+	if _, err := NewNode(Config{Node: 9, StoreDir: t.TempDir(), StoreQuota: 1 << 20},
+		lc.Middleware, lc.Catalog, lc.Registry); err == nil {
+		t.Fatal("node without a manifest store accepted")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -147,6 +148,14 @@ func (n *Node) uploadSessionFor(id storage.DatasetID, user socialnet.UserID,
 	n.upMu.Lock()
 	defer n.upMu.Unlock()
 	if sess, ok := n.uploads[id]; ok {
+		// Only the user who opened the session may add to it: its group
+		// check was theirs. Another user's stripe claims nothing and
+		// leaves the session intact.
+		if sess.user != user {
+			n.Metrics.AuthDenied.Inc()
+			return nil, http.StatusForbidden,
+				fmt.Errorf("server: upload %q: session belongs to another user", id)
+		}
 		// Every stripe of one upload must describe the same dataset.
 		if sess.total != total || sess.digest != digest {
 			return nil, http.StatusConflict,
@@ -335,36 +344,15 @@ func parseContentRange(cr string) (off, length, total int64, err error) {
 	if !ok {
 		return bad()
 	}
-	a, errA := parseInt64(aStr)
-	b, errB := parseInt64(bStr)
-	t, errT := parseInt64(totalStr)
-	if errA != nil || errB != nil || errT != nil {
+	// Base 10 with a 63-bit limit rejects signs, spaces, underscores and
+	// anything past math.MaxInt64.
+	a, errA := strconv.ParseUint(aStr, 10, 63)
+	b, errB := strconv.ParseUint(bStr, 10, 63)
+	t, errT := strconv.ParseUint(totalStr, 10, 63)
+	if errA != nil || errB != nil || errT != nil || b < a || t <= b {
 		return bad()
 	}
-	if a < 0 || b < a || t <= b {
-		return bad()
-	}
-	return a, b - a + 1, t, nil
-}
-
-// parseInt64 parses a non-negative decimal without accepting signs or
-// whitespace.
-func parseInt64(s string) (int64, error) {
-	if s == "" {
-		return 0, fmt.Errorf("empty")
-	}
-	var v int64
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("non-digit")
-		}
-		d := int64(c - '0')
-		if v > (1<<63-1-d)/10 {
-			return 0, fmt.Errorf("overflow")
-		}
-		v = v*10 + d
-	}
-	return v, nil
+	return int64(a), int64(b - a + 1), int64(t), nil
 }
 
 // expireUploads aborts upload sessions idle past uploadIdleTimeout: a

@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"net/http"
@@ -19,6 +20,7 @@ import (
 
 	"scdn/internal/cdnclient"
 	"scdn/internal/ingest"
+	"scdn/internal/socialnet"
 	"scdn/internal/storage"
 )
 
@@ -257,6 +259,11 @@ func TestUploadValidation(t *testing.T) {
 		ingest.DigestHeader: digestOf(data),
 		ingest.GroupHeader:  lc.Config.Group,
 	}
+	ranged := func(cr string) map[string]string {
+		h := maps.Clone(good)
+		h["Content-Range"] = cr
+		return h
+	}
 	cases := []struct {
 		name string
 		tok  string
@@ -270,6 +277,12 @@ func TestUploadValidation(t *testing.T) {
 		{"missing group", string(tok), map[string]string{ingest.DigestHeader: digestOf(data)}, http.StatusBadRequest},
 		{"non-member group", string(tok), map[string]string{
 			ingest.DigestHeader: digestOf(data), ingest.GroupHeader: "not-my-group"}, http.StatusForbidden},
+		// Content-Range numbers are bare decimals: no sign, no space, no
+		// digit separator, nothing past int64.
+		{"range sign", string(tok), ranged("bytes +0-9/10"), http.StatusBadRequest},
+		{"range space", string(tok), ranged("bytes 0-9/ 10"), http.StatusBadRequest},
+		{"range underscore", string(tok), ranged("bytes 0-9/1_0"), http.StatusBadRequest},
+		{"range overflow", string(tok), ranged("bytes 0-9/18446744073709551616"), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp := rawPut(t, http.DefaultClient, base, "up-v-"+tc.name, tc.tok,
@@ -334,6 +347,46 @@ func TestUploadSessionExpiry(t *testing.T) {
 	}
 	if node.Metrics.IngestUploadExpired.Value() != 1 {
 		t.Fatal("expiry not counted")
+	}
+}
+
+// TestUploadSessionRefusesOtherUsers: only the user who opened an
+// upload session may add stripes to it. Another group member's stripe,
+// carrying the session's size and digest, gets 403, claims no range and
+// leaves the session intact, so the owner's own second stripe still
+// completes the upload.
+func TestUploadSessionRefusesOtherUsers(t *testing.T) {
+	lc := ingestCluster(t, ClusterConfig{Nodes: 1, Users: 2, Sweep: SweeperConfig{Disabled: true}})
+	owner := login(t, lc)
+	other, err := lc.Login(lc.UserIDs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := opaqueBytes(17, 128<<10)
+	const half = 64 << 10
+	id := storage.DatasetID("up-owned")
+	stripe := func(tok socialnet.Token, off int) int {
+		resp := rawPut(t, http.DefaultClient, lc.Nodes[0].BaseURL(), string(id), string(tok),
+			bytes.NewReader(data[off:off+half]), half, map[string]string{
+				ingest.DigestHeader: digestOf(data),
+				ingest.GroupHeader:  lc.Config.Group,
+				"Content-Range":     fmt.Sprintf("bytes %d-%d/%d", off, off+half-1, len(data)),
+			})
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := stripe(owner, 0); got != http.StatusNoContent {
+		t.Fatalf("owner's first stripe: status = %d, want 204", got)
+	}
+	if got := stripe(other, half); got != http.StatusForbidden {
+		t.Fatalf("other user's stripe: status = %d, want 403", got)
+	}
+	if got := stripe(owner, half); got != http.StatusCreated {
+		t.Fatalf("owner's second stripe: status = %d, want 201", got)
+	}
+	if _, ok := lc.Manifests.Get(id); !ok {
+		t.Fatal("owner's upload not published")
 	}
 }
 
