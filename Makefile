@@ -53,9 +53,9 @@
 #                  is checked in as BENCH_large.json.
 #   make worlds  — fail if the live plane (scdn-serve, scdn-loadgen,
 #                  scdn-digest, internal/server, internal/loadharness)
-#                  imports the simulator (internal/core, internal/sim), or
-#                  if internal/cdnclient imports the simulator's social
-#                  platform or allocation cluster.
+#                  imports the simulator (internal/core, internal/sim,
+#                  internal/allocation), or if internal/cdnclient imports
+#                  the simulator's social platform or allocation cluster.
 #   make repro   — the reproduction stays byte-reproducible: two runs of
 #                  scdn-casestudy at one seed must print identical JSON.
 #   make loc     — non-test Go line counts of the live-plane packages
@@ -203,12 +203,14 @@ largebench:
 		-bench-out BENCH_large.json
 
 # The two worlds stay apart: what the edges run never links the
-# simulator, and the live client never links the simulator's models.
+# simulator (its allocation servers included: the live catalog is
+# internal/server's own), and the live client never links the
+# simulator's models.
 LIVE_PKGS = ./cmd/scdn-serve ./cmd/scdn-loadgen ./cmd/scdn-digest ./internal/server ./internal/loadharness
 
 worlds:
 	@deps=$$($(GO) list -deps $(LIVE_PKGS)) || exit 1; \
-	if echo "$$deps" | grep -Ex 'scdn/internal/(core|sim)'; then echo "the live plane imports the simulator"; exit 1; fi
+	if echo "$$deps" | grep -Ex 'scdn/internal/(core|sim|allocation)'; then echo "the live plane imports the simulator"; exit 1; fi
 	@deps=$$($(GO) list -deps ./internal/cdnclient) || exit 1; \
 	if echo "$$deps" | grep -Ex 'scdn/internal/(socialnet|allocation)'; then echo "internal/cdnclient imports the simulator's models"; exit 1; fi
 

@@ -3,9 +3,9 @@
 // requests to the best available replica, track demand, and decide when
 // to add, migrate, or retire replicas. A Cluster keeps several servers'
 // catalogs consistent, as in the paper's "one or more allocation servers
-// act as catalogs for global datasets"; only the simulator uses it, to
-// model allocation-server outages. The live serving plane
-// (internal/server) puts one Server behind each of its catalog shards.
+// act as catalogs for global datasets", and lets the simulator model
+// allocation-server outages. The package is the simulator's alone: the
+// live serving plane keeps its own sharded catalog (internal/server).
 package allocation
 
 import (
@@ -17,7 +17,7 @@ import (
 )
 
 // NodeID identifies a participating user/storage node.
-type NodeID = int64
+type NodeID = storage.NodeID
 
 // Directory supplies node facts the allocation server needs but does not
 // own: home sites and liveness. The core composes this from the social
@@ -49,7 +49,6 @@ type entry struct {
 
 // Server is one allocation server. Not safe for concurrent use.
 type Server struct {
-	ID      int
 	dir     Directory
 	catalog map[storage.DatasetID]*entry
 	// MaxReplicas bounds per-dataset replication.
@@ -57,16 +56,13 @@ type Server struct {
 	// DemandThreshold is the per-sweep access count that triggers
 	// re-replication.
 	DemandThreshold uint64
-	// Lookups / Resolved / Unresolved are server statistics.
-	Lookups    uint64
-	Resolved   uint64
-	Unresolved uint64
+	// Lookups counts the resolves this server answered.
+	Lookups uint64
 }
 
 // NewServer creates a server backed by dir.
-func NewServer(id int, dir Directory) *Server {
+func NewServer(dir Directory) *Server {
 	return &Server{
-		ID:              id,
 		dir:             dir,
 		catalog:         make(map[storage.DatasetID]*entry),
 		MaxReplicas:     5,
@@ -95,22 +91,6 @@ func (s *Server) RegisterDataset(id storage.DatasetID, origin NodeID, bytes int6
 		},
 	}
 	return nil
-}
-
-// Registered reports whether the dataset is catalogued.
-func (s *Server) Registered(id storage.DatasetID) bool {
-	_, ok := s.catalog[id]
-	return ok
-}
-
-// Holds reports whether node is a recorded holder of the dataset.
-func (s *Server) Holds(id storage.DatasetID, node NodeID) bool {
-	e, ok := s.catalog[id]
-	if !ok {
-		return false
-	}
-	_, ok = e.replicas[node]
-	return ok
 }
 
 // DatasetBytes returns a dataset's size.
@@ -165,19 +145,6 @@ func (s *Server) RemoveReplica(id storage.DatasetID, node NodeID) error {
 	return nil
 }
 
-// AppendHolders appends the dataset's holder IDs to dst, in no
-// particular order, and returns the extended slice: a count or a
-// membership test needs no sorted copy, and a caller that reuses dst
-// allocates nothing.
-func (s *Server) AppendHolders(dst []NodeID, id storage.DatasetID) []NodeID {
-	if e, ok := s.catalog[id]; ok {
-		for n := range e.replicas {
-			dst = append(dst, n)
-		}
-	}
-	return dst
-}
-
 // Replicas returns the dataset's replica holders sorted by node ID.
 func (s *Server) Replicas(id storage.DatasetID) []Replica {
 	e, ok := s.catalog[id]
@@ -227,11 +194,6 @@ func (s *Server) Resolve(id storage.DatasetID, requester NodeID) (Replica, bool,
 		if !found || rtt < bestRTT {
 			best, bestRTT, found = *r, rtt, true
 		}
-	}
-	if found {
-		s.Resolved++
-	} else {
-		s.Unresolved++
 	}
 	return best, found, nil
 }

@@ -27,13 +27,10 @@ func NewCluster(n int, dir Directory) (*Cluster, error) {
 	}
 	c := &Cluster{down: make(map[int]bool)}
 	for i := 0; i < n; i++ {
-		c.servers = append(c.servers, NewServer(i, dir))
+		c.servers = append(c.servers, NewServer(dir))
 	}
 	return c, nil
 }
-
-// Size returns the cluster's membership count.
-func (c *Cluster) Size() int { return len(c.servers) }
 
 // SetDown marks a server offline (true) or online (false); mutations and
 // reads skip offline members. Offline members are re-synchronized from a
@@ -221,14 +218,4 @@ func (c *Cluster) SetPolicy(maxReplicas int, demandThreshold uint64) {
 		s.MaxReplicas = maxReplicas
 		s.DemandThreshold = demandThreshold
 	}
-}
-
-// Stats aggregates lookup statistics across all members.
-func (c *Cluster) Stats() (lookups, resolved, unresolved uint64) {
-	for _, s := range c.servers {
-		lookups += s.Lookups
-		resolved += s.Resolved
-		unresolved += s.Unresolved
-	}
-	return
 }

@@ -15,10 +15,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scdn/internal/allocation"
 	"scdn/internal/ingest"
 	"scdn/internal/metrics"
 	"scdn/internal/server"
+	"scdn/internal/storage"
 )
 
 // Churn actions.
@@ -35,7 +35,7 @@ type ChurnEvent struct {
 	// Action is ChurnKill, ChurnStop, or ChurnRestart.
 	Action string
 	// Node is the 1-based node ID the event targets.
-	Node allocation.NodeID
+	Node storage.NodeID
 }
 
 // ChurnSpec is the compact churn description behind the -churn flag:
@@ -114,7 +114,7 @@ func (spec ChurnSpec) Events(nodes int, seed int64) []ChurnEvent {
 	var ev []ChurnEvent
 	for i, v := range victims {
 		at := spec.Spacing * time.Duration(i+1)
-		node := allocation.NodeID(v + 1)
+		node := storage.NodeID(v + 1)
 		ev = append(ev, ChurnEvent{At: at, Action: ChurnKill, Node: node})
 		if spec.Restart >= 0 {
 			ev = append(ev, ChurnEvent{At: at + spec.Restart, Action: ChurnRestart, Node: node})
@@ -184,7 +184,7 @@ type ChurnRun struct {
 	quit chan struct{}
 
 	mu       sync.Mutex
-	down     map[allocation.NodeID]bool
+	down     map[storage.NodeID]bool
 	kills    int
 	stops    int
 	restarts int
@@ -200,7 +200,7 @@ func StartChurn(lc *server.LocalCluster, events []ChurnEvent) *ChurnRun {
 		lc:   lc,
 		done: make(chan struct{}),
 		quit: make(chan struct{}),
-		down: make(map[allocation.NodeID]bool),
+		down: make(map[storage.NodeID]bool),
 		last: time.Now(),
 	}
 	go c.run(events)

@@ -1,59 +1,95 @@
 package server
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"scdn/internal/allocation"
 	"scdn/internal/storage"
 )
 
 // catalogShardCount is the catalog's shard count. Sixteen shards keep
 // contention negligible well past typical core counts while the
-// per-shard overhead (one small allocation server each) stays trivial.
+// per-shard overhead (one lock and one map each) stays trivial.
 const catalogShardCount = 16
 
-// catalogShard is one lock domain of the catalog: an allocation server
-// owning the datasets that hash into this shard. Resolve mutates demand
-// counters and lookup statistics inside the allocation package, so it
-// takes the write lock; the pure reads (Holds, AppendHolders, Replicas,
-// DatasetBytes, Origin, Datasets, ReplicaCount, MaintenanceSweep) share
-// an RLock.
-type catalogShard struct {
-	mu  sync.RWMutex
-	srv *allocation.Server
+// Replica is one placed copy of a dataset: its holder, and the
+// holder's site when the copy was recorded.
+type Replica struct {
+	Node storage.NodeID
+	Site int
 }
 
-// Catalog is the serving plane's view of the allocation servers. The
-// allocation package is deliberately single-threaded (the simulator
-// owns its own event loop); here every HTTP request may touch the
-// catalog concurrently. Datasets are spread across catalogShardCount
-// shards by an FNV-1a hash of the dataset ID, so resolves and fetches of
-// distinct datasets never contend on a lock — the catalog scales with
-// cores instead of serializing the whole delivery plane behind one
-// mutex.
+// HotDataset is a maintenance recommendation: a dataset whose demand
+// since the last acknowledged sweep reached the demand threshold and
+// which still has replica budget.
+type HotDataset struct {
+	ID       storage.DatasetID
+	Accesses uint64
+	Replicas int
+}
+
+// record is one dataset's catalog entry. origin and bytes never
+// change; holders, sorted by node, change under the shard's write
+// lock; demand is counted under its read lock.
+type record struct {
+	origin  storage.NodeID
+	bytes   int64
+	holders []Replica
+	demand  atomic.Uint64
+}
+
+// noRecord stands in for an unknown dataset: no bytes and no holders.
+var noRecord = &record{}
+
+// find returns node's position in the holders and whether it is one.
+func (r *record) find(node storage.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(r.holders, node, func(h Replica, n storage.NodeID) int {
+		return cmp.Compare(h.Node, n)
+	})
+}
+
+// catalogShard is one lock domain: the records of the datasets whose
+// IDs hash into it.
+type catalogShard struct {
+	mu      sync.RWMutex
+	records map[storage.DatasetID]*record
+}
+
+// Catalog is the live plane's allocation server (PAPER.md §V-B): the
+// one record of which node holds a dataset, which resolves a requester
+// to the nearest online holder and counts demand. Every request may
+// touch it, so datasets are spread across catalogShardCount shards by
+// an FNV-1a hash of their ID: requests for distinct datasets never
+// contend on a lock.
 type Catalog struct {
+	dir *Registry
 	// shards is a slice, not a fixed array of shards: len() of such an
 	// array is a by-value use, which the atomiccopy lint flags because
 	// each shard's RWMutex carries sync/atomic fields.
 	shards []*catalogShard
+	// SetPolicy's replica budget and demand threshold.
+	maxReplicas     atomic.Int64
+	demandThreshold atomic.Uint64
 }
 
-// NewCatalog builds a sharded catalog whose allocation servers share
-// dir as their directory.
-func NewCatalog(dir allocation.Directory) *Catalog {
-	c := &Catalog{shards: make([]*catalogShard, catalogShardCount)}
+// NewCatalog builds an empty catalog over the registry dir.
+func NewCatalog(dir *Registry) *Catalog {
+	c := &Catalog{dir: dir, shards: make([]*catalogShard, catalogShardCount)}
 	for i := range c.shards {
-		c.shards[i] = &catalogShard{srv: allocation.NewServer(i, dir)}
+		c.shards[i] = &catalogShard{records: make(map[storage.DatasetID]*record)}
 	}
+	c.SetPolicy(5, 10)
 	return c
 }
 
 // NewCatalogSharded returns NewCatalog(dir), ignoring both counts.
 //
 // Deprecated: use NewCatalog.
-func NewCatalogSharded(_ int, dir allocation.Directory, _ int) (*Catalog, error) {
+func NewCatalogSharded(_ int, dir *Registry, _ int) (*Catalog, error) {
 	return NewCatalog(dir), nil
 }
 
@@ -72,134 +108,228 @@ func (c *Catalog) shard(id storage.DatasetID) *catalogShard {
 	return c.shards[h%catalogShardCount]
 }
 
-// RegisterDataset catalogs a dataset with its origin node and size.
-func (c *Catalog) RegisterDataset(id storage.DatasetID, origin allocation.NodeID, bytes int64) error {
+// read read-locks the dataset's shard and returns it, for the caller
+// to unlock, with the dataset's record: noRecord if it is unknown.
+func (c *Catalog) read(id storage.DatasetID) (*catalogShard, *record) {
+	s := c.shard(id)
+	s.mu.RLock()
+	if r, ok := s.records[id]; ok {
+		return s, r
+	}
+	return s, noRecord
+}
+
+// known returns the not-found error for noRecord, else nil.
+func known(r *record, id storage.DatasetID) error {
+	if r != noRecord {
+		return nil
+	}
+	return errUnknownDataset(id)
+}
+
+func errUnknownDataset(id storage.DatasetID) error {
+	return fmt.Errorf("server: unknown dataset %q", id)
+}
+
+// RegisterDataset catalogs a dataset with its origin node and size. The
+// origin always holds a copy (the owner's own repository).
+func (c *Catalog) RegisterDataset(id storage.DatasetID, origin storage.NodeID, bytes int64) error {
+	if bytes <= 0 {
+		return fmt.Errorf("server: non-positive dataset size %d", bytes)
+	}
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.srv.RegisterDataset(id, origin, bytes)
+	if _, dup := s.records[id]; dup {
+		return fmt.Errorf("server: dataset %q already registered", id)
+	}
+	m, ok := c.dir.snapshot()[origin]
+	if !ok {
+		return fmt.Errorf("server: origin node %d has no site", origin)
+	}
+	s.records[id] = &record{origin: origin, bytes: bytes, holders: []Replica{{Node: origin, Site: m.Site}}}
+	return nil
 }
 
 // AddReplica records a new replica holder.
-func (c *Catalog) AddReplica(id storage.DatasetID, node allocation.NodeID, at time.Duration) error {
+func (c *Catalog) AddReplica(id storage.DatasetID, node storage.NodeID) error {
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.srv.AddReplica(id, node, at)
+	r, ok := s.records[id]
+	if !ok {
+		return errUnknownDataset(id)
+	}
+	i, held := r.find(node)
+	m, ok := c.dir.snapshot()[node]
+	switch {
+	case held:
+		return fmt.Errorf("server: node %d already holds %q", node, id)
+	case !ok:
+		return fmt.Errorf("server: node %d has no site", node)
+	}
+	r.holders = slices.Insert(r.holders, i, Replica{Node: node, Site: m.Site})
+	return nil
 }
 
-// RemoveReplica deletes a replica record.
-func (c *Catalog) RemoveReplica(id storage.DatasetID, node allocation.NodeID) error {
+// RemoveReplica deletes a replica record. Removing the origin's copy is
+// refused: the owner always keeps their data.
+func (c *Catalog) RemoveReplica(id storage.DatasetID, node storage.NodeID) error {
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.srv.RemoveReplica(id, node)
+	r, ok := s.records[id]
+	if !ok {
+		return errUnknownDataset(id)
+	}
+	i, held := r.find(node)
+	switch {
+	case node == r.origin:
+		return fmt.Errorf("server: refusing to remove origin copy of %q", id)
+	case !held:
+		return fmt.Errorf("server: node %d does not hold %q", node, id)
+	}
+	r.holders = slices.Delete(r.holders, i, i+1)
+	return nil
 }
 
-// Resolve picks the best online replica for a requester. It takes the
-// shard's write lock: resolution records demand.
-func (c *Catalog) Resolve(id storage.DatasetID, requester allocation.NodeID) (allocation.Replica, bool, error) {
-	s := c.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.srv.Resolve(id, requester)
+// dropHolder removes node's replica records but its origin copies, one
+// pass per shard under its write lock.
+func (c *Catalog) dropHolder(node storage.NodeID) {
+	for _, s := range c.shards {
+		s.mu.Lock()
+		for _, r := range s.records {
+			if i, held := r.find(node); held && node != r.origin {
+				r.holders = slices.Delete(r.holders, i, i+1)
+			}
+		}
+		s.mu.Unlock()
+	}
 }
 
-// Replicas lists a dataset's replica holders. The error is always nil.
-func (c *Catalog) Replicas(id storage.DatasetID) ([]allocation.Replica, error) {
-	s := c.shard(id)
-	s.mu.RLock()
+// Resolve picks the best replica for a requester: among online
+// holders, the one with the lowest RTT from the requester's site, ties
+// to the lowest node ID. It counts one access of demand and holds only
+// the shard's read lock. ok is false when no holder is online.
+func (c *Catalog) Resolve(id storage.DatasetID, requester storage.NodeID) (best Replica, ok bool, err error) {
+	s, r := c.read(id)
 	defer s.mu.RUnlock()
-	return s.srv.Replicas(id), nil
+	if err := known(r, id); err != nil {
+		return best, false, err
+	}
+	r.demand.Add(1)
+	members := c.dir.snapshot()
+	req, member := members[requester]
+	if !member {
+		return best, false, fmt.Errorf("server: requester %d has no site", requester)
+	}
+	var bestRTT time.Duration
+	for _, h := range r.holders {
+		if rtt := siteRTT(req.Site, h.Site); members[h.Node].Online && (!ok || rtt < bestRTT) {
+			best, bestRTT, ok = h, rtt, true
+		}
+	}
+	return best, ok, nil
 }
 
-// AppendHolders appends the dataset's holder IDs to dst, unsorted (see
-// allocation.Server.AppendHolders).
-func (c *Catalog) AppendHolders(dst []allocation.NodeID, id storage.DatasetID) []allocation.NodeID {
-	s := c.shard(id)
-	s.mu.RLock()
+// Replicas lists a dataset's holders sorted by node ID. The error is
+// always nil.
+func (c *Catalog) Replicas(id storage.DatasetID) ([]Replica, error) {
+	s, r := c.read(id)
 	defer s.mu.RUnlock()
-	return s.srv.AppendHolders(dst, id)
+	return slices.Clone(r.holders), nil
 }
 
-// Holds reports whether node is a recorded holder of the dataset: the
-// one record of what a node holds (its volume holds only the bytes).
-func (c *Catalog) Holds(id storage.DatasetID, node allocation.NodeID) bool {
-	s := c.shard(id)
-	s.mu.RLock()
+// AppendHolders appends the dataset's holder IDs, sorted, to dst: a
+// caller that reuses dst allocates nothing.
+func (c *Catalog) AppendHolders(dst []storage.NodeID, id storage.DatasetID) []storage.NodeID {
+	s, r := c.read(id)
 	defer s.mu.RUnlock()
-	return s.srv.Holds(id, node)
+	for _, h := range r.holders {
+		dst = append(dst, h.Node)
+	}
+	return dst
+}
+
+// Holds reports whether node is a recorded holder of the dataset.
+func (c *Catalog) Holds(id storage.DatasetID, node storage.NodeID) bool {
+	s, r := c.read(id)
+	defer s.mu.RUnlock()
+	_, held := r.find(node)
+	return held
 }
 
 // DatasetBytes returns a dataset's size.
 func (c *Catalog) DatasetBytes(id storage.DatasetID) (int64, error) {
-	s := c.shard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.srv.DatasetBytes(id)
+	s, r := c.read(id)
+	s.mu.RUnlock()
+	return r.bytes, known(r, id)
 }
 
 // Origin returns a dataset's origin node.
-func (c *Catalog) Origin(id storage.DatasetID) (allocation.NodeID, error) {
-	s := c.shard(id)
+func (c *Catalog) Origin(id storage.DatasetID) (storage.NodeID, error) {
+	s, r := c.read(id)
+	s.mu.RUnlock()
+	return r.origin, known(r, id)
+}
+
+// appendIDs appends the IDs of shard i's datasets to dst, in no
+// particular order.
+func (c *Catalog) appendIDs(dst []storage.DatasetID, i int) []storage.DatasetID {
+	s := c.shards[i]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.srv.Origin(id)
+	for id := range s.records {
+		dst = append(dst, id)
+	}
+	return dst
 }
 
 // Datasets lists all catalogued dataset IDs, merged across shards and
 // sorted ascending. The error is always nil.
 func (c *Catalog) Datasets() ([]storage.DatasetID, error) {
 	var out []storage.DatasetID
-	for _, s := range c.shards {
-		s.mu.RLock()
-		out = append(out, s.srv.Datasets()...)
-		s.mu.RUnlock()
+	for i := range c.shards {
+		out = c.appendIDs(out, i)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
-// ReplicaCount returns a dataset's replica count.
-func (c *Catalog) ReplicaCount(id storage.DatasetID) int {
-	s := c.shard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.srv.ReplicaCount(id)
-}
-
-// MaintenanceSweep merges hot-dataset recommendations across every
-// shard, sorted by dataset ID. The sweep is read-only (shared lock):
-// demand counters are consumed only by AckSweep, so a repairer that dies
-// between sweeping and placing drops no work.
-func (c *Catalog) MaintenanceSweep() []allocation.HotDataset {
-	var out []allocation.HotDataset
+// MaintenanceSweep lists, sorted by ID, the datasets whose demand
+// reached the threshold and that have fewer holders than the budget.
+// Only AckSweep consumes demand, so a repairer that dies between
+// sweeping and placing drops no work.
+func (c *Catalog) MaintenanceSweep() []HotDataset {
+	budget, threshold := int(c.maxReplicas.Load()), c.demandThreshold.Load()
+	var hot []HotDataset
 	for _, s := range c.shards {
 		s.mu.RLock()
-		out = append(out, s.srv.MaintenanceSweep()...)
+		for id, r := range s.records {
+			if d := r.demand.Load(); d >= threshold && len(r.holders) < budget {
+				hot = append(hot, HotDataset{ID: id, Accesses: d, Replicas: len(r.holders)})
+			}
+		}
 		s.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	slices.SortFunc(hot, func(a, b HotDataset) int { return cmp.Compare(a.ID, b.ID) })
+	return hot
 }
 
-// AckSweep acknowledges handled recommendations, routing each to its
-// dataset's shard under the write lock.
-func (c *Catalog) AckSweep(hot []allocation.HotDataset) {
-	for i := range hot {
-		s := c.shard(hot[i].ID)
-		s.mu.Lock()
-		s.srv.AckSweep(hot[i : i+1])
-		s.mu.Unlock()
+// AckSweep subtracts each handled recommendation's observed demand
+// from its dataset's count (never below zero), so accesses that
+// arrived after the sweep are not lost.
+func (c *Catalog) AckSweep(hot []HotDataset) {
+	for _, h := range hot {
+		s, r := c.read(h.ID)
+		for d := r.demand.Load(); d > 0 && !r.demand.CompareAndSwap(d, d-min(d, h.Accesses)); d = r.demand.Load() {
+		}
+		s.mu.RUnlock()
 	}
 }
 
-// SetPolicy applies replica-budget and demand-threshold settings to
-// every shard's allocation server.
+// SetPolicy sets MaintenanceSweep's replica budget and demand threshold.
 func (c *Catalog) SetPolicy(maxReplicas int, demandThreshold uint64) {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.srv.MaxReplicas, s.srv.DemandThreshold = maxReplicas, demandThreshold
-		s.mu.Unlock()
-	}
+	c.maxReplicas.Store(int64(maxReplicas))
+	c.demandThreshold.Store(demandThreshold)
 }

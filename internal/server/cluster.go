@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"scdn/internal/allocation"
 	"scdn/internal/ingest"
 	"scdn/internal/middleware"
 	"scdn/internal/socialnet"
@@ -161,7 +160,7 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 	// Edge nodes are researchers contributing repositories (Section V-A):
 	// platform users, group members, registry members, one volume each.
 	for i := 0; i < cfg.Nodes; i++ {
-		nodeID := allocation.NodeID(i + 1)
+		nodeID := storage.NodeID(i + 1)
 		site := i % cfg.Sites
 		if err := platform.Register(socialnet.UserID(nodeID), socialnet.Profile{
 			Name: fmt.Sprintf("edge-%d", nodeID), SiteID: site,
@@ -183,7 +182,6 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 			SegmentSize:      cfg.SegmentSize,
 			SegmentThreshold: cfg.SegmentThreshold,
 			KeepSegmentPages: cfg.KeepSegmentPages,
-			Clock:            clock,
 		}, mw, catalog, reg)
 		if err != nil {
 			return fail(err)
@@ -203,7 +201,7 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 		if err := platform.JoinGroup(cfg.Group, uid); err != nil {
 			return fail(err)
 		}
-		reg.Register(Member{Node: allocation.NodeID(uid), Site: site, Online: true})
+		reg.Register(Member{Node: storage.NodeID(uid), Site: site, Online: true})
 		lc.UserIDs = append(lc.UserIDs, uid)
 	}
 
@@ -217,7 +215,7 @@ func StartLocalCluster(cfg ClusterConfig) (*LocalCluster, error) {
 		size := cfg.DatasetBytes
 		for d := 0; d < cfg.Datasets; d++ {
 			id := storage.DatasetID(fmt.Sprintf("ds-%03d", d+1))
-			origin := allocation.NodeID(d%cfg.Nodes + 1)
+			origin := storage.NodeID(d%cfg.Nodes + 1)
 			if err := mw.RegisterDataset(id, cfg.Group); err != nil {
 				return fail(err)
 			}
@@ -268,13 +266,11 @@ type DatasetReplication struct {
 func (lc *LocalCluster) ReplicationStatus() []DatasetReplication {
 	out := make([]DatasetReplication, 0, len(lc.DatasetIDs))
 	for _, id := range lc.DatasetIDs {
-		st := DatasetReplication{ID: id}
-		if reps, err := lc.Catalog.Replicas(id); err == nil {
-			st.Replicas = len(reps)
-			for _, r := range reps {
-				if lc.Registry.Online(r.Node) {
-					st.Live++
-				}
+		holders := lc.Catalog.AppendHolders(nil, id)
+		st := DatasetReplication{ID: id, Replicas: len(holders)}
+		for _, h := range holders {
+			if lc.Registry.Online(h) {
+				st.Live++
 			}
 		}
 		out = append(out, st)

@@ -151,7 +151,7 @@ func TestClusterConcurrentEndToEnd(t *testing.T) {
 	// edges, demand must have replicated data beyond the origins.
 	extra := 0
 	for _, ds := range lc.DatasetIDs {
-		if c := lc.Catalog.ReplicaCount(ds); c > 1 {
+		if c := len(lc.Catalog.AppendHolders(nil, ds)); c > 1 {
 			extra += c - 1
 		}
 	}

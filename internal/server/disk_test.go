@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"scdn/internal/allocation"
+	"scdn/internal/storage"
 )
 
 func TestStoreModeValidation(t *testing.T) {
@@ -227,7 +227,7 @@ func TestPeerDrainKeepsConnectionAlive(t *testing.T) {
 
 	// A dataset whose only holder is the failing fake peer: every attempt
 	// of node 1's fallback loop hits it and fails.
-	phantom := allocation.NodeID(99)
+	phantom := storage.NodeID(99)
 	lc.Registry.Register(Member{Node: phantom, Site: 0, BaseURL: peer.URL, Online: true})
 	if err := lc.Middleware.RegisterDataset("ds-phantom", lc.Config.Group); err != nil {
 		t.Fatal(err)

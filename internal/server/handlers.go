@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"scdn/internal/allocation"
 	"scdn/internal/ingest"
 	"scdn/internal/socialnet"
 	"scdn/internal/storage"
@@ -97,7 +96,7 @@ func (n *Node) handleResolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusForbidden, err)
 		return
 	}
-	rep, ok, err := n.catalog.Resolve(id, allocation.NodeID(user))
+	rep, ok, err := n.catalog.Resolve(id, storage.NodeID(user))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
@@ -109,30 +108,22 @@ func (n *Node) handleResolve(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("server: no online replica for %q", id))
 		return
 	}
-	bytes, err := n.catalog.DatasetBytes(id)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	origin, err := n.catalog.Origin(id)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
+	// Resolve found the record, and a record is never removed.
+	bytes, _ := n.catalog.DatasetBytes(id)
+	origin, _ := n.catalog.Origin(id)
 	peerURL, _ := n.registry.BaseURL(rep.Node)
 	// List every online holder with an endpoint so striped clients can
 	// spread range fetches across replica holders (GridFTP-style).
 	var holders []ReplicaInfo
-	if all, err := n.catalog.Replicas(id); err == nil {
-		for _, hr := range all {
-			if !n.isLive(hr.Node) {
-				continue
-			}
-			hu, _ := n.registry.BaseURL(hr.Node)
-			holders = append(holders, ReplicaInfo{
-				Node: hr.Node, Site: hr.Site, URL: hu, Origin: hr.Node == origin,
-			})
+	all, _ := n.catalog.Replicas(id)
+	for _, hr := range all {
+		if !n.isLive(hr.Node) {
+			continue
 		}
+		hu, _ := n.registry.BaseURL(hr.Node)
+		holders = append(holders, ReplicaInfo{
+			Node: hr.Node, Site: hr.Site, URL: hu, Origin: hr.Node == origin,
+		})
 	}
 	resp := ResolveResponse{
 		Dataset:  req.Dataset,
@@ -236,7 +227,7 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) 
 		fail(http.StatusRequestedRangeNotSatisfiable, err)
 		return
 	}
-	held := n.hasLocal(id)
+	held := n.catalog.Holds(id, n.cfg.Node)
 	last := rngs[len(rngs)-1]
 	if src, ok := n.localSource(id, total, rngs[0].off, last.off+last.n, held); ok {
 		n.writeRanges(w, r, &src, rngs, isRange, total)
@@ -256,11 +247,7 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) 
 		fail(http.StatusNotFound, fmt.Errorf("server: node %d does not hold %q", n.cfg.Node, id))
 		return
 	}
-	origin, err := n.catalog.Origin(id)
-	if err != nil {
-		fail(http.StatusInternalServerError, err)
-		return
-	}
+	origin, _ := n.catalog.Origin(id) // DatasetBytes found the record
 	// Built only now, so a local serve allocates nothing. A segment hop
 	// keeps its route; ranges are forwarded as ranges, so a proxied
 	// stripe moves only its own bytes, and a multipart set is relayed as
@@ -293,7 +280,7 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) 
 	// The first good answer goes out to the client as the holder framed
 	// it, naming the holder; once its head is written there is no
 	// retrying.
-	done, err := n.pullFromPeers(r.Context(), id, &pull, func(holder allocation.NodeID, rc *relayConn, resp *http.Response) (bool, error) {
+	done, err := n.pullFromPeers(r.Context(), id, &pull, func(holder storage.NodeID, rc *relayConn, resp *http.Response) (bool, error) {
 		h := w.Header()
 		for _, k := range relayHeaders {
 			if v := resp.Header[k]; v != nil {
@@ -345,7 +332,7 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) 
 	// one whole file. A refusal (a racing fetch already registered us)
 	// is an expected outcome.
 	if done && err == nil && adopt && win.n == total && (flat || !rejected && !n.opaque(id)) {
-		_ = n.catalog.AddReplica(id, n.cfg.Node, n.now())
+		_ = n.catalog.AddReplica(id, n.cfg.Node)
 	}
 }
 
@@ -573,11 +560,8 @@ var errNoLiveHolder = errors.New("server: no live replica holder")
 // bytes were delivered, or a client-facing response started and cannot
 // be retried. Returns errNoLiveHolder when no live holder is left.
 func (n *Node) pullFromPeers(ctx context.Context, id storage.DatasetID, pull *peerPull,
-	take func(allocation.NodeID, *relayConn, *http.Response) (bool, error)) (done bool, err error) {
-	reps, err := n.catalog.Replicas(id)
-	if err != nil {
-		return false, err
-	}
+	take func(storage.NodeID, *relayConn, *http.Response) (bool, error)) (done bool, err error) {
+	reps, _ := n.catalog.Replicas(id) // the error is always nil
 	cands := n.orderCandidates(reps)
 	if len(cands) == 0 {
 		return false, errNoLiveHolder
@@ -624,9 +608,9 @@ func (n *Node) serveUnavailable(w http.ResponseWriter, id storage.DatasetID) {
 // orderCandidates filters replica holders down to online peers with an
 // endpoint (excluding this node) and sorts them by estimated RTT from
 // this edge's site, ties by node ID for determinism.
-func (n *Node) orderCandidates(reps []allocation.Replica) []allocation.Replica {
-	mySite, _ := n.registry.SiteOf(n.cfg.Node)
-	cands := make([]allocation.Replica, 0, len(reps))
+func (n *Node) orderCandidates(reps []Replica) []Replica {
+	mySite := n.registry.snapshot()[n.cfg.Node].Site
+	cands := make([]Replica, 0, len(reps))
 	for _, rep := range reps {
 		// Suspects — members whose last health probe failed but that the
 		// sweeper has not yet declared dead — are skipped the same as
@@ -640,8 +624,7 @@ func (n *Node) orderCandidates(reps []allocation.Replica) []allocation.Replica {
 		cands = append(cands, rep)
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		ri, _ := n.registry.RTT(mySite, cands[i].Site)
-		rj, _ := n.registry.RTT(mySite, cands[j].Site)
+		ri, rj := siteRTT(mySite, cands[i].Site), siteRTT(mySite, cands[j].Site)
 		if ri != rj {
 			return ri < rj
 		}
@@ -661,8 +644,8 @@ var relayHeaders = []string{"Accept-Ranges", "Content-Type", "Content-Length", "
 // writes carries a Content-Length, so one without is a failed attempt.
 // The connection returns to the pool only when the exchange ended
 // cleanly. A HEAD is forwarded as a HEAD.
-func (n *Node) tryPeer(ctx context.Context, holder allocation.NodeID, pull *peerPull,
-	take func(allocation.NodeID, *relayConn, *http.Response) (bool, error)) (done bool, err error) {
+func (n *Node) tryPeer(ctx context.Context, holder storage.NodeID, pull *peerPull,
+	take func(storage.NodeID, *relayConn, *http.Response) (bool, error)) (done bool, err error) {
 	base, ok := n.registry.BaseURL(holder)
 	if !ok {
 		return false, ErrNoEndpoint

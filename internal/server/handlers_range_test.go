@@ -279,7 +279,7 @@ func TestFetchRangeMultipartProxied(t *testing.T) {
 		t.Fatal("proxied multipart not accounted as origin fetch")
 	}
 	// Partial transfers never mint replica records, multipart included.
-	if got := lc.Catalog.ReplicaCount("ds-001"); got != 1 {
+	if got := len(lc.Catalog.AppendHolders(nil, "ds-001")); got != 1 {
 		t.Fatalf("replica count after multipart fetch = %d, want 1", got)
 	}
 }
@@ -322,14 +322,14 @@ func TestFetchRangeNoPullThrough(t *testing.T) {
 		t.Fatalf("proxied range = %s", resp.Status)
 	}
 	quiesce(t, lc)
-	if got := lc.Catalog.ReplicaCount("ds-001"); got != 1 {
+	if got := len(lc.Catalog.AppendHolders(nil, "ds-001")); got != 1 {
 		t.Fatalf("replica count after range fetch = %d, want 1 (no pull-through)", got)
 	}
 
 	// A full fetch still pulls through.
 	fetchDataset(t, client, lc.Nodes[1].BaseURL(), socialnet.Token(tok), "ds-001", lc.Config.DatasetBytes)
 	quiesce(t, lc)
-	if got := lc.Catalog.ReplicaCount("ds-001"); got != 2 {
+	if got := len(lc.Catalog.AppendHolders(nil, "ds-001")); got != 2 {
 		t.Fatalf("replica count after full fetch = %d, want 2", got)
 	}
 }
@@ -338,7 +338,7 @@ func TestResolveListsReplicaHolders(t *testing.T) {
 	lc := startCluster(t, ClusterConfig{Nodes: 3, Users: 1, Datasets: 3})
 	client := &http.Client{Timeout: 5 * time.Second}
 	tok := login(t, lc)
-	if err := lc.Catalog.AddReplica("ds-001", 2, 0); err != nil {
+	if err := lc.Catalog.AddReplica("ds-001", 2); err != nil {
 		t.Fatal(err)
 	}
 	var res ResolveResponse

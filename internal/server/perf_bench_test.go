@@ -11,36 +11,35 @@ import (
 	"testing"
 	"time"
 
-	"scdn/internal/allocation"
 	"scdn/internal/ingest"
 	"scdn/internal/storage"
 )
 
-// singleMutexCatalog is the pre-sharding baseline: one allocation server
-// behind one mutex, holding the same state as the sharded catalog. It
-// exists only so the resolve benchmark can measure the sharded catalog
-// against the design it replaced — the acceptance bar is ≥ 2× parallel
-// resolve throughput at GOMAXPROCS ≥ 4.
+// singleMutexCatalog is the pre-sharding baseline: the same catalog
+// behind one mutex, so every call serializes. It exists only so the
+// resolve benchmark can measure the sharded catalog against the design
+// it replaced — the acceptance bar is ≥ 2× parallel resolve throughput
+// at GOMAXPROCS ≥ 4.
 type singleMutexCatalog struct {
 	mu  sync.Mutex
-	srv *allocation.Server
+	cat *Catalog
 }
 
-func (c *singleMutexCatalog) Resolve(id storage.DatasetID, requester allocation.NodeID) (allocation.Replica, bool, error) {
+func (c *singleMutexCatalog) Resolve(id storage.DatasetID, requester storage.NodeID) (Replica, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.srv.Resolve(id, requester)
+	return c.cat.Resolve(id, requester)
 }
 
 func (c *singleMutexCatalog) Datasets() ([]storage.DatasetID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.srv.Datasets(), nil
+	return c.cat.Datasets()
 }
 
 // benchResolver abstracts the two catalogs under test.
 type benchResolver interface {
-	Resolve(id storage.DatasetID, requester allocation.NodeID) (allocation.Replica, bool, error)
+	Resolve(id storage.DatasetID, requester storage.NodeID) (Replica, bool, error)
 	Datasets() ([]storage.DatasetID, error)
 }
 
@@ -53,7 +52,7 @@ func benchRegistry(b *testing.B) (*Registry, []storage.DatasetID) {
 	b.Helper()
 	reg := NewRegistry()
 	for i := 0; i < benchMembers; i++ {
-		reg.Register(Member{Node: allocation.NodeID(i + 1), Site: i, Online: true})
+		reg.Register(Member{Node: storage.NodeID(i + 1), Site: i, Online: true})
 	}
 	var ids []storage.DatasetID
 	for d := 0; d < benchDatasets; d++ {
@@ -62,10 +61,10 @@ func benchRegistry(b *testing.B) (*Registry, []storage.DatasetID) {
 	return reg, ids
 }
 
-func registerAll(b *testing.B, ids []storage.DatasetID, register func(storage.DatasetID, allocation.NodeID, int64) error) {
+func registerAll(b *testing.B, ids []storage.DatasetID, register func(storage.DatasetID, storage.NodeID, int64) error) {
 	b.Helper()
 	for d, id := range ids {
-		if err := register(id, allocation.NodeID(d%benchMembers+1), 1024); err != nil {
+		if err := register(id, storage.NodeID(d%benchMembers+1), 1024); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +102,7 @@ func benchResolveParallel(b *testing.B, cat benchResolver, ids []storage.Dataset
 		i := cursor.Add(1)
 		for pb.Next() {
 			id := ids[i%uint64(len(ids))]
-			if _, ok, err := cat.Resolve(id, allocation.NodeID(i%benchMembers+1)); err != nil || !ok {
+			if _, ok, err := cat.Resolve(id, storage.NodeID(i%benchMembers+1)); err != nil || !ok {
 				b.Fatalf("resolve %s: ok=%v err=%v", id, ok, err)
 			}
 			i += 7 // coprime stride: all datasets visited, adjacent goroutines diverge
@@ -123,8 +122,8 @@ func benchBothCatalogs(b *testing.B, withScans bool) {
 	})
 	b.Run("single-mutex", func(b *testing.B) {
 		reg, ids := benchRegistry(b)
-		cat := &singleMutexCatalog{srv: allocation.NewServer(0, reg)}
-		registerAll(b, ids, cat.srv.RegisterDataset)
+		cat := &singleMutexCatalog{cat: NewCatalog(reg)}
+		registerAll(b, ids, cat.cat.RegisterDataset)
 		benchResolveParallel(b, cat, ids, withScans)
 	})
 }
@@ -166,6 +165,40 @@ func BenchmarkCatalogReadsParallel(b *testing.B) {
 			i += 7
 		}
 	})
+}
+
+// BenchmarkSweepAtFloor measures one node's repair pass over a healthy
+// catalog: three nodes, every dataset at its live-copy floor of two, at
+// small_read's 2,048 datasets and at 100,000. Nothing is below the
+// floor and nothing is hot, so the pass only reads each dataset's
+// holders and counts the live ones.
+func BenchmarkSweepAtFloor(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		datasets int
+	}{{"2k", 2048}, {"100k", 100_000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			lc := startCluster(b, ClusterConfig{Nodes: 3, Users: 1, Datasets: bc.datasets,
+				DatasetBytes: 1024, Sweep: SweeperConfig{Disabled: true}})
+			for d, id := range lc.DatasetIDs {
+				if err := lc.Catalog.AddReplica(id, storage.NodeID((d+1)%3+1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			n, ctx := lc.Nodes[0], context.Background()
+			st := &sweepState{below: make(map[storage.DatasetID]int)}
+			n.repairReplication(ctx, st) // grows the scratch slices once
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.repairReplication(ctx, st)
+			}
+			b.StopTimer()
+			if len(st.below) != 0 {
+				b.Fatalf("%d datasets seen below their floor", len(st.below))
+			}
+		})
+	}
 }
 
 // BenchmarkPayloadBlock measures the SHA-256 chain that derives a

@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"scdn/internal/allocation"
+	"scdn/internal/storage"
 )
 
 // idleCount returns how many relay connections the pool holds idle.
@@ -33,7 +33,7 @@ func (p *relayPool) idleCount() int {
 // holder is a fake peer at url, as node 99.
 func phantomDataset(t *testing.T, lc *LocalCluster, url string, bytes int64) {
 	t.Helper()
-	phantom := allocation.NodeID(99)
+	phantom := storage.NodeID(99)
 	lc.Registry.Register(Member{Node: phantom, Site: 0, BaseURL: url, Online: true})
 	if err := lc.Middleware.RegisterDataset("ds-phantom", lc.Config.Group); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestHeadThroughNonHolder(t *testing.T) {
 					t.Errorf("node %d counted %d served bytes for a HEAD", i+1, got-served[i])
 				}
 			}
-			if got := lc.Catalog.ReplicaCount("ds-001"); got != 1 {
+			if got := len(lc.Catalog.AppendHolders(nil, "ds-001")); got != 1 {
 				t.Fatalf("replica count after HEAD = %d, want 1", got)
 			}
 			if _, _, ok := edge.Volume().Open("ds-001"); ok {
@@ -129,7 +129,7 @@ func TestHeadThroughNonHolder(t *testing.T) {
 		})
 	}
 	// Only the whole GET adopted.
-	if got := lc.Catalog.ReplicaCount("ds-001"); got != 2 {
+	if got := len(lc.Catalog.AppendHolders(nil, "ds-001")); got != 2 {
 		t.Fatalf("replica count after the whole GET = %d, want 2", got)
 	}
 }

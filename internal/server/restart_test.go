@@ -135,8 +135,9 @@ func TestCrashMidBodyThenRestart(t *testing.T) {
 // served byte-exact.
 func TestStartDropsWhatTheCatalogCannotPlace(t *testing.T) {
 	client := &http.Client{Timeout: 10 * time.Second}
-	// restart shuts lc down and starts a cluster of cfg over its store.
-	restart := func(lc *LocalCluster, cfg ClusterConfig) *LocalCluster {
+	// restart shuts lc down and starts a cluster of cfg over its store,
+	// shut down in turn when the subtest t ends.
+	restart := func(t *testing.T, lc *LocalCluster, cfg ClusterConfig) *LocalCluster {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -163,7 +164,7 @@ func TestStartDropsWhatTheCatalogCannotPlace(t *testing.T) {
 		}, "up-old", lc.Config.Group, bytes.NewReader(data), int64(len(data))); err != nil {
 			t.Fatal(err)
 		}
-		empty(t, restart(lc, cfg))
+		empty(t, restart(t, lc, cfg))
 	})
 
 	t.Run("resized-replica", func(t *testing.T) {
@@ -173,7 +174,7 @@ func TestStartDropsWhatTheCatalogCannotPlace(t *testing.T) {
 		fetchDataset(t, client, lc.Nodes[0].BaseURL(), login(t, lc), "ds-001", cfg.DatasetBytes)
 		quiesce(t, lc)
 		cfg.DatasetBytes = 100000
-		lc = restart(lc, cfg)
+		lc = restart(t, lc, cfg)
 		empty(t, lc)
 		fetchDataset(t, client, lc.Nodes[0].BaseURL(), login(t, lc), "ds-001", cfg.DatasetBytes)
 		quiesce(t, lc)
@@ -193,7 +194,7 @@ func TestStartDropsWhatTheCatalogCannotPlace(t *testing.T) {
 			t.Fatalf("resident segments = %d, want %d", got, segTestCount)
 		}
 		cfg.SegmentSize = 2 * segTestSize
-		lc = restart(lc, cfg)
+		lc = restart(t, lc, cfg)
 		empty(t, lc)
 		fetchDataset(t, client, lc.Nodes[0].BaseURL(), login(t, lc), "ds-001", segTestBytes)
 		quiesce(t, lc)

@@ -1,8 +1,8 @@
 // Package server is the S-CDN's live delivery plane: a network-facing
-// HTTP allocation/edge server wrapping the simulator's building blocks —
-// the allocation catalog (Section V-B), researcher-contributed storage
+// HTTP allocation/edge server over its own sharded catalog (the
+// allocation servers of Section V-B), researcher-contributed storage
 // (Section V-A, one disk volume per edge), and the social middleware's
-// authentication and group-scoped authorization (Section V-C) — behind a
+// authentication and group-scoped authorization (Section V-C), behind a
 // concurrent API. The catalog is the one record of which node holds a
 // dataset; the node's volume holds the bytes. Each Node is
 // simultaneously an allocation endpoint (it resolves requests against
@@ -37,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"scdn/internal/allocation"
 	"scdn/internal/ingest"
 	"scdn/internal/middleware"
 	"scdn/internal/storage"
@@ -46,7 +45,7 @@ import (
 // Config parameterizes one node.
 type Config struct {
 	// Node is this edge's participant ID (its repository owner).
-	Node allocation.NodeID
+	Node storage.NodeID
 	// ListenAddr is the TCP address to bind ("127.0.0.1:0" for an
 	// ephemeral port).
 	ListenAddr string
@@ -84,9 +83,6 @@ type Config struct {
 	// serves. Set it when the box is dedicated to serving one hot large
 	// object and the pages are worth keeping.
 	KeepSegmentPages bool
-	// Clock supplies the node's notion of elapsed time (replica
-	// placement times). Nil means wall time since Start.
-	Clock func() time.Duration
 }
 
 // Node is one running allocation/edge server.
@@ -132,11 +128,11 @@ type Node struct {
 	vol         *storage.DiskVolume
 	mu          sync.Mutex
 	httpSrv     *http.Server // fresh per Start: a shut-down http.Server cannot serve again
-	ln          net.Listener
 	started     time.Time
 	baseURL     string
 	running     bool
 	everStarted bool
+	served      chan struct{} // closed when the Serve goroutine returns
 	sweepCancel context.CancelFunc
 	sweepDone   chan struct{}
 }
@@ -181,18 +177,7 @@ func NewNode(cfg Config, auth *middleware.Middleware,
 }
 
 // ID returns the node's participant ID.
-func (n *Node) ID() allocation.NodeID { return n.cfg.Node }
-
-// now returns elapsed time on the node's clock.
-func (n *Node) now() time.Duration {
-	if n.cfg.Clock != nil {
-		return n.cfg.Clock()
-	}
-	n.mu.Lock()
-	s := n.started
-	n.mu.Unlock()
-	return time.Since(s)
-}
+func (n *Node) ID() storage.NodeID { return n.cfg.Node }
 
 // Start binds the listener, opens the node's volume from its
 // directory (replaying its log), serves in a background goroutine,
@@ -233,9 +218,10 @@ func (n *Node) Start() error {
 	n.everStarted, n.running = true, true
 	n.vol = vol
 	n.httpSrv = srv
-	n.ln = ln
 	n.started = time.Now()
 	n.baseURL = baseURL
+	served := make(chan struct{})
+	n.served = served
 	if !n.cfg.Sweep.Disabled {
 		sweepCtx, n.sweepCancel = context.WithCancel(context.Background())
 		n.sweepDone = make(chan struct{})
@@ -249,6 +235,7 @@ func (n *Node) Start() error {
 	n.registry.SetOnline(n.cfg.Node, true)
 	n.reconcileVolume()
 	go func() {
+		defer close(served)
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			// The listener died outside a graceful shutdown: withdraw
 			// from the membership so peers stop selecting this edge.
@@ -297,7 +284,7 @@ func (n *Node) halt(ctx context.Context, graceful bool) error {
 	n.life.Lock()
 	defer n.life.Unlock()
 	n.mu.Lock()
-	srv, cancel, done, running := n.httpSrv, n.sweepCancel, n.sweepDone, n.running
+	srv, served, cancel, done, running := n.httpSrv, n.served, n.sweepCancel, n.sweepDone, n.running
 	n.running = false
 	n.sweepCancel, n.sweepDone = nil, nil
 	n.mu.Unlock()
@@ -327,6 +314,7 @@ func (n *Node) halt(ctx context.Context, graceful bool) error {
 		err = n.Quiesce(ctx)
 	}
 	_ = srv.Close()
+	<-served
 	// Every connection is closed, so a handler still running fails its
 	// next read or write and returns: this wait is bounded.
 	_ = n.Quiesce(context.Background())
@@ -408,7 +396,6 @@ func (t *inflight) wait(ctx context.Context) error {
 // (most commonly "already replicates", e.g. the origin copy that is
 // never deregistered) are expected outcomes.
 func (n *Node) reconcileVolume() {
-	now := n.now()
 	for _, key := range n.vol.IDs() {
 		_, _, size, _ := n.vol.Locate(key)
 		id, seg, isSeg := storage.ParseSegmentKey(key)
@@ -425,7 +412,7 @@ func (n *Node) reconcileVolume() {
 				continue
 			}
 		case size == total:
-			if n.catalog.AddReplica(id, n.cfg.Node, now) == nil {
+			if n.catalog.AddReplica(id, n.cfg.Node) == nil {
 				n.Metrics.RepairReadoptedReplicas.Inc()
 			}
 			continue
@@ -442,45 +429,36 @@ func (n *Node) Volume() *storage.DiskVolume {
 	return n.vol
 }
 
-// hasLocal reports whether the catalog records this node as a holder of
-// the dataset.
-func (n *Node) hasLocal(id storage.DatasetID) bool { return n.catalog.Holds(id, n.cfg.Node) }
-
 // suspectTable tracks consecutive failed health probes per member. A
 // member with any recent failure is "suspect" (skipped by the fetch
 // path's candidate ordering); one that fails SweeperConfig.FailThreshold
 // probes in a row is declared dead and deregistered from the registry.
 type suspectTable struct {
 	mu    sync.Mutex
-	fails map[allocation.NodeID]int
+	fails map[storage.NodeID]int
 }
 
 // noteFailure records one failed probe and returns the consecutive
 // count.
-func (s *suspectTable) noteFailure(node allocation.NodeID) int {
+func (s *suspectTable) noteFailure(node storage.NodeID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fails == nil {
-		s.fails = make(map[allocation.NodeID]int)
+		s.fails = make(map[storage.NodeID]int)
 	}
 	s.fails[node]++
 	return s.fails[node]
 }
 
-// noteSuccess clears a member's failure streak, reporting whether it had
-// one (a recovery).
-func (s *suspectTable) noteSuccess(node allocation.NodeID) bool {
+// noteSuccess clears a member's failure streak.
+func (s *suspectTable) noteSuccess(node storage.NodeID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fails[node] == 0 {
-		return false
-	}
 	delete(s.fails, node)
-	return true
 }
 
 // isSuspect reports whether the member's last probe failed.
-func (s *suspectTable) isSuspect(node allocation.NodeID) bool {
+func (s *suspectTable) isSuspect(node storage.NodeID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.fails[node] > 0

@@ -7,28 +7,69 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"scdn/internal/allocation"
 	"scdn/internal/socialnet"
 	"scdn/internal/storage"
 )
 
 // startCluster spins up an in-process cluster and registers cleanup.
+// The cleanup also checks that nothing outlives the cluster: once
+// Shutdown returns, no goroutine with a frame in this module may remain
+// that was not running before the cluster started, and no descriptor
+// may stay open under its store root. No test in this package runs in
+// parallel, so the process-wide views are this cluster's.
 func startCluster(t testing.TB, cfg ClusterConfig) *LocalCluster {
 	t.Helper()
+	before := moduleGoroutines()
 	lc, err := StartLocalCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		root, err := filepath.EvalSymlinks(lc.StoreRoot)
+		if err != nil {
+			root = lc.StoreRoot
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = lc.Shutdown(ctx)
+		for id, stack := range moduleGoroutines() {
+			if _, ok := before[id]; !ok {
+				t.Errorf("goroutine outlived the cluster:\n%s", stack)
+			}
+		}
+		fds, _ := os.ReadDir("/proc/self/fd") // where there is no procfs, nothing to check
+		for _, fd := range fds {
+			if path, err := os.Readlink("/proc/self/fd/" + fd.Name()); err == nil && strings.HasPrefix(path, root+"/") {
+				t.Errorf("descriptor %s outlived the cluster: %s", fd.Name(), path)
+			}
+		}
 	})
 	return lc
+}
+
+// moduleGoroutines returns the stacks of the goroutines that have a
+// frame in this module's internal packages, by goroutine ID.
+func moduleGoroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	out := make(map[string]string)
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "scdn/internal/") {
+			out[strings.Fields(g)[1]] = g
+		}
+	}
+	return out
 }
 
 func login(t testing.TB, lc *LocalCluster) socialnet.Token {
@@ -261,9 +302,9 @@ func TestFetchRetriesDeadPeerThenFallsBack(t *testing.T) {
 	// a dead port: attempt 1 targets it (same site as node 2 → lowest
 	// RTT), fails, and the bounded retry loop must back off and fall
 	// back to the live origin.
-	dead := allocation.NodeID(99)
+	dead := storage.NodeID(99)
 	lc.Registry.Register(Member{Node: dead, Site: 1, BaseURL: "http://127.0.0.1:1", Online: true})
-	if err := lc.Catalog.AddReplica("ds-001", dead, 0); err != nil {
+	if err := lc.Catalog.AddReplica("ds-001", dead); err != nil {
 		t.Fatal(err)
 	}
 	fetchDataset(t, client, lc.Nodes[1].BaseURL(), tok, "ds-001", lc.Config.DatasetBytes)
@@ -322,7 +363,7 @@ func TestPullThroughCachesReplica(t *testing.T) {
 	// First access proxies from the origin and caches the replica...
 	fetchDataset(t, client, base2, tok, "ds-001", lc.Config.DatasetBytes)
 	quiesce(t, lc)
-	if got := lc.Catalog.ReplicaCount("ds-001"); got != 2 {
+	if got := len(lc.Catalog.AppendHolders(nil, "ds-001")); got != 2 {
 		t.Fatalf("replica count after pull-through = %d, want 2", got)
 	}
 	if !lc.Nodes[1].Volume().Has("ds-001") {

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"scdn/internal/allocation"
 	"scdn/internal/ingest"
 	"scdn/internal/socialnet"
 	"scdn/internal/storage"
@@ -81,11 +80,13 @@ func (n *Node) runSweeper(ctx context.Context, done chan struct{}) {
 
 // sweepState is what one sweeper goroutine, and it alone, carries from
 // sweep to sweep: below counts the consecutive sweeps each dataset has
-// been seen under its floor (repairDataset's fallback), and holders is
-// the scratch slice each dataset's holder IDs are read into.
+// been seen under its floor (repairDataset's fallback), and ids and
+// holders are the scratch slices a shard's dataset IDs and each
+// dataset's holder IDs are read into.
 type sweepState struct {
 	below   map[storage.DatasetID]int
-	holders []allocation.NodeID
+	ids     []storage.DatasetID
+	holders []storage.NodeID
 }
 
 // sweepOnce runs one repair cycle: probe membership, expire abandoned
@@ -125,7 +126,12 @@ func (n *Node) probeMembers(ctx context.Context) {
 			if fails == n.cfg.Sweep.FailThreshold && m.Online {
 				n.registry.SetOnline(m.Node, false)
 				n.Metrics.RepairDeadMembers.Inc()
-				n.purgeDeadMember(m.Node)
+				// Free the dead member's replica slots for repair
+				// (MaxReplicas must not fill with corpses). Its origin
+				// records stay: the owner's data comes back with the
+				// owner, and reconcileVolume re-announces whatever a
+				// restarted member's volume replays from disk.
+				n.catalog.dropHolder(m.Node)
 			}
 			continue
 		}
@@ -133,25 +139,6 @@ func (n *Node) probeMembers(ctx context.Context) {
 		if !n.registry.Online(m.Node) {
 			n.registry.SetOnline(m.Node, true)
 			n.Metrics.RepairReadmissions.Inc()
-		}
-	}
-}
-
-// purgeDeadMember removes a dead member's replica records from the
-// catalog so the slots free up for repair (MaxReplicas must not fill
-// with corpses). Origin records survive — the allocation layer refuses
-// to remove an owner's copy — which is exactly right: the owner's data
-// comes back with the owner, and reconcileVolume re-announces whatever
-// a restarted member's volume replays from disk.
-func (n *Node) purgeDeadMember(dead allocation.NodeID) {
-	ids, err := n.catalog.Datasets()
-	if err != nil {
-		return
-	}
-	for _, id := range ids {
-		if n.catalog.Holds(id, dead) {
-			// Errors (origin copy, racing purge) are expected outcomes.
-			_ = n.catalog.RemoveReplica(id, dead)
 		}
 	}
 }
@@ -186,21 +173,20 @@ func (n *Node) repairReplication(ctx context.Context, st *sweepState) {
 	// Live copies can't exceed live members; don't chase an impossible
 	// floor while most of the cluster is down.
 	target := min(n.cfg.Sweep.ReplicationTarget, len(view))
-	ids, err := n.catalog.Datasets()
-	if err != nil {
-		return
-	}
-	for _, id := range ids {
-		if ctx.Err() != nil {
-			return
+	for i := 0; i < n.catalog.ShardCount(); i++ {
+		st.ids = n.catalog.appendIDs(st.ids[:0], i)
+		for _, id := range st.ids {
+			if ctx.Err() != nil {
+				return
+			}
+			n.repairDataset(ctx, id, target, view, st)
 		}
-		n.repairDataset(ctx, id, target, view, st)
 	}
 	// Demand-driven placement rides the same loop: hot datasets get one
 	// more replica here (this node volunteering), then the observed
 	// demand is acknowledged.
 	hot := n.catalog.MaintenanceSweep()
-	var handled []allocation.HotDataset
+	var handled []HotDataset
 	for _, h := range hot {
 		if ctx.Err() != nil {
 			break
@@ -215,14 +201,14 @@ func (n *Node) repairReplication(ctx context.Context, st *sweepState) {
 // isLive reports whether this node believes a member alive: online in
 // the registry and not suspect. The fetch path, resolve and repair all
 // read membership through it.
-func (n *Node) isLive(node allocation.NodeID) bool {
+func (n *Node) isLive(node storage.NodeID) bool {
 	return n.registry.Online(node) && !n.suspects.isSuspect(node)
 }
 
 // liveView lists the members this node believes alive: itself, then
 // every fellow edge that isLive and has an endpoint.
-func (n *Node) liveView() []allocation.NodeID {
-	view := []allocation.NodeID{n.cfg.Node}
+func (n *Node) liveView() []storage.NodeID {
+	view := []storage.NodeID{n.cfg.Node}
 	for _, m := range n.registry.Members() {
 		if m.Node != n.cfg.Node && m.BaseURL != "" && n.isLive(m.Node) {
 			view = append(view, m.Node)
@@ -237,7 +223,7 @@ func (n *Node) liveView() []allocation.NodeID {
 // and one count of the live ones, after the catalog lock is released:
 // no allocation, no sort, no ranking.
 func (n *Node) repairDataset(ctx context.Context, id storage.DatasetID, target int,
-	view []allocation.NodeID, st *sweepState) {
+	view []storage.NodeID, st *sweepState) {
 	st.holders = n.catalog.AppendHolders(st.holders[:0], id)
 	live := 0
 	for _, h := range st.holders {
@@ -268,8 +254,8 @@ func (n *Node) repairDataset(ctx context.Context, id storage.DatasetID, target i
 // fail to copy, so once self has seen the dataset under its floor for
 // more than patience consecutive sweeps (belowFor), any live non-holder
 // copies.
-func designated(id storage.DatasetID, self allocation.NodeID, view []allocation.NodeID,
-	holders []allocation.NodeID, target, belowFor, patience int) bool {
+func designated(id storage.DatasetID, self storage.NodeID, view []storage.NodeID,
+	holders []storage.NodeID, target, belowFor, patience int) bool {
 	if slices.Contains(holders, self) {
 		return false
 	}
@@ -292,7 +278,7 @@ func designated(id storage.DatasetID, self allocation.NodeID, view []allocation.
 // with neighbouring IDs do not rank in step. It is a fixed function —
 // unlike hash/maphash, whose seed differs per process — so every node
 // ranks alike.
-func hrwScore(id storage.DatasetID, node allocation.NodeID) uint64 {
+func hrwScore(id storage.DatasetID, node storage.NodeID) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037) // FNV-1a-64 offset basis
 	for i := 0; i < len(id); i++ {
@@ -319,17 +305,14 @@ func (n *Node) replicateLocal(ctx context.Context, id storage.DatasetID) bool {
 	if man, ok := n.manifests.Opaque(id); ok {
 		return n.replicateByCopy(ctx, id, man)
 	}
-	size, err := n.catalog.DatasetBytes(id)
-	if err != nil {
-		return false
-	}
+	size, _ := n.catalog.DatasetBytes(id) // id came from the catalog, which removes no record
 	// Best effort: if the disk is full the generator fallback still
 	// serves the bytes, so the replica is real either way. A segmented
 	// dataset derives its segments on first fetch, as at its origin.
 	if !n.segmented(size) {
 		_ = n.materialize(id, id, 0, size)
 	}
-	if err := n.catalog.AddReplica(id, n.cfg.Node, n.now()); err != nil {
+	if err := n.catalog.AddReplica(id, n.cfg.Node); err != nil {
 		return false // already announced (origin copy or racing repairer)
 	}
 	n.Metrics.RepairReplicasRestored.Inc()
@@ -357,7 +340,7 @@ func (n *Node) replicateByCopy(ctx context.Context, id storage.DatasetID, man *i
 	}
 	pull := peerPull{relayRequest: relayRequest{method: http.MethodGet, path: fetchPath(id),
 		auth: "Bearer " + string(tok), peer: n.srcID}, status: http.StatusOK, length: man.Size}
-	_, err = n.pullFromPeers(ctx, id, &pull, func(_ allocation.NodeID, _ *relayConn, resp *http.Response) (bool, error) {
+	_, err = n.pullFromPeers(ctx, id, &pull, func(_ storage.NodeID, _ *relayConn, resp *http.Response) (bool, error) {
 		sink := &spillWriter{n: n, id: id, man: man, total: man.Size, piece: man.Size, end: man.Size}
 		_, err := copyBuffered(sink, resp.Body)
 		if flat, _ := sink.finish(); !flat && err == nil {
@@ -375,7 +358,7 @@ func (n *Node) replicateByCopy(ctx context.Context, id storage.DatasetID, man *i
 	}
 	n.Metrics.IngestRepairCopies.Inc()
 	n.Metrics.IngestRepairCopyBytes.Add(uint64(man.Size))
-	if err := n.catalog.AddReplica(id, n.cfg.Node, n.now()); err != nil {
+	if err := n.catalog.AddReplica(id, n.cfg.Node); err != nil {
 		return false // already announced (racing repairer); the bytes stay
 	}
 	n.Metrics.RepairReplicasRestored.Inc()

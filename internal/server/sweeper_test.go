@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"scdn/internal/allocation"
 	"scdn/internal/storage"
 )
 
@@ -165,13 +164,13 @@ func TestRepairMakesEachMissingCopyOnce(t *testing.T) {
 func TestDesignatedElection(t *testing.T) {
 	const id = storage.DatasetID("ds-007")
 	const patience = 2
-	view := []allocation.NodeID{1, 2, 3, 4, 5}
+	view := []storage.NodeID{1, 2, 3, 4, 5}
 	// r is view ranked by rendezvous score, best first.
-	r := append([]allocation.NodeID(nil), view...)
+	r := append([]storage.NodeID(nil), view...)
 	sort.Slice(r, func(i, j int) bool { return hrwScore(id, r[i]) > hrwScore(id, r[j]) })
-	held := func(nodes ...allocation.NodeID) []allocation.NodeID { return nodes }
-	without := func(drop allocation.NodeID) []allocation.NodeID {
-		var out []allocation.NodeID
+	held := func(nodes ...storage.NodeID) []storage.NodeID { return nodes }
+	without := func(drop storage.NodeID) []storage.NodeID {
+		var out []storage.NodeID
 		for _, n := range view {
 			if n != drop {
 				out = append(out, n)
@@ -181,32 +180,32 @@ func TestDesignatedElection(t *testing.T) {
 	}
 	cases := []struct {
 		name     string
-		view     []allocation.NodeID
-		holders  []allocation.NodeID
+		view     []storage.NodeID
+		holders  []storage.NodeID
 		target   int
 		belowFor int
-		want     []allocation.NodeID // in any order
+		want     []storage.NodeID // in any order
 	}{
-		{"top non-holder copies", view, held(r[2]), 2, 1, []allocation.NodeID{r[0]}},
-		{"a holder's rank is skipped", view, held(r[0]), 2, 1, []allocation.NodeID{r[1]}},
-		{"two missing copies, two designees", view, held(r[2]), 3, 1, []allocation.NodeID{r[0], r[1]}},
+		{"top non-holder copies", view, held(r[2]), 2, 1, []storage.NodeID{r[0]}},
+		{"a holder's rank is skipped", view, held(r[0]), 2, 1, []storage.NodeID{r[1]}},
+		{"two missing copies, two designees", view, held(r[2]), 3, 1, []storage.NodeID{r[0], r[1]}},
 		{"live holders meet the floor", view, held(r[2], r[4]), 2, 1, nil},
-		{"a suspect holder does not count", without(r[4]), held(r[2], r[4]), 2, 1, []allocation.NodeID{r[0]}},
-		{"a suspect designee is passed over", without(r[0]), held(r[2]), 2, 1, []allocation.NodeID{r[1]}},
-		{"patience not yet spent", view, held(r[2]), 2, patience, []allocation.NodeID{r[0]}},
-		{"fallback: any live non-holder", view, held(r[2]), 2, patience + 1, []allocation.NodeID{r[0], r[1], r[3], r[4]}},
-		{"fallback skips the suspect", without(r[4]), held(r[2]), 2, patience + 1, []allocation.NodeID{r[0], r[1], r[3]}},
+		{"a suspect holder does not count", without(r[4]), held(r[2], r[4]), 2, 1, []storage.NodeID{r[0]}},
+		{"a suspect designee is passed over", without(r[0]), held(r[2]), 2, 1, []storage.NodeID{r[1]}},
+		{"patience not yet spent", view, held(r[2]), 2, patience, []storage.NodeID{r[0]}},
+		{"fallback: any live non-holder", view, held(r[2]), 2, patience + 1, []storage.NodeID{r[0], r[1], r[3], r[4]}},
+		{"fallback skips the suspect", without(r[4]), held(r[2]), 2, patience + 1, []storage.NodeID{r[0], r[1], r[3]}},
 		{"no fallback at the floor", view, held(r[2], r[3]), 2, patience + 1, nil},
 	}
 	for _, c := range cases {
-		var got []allocation.NodeID
+		var got []storage.NodeID
 		for _, self := range c.view {
 			if designated(id, self, c.view, c.holders, c.target, c.belowFor, patience) {
 				got = append(got, self)
 			}
 		}
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		want := append([]allocation.NodeID(nil), c.want...)
+		want := append([]storage.NodeID(nil), c.want...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: designated %v, want %v (rank %v)", c.name, got, want, r)
@@ -219,7 +218,7 @@ func TestDesignatedElection(t *testing.T) {
 func TestHRWScoreIsFixed(t *testing.T) {
 	for _, c := range []struct {
 		id   storage.DatasetID
-		node allocation.NodeID
+		node storage.NodeID
 		want uint64
 	}{
 		{"ds-001", 1, 0x46c9000e0b0531e6},

@@ -11,3 +11,7 @@ package storage
 
 // DatasetID identifies a dataset (or dataset fragment) in the CDN.
 type DatasetID string
+
+// NodeID identifies a participant: an edge that holds replicas, or a
+// client that only fetches.
+type NodeID = int64
