@@ -19,8 +19,10 @@
 #                  transfer-client, ingest (block-parallel hashing),
 #                  metrics (every serving goroutine shares its
 #                  histogram) and load-harness suites ten times
-#                  over at GOMAXPROCS 1, 2 and 4, then one pass of the
-#                  whole tier-1 suite at GOMAXPROCS 1 and 4, so a test that only passes
+#                  over at GOMAXPROCS 1, 2 and 4, then the stepped
+#                  churn test's seed loop (50 seeds) at GOMAXPROCS 1, 2
+#                  and 4, then one pass of the whole tier-1 suite at
+#                  GOMAXPROCS 1 and 4, so a test that only passes
 #                  under lucky scheduling fails here instead of
 #                  intermittently.
 #   make fuzzsmoke — run each native fuzz target briefly against its
@@ -37,10 +39,12 @@
 #                  `make repro`, then `make loc`, so every CI log shows
 #                  the size of the plane.
 #   make smoke   — the scenario smoke table: one fixed-seed, CI-sized
-#                  scdn-loadgen run per scenario (delivery, churn,
-#                  ingest, large), each of which must reconcile against
-#                  /metrics; `make smoke-<scenario>` runs one row. Each
-#                  row writes a gitignored BENCH_<scenario>_smoke.json.
+#                  scdn-loadgen run per scenario (delivery, large),
+#                  each of which must reconcile against /metrics;
+#                  `make smoke-<scenario>` runs one row. Each row writes
+#                  a gitignored BENCH_<scenario>_smoke.json. Churn and
+#                  ingest under churn are the stepped churn test's
+#                  (internal/server TestSteppedChurn).
 #   make perfgate — the performance ratchet: a fixed-seed open-loop
 #                  sweep (arrivals fired on schedule, latency from
 #                  intended start times) writes a candidate record,
@@ -65,7 +69,7 @@
 
 GO ?= go
 
-SMOKE_ROWS = delivery churn ingest large
+SMOKE_ROWS = delivery large
 
 .PHONY: check test lint race vet bench benchsmoke fuzzsmoke \
 	ci fmtcheck modverify smoke $(addprefix smoke-,$(SMOKE_ROWS)) perfgate largebench \
@@ -116,9 +120,14 @@ race:
 		./internal/placement ./internal/server ./internal/socialnet \
 		./internal/storage
 
+# STEPPED_SEEDS is how many seeds of the stepped churn test the flake
+# gate runs at each GOMAXPROCS.
+STEPPED_SEEDS = 50
+
 flake:
 	$(GO) test -count=10 -cpu 1,2,4 ./internal/server ./internal/storage ./internal/cdnclient \
 		./internal/ingest ./internal/metrics ./internal/loadharness
+	$(GO) test -count=1 -cpu 1,2,4 -run '^TestSteppedChurn$$' ./internal/server -stepped-seeds=$(STEPPED_SEEDS)
 	$(GO) test -count=1 -cpu 1,4 ./...
 
 fuzzsmoke:
@@ -138,24 +147,13 @@ benchsmoke:
 # The smoke table: one fixed-seed, CI-sized row per scenario.
 # SMOKE_<row> holds the row's scdn-loadgen flags, SMOKE_<row>_GREP the
 # lines its record must contain. The run itself exits non-zero on any
-# failed request, any mismatch against /metrics, or (churn, ingest) a
-# dataset left below the replication floor; the greps pin the recorded
-# outcome.
+# failed request or any mismatch against /metrics; the greps pin the
+# recorded outcome.
 #
 # delivery: a short two-step open-loop sweep of verified GETs against
 # the in-process cluster's disk volumes.
 SMOKE_delivery = -nodes 2 -datasets 4 -rates 50,100 -openloop-duration 1s -seed 42
 SMOKE_delivery_GREP = '"payload_mode": "dir"' '"failed": 0' '"schema_version": 2' '"reconciled": true'
-# churn: the same two victims die on the same schedule every run, so a
-# repair regression reproduces instead of flaking.
-SMOKE_churn = -nodes 4 -workers 6 -requests 300 -churn 'kill=2,restart=2s,spacing=2s' -seed 7
-SMOKE_churn_GREP = '"failed": 0' '"all_restarted": true' '"reconciled": true'
-# ingest: opaque datasets cannot be regenerated, so the run proves repair
-# moved verified bytes between peers — the regenerated counter stays
-# zero and every dataset reconciles byte for byte after the churn.
-SMOKE_ingest = -nodes 3 -workers 4 -datasets 8 -bytes 262144 -requests 120 -stripes 3 \
-	-churn 'kill=1,restart=3s' -seed 42
-SMOKE_ingest_GREP = '"failed": 0' '"digest_mismatches": 0' '"repair_regenerated": 0' '"reconciled": true'
 # large: CI-sized segments (1 MiB over 8 MiB datasets) still force the
 # segmented layout, partial residency, and the segment endpoint. -verify
 # checks every payload byte: the smoke is a correctness gate, not a

@@ -9,18 +9,18 @@
 //	          arrival-rate ladder; latency from intended start times
 //	large     open-loop byte-throughput sweep over segmented datasets:
 //	          a seeded whole/ranged/segment-walk mix
-//	churn     closed-loop verified fetches while -churn crashes and
-//	          restarts members; repair must restore the floor
-//	ingest    opaque uploads, verified striped fetches under optional
-//	          -churn, repair by byte copy, a byte-exact final download
+//
+// Churn, repair and ingest under churn are not load-generated: the
+// stepped churn test in internal/server (TestSteppedChurn) asserts them
+// after every slot of seeded availability traces, and
+// scdn-serve -churn-script kills and restarts members of a running
+// cluster by hand.
 //
 // Usage:
 //
 //	scdn-loadgen -scenario delivery -rates 100,200,400 -openloop-duration 1s
 //	scdn-loadgen -scenario delivery -targets http://127.0.0.1:8001,http://127.0.0.1:8002
 //	scdn-loadgen -scenario large -bytes 33554432 -segment-size 4194304 -rates 4,8,16
-//	scdn-loadgen -scenario churn -churn 'kill=2,restart=5s'
-//	scdn-loadgen -scenario ingest -churn 'kill=1,restart=3s' -stripes 3
 package main
 
 import (
@@ -42,15 +42,11 @@ func main() {
 	flag.StringVar(&o.Scenario, "scenario", "delivery", "what to run: "+loadharness.Scenarios)
 	flag.IntVar(&o.Nodes, "nodes", 3, "in-process edge servers")
 	flag.StringVar(&targets, "targets", "", "comma-separated base URLs of a running cluster (delivery only)")
-	flag.IntVar(&o.Workers, "workers", 8, "churn/ingest workers, and the in-process cluster's users")
-	flag.IntVar(&o.Requests, "requests", 600, "churn/ingest fetches")
 	flag.IntVar(&o.Datasets, "datasets", 0, "datasets (0: 12, or 2 for large; ds-001.. on -targets)")
 	flag.Int64Var(&o.Bytes, "bytes", 0, "bytes per dataset (0: 64 KiB, or 256 MiB for large)")
-	flag.IntVar(&o.Stripes, "stripes", 1, "ingest: split each upload and download into N parallel stripes")
 	flag.Int64Var(&o.Seed, "seed", 42, "workload seed")
-	flag.BoolVar(&o.Verify, "verify", false, "large: verify every payload byte (the other scenarios always do)")
+	flag.BoolVar(&o.Verify, "verify", false, "large: verify every payload byte (delivery always does)")
 	flag.StringVar(&o.BenchOut, "bench-out", "", "benchmark record path (default BENCH_<scenario>.json)")
-	flag.StringVar(&o.Churn, "churn", "", "churn schedule, e.g. 'kill=2,restart=5s' (churn, ingest)")
 	flag.StringVar(&rates, "rates", "", "arrival-rate ladder in req/s (default 200,400,800,1600, or 1,2,4,8 for large)")
 	flag.DurationVar(&o.Duration, "openloop-duration", 2*time.Second, "per-rate schedule duration")
 	flag.IntVar(&o.MaxConns, "max-conns", 64, "open-loop connection pool bound (queueing past it is charged to latency)")

@@ -77,11 +77,15 @@ func (c *atomicCopyCheck) visit(n ast.Node) bool {
 
 // checkCopyExpr reports e if evaluating it copies an existing value of
 // an atomic-carrying struct type. Composite literals, calls, and
-// address-taking produce or move fresh/pointer values and are fine.
+// address-taking produce or move fresh/pointer values and are fine, and
+// so is a type: new(T)'s argument names T, it copies no value.
 func (c *atomicCopyCheck) checkCopyExpr(e ast.Expr, what string) {
 	switch ast.Unparen(e).(type) {
 	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 	default:
+		return
+	}
+	if c.pkg.Info.Types[e].IsType() {
 		return
 	}
 	t := c.typeOf(e)

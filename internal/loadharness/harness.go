@@ -24,25 +24,15 @@ type Options struct {
 	Scenario string
 	// Nodes sizes the in-process cluster; Targets, when set, replaces
 	// it with the base URLs of a running one (delivery only).
-	Nodes   int
-	Targets []string
-	// Workers is the closed-loop (churn) or upload/fetch (ingest)
-	// concurrency and the in-process cluster's user count; Requests is
-	// their fetch budget.
-	Workers  int
-	Requests int
+	Nodes    int
+	Targets  []string
 	Datasets int
 	Bytes    int64
-	// Stripes splits each ingest upload and download across edges.
-	Stripes int
-	Seed    int64
-	// Verify checks every payload byte of a large run; the other
-	// scenarios always verify.
+	Seed     int64
+	// Verify checks every payload byte of a large run; delivery always
+	// verifies.
 	Verify   bool
 	BenchOut string
-	// Churn is a ChurnSpec ("kill=2,restart=5s"): required by churn,
-	// optional for ingest.
-	Churn string
 	// Rates, Duration and MaxConns shape an open-loop sweep (delivery,
 	// large).
 	Rates    []float64
@@ -60,11 +50,11 @@ type scenario struct {
 	bytes    int64
 	datasets int
 	rates    []float64
-	// segmented stores and serves every dataset as segments; uploads
-	// starts the cluster empty; warm fetches every dataset from every
-	// edge before the first scrape; targets allows -targets.
-	segmented, uploads, warm, targets bool
-	mix                               func(context.Context, *env) (outcome, error)
+	// segmented stores and serves every dataset as segments; warm
+	// fetches every dataset from every edge before the first scrape;
+	// targets allows -targets.
+	segmented, warm, targets bool
+	mix                      func(context.Context, *env) (outcome, error)
 }
 
 var scenarios = map[string]scenario{
@@ -72,12 +62,10 @@ var scenarios = map[string]scenario{
 		warm: true, targets: true, mix: deliveryMix},
 	"large": {bytes: 256 << 20, datasets: 2, rates: []float64{1, 2, 4, 8},
 		segmented: true, warm: true, mix: largeMix},
-	"churn":  {bytes: 64 << 10, datasets: 12, mix: churnMix},
-	"ingest": {bytes: 64 << 10, datasets: 12, uploads: true, mix: ingestMix},
 }
 
 // Scenarios names the scenarios Main runs, for usage text.
-const Scenarios = "delivery, large, churn, ingest"
+const Scenarios = "delivery, large"
 
 // outcome is what a request mix observed on the client side.
 type outcome interface {
@@ -134,17 +122,8 @@ func (o *Options) resolve() (scenario, error) {
 	switch {
 	case len(o.Targets) > 0 && !sc.targets:
 		return sc, fmt.Errorf("-scenario %s drives the in-process cluster; it cannot take -targets", o.Scenario)
-	case o.Scenario == "churn" && o.Churn == "":
-		return sc, fmt.Errorf("-scenario churn needs a -churn schedule")
-	case o.Churn != "" && o.Scenario != "churn" && o.Scenario != "ingest":
-		return sc, fmt.Errorf("-churn applies to the churn and ingest scenarios only")
 	case sc.segmented && o.Bytes < o.SegmentSize:
 		return sc, fmt.Errorf("-bytes (%d) < segment size (%d): small datasets never segment", o.Bytes, o.SegmentSize)
-	}
-	if o.Churn != "" {
-		if _, err := ParseChurnSpec(o.Churn); err != nil {
-			return sc, err
-		}
 	}
 	return sc, nil
 }
@@ -176,9 +155,8 @@ func setup(ctx context.Context, o Options, sc scenario) (*env, error) {
 		users = []int64{101} // scdn-serve provisions client users 101..100+N
 	} else {
 		cfg := server.ClusterConfig{
-			Nodes: o.Nodes, Users: o.Workers, Datasets: o.Datasets, DatasetBytes: o.Bytes,
-			Seed: o.Seed, PullThrough: true, StoreQuota: o.StoreQuota, NoSeedDatasets: sc.uploads,
-			Sweep: server.SweeperConfig{ReplicationTarget: replicationTarget},
+			Nodes: o.Nodes, Datasets: o.Datasets, DatasetBytes: o.Bytes,
+			Seed: o.Seed, PullThrough: true, StoreQuota: o.StoreQuota,
 		}
 		if sc.segmented {
 			cfg.SegmentSize, cfg.SegmentThreshold = o.SegmentSize, o.SegmentSize
@@ -276,7 +254,7 @@ func (e *env) scrape(ctx context.Context) Counters {
 		}
 		resp, err := e.client.Do(req)
 		if err != nil {
-			continue // a member churn left down
+			continue
 		}
 		out.add(resp.Body)
 		resp.Body.Close()

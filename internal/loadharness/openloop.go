@@ -1,12 +1,13 @@
 // Package loadharness is the delivery plane's honest measurement kit
-// and the whole of scdn-loadgen. Main runs one scenario — delivery,
-// large, churn or ingest — through one path: set up the cluster, run
+// and the whole of scdn-loadgen. Main runs one scenario — delivery or
+// large — through one path: set up the cluster, run
 // the scenario's request mix, reconcile the client's counts against
 // the cluster's /metrics delta, write one BENCH record. The package
 // also holds the open-loop generator (requests fired on a seeded
 // arrival schedule, regardless of how many are still in flight) with
 // coordinated-omission-safe latency recording into the repo's shared
-// metrics.Histogram, the churn injector, and the versioned BENCH
+// metrics.Histogram, the churn script scdn-serve -churn-script runs,
+// and the versioned BENCH
 // record schema plus the perf-ratchet comparison behind `make
 // perfgate`.
 //
@@ -19,9 +20,8 @@
 // *intended* start time (so time spent queued behind a saturated
 // connection pool counts against the server), and sweeps arrival rates
 // into a latency-vs-throughput curve whose knee is the number worth
-// ratcheting. Only the churn scenario runs closed loop: it measures
-// survival, not latency, and its workers are paced across the kill
-// schedule.
+// ratcheting. Churn and repair are not measured here:
+// internal/server's stepped churn test asserts them slot by slot.
 package loadharness
 
 import (

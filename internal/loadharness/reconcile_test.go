@@ -136,67 +136,6 @@ func TestReconcileLarge(t *testing.T) {
 	}
 }
 
-func TestReconcileChurn(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		doctor func(*churnOutcome, Counters)
-		want   string
-	}{
-		{"healthy", func(*churnOutcome, Counters) {}, ""},
-		{"unexcused failure", func(o *churnOutcome, _ Counters) { o.failed.Store(1) }, "requests failed"},
-		{"event error", func(o *churnOutcome, _ Counters) { o.churn.sum.Errs = []string{"churn: no node 9"} }, "no node 9"},
-		{"floor not restored", func(o *churnOutcome, _ Counters) { o.churn.repaired = false }, "repair incomplete"},
-		{"server failures past excused", func(_ *churnOutcome, d Counters) { d["scdn_fetch_failures_total"]++ }, "exceed"},
-		{"kill not counted", func(_ *churnOutcome, d Counters) { d["scdn_churn_kills_total"]-- }, "kills"},
-		{"restart not counted", func(_ *churnOutcome, d Counters) { d["scdn_churn_restarts_total"]-- }, "restarts"},
-		{"members still down: churn counters unscrapeable", func(o *churnOutcome, d Counters) {
-			o.churn.sum.AllRestarted = false
-			d["scdn_churn_kills_total"], d["scdn_churn_restarts_total"] = 1, 1
-		}, ""},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			o := &churnOutcome{churn: &churnResult{excused: 3, repaired: true,
-				sum: ChurnSummary{Kills: 2, Restarts: 2, AllRestarted: true}}}
-			d := Counters{"scdn_fetch_failures_total": 3, "scdn_churn_kills_total": 2,
-				"scdn_churn_restarts_total": 2}
-			tc.doctor(o, d)
-			checkReconcile(t, o, d, tc.want)
-		})
-	}
-}
-
-func TestReconcileIngest(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		doctor func(*ingestOutcome, Counters)
-		want   string
-	}{
-		{"healthy", func(*ingestOutcome, Counters) {}, ""},
-		{"failed fetch", func(o *ingestOutcome, _ Counters) { o.failed = 1 }, "failed fetches"},
-		{"digest mismatch", func(o *ingestOutcome, _ Counters) { o.mismatches.Store(1) }, "digest mismatches"},
-		{"dataset lost", func(o *ingestOutcome, _ Counters) { o.unreconciled = 1 }, "failed reconciliation"},
-		{"upload not counted", func(_ *ingestOutcome, d Counters) { d["scdn_ingest_uploads_total"]-- }, "uploads"},
-		{"upload bytes short", func(_ *ingestOutcome, d Counters) { d["scdn_ingest_upload_bytes_total"]-- }, "upload bytes"},
-		{"repair regenerated", func(_ *ingestOutcome, d Counters) { d["scdn_ingest_repair_regenerated_total"] = 1 }, "regenerated"},
-		{"event error", func(o *ingestOutcome, _ Counters) { o.churn.sum.Errs = []string{"churn: no node 9"} }, "no node 9"},
-		{"floor not restored", func(o *ingestOutcome, _ Counters) { o.churn.repaired = false }, "repair incomplete"},
-		{"kills without copies", func(_ *ingestOutcome, d Counters) { d["scdn_ingest_repair_copies_total"] = 0 }, "repair-by-copy"},
-		{"no churn needs no copies", func(o *ingestOutcome, d Counters) {
-			o.churn = nil
-			d["scdn_ingest_repair_copies_total"] = 0
-		}, ""},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			o := &ingestOutcome{datasets: 8, bytes: 1024, churn: &churnResult{repaired: true,
-				sum: ChurnSummary{Kills: 1, Restarts: 1, AllRestarted: true}}}
-			d := Counters{"scdn_ingest_uploads_total": 8, "scdn_ingest_upload_bytes_total": 8 * 1024,
-				"scdn_ingest_repair_regenerated_total": 0, "scdn_ingest_repair_copies_total": 16}
-			tc.doctor(o, d)
-			checkReconcile(t, o, d, tc.want)
-		})
-	}
-}
-
 func TestOptionsResolve(t *testing.T) {
 	o := Options{Scenario: "large", SegmentSize: 1 << 20}
 	if _, err := o.resolve(); err != nil {
@@ -208,9 +147,8 @@ func TestOptionsResolve(t *testing.T) {
 	for _, bad := range []Options{
 		{Scenario: "closed"},
 		{Scenario: "churn"},
-		{Scenario: "churn", Churn: "kill=1", Targets: []string{"http://x"}},
-		{Scenario: "delivery", Churn: "kill=1"},
-		{Scenario: "ingest", Churn: "kill=0"},
+		{Scenario: "ingest"},
+		{Scenario: "large", Targets: []string{"http://x"}},
 		{Scenario: "large", Bytes: 1 << 20, SegmentSize: 4 << 20},
 	} {
 		if _, err := bad.resolve(); err == nil {

@@ -93,27 +93,12 @@ func NewOpenLoop(cfg SweepConfig, results []RateResult) *OpenLoop {
 	return ol
 }
 
-// ChurnRecord is the optional churn section shared by delivery, churn,
-// and ingest records.
-type ChurnRecord struct {
-	Spec             string `json:"spec"`
-	Kills            int    `json:"kills"`
-	Restarts         int    `json:"restarts"`
-	AllRestarted     bool   `json:"all_restarted"`
-	ExcusedFailures  uint64 `json:"excused_failures"`
-	DeadMembers      uint64 `json:"repair_dead_members"`
-	Readmissions     uint64 `json:"repair_readmissions"`
-	ReplicasRestored uint64 `json:"repair_replicas_restored"`
-	Churn503s        uint64 `json:"churn_unavailable"`
-}
-
 // DeliveryRecord is the BENCH_delivery.json schema: the delivery
 // plane's perf trajectory across PRs, and perfgate's ratchet unit.
 type DeliveryRecord struct {
 	SchemaVersion   int             `json:"schema_version"`
 	Host            Host            `json:"host"`
-	Mode            string          `json:"mode"` // "open-loop", or "closed-loop" under churn
-	Workers         int             `json:"workers,omitempty"`
+	Mode            string          `json:"mode"` // "open-loop"
 	Requests        int             `json:"requests"`
 	Edges           int             `json:"edges"`
 	Datasets        int             `json:"datasets"`
@@ -127,31 +112,6 @@ type DeliveryRecord struct {
 	RangeRequests   uint64          `json:"range_requests"`
 	Reconciled      bool            `json:"reconciled"`
 	OpenLoop        *OpenLoop       `json:"open_loop,omitempty"`
-	Churn           *ChurnRecord    `json:"churn,omitempty"`
-}
-
-// IngestRecord is the BENCH_ingest.json schema: the live-ingest data
-// plane's acceptance record.
-type IngestRecord struct {
-	SchemaVersion    int          `json:"schema_version"`
-	Host             Host         `json:"host"`
-	Mode             string       `json:"mode"`
-	Edges            int          `json:"edges"`
-	Workers          int          `json:"workers"`
-	Datasets         int          `json:"datasets"`
-	BytesPerDataset  int64        `json:"bytes_per_dataset"`
-	Stripes          int          `json:"stripes"`
-	Fetches          uint64       `json:"fetches"`
-	ElapsedSeconds   float64      `json:"elapsed_seconds"`
-	Failed           uint64       `json:"failed"`
-	DigestMismatches uint64       `json:"digest_mismatches"`
-	Uploads          uint64       `json:"uploads"`
-	UploadBytes      uint64       `json:"upload_bytes"`
-	RepairCopies     uint64       `json:"repair_copies"`
-	RepairCopyBytes  uint64       `json:"repair_copy_bytes"`
-	RepairRegen      uint64       `json:"repair_regenerated"`
-	Churn            *ChurnRecord `json:"churn,omitempty"`
-	Reconciled       bool         `json:"reconciled"`
 }
 
 // WriteRecord marshals any BENCH record as indented JSON.

@@ -47,8 +47,9 @@ const (
 	// Resolve scans the record's holders, kept sorted by node, in
 	// place under the shard's read lock.
 	allocBudgetResolve = 0
-	// A sweep over datasets at their live-copy floor reads each one's
-	// holders into a reused scratch slice and counts the live ones.
+	// A repair pass over datasets at their live-copy floor reads the
+	// live view, each shard's IDs and each dataset's holders into the
+	// sweep's reused scratch slices and counts the live holders.
 	allocBudgetRepairAtFloor = 0
 )
 
@@ -214,10 +215,11 @@ func TestResolveAllocBudget(t *testing.T) {
 	}
 }
 
-// TestRepairAtFloorAllocBudget pins the sweep's per-dataset cost for a
-// dataset already at its live-copy floor — every dataset of a healthy
-// cluster, every sweep, on every node — at zero allocations: the
-// holders are read into the sweep's scratch slice and only counted.
+// TestRepairAtFloorAllocBudget pins a whole repair pass over a healthy
+// catalog — every dataset at its live-copy floor, as on every sweep of
+// every node — at zero allocations: the live view, the shard IDs and
+// the holders are read into the sweep's scratch slices and only
+// counted.
 func TestRepairAtFloorAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are meaningless under the race detector")
@@ -231,18 +233,12 @@ func TestRepairAtFloorAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := lc.Nodes[0]
-	view := n.liveView()
-	st := &sweepState{below: make(map[storage.DatasetID]int)}
-	ctx := context.Background()
-	sweep := func() {
-		for _, id := range lc.DatasetIDs {
-			n.repairDataset(ctx, id, 2, view, st)
-		}
-	}
-	sweep() // grows the scratch slice once
+	n, ctx := lc.Nodes[0], context.Background()
+	st := newSweepState()
+	sweep := func() { n.repairReplication(ctx, st) }
+	sweep() // grows the scratch slices once
 	if got := settledAllocsPerRun(100, sweep); got > allocBudgetRepairAtFloor {
-		t.Errorf("at-floor sweep of %d datasets = %.1f allocs/op, budget %d",
+		t.Errorf("at-floor repair pass over %d datasets = %.1f allocs/op, budget %d",
 			len(lc.DatasetIDs), got, allocBudgetRepairAtFloor)
 	}
 	if len(st.below) != 0 {

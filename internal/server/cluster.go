@@ -251,44 +251,6 @@ func (lc *LocalCluster) URLs() []string {
 	return out
 }
 
-// DatasetReplication is one dataset's replication health: how many
-// holders the catalog records and how many of them are currently online.
-type DatasetReplication struct {
-	ID       storage.DatasetID
-	Replicas int
-	Live     int
-}
-
-// ReplicationStatus reports every dataset's replication health — the
-// post-churn acceptance check: after repair converges, each dataset's
-// Live count must be back at the replication target (capped by how many
-// edges are up).
-func (lc *LocalCluster) ReplicationStatus() []DatasetReplication {
-	out := make([]DatasetReplication, 0, len(lc.DatasetIDs))
-	for _, id := range lc.DatasetIDs {
-		holders := lc.Catalog.AppendHolders(nil, id)
-		st := DatasetReplication{ID: id, Replicas: len(holders)}
-		for _, h := range holders {
-			if lc.Registry.Online(h) {
-				st.Live++
-			}
-		}
-		out = append(out, st)
-	}
-	return out
-}
-
-// LiveNodes counts edges currently serving.
-func (lc *LocalCluster) LiveNodes() int {
-	live := 0
-	for _, n := range lc.Nodes {
-		if n.Running() {
-			live++
-		}
-	}
-	return live
-}
-
 // Login opens a session for a participant directly against the
 // middleware (tests and in-process drivers; remote clients use
 // POST /v1/login).

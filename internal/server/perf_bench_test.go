@@ -186,7 +186,7 @@ func BenchmarkSweepAtFloor(b *testing.B) {
 				}
 			}
 			n, ctx := lc.Nodes[0], context.Background()
-			st := &sweepState{below: make(map[storage.DatasetID]int)}
+			st := newSweepState()
 			n.repairReplication(ctx, st) // grows the scratch slices once
 			b.ReportAllocs()
 			b.ResetTimer()

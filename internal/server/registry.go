@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"maps"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,17 +97,6 @@ func (r *Registry) BaseURL(node storage.NodeID) (string, bool) {
 		return "", false
 	}
 	return m.BaseURL, true
-}
-
-// Members returns all records sorted by node ID.
-func (r *Registry) Members() []Member {
-	snap := r.snapshot()
-	out := make([]Member, 0, len(snap))
-	for _, m := range snap {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
 }
 
 // Online reports whether a member is registered and online.

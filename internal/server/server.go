@@ -18,8 +18,9 @@
 // probes and deregisters them.
 // Each missing copy of an under-replicated dataset is pulled by the one
 // live non-holder that rendezvous hashing elects, onto itself; no node
-// asks another to take a copy. Scripted churn (internal/loadharness)
-// kills and restarts nodes so the loop is testable end to end.
+// asks another to take a copy. The stepped churn test drives the loop
+// slot by slot through seeded availability traces, and scdn-serve
+// -churn-script kills and restarts nodes of a running cluster.
 //
 // A node reaches its peers one way: its relay (relay.go). Fetch hops,
 // repair copies and health probes are all requests over it, and every
@@ -433,21 +434,34 @@ func (n *Node) Volume() *storage.DiskVolume {
 // member with any recent failure is "suspect" (skipped by the fetch
 // path's candidate ordering); one that fails SweeperConfig.FailThreshold
 // probes in a row is declared dead and deregistered from the registry.
+// A streak belongs to the endpoint it was probed at: a member that
+// restarts registers a fresh endpoint, which no failed probe has seen.
 type suspectTable struct {
 	mu    sync.Mutex
-	fails map[storage.NodeID]int
+	fails map[storage.NodeID]suspicion
 }
 
-// noteFailure records one failed probe and returns the consecutive
-// count.
-func (s *suspectTable) noteFailure(node storage.NodeID) int {
+// suspicion is a member's failure streak at one endpoint.
+type suspicion struct {
+	url   string
+	count int
+}
+
+// noteFailure records one failed probe of the member at url and
+// returns the consecutive count there.
+func (s *suspectTable) noteFailure(node storage.NodeID, url string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fails == nil {
-		s.fails = make(map[storage.NodeID]int)
+		s.fails = make(map[storage.NodeID]suspicion)
 	}
-	s.fails[node]++
-	return s.fails[node]
+	f := s.fails[node]
+	if f.url != url {
+		f = suspicion{url: url}
+	}
+	f.count++
+	s.fails[node] = f
+	return f.count
 }
 
 // noteSuccess clears a member's failure streak.
@@ -457,11 +471,12 @@ func (s *suspectTable) noteSuccess(node storage.NodeID) {
 	delete(s.fails, node)
 }
 
-// isSuspect reports whether the member's last probe failed.
-func (s *suspectTable) isSuspect(node storage.NodeID) bool {
+// isSuspect reports whether the member's last probe at url failed.
+func (s *suspectTable) isSuspect(node storage.NodeID, url string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.fails[node] > 0
+	f, ok := s.fails[node]
+	return ok && f.url == url
 }
 
 // count returns how many members are currently suspect.

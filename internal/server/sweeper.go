@@ -66,7 +66,7 @@ func (n *Node) runSweeper(ctx context.Context, done chan struct{}) {
 	// Deterministic per-node jitter: nodes de-phase from each other, runs
 	// stay reproducible.
 	rng := rand.New(rand.NewSource(int64(n.cfg.Node)))
-	st := &sweepState{below: make(map[storage.DatasetID]int)}
+	st := newSweepState()
 	for {
 		jitter := time.Duration(rng.Int63n(int64(n.cfg.Sweep.Interval)/2 + 1))
 		select {
@@ -80,13 +80,18 @@ func (n *Node) runSweeper(ctx context.Context, done chan struct{}) {
 
 // sweepState is what one sweeper goroutine, and it alone, carries from
 // sweep to sweep: below counts the consecutive sweeps each dataset has
-// been seen under its floor (repairDataset's fallback), and ids and
-// holders are the scratch slices a shard's dataset IDs and each
-// dataset's holder IDs are read into.
+// been seen under its floor (repairDataset's fallback), and view, ids
+// and holders are the scratch slices the live view, a shard's dataset
+// IDs and each dataset's holder IDs are read into.
 type sweepState struct {
 	below   map[storage.DatasetID]int
+	view    []storage.NodeID
 	ids     []storage.DatasetID
 	holders []storage.NodeID
+}
+
+func newSweepState() *sweepState {
+	return &sweepState{below: make(map[storage.DatasetID]int)}
 }
 
 // sweepOnce runs one repair cycle: probe membership, expire abandoned
@@ -110,7 +115,7 @@ func (n *Node) sweepOnce(ctx context.Context, st *sweepState) {
 // restarted nodes also re-admit themselves on Start, so this path covers
 // false positives and members that recover in place.
 func (n *Node) probeMembers(ctx context.Context) {
-	for _, m := range n.registry.Members() {
+	for _, m := range n.registry.snapshot() {
 		if m.Node == n.cfg.Node || m.BaseURL == "" {
 			continue
 		}
@@ -122,7 +127,7 @@ func (n *Node) probeMembers(ctx context.Context) {
 				return
 			}
 			n.Metrics.ProbeFailures.Inc()
-			fails := n.suspects.noteFailure(m.Node)
+			fails := n.suspects.noteFailure(m.Node, m.BaseURL)
 			if fails == n.cfg.Sweep.FailThreshold && m.Online {
 				n.registry.SetOnline(m.Node, false)
 				n.Metrics.RepairDeadMembers.Inc()
@@ -169,7 +174,7 @@ func (n *Node) probe(ctx context.Context, base string) error {
 // live non-holder that rendezvous hashing elects (designated), whose
 // own sweeper makes it, so racing sweepers do not overshoot.
 func (n *Node) repairReplication(ctx context.Context, st *sweepState) {
-	view := n.liveView()
+	view := n.liveView(st)
 	// Live copies can't exceed live members; don't chase an impossible
 	// floor while most of the cluster is down.
 	target := min(n.cfg.Sweep.ReplicationTarget, len(view))
@@ -199,22 +204,28 @@ func (n *Node) repairReplication(ctx context.Context, st *sweepState) {
 }
 
 // isLive reports whether this node believes a member alive: online in
-// the registry and not suspect. The fetch path, resolve and repair all
-// read membership through it.
+// the registry and not suspect at its current endpoint. The fetch path,
+// resolve and repair all read membership through it.
 func (n *Node) isLive(node storage.NodeID) bool {
-	return n.registry.Online(node) && !n.suspects.isSuspect(node)
+	m, ok := n.registry.snapshot()[node]
+	return ok && n.memberLive(m)
 }
 
-// liveView lists the members this node believes alive: itself, then
-// every fellow edge that isLive and has an endpoint.
-func (n *Node) liveView() []storage.NodeID {
-	view := []storage.NodeID{n.cfg.Node}
-	for _, m := range n.registry.Members() {
-		if m.Node != n.cfg.Node && m.BaseURL != "" && n.isLive(m.Node) {
-			view = append(view, m.Node)
+func (n *Node) memberLive(m Member) bool {
+	return m.Online && !n.suspects.isSuspect(m.Node, m.BaseURL)
+}
+
+// liveView lists into st.view, in no particular order, the members
+// this node believes alive: itself, then every fellow edge that is
+// live and has an endpoint.
+func (n *Node) liveView(st *sweepState) []storage.NodeID {
+	st.view = append(st.view[:0], n.cfg.Node)
+	for _, m := range n.registry.snapshot() {
+		if m.Node != n.cfg.Node && m.BaseURL != "" && n.memberLive(m) {
+			st.view = append(st.view, m.Node)
 		}
 	}
-	return view
+	return st.view
 }
 
 // repairDataset copies one dataset onto this node when it is below the

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"scdn/internal/cdnclient"
 	"scdn/internal/storage"
 )
 
@@ -39,6 +41,43 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	t.Fatalf("timed out after %v waiting for %s", timeout, what)
 }
 
+// DatasetReplication is one dataset's replication health: how many
+// holders the catalog records and how many of them are currently online.
+type DatasetReplication struct {
+	ID       storage.DatasetID
+	Replicas int
+	Live     int
+}
+
+// ReplicationStatus reports every dataset's replication health: after
+// repair converges, each dataset's Live count must be back at the
+// replication target (capped by how many edges are up).
+func (lc *LocalCluster) ReplicationStatus() []DatasetReplication {
+	out := make([]DatasetReplication, 0, len(lc.DatasetIDs))
+	for _, id := range lc.DatasetIDs {
+		holders := lc.Catalog.AppendHolders(nil, id)
+		st := DatasetReplication{ID: id, Replicas: len(holders)}
+		for _, h := range holders {
+			if lc.Registry.Online(h) {
+				st.Live++
+			}
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// LiveNodes counts edges currently serving.
+func (lc *LocalCluster) LiveNodes() int {
+	live := 0
+	for _, n := range lc.Nodes {
+		if n.Running() {
+			live++
+		}
+	}
+	return live
+}
+
 // replicationMet reports whether every dataset has at least
 // min(target, live nodes) online holders.
 func replicationMet(lc *LocalCluster, target int) bool {
@@ -54,40 +93,54 @@ func replicationMet(lc *LocalCluster, target int) bool {
 	return true
 }
 
-// TestSweeperDetectsDeadRepairsAndReadmits walks the full repair story:
-// a crashed member is declared dead by its peers' failure detectors and
-// deregistered, its datasets are re-replicated onto the survivors so
-// fetches keep succeeding, and the member is welcomed back when it
-// restarts.
+// TestSweeperDetectsDeadRepairsAndReadmits walks the full repair story
+// in steps, each node's sweeper off and its sweeps called in turn: a
+// crashed member is declared dead by its peers' failure detectors
+// after FailThreshold failed probes and deregistered, its datasets are
+// re-replicated onto the survivors so fetches keep succeeding, and the
+// member is welcomed back when it restarts.
 func TestSweeperDetectsDeadRepairsAndReadmits(t *testing.T) {
-	lc := startCluster(t, ClusterConfig{
-		Nodes: 3, Users: 1, Datasets: 6, Sweep: fastSweep(),
-	})
+	sweep := SweeperConfig{Disabled: true, ReplicationTarget: 2, FailThreshold: 2}
+	lc := startCluster(t, ClusterConfig{Nodes: 3, Users: 1, Datasets: 6, Sweep: sweep})
 	client := &http.Client{Timeout: 5 * time.Second}
 	tok := login(t, lc)
+	states := []*sweepState{newSweepState(), newSweepState(), newSweepState()}
+	step := func() {
+		for i, n := range lc.Nodes {
+			if n.Running() {
+				n.sweepOnce(context.Background(), states[i])
+			}
+		}
+	}
 
-	// The sweepers fan every dataset out to the replication target even
-	// before anything fails.
-	waitFor(t, 15*time.Second, "initial replication fan-out", func() bool {
-		return replicationMet(lc, 2)
-	})
+	// One round of sweeps fans every dataset out to the replication
+	// target before anything fails.
+	step()
+	if !replicationMet(lc, 2) {
+		t.Fatal("one round of sweeps left a dataset below its floor")
+	}
 
 	// Crash node 1 the hard way: no goodbye, registry still lists it
-	// online until a peer's detector notices.
+	// online until the survivors' detectors have failed FailThreshold
+	// probes.
 	lc.Nodes[0].Crash()
-	waitFor(t, 15*time.Second, "dead member deregistered", func() bool {
-		return !lc.Registry.Online(1)
-	})
+	for i := 0; i < sweep.FailThreshold; i++ {
+		if !lc.Registry.Online(1) {
+			t.Fatalf("node 1 deregistered after %d failed probes, want %d", i, sweep.FailThreshold)
+		}
+		step()
+	}
+	if lc.Registry.Online(1) {
+		t.Fatal("dead member still registered online")
+	}
 	if got := lc.Nodes[1].Metrics.RepairDeadMembers.Value() +
 		lc.Nodes[2].Metrics.RepairDeadMembers.Value(); got < 1 {
 		t.Fatalf("no survivor counted the dead member (dead_members=%d)", got)
 	}
-
-	// Repair restores the floor with only the survivors.
-	waitFor(t, 15*time.Second, "post-crash re-replication", func() bool {
-		return replicationMet(lc, 2)
-	})
-
+	// Repair restored the floor with only the survivors.
+	if !replicationMet(lc, 2) {
+		t.Fatal("survivors left a dataset below its floor")
+	}
 	// ds-001's origin was the dead node; a survivor must now serve it.
 	fetchDataset(t, client, lc.Nodes[1].BaseURL(), tok, "ds-001", lc.Config.DatasetBytes)
 
@@ -95,9 +148,11 @@ func TestSweeperDetectsDeadRepairsAndReadmits(t *testing.T) {
 	if err := lc.Nodes[0].Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 15*time.Second, "restarted member re-admitted", func() bool {
-		return lc.Registry.Online(1) && lc.LiveNodes() == 3
-	})
+	states[0] = newSweepState()
+	step()
+	if !lc.Registry.Online(1) || lc.LiveNodes() != 3 {
+		t.Fatalf("restarted member not re-admitted: online %v, %d live nodes", lc.Registry.Online(1), lc.LiveNodes())
+	}
 	fetchDataset(t, client, lc.Nodes[0].BaseURL(), tok, "ds-001", lc.Config.DatasetBytes)
 }
 
@@ -416,4 +471,38 @@ func TestChurnConcurrentSweepAndFetch(t *testing.T) {
 	waitFor(t, 20*time.Second, "post-churn repair convergence", func() bool {
 		return replicationMet(lc, 2)
 	})
+}
+
+// TestRestartedMemberIsNotSuspect: a failed probe makes a member
+// suspect at the endpoint it was probed at. A member that restarts
+// registers a fresh endpoint, so its peers route to it again at once,
+// not only after their next probe: an upload it alone holds is served
+// through a peer right after the restart.
+func TestRestartedMemberIsNotSuspect(t *testing.T) {
+	lc := startCluster(t, ClusterConfig{Nodes: 2, Users: 1, NoSeedDatasets: true,
+		Sweep: SweeperConfig{Disabled: true}})
+	n1, n2 := lc.Nodes[0], lc.Nodes[1]
+	tok := string(login(t, lc))
+	payload := bytes.Repeat([]byte("restart"), 10000)
+	man, err := cdnclient.Upload(context.Background(), cdnclient.TransferOptions{
+		Endpoints: []string{n2.BaseURL()}, Token: tok}, "up-1", lc.Config.Group,
+		bytes.NewReader(payload), int64(len(payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2.Crash()
+	n1.sweepOnce(context.Background(), newSweepState())
+	if n1.isLive(2) {
+		t.Fatal("a crashed member is live after a failed probe")
+	}
+	if err := n2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if !n1.isLive(2) {
+		t.Fatal("a restarted member is still suspect at its new endpoint")
+	}
+	if _, err := cdnclient.Download(context.Background(), cdnclient.TransferOptions{
+		Endpoints: []string{n1.BaseURL()}, Token: tok}, man, cdnclient.Discard); err != nil {
+		t.Fatalf("fetch through a peer right after the holder restarted: %v", err)
+	}
 }
