@@ -231,7 +231,7 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request, segment bool) 
 	last := rngs[len(rngs)-1]
 	if src, ok := n.localSource(id, total, rngs[0].off, last.off+last.n, held); ok {
 		n.writeRanges(w, r, &src, rngs, isRange, total)
-		n.vol.Release(id, src.file)
+		n.releasePiece(&src)
 		return
 	}
 	if held {
@@ -347,89 +347,91 @@ func (n *Node) opaque(id storage.DatasetID) bool {
 	return ok
 }
 
-// fetchSource is where a local serve reads the dataset's bytes from,
-// picked before any header is written. Exactly one form is set: a whole
-// replica's extent (seek + sendfile), the segment extents of the
-// segmented layout (walked by copySegmentRange), or — when the volume
-// cannot hold the piece — the deterministic generator. derive allows
-// the walk to re-materialize an evicted segment. A struct rather than
-// an interface or closure so the warm serve path allocates nothing.
+// fetchSource is a local serve's walk over the dataset's pieces: the
+// whole-replica entry when the volume has one, else the segments of the
+// segmented layout. It holds piece idx open through h; a nil h means
+// that piece comes from gen, the generator block, because the volume
+// cannot hold it. derive allows materializing a missing piece and the
+// generator. A struct rather than an interface or closure so the warm
+// serve path allocates nothing.
 type fetchSource struct {
-	id          storage.DatasetID
-	total       int64
-	file        *storage.Handle
-	seg, derive bool
-	gen         payload
+	id           storage.DatasetID
+	total, piece int64 // dataset size; piece size: the segment size, else total
+	segs, derive bool
+	idx          int64 // the open piece; -1 when none is
+	h            *storage.Handle
+	gen          payload
 }
 
-// localSource picks the source for the dataset window [off, end). held
-// says this edge is a catalogued holder: only a holder derives bytes
-// (materializes a replica or segment, or runs the generator) instead of
-// serving what its volume already has, and never for an opaque dataset.
-//
-// A whole-file replica wins when one exists — materialized on first
-// access for flat datasets. Large datasets take the segmented layout:
-// per-segment files materialized on demand, so a quota-constrained edge
-// still serves datasets bigger than its volume. The generator is the
-// fallback when the volume cannot hold the piece — it derives the
-// identical byte stream — so a fetch never fails just because a disk is
-// full.
+// localSource opens the first piece of the dataset window [off, end).
+// held says this edge is a catalogued holder: only a holder derives
+// bytes (materializes a replica or segment, or runs the generator), and
+// never for an opaque dataset. Anyone else serves only a window inside
+// one resident piece, which the open handle keeps readable even if the
+// piece is evicted before the walk reaches it. Segments materialize on
+// demand, so a quota-constrained edge still serves datasets bigger than
+// its volume, and the generator derives any piece the volume cannot
+// hold, so a fetch never fails just because a disk is full. The serve
+// releases the last piece (releasePiece).
 func (n *Node) localSource(id storage.DatasetID, total, off, end int64, held bool) (fetchSource, bool) {
-	derive := held && !n.opaque(id)
-	src := fetchSource{id: id, total: total, derive: derive}
-	segmented := n.segmented(total)
+	src := fetchSource{id: id, total: total, piece: total, derive: held && !n.opaque(id)}
 	// Every entry has its catalog size: Start drops any other
 	// (reconcileVolume), and every writer commits exact extents.
-	f, _, ok := n.vol.Open(id)
-	if !ok && derive && !segmented && n.materialize(id, id, 0, total) {
-		f, _, ok = n.vol.Open(id)
-	}
-	if ok {
-		src.file = f
+	if n.openHandle(&src, 0) {
 		return src, true
 	}
-	if segmented {
-		// Only a deriving walk materializes segments, so anyone else
-		// serves only a window inside one resident segment.
-		seg := off / n.cfg.SegmentSize
-		oneSeg := end <= (seg+1)*n.cfg.SegmentSize
-		if derive && n.ensureSegment(id, seg, total) || !derive && oneSeg && n.vol.HasSegment(id, seg) {
-			src.seg = true
-			return src, true
-		}
+	if src.segs = n.segmented(total); src.segs {
+		src.piece = n.cfg.SegmentSize
 	}
-	if !derive {
-		return src, false
-	}
-	src.gen = payloadBlock(id)
-	return src, true
+	i := off / src.piece
+	return src, (src.derive || end <= (i+1)*src.piece) && n.openPiece(&src, i)
 }
 
-// copyRange writes the dataset window [off, off+length) from src to
-// dst. A scratch, when given, lends its LimitedReader, which net/http
-// unwraps so a file window rides sendfile, and a multipart partWriter
-// reads straight into its buffer — either way without allocating.
-func (n *Node) copyRange(dst io.Writer, sc *fetchScratch, src *fetchSource, off, length int64) (int64, error) {
-	switch {
-	case src.file != nil:
-		return copyExtent(dst, sc, src.file, off, length)
-	case src.seg:
-		return n.copySegmentRange(dst, sc, src, off, length)
-	default:
-		return copyBuffered(dst, io.NewSectionReader(src.gen, off, length))
+// copyRange writes the dataset window [off, off+length) of src to dst
+// piece by piece, each the open one or opened now (openPiece). A
+// segment streamed end to end has its page cache dropped behind the
+// copy (posix_fadvise DONTNEED) unless Config.KeepSegmentPages: one
+// giant transfer must not evict the warm small-object working set. The
+// scratch lends its LimitedReader, which net/http unwraps so a file
+// window rides sendfile, and a multipart partWriter reads straight into
+// its buffer — either way without allocating.
+func (n *Node) copyRange(dst io.Writer, sc *fetchScratch, src *fetchSource, off, length int64) (written int64, _ error) {
+	for length > 0 {
+		i := off / src.piece
+		if i != src.idx && !n.openPiece(src, i) {
+			return written, errSegment
+		}
+		pieceOff := off - i*src.piece
+		extent := storage.SegmentExtent(src.total, src.piece, i)
+		chunk := min(extent-pieceOff, length)
+		var m int64
+		var err error
+		if src.h == nil {
+			m, err = copyBuffered(dst, io.NewSectionReader(src.gen, off, chunk))
+		} else if m, err = copyExtent(dst, sc, src.h, pieceOff, chunk); err == nil &&
+			src.segs && !n.cfg.KeepSegmentPages && pieceOff == 0 && chunk == extent &&
+			storage.FadviseDontNeed(src.h) {
+			// Complete sequential pass: this serve touched every page of
+			// the segment once and will not come back for them.
+			n.Metrics.StoreFadviseDontNeed.Inc()
+		}
+		written += m
+		if err != nil {
+			return written, err
+		}
+		off += chunk
+		length -= chunk
 	}
+	return written, nil
 }
 
 // copyExtent writes length bytes of the volume entry behind h, from its
-// offset off, to dst, through the scratch's LimitedReader when given
-// (see copyRange).
+// offset off, to dst through the scratch's LimitedReader (see
+// copyRange).
 func copyExtent(dst io.Writer, sc *fetchScratch, h *storage.Handle, off, length int64) (int64, error) {
 	f, err := h.FileAt(off)
 	if err != nil {
 		return 0, err
-	}
-	if sc == nil {
-		return io.CopyN(dst, f, length)
 	}
 	sc.lr = io.LimitedReader{R: f, N: length}
 	return io.Copy(dst, &sc.lr)
@@ -461,9 +463,9 @@ func (n *Node) writeRanges(w http.ResponseWriter, r *http.Request, src *fetchSou
 		h["Accept-Ranges"] = acceptRangesHeader
 	}
 	h["X-Scdn-Source"] = n.srcHdr
-	if src.gen == nil {
+	if src.h != nil {
 		n.Metrics.StoreDiskHits.Inc()
-		if src.seg && object {
+		if src.segs && object {
 			n.Metrics.SegmentedServes.Inc()
 		}
 	}
@@ -476,32 +478,20 @@ func (n *Node) writeRanges(w http.ResponseWriter, r *http.Request, src *fetchSou
 		served = n.writeMultipart(w, r, src, rngs, total)
 	} else {
 		rng := rngs[0]
+		sc := fetchScratchPool.Get().(*fetchScratch)
 		h["Content-Type"] = octetStreamHeader
+		h["Content-Length"] = sc.contentLength(rng.n)
 		status := http.StatusOK
 		if isRange {
 			status = http.StatusPartialContent
+			h["Content-Range"] = sc.contentRange(rng, total)
 		}
-		if useScratch(r, rng.n) {
-			sc := fetchScratchPool.Get().(*fetchScratch)
-			defer fetchScratchPool.Put(sc)
-			h["Content-Length"] = sc.contentLength(rng.n)
-			if isRange {
-				h["Content-Range"] = sc.contentRange(rng, total)
-			}
-			w.WriteHeader(status)
+		w.WriteHeader(status)
+		// Only a body write puts the header values the scratch holds on
+		// the wire; a HEAD or empty body leaves the scratch to the GC.
+		if r.Method != http.MethodHead && rng.n > 0 {
 			served, _ = n.copyRange(w, sc, src, rng.off, rng.n)
-		} else {
-			// HEAD or empty body: net/http may serialize the header map
-			// after the handler returns, so the values must not alias
-			// pooled memory.
-			h.Set("Content-Length", strconv.FormatInt(rng.n, 10))
-			if isRange {
-				h.Set("Content-Range", rng.contentRange(total))
-			}
-			w.WriteHeader(status)
-			if r.Method != http.MethodHead {
-				served, _ = n.copyRange(w, nil, src, rng.off, rng.n)
-			}
+			fetchScratchPool.Put(sc)
 		}
 	}
 	n.Metrics.LocalHits.Inc()

@@ -20,10 +20,10 @@ import (
 // Aliasing pooled arrays in a response header map is only safe when the
 // headers are serialized before the scratch is recycled — which on the
 // real serving path happens at the first body write. Callers therefore
-// only take the scratch path when a body write is guaranteed (GET with
-// at least one payload byte); HEAD and empty bodies use plain
-// Header().Set, whose values net/http may read after the handler
-// returns.
+// return the scratch to the pool only when a body write is guaranteed
+// (GET with at least one payload byte); a HEAD or empty body leaves its
+// scratch to the GC, since net/http may read the header values after
+// the handler returns.
 type fetchScratch struct {
 	num [24]byte // strconv scratch
 
@@ -66,14 +66,6 @@ func (sc *fetchScratch) contentRange(r byteRange, total int64) []string {
 	}
 	sc.cr[0] = sc.crStr
 	return sc.cr[:]
-}
-
-// useScratch reports whether the request may take the pooled-scratch
-// serving path: a body write must be guaranteed (see fetchScratch) so
-// the header values the map aliases are on the wire before the scratch
-// is recycled.
-func useScratch(r *http.Request, n int64) bool {
-	return r.Method != http.MethodHead && n > 0
 }
 
 // A multipart/byteranges body is framed here by hand, byte for byte as

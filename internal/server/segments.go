@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"io"
 
 	"scdn/internal/storage"
 )
@@ -14,7 +13,9 @@ import (
 // cold tail evicted and re-materialized per segment on demand instead
 // of all-or-nothing. Segment boundaries are ingest block boundaries,
 // so every segment verifies against the manifest's block digests, and
-// /v1/resolve publishes the segment size and count.
+// /v1/resolve publishes the segment size and count. A local serve
+// walks a dataset's pieces — its whole replica, else its segments —
+// holding the one piece it reads (fetchSource, openPiece).
 // GET /v1/fetch/{dataset}/segments/{n} is the fetch route over one
 // segment's window (serveFetch), and pull-through adoption happens at
 // segment granularity: a proxied large-object stream commits each
@@ -27,69 +28,55 @@ func (n *Node) segmented(total int64) bool {
 	return n.cfg.SegmentThreshold > 0 && total >= n.cfg.SegmentThreshold
 }
 
-// errSegment covers segment entries that vanished between index lookup
-// and serve; static so the serve loop never formats an error on a path
-// that can run per segment.
+// errSegment ends a non-deriving walk at a segment its volume lacks;
+// static so the serve loop never formats an error on a path that can
+// run per segment.
 var errSegment = errors.New("server: segment unavailable")
 
-// ensureSegment makes segment seg of the dataset resident, reporting
-// success. The warm path is one interned-key map lookup.
-func (n *Node) ensureSegment(id storage.DatasetID, seg, total int64) bool {
-	return n.vol.HasSegment(id, seg) || n.materialize(storage.SegmentKey(id, seg), id,
-		seg*n.cfg.SegmentSize, storage.SegmentExtent(total, n.cfg.SegmentSize, seg))
+// openPiece releases src's open piece and opens piece i, reporting
+// whether its bytes can be read: a deriving source materializes a
+// missing piece first and reads it from the generator when the volume
+// cannot hold it; any other walk fails rather than write generator
+// bytes in place of, say, an opaque upload's.
+func (n *Node) openPiece(src *fetchSource, i int64) bool {
+	n.releasePiece(src)
+	if !n.openHandle(src, i) {
+		if !src.derive {
+			return false
+		}
+		key, off := src.id, i*src.piece
+		if src.segs {
+			key = storage.SegmentKey(src.id, i)
+		}
+		if (!n.materialize(key, src.id, off, storage.SegmentExtent(src.total, src.piece, i)) ||
+			!n.openHandle(src, i)) && src.gen == nil {
+			src.gen = payloadBlock(src.id)
+		}
+	}
+	src.idx = i
+	return true
 }
 
-// copySegmentRange streams the dataset window [off, off+length) of src
-// by walking its segments: each one is opened (materialized first when
-// evicted, if src may derive; else the walk fails), advised for
-// sequential readahead on a fresh descriptor, seeked, and copied. When
-// a segment is streamed end to end its page cache is dropped behind the copy (posix_fadvise DONTNEED) unless
-// Config.KeepSegmentPages — one giant transfer must not evict the warm
-// small-object working set. With a scratch the warm path allocates
-// nothing: interned segment keys, pooled descriptors, and the pooled
-// LimitedReader that net/http unwraps onto sendfile.
-func (n *Node) copySegmentRange(dst io.Writer, sc *fetchScratch, src *fetchSource,
-	off, length int64) (written int64, _ error) {
-	id, total, segSize := src.id, src.total, n.cfg.SegmentSize
-	drop := !n.cfg.KeepSegmentPages
-	for length > 0 {
-		seg := off / segSize
-		extent := storage.SegmentExtent(total, segSize, seg)
-		if extent <= 0 {
-			return written, errSegment
-		}
-		segOff := off - seg*segSize
-		chunk := extent - segOff
-		if chunk > length {
-			chunk = length
-		}
-		f, _, fresh, ok := n.vol.OpenSegment(id, seg)
-		if !ok {
-			if !src.derive || !n.materialize(storage.SegmentKey(id, seg), id, seg*segSize, extent) {
-				return written, errSegment
-			}
-			if f, _, fresh, ok = n.vol.OpenSegment(id, seg); !ok {
-				return written, errSegment
-			}
-		}
-		if fresh && storage.FadviseSequential(f) {
-			n.Metrics.StoreFadviseSequential.Inc()
-		}
-		m, err := copyExtent(dst, sc, f, segOff, chunk)
-		written += m
-		if err == nil && drop && segOff == 0 && chunk == extent {
-			// Complete sequential pass: this serve touched every page of
-			// the segment once and will not come back for them.
-			if storage.FadviseDontNeed(f) {
-				n.Metrics.StoreFadviseDontNeed.Inc()
-			}
-		}
-		n.vol.ReleaseSegment(id, seg, f)
-		if err != nil {
-			return written, err
-		}
-		off += chunk
-		length -= chunk
+// openHandle opens the volume entry of src's piece i, advising a fresh
+// segment descriptor for sequential readahead.
+func (n *Node) openHandle(src *fetchSource, i int64) (ok bool) {
+	if !src.segs {
+		src.h, _, ok = n.vol.Open(src.id)
+		return ok
 	}
-	return written, nil
+	var fresh bool
+	if src.h, _, fresh, ok = n.vol.OpenSegment(src.id, i); fresh && storage.FadviseSequential(src.h) {
+		n.Metrics.StoreFadviseSequential.Inc()
+	}
+	return ok
+}
+
+// releasePiece releases the handle of src's open piece, if any.
+func (n *Node) releasePiece(src *fetchSource) {
+	if src.segs && src.h != nil {
+		n.vol.ReleaseSegment(src.id, src.idx, src.h)
+	} else {
+		n.vol.Release(src.id, src.h) // nil-safe
+	}
+	src.h, src.idx = nil, -1
 }

@@ -622,19 +622,51 @@ func TestNonDerivingSegmentWalk(t *testing.T) {
 	n := benchNode(vol)
 	n.cfg.SegmentSize, n.cfg.SegmentThreshold = segTestSize, segTestSize
 	const id = storage.DatasetID("walk")
-	src := fetchSource{id: id, total: segTestBytes, seg: true}
-	if _, err := n.copySegmentRange(io.Discard, nil, &src, 0, segTestSize); err == nil {
+	src := fetchSource{id: id, total: segTestBytes, piece: segTestSize, segs: true, idx: -1}
+	if _, err := n.copyRange(io.Discard, new(fetchScratch), &src, 0, segTestSize); err == nil {
 		t.Fatal("a non-deriving walk served an absent segment")
 	}
 	if vol.HasSegment(id, 0) || n.Metrics.StoreMaterializations.Value() != 0 {
 		t.Fatal("a non-deriving walk materialized a segment")
 	}
 	src.derive = true
+	defer n.releasePiece(&src)
 	var buf bytes.Buffer
-	if m, err := n.copySegmentRange(&buf, nil, &src, 0, segTestSize); err != nil || m != segTestSize {
+	if m, err := n.copyRange(&buf, new(fetchScratch), &src, 0, segTestSize); err != nil || m != segTestSize {
 		t.Fatalf("deriving walk = %d bytes, %v", m, err)
 	}
 	if _, err := VerifyPayloadRange(&buf, id, 0, segTestSize); err != nil || !vol.HasSegment(id, 0) {
 		t.Fatalf("deriving walk: resident=%v, %v", vol.HasSegment(id, 0), err)
+	}
+}
+
+// TestSegmentEvictedAfterHead: a non-holder serves a window inside one
+// resident segment only, and the piece it opened before writing its
+// head stays readable through the walk, so evicting that segment
+// between localSource and copyRange cannot cut the body short.
+func TestSegmentEvictedAfterHead(t *testing.T) {
+	vol, err := storage.NewDiskVolume(t.TempDir(), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := benchNode(vol)
+	n.cfg.SegmentSize, n.cfg.SegmentThreshold = segTestSize, segTestSize
+	const id = storage.DatasetID("evict")
+	if !n.materialize(storage.SegmentKey(id, 1), id, segTestSize, segTestSize) {
+		t.Fatal("segment 1 did not materialize")
+	}
+	off, length := segTestSize+100, int64(4096)
+	src, ok := n.localSource(id, segTestBytes, off, off+length, false)
+	if !ok {
+		t.Fatal("a resident segment was not a local source")
+	}
+	defer n.releasePiece(&src)
+	vol.Remove(storage.SegmentKey(id, 1))
+	var buf bytes.Buffer
+	if m, err := n.copyRange(&buf, new(fetchScratch), &src, off, length); err != nil || m != length {
+		t.Fatalf("serve after eviction = %d bytes, %v", m, err)
+	}
+	if _, err := VerifyPayloadRange(&buf, id, off, length); err != nil {
+		t.Fatal(err)
 	}
 }

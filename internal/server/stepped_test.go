@@ -242,19 +242,6 @@ func (d *stepped) checkLeaks() {
 	}
 }
 
-// wakingQuiesce reports whether the goroutine's only frame in this
-// module is the connection-state hook: a connection that just went
-// idle or closed wakes Quiesce from inside the hook, which returns
-// right after.
-func wakingQuiesce(stack string) bool {
-	for _, line := range strings.Split(stack, "\n") {
-		if strings.HasPrefix(line, "scdn/internal/") && !strings.HasPrefix(line, "scdn/internal/server.(*inflight).connState(") {
-			return false
-		}
-	}
-	return true
-}
-
 func (d *stepped) quiesce() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
