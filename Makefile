@@ -178,7 +178,10 @@ $(addprefix smoke-,$(SMOKE_ROWS)): smoke-%:
 # (shared runners, loopback jitter) but a real regression — knee
 # throughput halved, knee p99 blown past the floor — fails the gate.
 # To advance the baseline after an intentional change, copy the
-# candidate over BENCH_delivery.json and check it in.
+# candidate over BENCH_delivery.json and check it in. scdn-perfgate
+# refuses to compare records whose host blocks (GOMAXPROCS, NumCPU, Go
+# version) differ, so seed baselines with the Go release and CPU count
+# that CI's perf-gate job pins.
 perfgate:
 	$(GO) run ./cmd/scdn-loadgen -scenario delivery -nodes 3 -datasets 8 \
 		-rates 200,400,800,1600 -openloop-duration 2s -seed 42 \

@@ -24,10 +24,12 @@
 // cannot anchor the ratchet; the candidate then only has to be healthy,
 // and checking it in starts the ratchet for the next run.
 //
-// When baseline and candidate were measured on different hardware
-// (GOMAXPROCS or CPU count differ), the gate warns but still compares:
-// the tolerance band is wide enough to absorb runner variance, and a
-// visible warning beats a silently meaningless number.
+// When baseline and candidate were measured on different hosts
+// (GOMAXPROCS, CPU count or Go version differ), the gate refuses: it
+// exits non-zero, naming the difference, before it compares anything.
+// A knee or MB/s figure from another host is a different experiment,
+// not a regression or a gain; re-seed the baseline on the host that
+// runs the gate.
 package main
 
 import (
@@ -85,7 +87,7 @@ func gateDelivery(baseline, candidate string, opt loadharness.GateOptions) {
 		fatal(err)
 	}
 	if base != nil {
-		warnHostMismatch(base.Host, cand.Host)
+		refuseHostMismatch(base.Host, cand.Host)
 	}
 	if err := loadharness.CompareDelivery(base, cand, opt); err != nil {
 		fatal(err)
@@ -121,7 +123,7 @@ func gateLarge(baseline, candidate string, opt loadharness.GateOptions) {
 		fatal(err)
 	}
 	if base != nil {
-		warnHostMismatch(base.Host, cand.Host)
+		refuseHostMismatch(base.Host, cand.Host)
 	}
 	if err := loadharness.CompareLarge(base, cand, opt); err != nil {
 		fatal(err)
@@ -135,13 +137,11 @@ func gateLarge(baseline, candidate string, opt loadharness.GateOptions) {
 	}
 }
 
-// warnHostMismatch prints a visible warning when two records were
-// measured on different hardware contexts. The comparison still runs —
-// a warning the reader can weigh beats a gate that silently compares
-// incomparable numbers or silently skips.
-func warnHostMismatch(base, cand loadharness.Host) {
+// refuseHostMismatch exits non-zero when two records were measured on
+// different hosts, naming the difference.
+func refuseHostMismatch(base, cand loadharness.Host) {
 	if diff := loadharness.HostMismatch(base, cand); diff != "" {
-		fmt.Printf("scdn-perfgate: WARNING: baseline and candidate hosts differ (%s) — numbers are not directly comparable\n", diff)
+		fatal(fmt.Errorf("baseline and candidate hosts differ (%s); re-seed the baseline on this host", diff))
 	}
 }
 

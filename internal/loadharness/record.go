@@ -41,11 +41,11 @@ func CurrentHost() Host {
 	}
 }
 
-// HostMismatch describes the hardware-context differences between two
-// host blocks that make their numbers incomparable, or "" when there
-// are none. The gate warns on a mismatch rather than failing: a knee
-// measured at GOMAXPROCS=1 against a 16-core baseline is not a
-// regression, it is a different experiment.
+// HostMismatch describes the host-context differences between two host
+// blocks that make their numbers incomparable, or "" when there are
+// none. scdn-perfgate refuses to compare on a mismatch: a knee measured
+// at GOMAXPROCS=1 against a 16-core baseline, or under another Go
+// runtime, is not a regression, it is a different experiment.
 func HostMismatch(a, b Host) string {
 	var diffs []string
 	if a.GOMAXPROCS != b.GOMAXPROCS {
@@ -53,6 +53,9 @@ func HostMismatch(a, b Host) string {
 	}
 	if a.NumCPU != b.NumCPU {
 		diffs = append(diffs, fmt.Sprintf("NumCPU %d vs %d", a.NumCPU, b.NumCPU))
+	}
+	if a.GoVersion != b.GoVersion {
+		diffs = append(diffs, fmt.Sprintf("Go %s vs %s", a.GoVersion, b.GoVersion))
 	}
 	return strings.Join(diffs, ", ")
 }

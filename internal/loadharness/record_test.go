@@ -210,11 +210,12 @@ func TestHostMismatch(t *testing.T) {
 	if diff := HostMismatch(a, a); diff != "" {
 		t.Fatalf("identical hosts reported a mismatch: %q", diff)
 	}
-	// Go version alone is not a hardware mismatch.
+	// Go version alone is a mismatch: another runtime is another
+	// experiment.
 	b := a
 	b.GoVersion = "go1.25"
-	if diff := HostMismatch(a, b); diff != "" {
-		t.Fatalf("go-version-only difference reported: %q", diff)
+	if diff := HostMismatch(a, b); diff != "Go go1.24 vs go1.25" {
+		t.Fatalf("go-version-only difference = %q, want it named", diff)
 	}
 	b = Host{GOMAXPROCS: 16, NumCPU: 32, GoVersion: "go1.24"}
 	diff := HostMismatch(a, b)
